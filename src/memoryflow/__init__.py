@@ -18,17 +18,16 @@ from .evolution import (
     Trajectory,
     holder_growth_probe,
     integrate,
+    integrate_ensemble,
     intertwine_residual,
     reconstruct_eta,
     reconstruct_xi,
-    step,
 )
 from .kernels import (
     KernelError,
     MemoryKernel,
     check_dafermos,
     check_nec,
-    derived,
     flatness_rate,
     k_from_mu,
     load_kernel_file,

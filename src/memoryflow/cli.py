@@ -11,7 +11,6 @@ import datetime
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +25,7 @@ from .attractors import (
 from .evolution import (
     BlowUpError,
     integrate,
+    integrate_ensemble,
     sample_times,
     save_trajectory_csv,
     trajectory_metadata,
@@ -87,15 +87,22 @@ class ExperimentConfig:
         t_end = float(raw.get("t_end", 10.0))
         if dt <= 0 or t_end < dt:
             raise ValueError("config needs dt > 0 and t_end >= dt")
+        framework = raw.get("framework", "history")
+        if framework not in ("history", "state"):
+            raise ValueError("config field 'framework' must be 'history' or "
+                             "'state', not %r" % (framework,))
+        ensemble = raw.get("ensemble", 1)
+        if isinstance(ensemble, bool) or not isinstance(ensemble, int) \
+                or ensemble < 1:
+            raise ValueError("config field 'ensemble' must be an integer >= 1, "
+                             "not %r" % (ensemble,))
         initial = raw.get("initial", "zero")
         if isinstance(initial, dict) and "file" in initial:
             initial = {"file": rel(initial["file"])}
         return cls(
             kernel_path=rel(raw.get("kernel")),
             model_path=rel(raw.get("model")),
-            framework=raw.get("framework", "history"),
-            dt=dt, t_end=t_end,
-            ensemble=int(raw.get("ensemble", 1)),
+            framework=framework, dt=dt, t_end=t_end, ensemble=ensemble,
             seed=int(raw.get("seed", 0)),
             initial=initial,
             out_dir=rel(raw.get("out", ".")))
@@ -188,21 +195,6 @@ def cmd_kernel(args):
     return 0 if report.admissible else 1
 
 
-def _run_member(cfg, model, kernel, ops, k):
-    z0 = initial_state(cfg, model, kernel, k)
-    return integrate(z0, ops, kernel, cfg.framework, cfg.dt, cfg.t_end)
-
-
-def _run_ensemble(cfg, model, kernel, ops, threads):
-    idx = range(cfg.ensemble)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futs = [pool.submit(_run_member, cfg, model, kernel, ops, k)
-                    for k in idx]
-            return [f.result() for f in futs]
-    return [_run_member(cfg, model, kernel, ops, k) for k in idx]
-
-
 def _load_config(args):
     cfg = ExperimentConfig.from_file(args.config)
     if getattr(args, "out", None):
@@ -219,11 +211,8 @@ def cmd_simulate(args):
     model, kernel = load_experiment(cfg)
     ops = assemble(model, kernel)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    try:
-        trajs = _run_ensemble(cfg, model, kernel, ops, args.threads)
-    except BlowUpError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    z0s = [initial_state(cfg, model, kernel, k) for k in range(cfg.ensemble)]
+    trajs = integrate_ensemble(z0s, ops, kernel, cfg.framework, cfg.dt, cfg.t_end)
     cloud_times = []
     if args.cloud_every:
         cloud_times = list(sample_times(cfg.t_end, cfg.dt,
@@ -257,15 +246,15 @@ def cmd_compare(args):
     model, kernel = load_experiment(cfg)
     ops = assemble(model, kernel)
     os.makedirs(cfg.out_dir, exist_ok=True)
+    cfg.framework = "history"
+    z0s = [initial_state(cfg, model, kernel, k) for k in range(cfg.ensemble)]
+    trajs_h = integrate_ensemble(z0s, ops, kernel, "history", cfg.dt, cfg.t_end)
+    z0s = [ExtendedVector(z0.u.copy(), z0.v.copy(), lambda_map(z0.memory, kernel))
+           for z0 in z0s]
+    trajs_s = integrate_ensemble(z0s, ops, kernel, "state", cfg.dt, cfg.t_end)
     worst = 0.0
     rows = []
-    for k in range(cfg.ensemble):
-        cfg.framework = "history"
-        z0 = initial_state(cfg, model, kernel, k)
-        traj_h = integrate(z0, ops, kernel, "history", cfg.dt, cfg.t_end)
-        z0s = ExtendedVector(z0.u.copy(), z0.v.copy(),
-                             lambda_map(z0.memory, kernel))
-        traj_s = integrate(z0s, ops, kernel, "state", cfg.dt, cfg.t_end)
+    for k, (traj_h, traj_s) in enumerate(zip(trajs_h, trajs_s)):
         du = np.max(np.abs(traj_h.u_snaps - traj_s.u_snaps))
         dv = np.max(np.abs(traj_h.v_snaps - traj_s.v_snaps))
         gap = float(max(du, dv))
@@ -290,11 +279,7 @@ def cmd_energy_report(args):
     cfg.framework = "history"
     ops = assemble(model, kernel)
     z0 = initial_state(cfg, model, kernel, 0)
-    try:
-        traj = integrate(z0, ops, kernel, "history", cfg.dt, cfg.t_end)
-    except BlowUpError as exc:
-        print(str(exc), file=sys.stderr)
-        return 1
+    traj = integrate(z0, ops, kernel, "history", cfg.dt, cfg.t_end)
     ts = sample_times(cfg.t_end, cfg.dt, args.samples)
     rows = []
     phi_c = 0.0
@@ -421,8 +406,6 @@ def cmd_attract(args):
 def build_parser():
     p = argparse.ArgumentParser(prog="memoryflow",
                                 description=__doc__.splitlines()[0])
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for ensembles")
     p.add_argument("--tol", type=float, default=1e-4,
                    help="comparison tolerance")
     p.add_argument("--seed", type=int, default=None,
@@ -489,6 +472,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BlowUpError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
     except (ValueError, KernelError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -7,6 +7,10 @@ variable itself is never stepped: it is reconstructed on demand from stored
 snapshots through the explicit representation formulas, so the history
 transport is exact and free of CFL constraints.  The coupled scheme is
 second order overall.
+
+An ensemble is a batch axis: `integrate_ensemble` steps all members together
+as rows of member-major arrays, and each row is bitwise equal to the same
+member integrated alone.
 """
 
 from dataclasses import dataclass, field
@@ -37,7 +41,8 @@ class ModelOperators:
 
     apply_A(u, v) is the source feeding the memory variable; apply_B_force
     (u, v, memforce) returns the (du, dv) right-hand side given the memory
-    force.  a_primitive, when the memory source is a time derivative (the
+    force.  The stepper hands every callback (E, J) arrays, one row per
+    ensemble member.  a_primitive, when the memory source is a time derivative (the
     viscoelastic case: source = d/dt(A u)), returns its primitive so history
     reconstruction can use exact differences instead of time quadrature.
     """
@@ -74,10 +79,6 @@ class Trajectory:
             raise ValueError("t=%g is off the time grid" % t)
         return idx
 
-    def u_at(self, t):
-        """Linear interpolation of u between snapshots (vector over modes)."""
-        return _interp_rows(self.u_snaps, t / self.dt)
-
     def state_at(self, t, kernel):
         idx = self.index_of(t)
         if self.framework == "history":
@@ -87,20 +88,6 @@ class Trajectory:
         return ExtendedVector(ModalVector(self.u_snaps[idx].copy(), self.lambdas),
                               ModalVector(self.v_snaps[idx].copy(), self.lambdas),
                               mem)
-
-
-def _interp_rows(arr, x):
-    """Row interpolation of a snapshot array at fractional index x >= 0."""
-    n = arr.shape[0] - 1
-    if x <= 0:
-        return arr[0]
-    if x >= n:
-        return arr[n]
-    i = int(x)
-    frac = x - i
-    if frac == 0.0:
-        return arr[i]
-    return (1.0 - frac) * arr[i] + frac * arr[i + 1]
 
 
 def _interp_many(arr, xs):
@@ -141,49 +128,48 @@ class MemoryForce:
             self.k_dt = np.asarray(kernel.k(s), dtype=float)
             self.k_rev = self.k_dt[::-1].copy()
 
-    def set_initial_memory(self, mem):
-        self._mem0 = mem
-        self._mem0_zero = mem is None or not np.any(mem.values)
+    def set_initial_memory(self, mems):
+        """Initial memory per member; only nonzero rows pay for its term."""
+        self._mem0 = [(e, mem) for e, mem in enumerate(mems) if np.any(mem.values)]
 
     def history_force(self, n, P):
-        """Force at t = n*dt given primitive snapshots P[0..n]."""
+        """Force at t = n*dt per member given primitive snapshots P[:, 0..n]."""
         m = min(n, self.w_nodes)
         dt = self.dt
         if m > 0:
             w = self.mu_dt
-            # sum_{i=1..m} mu_i P_{n-i} as a correlation with reversed weights,
-            # keeping both operands contiguous
+            # sum_{i=1..m} mu_i P_{n-i} as a correlation with reversed weights:
+            # one matrix-vector product per member on its contiguous rows
             L = self.mu_rev.size
-            dot = self.mu_rev[L - 1 - m:L - 1] @ P[n - m:n]
-            dot -= 0.5 * w[m] * P[n - m]
+            dot = np.matmul(self.mu_rev[L - 1 - m:L - 1], P[:, n - m:n])
+            dot -= 0.5 * w[m] * P[:, n - m]
             wsum = self.mu_cum[m] - 0.5 * w[m]
-            conv = dt * (wsum * P[n] - dot)
+            conv = dt * (wsum * P[:, n] - dot)
         else:
-            conv = np.zeros_like(P[0])
-        out = conv + self.k_dt[m] * (P[n] - P[n - m])
-        if m == n and not self._mem0_zero:
-            mem = self._mem0
-            wts = np.asarray(self.kernel.mu(n * dt + mem.nodes), dtype=float)
-            out = out + (wts @ mem.values) * mem.ds
+            conv = np.zeros_like(P[:, 0])
+        out = conv + self.k_dt[m] * (P[:, n] - P[:, n - m])
+        if m == n:
+            for e, mem in self._mem0:
+                wts = np.asarray(self.kernel.mu(n * dt + mem.nodes), dtype=float)
+                out[e] = out[e] + (wts @ mem.values) * mem.ds
         return out
 
     def state_force(self, n, a):
-        """Force at t = n*dt given memory-source snapshots a[0..n]."""
+        """Force at t = n*dt per member given memory-source snapshots a[:, 0..n]."""
         m = min(n, self.w_nodes)
         dt = self.dt
         if m > 0:
             w = self.k_dt
             L = self.k_rev.size
-            dot = self.k_rev[L - 1 - m:L] @ a[n - m:n + 1]
-            dot -= 0.5 * (w[0] * a[n] + w[m] * a[n - m])
+            dot = np.matmul(self.k_rev[L - 1 - m:L], a[:, n - m:n + 1])
+            dot -= 0.5 * (w[0] * a[:, n] + w[m] * a[:, n - m])
             conv = dt * dot
         else:
-            conv = np.zeros_like(a[0])
-        if not self._mem0_zero:
-            mem = self._mem0
+            conv = np.zeros_like(a[:, 0])
+        for e, mem in self._mem0:
             theta = n * dt
             cover = np.clip((mem.nodes + 0.5 * mem.ds - theta) / mem.ds, 0.0, 1.0)
-            conv = conv + (cover @ mem.values) * mem.ds
+            conv[e] = conv[e] + (cover @ mem.values) * mem.ds
         return conv
 
     def force(self, n, P, a):
@@ -192,143 +178,89 @@ class MemoryForce:
         return self.state_force(n, a)
 
 
-def _rk4(u, v, B, dt, F0, F1, src=None):
-    """One RK4 pass with the memory force linear in time across the step.
-
-    src, when given, holds four per-stage extra forcings added to dv.
-    Returns the advanced pair and the per-stage (u, v) values for callers
-    that need to re-evaluate nonlinear terms stage by stage.
-    """
+def _rk4(u, v, B, dt, F0, F1):
+    """One RK4 pass with the memory force linear in time across the step."""
     Fm = 0.5 * (F0 + F1)
-    stages_uv = []
     k1u, k1v = B(u, v, F0)
-    k1v = k1v + src[0] if src is not None else k1v
-    stages_uv.append((u, v))
-    u2, v2 = u + 0.5 * dt * k1u, v + 0.5 * dt * k1v
-    k2u, k2v = B(u2, v2, Fm)
-    k2v = k2v + src[1] if src is not None else k2v
-    stages_uv.append((u2, v2))
-    u3, v3 = u + 0.5 * dt * k2u, v + 0.5 * dt * k2v
-    k3u, k3v = B(u3, v3, Fm)
-    k3v = k3v + src[2] if src is not None else k3v
-    stages_uv.append((u3, v3))
-    u4, v4 = u + dt * k3u, v + dt * k3v
-    k4u, k4v = B(u4, v4, F1)
-    k4v = k4v + src[3] if src is not None else k4v
-    stages_uv.append((u4, v4))
+    k2u, k2v = B(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v, Fm)
+    k3u, k3v = B(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v, Fm)
+    k4u, k4v = B(u + dt * k3u, v + dt * k3v, F1)
     un = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
     vn = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return un, vn, stages_uv
+    return un, vn
 
 
 def _check_state(u, v, t):
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-        raise BlowUpError(t)
-    if max(np.max(np.abs(u)), np.max(np.abs(v))) > BLOWUP_GUARD:
-        raise BlowUpError(t)
+    # the negated comparison also catches NaN, which compares false
+    for arr in (u, v):
+        if not np.max(np.abs(arr)) <= BLOWUP_GUARD:
+            raise BlowUpError(t)
 
 
-def integrate(z0, ops, kernel, framework, dt, t_end, *, window=None, source=None):
-    """Advance the coupled system from z0 to t_end; returns the trajectory.
+def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end, *, window=None):
+    """Advance all members of z0s together to t_end; one trajectory each.
 
-    z0.memory must match the framework (history field or state field).  The
-    truncation window defaults to the kernel support cutoff, which the decay
-    certificate makes safe to 1e-10.
+    Members are rows of member-major (E, n+1, J) arrays and each trajectory
+    holds contiguous views of its row, which is bitwise equal to the member
+    integrated alone.  Every z0.memory must match the framework (history
+    field or state field).  The truncation window defaults to the kernel
+    support cutoff, which the decay certificate makes safe to 1e-10.
     """
     if framework not in ("history", "state"):
         raise ValueError("framework must be 'history' or 'state'")
+    if not z0s:
+        raise ValueError("need at least one ensemble member")
     want = HistoryField if framework == "history" else StateField
-    if not isinstance(z0.memory, want):
+    if not all(isinstance(z0.memory, want) for z0 in z0s):
         raise ValueError("initial memory does not match framework %r" % framework)
     if dt <= 0 or t_end < dt:
         raise ValueError("need 0 < dt <= t_end")
-    lam = ops.lambdas
+    lam = np.asarray(ops.lambdas, dtype=float)
     n_steps = int(round(t_end / dt))
     window = kernel.s_max if window is None else window
 
-    U = np.empty((n_steps + 1, lam.size))
+    U = np.empty((len(z0s), n_steps + 1, lam.size))
     V = np.empty_like(U)
     P = np.empty_like(U)
     A = np.empty_like(U)
     F = np.empty_like(U)
-    U[0] = z0.u.coeffs
-    V[0] = z0.v.coeffs
+    U[:, 0] = [z0.u.coeffs for z0 in z0s]
+    V[:, 0] = [z0.v.coeffs for z0 in z0s]
     prim = ops.a_primitive
-    P[0] = prim(U[0], V[0]) if prim is not None else np.zeros(lam.size)
-    A[0] = ops.apply_A(U[0], V[0])
+    P[:, 0] = prim(U[:, 0], V[:, 0]) if prim is not None else 0.0
+    A[:, 0] = ops.apply_A(U[:, 0], V[:, 0])
 
     mf = MemoryForce(kernel, framework, dt, n_steps, window)
-    mf.set_initial_memory(z0.memory)
-    B = ops.apply_B_force
+    mf.set_initial_memory([z0.memory for z0 in z0s])
+
+    def advance(n, F0, F1):
+        un, vn = _rk4(U[:, n], V[:, n], ops.apply_B_force, dt, F0, F1)
+        U[:, n + 1] = un
+        V[:, n + 1] = vn
+        P[:, n + 1] = prim(un, vn) if prim is not None else \
+            P[:, n] + 0.5 * dt * (A[:, n] + ops.apply_A(un, vn))
+        A[:, n + 1] = ops.apply_A(un, vn)
 
     for n in range(n_steps):
-        t = n * dt
         F0 = mf.force(n, P, A)
-        if source is not None:
-            src0 = source(t)
-            src1 = source(t + 0.5 * dt)
-            src2 = source(t + dt)
-            src_pred = (src0, src1, src1, src2)
-        else:
-            src_pred = None
-        u_star, v_star, _ = _rk4(U[n], V[n], B, dt, F0, F0, src_pred)
-        U[n + 1] = u_star
-        V[n + 1] = v_star
-        P[n + 1] = prim(u_star, v_star) if prim is not None else \
-            P[n] + 0.5 * dt * (A[n] + ops.apply_A(u_star, v_star))
-        A[n + 1] = ops.apply_A(u_star, v_star)
-        F1 = mf.force(n + 1, P, A)
-        un, vn, _ = _rk4(U[n], V[n], B, dt, F0, F1, src_pred)
-        U[n + 1] = un
-        V[n + 1] = vn
-        P[n + 1] = prim(un, vn) if prim is not None else \
-            P[n] + 0.5 * dt * (A[n] + ops.apply_A(un, vn))
-        A[n + 1] = ops.apply_A(un, vn)
-        F[n] = F0
-        _check_state(un, vn, t + dt)
-    F[n_steps] = mf.force(n_steps, P, A)
+        advance(n, F0, F0)                      # predictor: force frozen
+        advance(n, F0, mf.force(n + 1, P, A))   # corrector: force linear in t
+        F[:, n] = F0
+        _check_state(U[:, n + 1], V[:, n + 1], n * dt + dt)
+    F[:, n_steps] = mf.force(n_steps, P, A)
 
-    return Trajectory(
-        times=np.arange(n_steps + 1) * dt, u_snaps=U, v_snaps=V,
-        a_prim=P, a_vals=A, force_snaps=F,
-        initial_memory=z0.memory.copy(), window=window, framework=framework,
-        dt=dt, kernel_id=kernel.kernel_id, lambdas=np.asarray(lam, dtype=float))
+    times = np.arange(n_steps + 1) * dt
+    return [Trajectory(
+        times=times, u_snaps=U[e], v_snaps=V[e], a_prim=P[e], a_vals=A[e],
+        force_snaps=F[e], initial_memory=z0.memory.copy(), window=window,
+        framework=framework, dt=dt, kernel_id=kernel.kernel_id, lambdas=lam)
+        for e, z0 in enumerate(z0s)]
 
 
-def step(traj, ops, kernel, framework, dt):
-    """Append one snapshot to a trajectory; dt must equal its spacing."""
-    if abs(dt - traj.dt) > 1e-12 * dt:
-        raise ValueError("dt must equal the trajectory spacing")
-    if framework != traj.framework:
-        raise ValueError("framework mismatch")
-    n = traj.n_steps
-    ext = lambda arr: np.vstack([arr, np.empty((1, arr.shape[1]))])
-    U, V, P, A, F = (ext(traj.u_snaps), ext(traj.v_snaps), ext(traj.a_prim),
-                     ext(traj.a_vals), ext(traj.force_snaps))
-    mf = MemoryForce(kernel, framework, dt, n + 1, traj.window)
-    mf.set_initial_memory(traj.initial_memory)
-    B = ops.apply_B_force
-    prim = ops.a_primitive
-    F0 = mf.force(n, P, A)
-    u_star, v_star, _ = _rk4(U[n], V[n], B, dt, F0, F0)
-    U[n + 1], V[n + 1] = u_star, v_star
-    P[n + 1] = prim(u_star, v_star) if prim is not None else \
-        P[n] + 0.5 * dt * (A[n] + ops.apply_A(u_star, v_star))
-    A[n + 1] = ops.apply_A(u_star, v_star)
-    F1 = mf.force(n + 1, P, A)
-    un, vn, _ = _rk4(U[n], V[n], B, dt, F0, F1)
-    U[n + 1], V[n + 1] = un, vn
-    P[n + 1] = prim(un, vn) if prim is not None else \
-        P[n] + 0.5 * dt * (A[n] + ops.apply_A(un, vn))
-    A[n + 1] = ops.apply_A(un, vn)
-    F[n] = F0
-    F[n + 1] = mf.force(n + 1, P, A)
-    _check_state(un, vn, (n + 1) * dt)
-    return Trajectory(
-        times=np.arange(n + 2) * dt, u_snaps=U, v_snaps=V, a_prim=P,
-        a_vals=A, force_snaps=F, initial_memory=traj.initial_memory,
-        window=traj.window, framework=framework, dt=dt,
-        kernel_id=traj.kernel_id, lambdas=traj.lambdas)
+def integrate(z0, ops, kernel, framework, dt, t_end, *, window=None):
+    """Advance the coupled system from z0 to t_end; a batch of one member."""
+    return integrate_ensemble([z0], ops, kernel, framework, dt, t_end,
+                              window=window)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +378,8 @@ def holder_growth_probe(z1, z2, ops, kernel, framework, t_end, dt, *,
     Reports the least-squares slope and intercept; separations below the
     floating-point floor make the probe degenerate.
     """
-    traj1 = integrate(z1, ops, kernel, framework, dt, t_end, window=window)
-    traj2 = integrate(z2, ops, kernel, framework, dt, t_end, window=window)
+    traj1, traj2 = integrate_ensemble([z1, z2], ops, kernel, framework, dt,
+                                      t_end, window=window)
     ts = sample_times(t_end, dt, n_samples)
     seps = np.empty(ts.size)
     for i, t in enumerate(ts):

@@ -138,18 +138,6 @@ class MemoryKernel:
         return "MemoryKernel(%s)" % self.kernel_id
 
 
-@dataclass
-class DerivedKernels:
-    """Derived evaluators bundled for convenience."""
-    k: object
-    nu: object
-    d_const: float
-
-
-def derived(kernel):
-    return DerivedKernels(k=kernel.k, nu=kernel.nu, d_const=kernel.d_const)
-
-
 # ---------------------------------------------------------------------------
 # built-in families
 # ---------------------------------------------------------------------------

@@ -14,12 +14,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import (
-    MemoryForce,
     ModelOperators,
     Trajectory,
     _interp_many,
-    _rk4,
-    integrate,
+    integrate_ensemble,
 )
 from .kernels import KernelError, flatness_rate, split_sets, truncated_kernel
 from .spaces import ExtendedVector, HistoryField, ModalVector, StateField, norm_H
@@ -32,7 +30,9 @@ class CollocationTransform:
 
     Quadrature at x_m = pi*m/M, m = 1..M-1 with M = 4J is exact for products
     of sine modes up to degree 2M - 1, so projecting u^3 back onto the first
-    J modes is exact for trigonometric polynomials.
+    J modes is exact for trigonometric polynomials.  Both transforms act on
+    the last axis as stacked matrix-vector products, so a row of a batch
+    gets the same bits as the same vector transformed alone.
     """
 
     def __init__(self, n_modes, oversample=4):
@@ -45,10 +45,10 @@ class CollocationTransform:
         self.x = x
 
     def to_physical(self, u):
-        return self.sines @ u
+        return np.matmul(self.sines, u[..., None])[..., 0]
 
     def to_modal(self, phys):
-        return self.quad_w * (self.sines.T @ phys)
+        return self.quad_w * np.matmul(self.sines.T, phys[..., None])[..., 0]
 
 
 @dataclass
@@ -240,116 +240,49 @@ class LKSplitResult:
 def lk_split(z1, z2, model, kernel, t_end, dt, *, window=None):
     """Decompose the difference of two runs into linear and forced parts.
 
-    Five systems advance in lockstep: the two nonlinear bases, the
-    difference system D driven by the recorded stage values of
-    f(u1) - f(u2), the homogeneous linear part L with data z1 - z2, and the
+    Five systems advance as the rows of one batch: the two nonlinear bases,
+    the difference system D driven by the stage values of f(u1) - f(u2) from
+    the base rows, the homogeneous linear part L with data z1 - z2, and the
     forced part K with zero data.  D, L and K share one affine code path and
     the same forcing arrays, so L + K = D up to roundoff, which the
     residual series records relative to the base state scale.
     """
     lam = model.lambdas
-    J = lam.size
     g = model.g
-    n_steps = int(round(t_end / dt))
-    window = kernel.s_max if window is None else window
+    d0 = z1 - z2
+    k0 = ExtendedVector(ModalVector.zeros(lam), ModalVector.zeros(lam),
+                        HistoryField.zeros(kernel, lam))
+    degenerate = bool(np.max(np.abs(d0.u.coeffs)) == 0.0
+                      and np.max(np.abs(d0.v.coeffs)) == 0.0
+                      and not np.any(d0.memory.values))
 
-    d0u = z1.u.coeffs - z2.u.coeffs
-    d0v = z1.v.coeffs - z2.v.coeffs
-    mem_d = z1.memory - z2.memory
-    degenerate = bool(np.max(np.abs(d0u)) == 0.0 and np.max(np.abs(d0v)) == 0.0
-                      and not np.any(mem_d.values))
+    def B(u, v, F):
+        # rows b1, b2, d, l, k: only the bases see f, and d and k are driven
+        # by the difference of the base rows' f at the same stage
+        dv = -lam * u - F
+        f = f_modal(model, u[:2])
+        dv[:2] = dv[:2] - f + g
+        r = f[0] - f[1]
+        dv[2] = dv[2] - r
+        dv[4] = dv[4] - r
+        return v, dv
 
-    def B_base(u, v, F):
-        return v, -lam * u - F - f_modal(model, u) + g
+    ops = ModelOperators(lambdas=lam, apply_A=lambda u, v: lam * v,
+                         apply_B_force=B, a_primitive=lambda u, v: lam * u,
+                         label="lk-split")
+    b1, b2, d, l, k = integrate_ensemble([z1, z2, d0, d0, k0], ops, kernel,
+                                         "history", dt, t_end, window=window)
 
-    def B_lin(u, v, F):
-        return v, -lam * u - F
-
-    names = ("b1", "b2", "d", "l", "k")
-    U = {q: np.empty((n_steps + 1, J)) for q in names}
-    V = {q: np.empty((n_steps + 1, J)) for q in names}
-    P = {q: np.empty((n_steps + 1, J)) for q in names}
-    U["b1"][0], V["b1"][0] = z1.u.coeffs, z1.v.coeffs
-    U["b2"][0], V["b2"][0] = z2.u.coeffs, z2.v.coeffs
-    U["d"][0], V["d"][0] = d0u, d0v
-    U["l"][0], V["l"][0] = d0u.copy(), d0v.copy()
-    U["k"][0], V["k"][0] = np.zeros(J), np.zeros(J)
-    for q in names:
-        P[q][0] = lam * U[q][0]
-
-    mems = {"b1": z1.memory, "b2": z2.memory, "d": mem_d, "l": mem_d,
-            "k": HistoryField.zeros(kernel, lam)}
-    mf = {}
-    for q in names:
-        mf[q] = MemoryForce(kernel, "history", dt, n_steps, window)
-        mf[q].set_initial_memory(mems[q])
-
-    residual = np.zeros(n_steps + 1)
     scale0 = max(norm_H(z1, 0), norm_H(z2, 0), 1e-30)
-
-    def stage_sources(st1, st2):
-        return tuple(f_modal(model, u1) - f_modal(model, u2)
-                     for (u1, _), (u2, _) in zip(st1, st2))
-
-    for n in range(n_steps):
-        F0 = {q: mf[q].history_force(n, P[q]) for q in names}
-        # predictor: frozen forces, base stages drive the difference forcing
-        u1s, v1s, st1 = _rk4(U["b1"][n], V["b1"][n], B_base, dt, F0["b1"], F0["b1"])
-        u2s, v2s, st2 = _rk4(U["b2"][n], V["b2"][n], B_base, dt, F0["b2"], F0["b2"])
-        r_pred = stage_sources(st1, st2)
-        neg_r_pred = tuple(-r for r in r_pred)
-        uds, vds, _ = _rk4(U["d"][n], V["d"][n], B_lin, dt, F0["d"], F0["d"],
-                           neg_r_pred)
-        uls, vls, _ = _rk4(U["l"][n], V["l"][n], B_lin, dt, F0["l"], F0["l"])
-        uks, vks, _ = _rk4(U["k"][n], V["k"][n], B_lin, dt, F0["k"], F0["k"],
-                           neg_r_pred)
-        prov = {"b1": (u1s, v1s), "b2": (u2s, v2s), "d": (uds, vds),
-                "l": (uls, vls), "k": (uks, vks)}
-        for q in names:
-            U[q][n + 1], V[q][n + 1] = prov[q]
-            P[q][n + 1] = lam * U[q][n + 1]
-        F1 = {q: mf[q].history_force(n + 1, P[q]) for q in names}
-        # corrector: forces linear in time, fresh base stages, same r arrays
-        u1c, v1c, st1c = _rk4(U["b1"][n], V["b1"][n], B_base, dt, F0["b1"], F1["b1"])
-        u2c, v2c, st2c = _rk4(U["b2"][n], V["b2"][n], B_base, dt, F0["b2"], F1["b2"])
-        r_corr = stage_sources(st1c, st2c)
-        neg_r_corr = tuple(-r for r in r_corr)
-        udc, vdc, _ = _rk4(U["d"][n], V["d"][n], B_lin, dt, F0["d"], F1["d"],
-                           neg_r_corr)
-        ulc, vlc, _ = _rk4(U["l"][n], V["l"][n], B_lin, dt, F0["l"], F1["l"])
-        ukc, vkc, _ = _rk4(U["k"][n], V["k"][n], B_lin, dt, F0["k"], F1["k"],
-                           neg_r_corr)
-        final = {"b1": (u1c, v1c), "b2": (u2c, v2c), "d": (udc, vdc),
-                 "l": (ulc, vlc), "k": (ukc, vkc)}
-        for q in names:
-            U[q][n + 1], V[q][n + 1] = final[q]
-            P[q][n + 1] = lam * U[q][n + 1]
-        gap_u = U["l"][n + 1] + U["k"][n + 1] - U["d"][n + 1]
-        gap_v = V["l"][n + 1] + V["k"][n + 1] - V["d"][n + 1]
-        num = math.sqrt(float(np.sum(lam * gap_u ** 2) + np.sum(gap_v ** 2)))
-        sc = max(scale0,
-                 math.sqrt(float(np.sum(lam * U["b1"][n + 1] ** 2)
-                                 + np.sum(V["b1"][n + 1] ** 2))))
-        residual[n + 1] = num / sc
-
-    times = np.arange(n_steps + 1) * dt
-
-    def as_traj(q, mem):
-        A = V[q] * lam[None, :]
-        return Trajectory(times=times, u_snaps=U[q], v_snaps=V[q], a_prim=P[q],
-                          a_vals=A, force_snaps=np.zeros_like(U[q]),
-                          initial_memory=mem, window=window,
-                          framework="history", dt=dt,
-                          kernel_id=kernel.kernel_id, lambdas=lam)
-
-    d_traj = as_traj("d", mem_d)
-    base_gap = float(np.max(np.abs(U["d"] - (U["b1"] - U["b2"]))))
+    gap_u = l.u_snaps + k.u_snaps - d.u_snaps
+    gap_v = l.v_snaps + k.v_snaps - d.v_snaps
+    num = np.sqrt(np.sum(lam * gap_u ** 2, axis=1) + np.sum(gap_v ** 2, axis=1))
+    sc = np.maximum(scale0, np.sqrt(np.sum(lam * b1.u_snaps ** 2, axis=1)
+                                    + np.sum(b1.v_snaps ** 2, axis=1)))
+    base_gap = float(np.max(np.abs(d.u_snaps - (b1.u_snaps - b2.u_snaps))))
     return LKSplitResult(
-        l_traj=as_traj("l", mem_d.copy()),
-        k_traj=as_traj("k", HistoryField.zeros(kernel, lam)),
-        d_traj=d_traj,
-        base1=as_traj("b1", z1.memory), base2=as_traj("b2", z2.memory),
-        residual_rel=residual, base_gap_rel=base_gap / scale0,
+        l_traj=l, k_traj=k, d_traj=d, base1=b1, base2=b2,
+        residual_rel=num / sc, base_gap_rel=base_gap / scale0,
         degenerate=degenerate)
 
 
@@ -445,19 +378,19 @@ def hypothesis_probe_suite(model, kernel, radii, *, t_end=30.0, dt=2e-3,
     for radius in radii:
         h1_tails = []
         acc_vals = []
-        for e in range(ensemble):
-            z0 = draw_random_state(model, kernel, radius, "H1",
-                                   np.random.default_rng([seed, int(radius * 1000), e]))
-            traj = integrate(z0, ops, kernel, "history", dt, t_end, window=window)
+        z0s = [draw_random_state(model, kernel, radius, "H1",
+                                 np.random.default_rng([seed, int(radius * 1000), e]))
+               for e in range(ensemble)]
+        trajs = integrate_ensemble(z0s, ops, kernel, "history", dt, t_end,
+                                   window=window)
+        for e, traj in enumerate(trajs):
             ts = traj.times[::max(1, traj.n_steps // 60)]
             tail = ts[ts >= (2.0 / 3.0) * t_end]
             vals = [norm_H(traj.state_at(t, kernel), 1) for t in tail]
             h1_tails.extend(vals)
-            fu = np.array([f_modal(model, traj.u_snaps[i])
-                           for i in range(0, traj.n_steps + 1,
-                                          max(1, traj.n_steps // 400))])
             idxs = np.arange(0, traj.n_steps + 1, max(1, traj.n_steps // 400))
-            acc = -(lam * traj.u_snaps[idxs]) - traj.force_snaps[idxs] - fu \
+            u = traj.u_snaps[idxs]
+            acc = -(lam * u) - traj.force_snaps[idxs] - f_modal(model, u) \
                 + model.g[None, :]
             acc_vals.append(float(np.max(np.sqrt(np.sum(acc ** 2, axis=1)))))
             if radius == max(radii) and e == 0:

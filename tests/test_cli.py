@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from memoryflow.cli import main
+from memoryflow.cli import ExperimentConfig, main
 
 
 @pytest.fixture()
@@ -84,18 +84,23 @@ def test_simulate_deterministic_rerun(workdir, capsys):
     assert sa == sb
 
 
-def test_simulate_threads_bitwise_equal(workdir, capsys):
-    rc = main(["simulate", "--config", str(workdir / "config.json"),
-               "--out", str(workdir / "out1")])
-    assert rc == 0
-    rc = main(["--threads", "3", "simulate",
-               "--config", str(workdir / "config.json"),
-               "--out", str(workdir / "out3")])
-    assert rc == 0
-    for k in range(2):
-        a = (workdir / "out1" / ("traj_%d.csv" % k)).read_bytes()
-        b = (workdir / "out3" / ("traj_%d.csv" % k)).read_bytes()
-        assert a == b
+def test_simulate_batch_row_matches_solo_run(workdir, capsys):
+    # an ensemble is a batch axis: member 0 of a 4-member run is byte for
+    # byte the 1-member run
+    (workdir / "model_cubic.json").write_text(json.dumps({
+        "J": 4, "f": "cubic", "g": [0.5, 0.0, 0.3, 0.0],
+        "kernel": "exp1.kernel.json"}))
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["model"] = "model_cubic.json"
+    for members in (1, 4):
+        cfg["ensemble"] = members
+        (workdir / ("batch%d.json" % members)).write_text(json.dumps(cfg))
+        rc = main(["simulate", "--config", str(workdir / ("batch%d.json" % members)),
+                   "--out", str(workdir / ("out%d" % members))])
+        assert rc == 0
+    a = (workdir / "out1" / "traj_0.csv").read_bytes()
+    b = (workdir / "out4" / "traj_0.csv").read_bytes()
+    assert a == b
 
 
 def test_simulate_initial_from_file(workdir, capsys):
@@ -150,6 +155,36 @@ def test_malformed_config(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "line" in err
+
+
+@pytest.mark.parametrize("field,value", [("framework", "bogus"),
+                                         ("ensemble", 0), ("ensemble", 2.5)])
+def test_config_rejects_bad_field(workdir, field, value):
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg[field] = value
+    (workdir / "bad.json").write_text(json.dumps(cfg))
+    with pytest.raises(ValueError, match=field):
+        ExperimentConfig.from_file(str(workdir / "bad.json"))
+
+
+@pytest.fixture()
+def blowup_config(workdir):
+    # J=1 cubic from a ball of radius 1e3 at dt=0.1 leaves the guard
+    (workdir / "model_blowup.json").write_text(json.dumps({
+        "J": 1, "f": "cubic", "kernel": "exp1.kernel.json"}))
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg.update({"model": "model_blowup.json", "dt": 0.1, "t_end": 2.0,
+                "initial": {"random_ball": {"radius": 1e3, "space": "H0"}}})
+    (workdir / "blowup.json").write_text(json.dumps(cfg))
+    return workdir / "blowup.json"
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "lk-split"])
+def test_blowup_exits_one(blowup_config, workdir, command, capsys):
+    rc = main([command, "--config", str(blowup_config),
+               "--out", str(workdir / "blown")])
+    assert rc == 1
+    assert "blow-up detected" in capsys.readouterr().err
 
 
 def test_energy_report(workdir, capsys):

@@ -18,12 +18,13 @@ from memoryflow.evolution import (
     Trajectory,
     holder_growth_probe,
     integrate,
+    integrate_ensemble,
     intertwine_residual,
     reconstruct_eta,
     reconstruct_xi,
     save_trajectory_csv,
-    step,
 )
+from memoryflow.viscoelastic import assemble, draw_random_state, make_model
 
 
 @pytest.fixture(scope="module")
@@ -113,15 +114,25 @@ def test_framework_mismatch_rejected(exp1):
         integrate(z0, linear_ops(lam), exp1, "state", 1e-2, 1.0)
 
 
-def test_step_matches_integrate(exp1):
-    z0, lam = single_mode_state(exp1)
-    ops = linear_ops(lam)
-    full = integrate(z0, ops, exp1, "history", 1e-2, 0.1)
-    traj = integrate(z0, ops, exp1, "history", 1e-2, 1e-2)
-    for _ in range(9):
-        traj = step(traj, ops, exp1, "history", 1e-2)
-    assert np.allclose(traj.u_snaps, full.u_snaps, atol=1e-15)
-    assert np.allclose(traj.v_snaps, full.v_snaps, atol=1e-15)
+def test_integrate_ensemble_matches_solo_runs(exp1):
+    # batch rows are bitwise equal to the same members integrated one by one,
+    # including a member whose nonzero initial memory only it pays for
+    model = make_model(8, f="cubic", g=[0.5, 0, 0.3, 0, 0, 0, 0, 0])
+    ops = assemble(model, exp1)
+    lam = model.lambdas
+    z0s = [draw_random_state(model, exp1, 1.0, "H1", np.random.default_rng([5, e]))
+           for e in range(4)]
+    z0s[2].memory = HistoryField.from_profile(
+        exp1, lam, lambda s: 0.1 * np.sin(s) * np.ones(lam.size))
+    for framework in ("history", "state"):
+        if framework == "state":
+            z0s = [ExtendedVector(z.u.copy(), z.v.copy(), lambda_map(z.memory, exp1))
+                   for z in z0s]
+        batch = integrate_ensemble(z0s, ops, exp1, framework, 2e-3, 0.6)
+        for z0, traj in zip(z0s, batch):
+            solo = integrate(z0, ops, exp1, framework, 2e-3, 0.6)
+            for name in ("u_snaps", "v_snaps", "a_prim", "a_vals", "force_snaps"):
+                assert np.array_equal(getattr(traj, name), getattr(solo, name))
 
 
 # -- history reconstruction ----------------------------------------------------
@@ -347,6 +358,20 @@ def test_blowup_guard(exp1):
                         ModalVector.zeros(lam), HistoryField.zeros(exp1, lam))
     with pytest.raises(BlowUpError, match="blow-up detected at t="):
         integrate(z0, ops, exp1, "history", 1e-2, 50.0)
+
+
+def test_blowup_guard_catches_nan(exp1):
+    lam = np.array([1.0])
+    # a right-hand side that turns NaN at once, never exceeding the guard
+    ops = ModelOperators(
+        lambdas=lam,
+        apply_A=lambda u, v: lam * v,
+        apply_B_force=lambda u, v, F: (v, np.full_like(v, np.nan)),
+        a_primitive=lambda u, v: lam * u)
+    z0 = ExtendedVector(ModalVector(np.array([0.5]), lam),
+                        ModalVector.zeros(lam), HistoryField.zeros(exp1, lam))
+    with pytest.raises(BlowUpError, match="blow-up detected at t=0.01"):
+        integrate(z0, ops, exp1, "history", 1e-2, 1.0)
 
 
 def test_holder_probe_degenerate(exp1):

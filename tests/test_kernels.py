@@ -11,7 +11,6 @@ from memoryflow.kernels import (
     admissibility_report,
     check_dafermos,
     check_nec,
-    derived,
     flatness_rate,
     k_from_mu,
     make_exponential_kernel,
@@ -230,12 +229,11 @@ def test_d_const(exp1, flat):
 def test_nu_and_necnu(exp1, flat):
     rng = np.random.default_rng(7)
     for ker in (exp1, flat):
-        der = derived(ker)
         taus = rng.uniform(0.5, 8.0, size=200)
         ss = rng.uniform(0.0, 1.0, size=200) * taus
-        lhs = der.nu(taus - ss)
-        rhs = ker.theta * np.exp(-ker.delta_decay * ss) * der.nu(taus)
-        ok = der.nu(taus) > 0
+        lhs = ker.nu(taus - ss)
+        rhs = ker.theta * np.exp(-ker.delta_decay * ss) * ker.nu(taus)
+        ok = ker.nu(taus) > 0
         assert np.all(lhs[ok] <= rhs[ok] * (1 + 1e-9))
 
 

@@ -348,6 +348,13 @@ def test_lk_superposition_cubic(exp1):
     assert res.base_gap_rel < 1e-9
 
 
+def test_lk_split_rejects_t_end_below_dt(exp1):
+    model = make_model(2, f="cubic")
+    z1 = draw_random_state(model, exp1, 1.0, "H0", np.random.default_rng(3))
+    with pytest.raises(ValueError, match="dt <= t_end"):
+        lk_split(z1, z1.copy(), model, exp1, 5e-3, 1e-2)
+
+
 # -- probes ----------------------------------------------------------------------
 
 def test_condition_probe_zero(exp1):
