@@ -232,12 +232,13 @@ def cmd_simulate(args):
                                       memory_stride=args.cloud_stride)
             save_cloud_csv(cloud, os.path.join(cdir, "cloud_t%.6f.csv" % t))
     # t_end need not be a grid multiple; report the last computed snapshot
-    final_norms = [norm_H(traj.state_at(traj.times[-1], kernel), 0)
-                   for traj in trajs]
+    t_final = float(trajs[0].times[-1])
+    final_norms = [norm_H(traj.state_at(t_final, kernel), 0) for traj in trajs]
     write_summary(cfg.out_dir, {
         "command": "simulate", "framework": cfg.framework, "seed": cfg.seed,
         "ensemble": cfg.ensemble, "dt": cfg.dt, "t_end": cfg.t_end,
-        "kernel": kernel.kernel_id, "final_norms_H0": final_norms})
+        "t_final": t_final, "kernel": kernel.kernel_id,
+        "final_norms_H0": final_norms})
     return 0
 
 
@@ -248,15 +249,18 @@ def cmd_compare(args):
     os.makedirs(cfg.out_dir, exist_ok=True)
     cfg.framework = "history"
     z0s = [initial_state(cfg, model, kernel, k) for k in range(cfg.ensemble)]
-    trajs_h = integrate_ensemble(z0s, ops, kernel, "history", cfg.dt, cfg.t_end)
+    # keep only (u, v) of the history run, so its other arrays are freed
+    # before the state run allocates its own
+    uv_h = [(traj.u_snaps, traj.v_snaps) for traj in
+            integrate_ensemble(z0s, ops, kernel, "history", cfg.dt, cfg.t_end)]
     z0s = [ExtendedVector(z0.u.copy(), z0.v.copy(), lambda_map(z0.memory, kernel))
            for z0 in z0s]
     trajs_s = integrate_ensemble(z0s, ops, kernel, "state", cfg.dt, cfg.t_end)
     worst = 0.0
     rows = []
-    for k, (traj_h, traj_s) in enumerate(zip(trajs_h, trajs_s)):
-        du = np.max(np.abs(traj_h.u_snaps - traj_s.u_snaps))
-        dv = np.max(np.abs(traj_h.v_snaps - traj_s.v_snaps))
+    for k, ((u_h, v_h), traj_s) in enumerate(zip(uv_h, trajs_s)):
+        du = np.max(np.abs(u_h - traj_s.u_snaps))
+        dv = np.max(np.abs(v_h - traj_s.v_snaps))
         gap = float(max(du, dv))
         worst = max(worst, gap)
         rows.append((float(k), gap))
@@ -265,7 +269,8 @@ def cmd_compare(args):
     ok = worst <= args.tol
     write_summary(cfg.out_dir, {
         "command": "compare", "worst_uv_gap": worst, "tolerance": args.tol,
-        "within_tolerance": bool(ok), "seed": cfg.seed})
+        "within_tolerance": bool(ok), "seed": cfg.seed, "t_end": cfg.t_end,
+        "t_final": float(trajs_s[0].times[-1])})
     return 0 if ok else 1
 
 
@@ -307,7 +312,8 @@ def cmd_energy_report(args):
         "command": "energy-report", "sigma": args.sigma, "eps": args.eps,
         "nu_small": args.nu_small, "delta_split": args.delta_split,
         "kernel_mass": kernel.mass, "phi_control_constant": phi_c,
-        "seed": cfg.seed, **fit})
+        "seed": cfg.seed, "t_end": cfg.t_end,
+        "t_final": float(traj.times[-1]), **fit})
     return 0
 
 
@@ -342,7 +348,8 @@ def cmd_lk_split(args):
         "max_superposition_residual": float(np.max(res.residual_rel)),
         "omega_L": l_fit.omega if l_fit else None,
         "k_ratio_sup": float(max(r[2] for r in rows) / sep0) if sep0 > 0 else None,
-        "seed": cfg.seed})
+        "seed": cfg.seed, "t_end": cfg.t_end,
+        "t_final": float(res.d_traj.times[-1])})
     return 0
 
 

@@ -16,6 +16,7 @@ member integrated alone.
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .spaces import (
     ExtendedVector,
@@ -27,6 +28,7 @@ from .spaces import (
 )
 
 BLOWUP_GUARD = 1e8
+BLOCK = 32        # steps whose far-field window sums share one matrix product
 
 
 class BlowUpError(RuntimeError):
@@ -108,69 +110,99 @@ class MemoryForce:
     an exactly zero force regardless of quadrature error.  State framework:
     F(t) = int_t^inf xi0 + int_0^t k(s) a(t-s) ds.  Convolutions use the
     trapezoid rule on the snapshot spacing and honor the truncation window.
+
+    The part of the force at step n that reads only rows < n (the window
+    sum and the initial-memory term) is computed once per n: rows < n are
+    final the first time force(n) is asked for, as F1 of the corrector of
+    step n-1, and the second call, as F0 of step n, reuses it.  One object
+    serves one run whose rows are filled in step order.
     """
 
     def __init__(self, kernel, framework, dt, n_max, window):
         self.kernel = kernel
         self.framework = framework
         self.dt = dt
-        self.w_nodes = min(n_max, max(1, int(round(window / dt))))
-        i = np.arange(n_max + 1)
-        s = i * dt
+        self.w_nodes = W = min(n_max, max(1, int(round(window / dt))))
+        s = np.arange(n_max + 1) * dt
+        self.k_dt = np.asarray(kernel.k(s), dtype=float)
         if framework == "history":
             mu = np.asarray(kernel.mu(s), dtype=float)
             mu[0] = 0.0 if not np.isfinite(mu[0]) else mu[0]
-            self.mu_dt = mu
-            self.mu_rev = mu[::-1].copy()     # contiguous for BLAS dots
-            self.mu_cum = np.cumsum(mu) - mu[0]   # sum of mu_dt[1..i]
-            self.k_dt = np.asarray(kernel.k(s), dtype=float)
+            self.mu_dt = w = mu
+            # dt-free trapezoid weight of P(t) itself, sum_{i=1..m} mu_i - mu_m/2
+            self._wsum = np.cumsum(mu) - mu[0] - 0.5 * mu
+            self._wsum[0] = 0.0
         else:
-            self.k_dt = np.asarray(kernel.k(s), dtype=float)
-            self.k_rev = self.k_dt[::-1].copy()
+            w = self.k_dt
+        self._w = w
+        self._w_rev = w[::-1].copy()      # contiguous for BLAS dots
+        # T[b, c] = w[W + b - c], zero beyond the window (W + b - c > W):
+        # T[b, W-k:] against rows n0-k..n0-1 is the part of step n0+b's
+        # window sum that comes from before n0, for a whole block at once
+        pad = np.concatenate([np.zeros(BLOCK - 1), self._w_rev[-W - 1:-1]])
+        self._T = sliding_window_view(pad, W)[::-1].copy()
+        self._n = self._n0 = None
 
     def set_initial_memory(self, mems):
         """Initial memory per member; only nonzero rows pay for its term."""
         self._mem0 = [(e, mem) for e, mem in enumerate(mems) if np.any(mem.values)]
 
+    def _window(self, n, X):
+        """sum_{i=1..m} w_i X[:, n-i] - w_m X[:, n-m] / 2 with m = min(n, W).
+
+        Steps come in blocks of BLOCK from n0 = 0: the rows before the
+        block's start n0 enter through one product with T, made when the
+        block is first reached, and each step adds its rows n0..n-1.
+        """
+        W = self.w_nodes
+        m = min(n, W)
+        r = n % BLOCK
+        n0 = n - r
+        if n0 != self._n0:
+            k = min(n0, W)
+            self._far = np.matmul(self._T[:, W - k:], X[:, n0 - k:n0])
+            self._n0 = n0
+        out = self._far[:, r].copy()
+        lo = max(n0, n - m)
+        if lo < n:
+            L = self._w_rev.size
+            out += np.matmul(self._w_rev[L - 1 - (n - lo):L - 1], X[:, lo:n])
+        if m > 0:
+            out -= 0.5 * self._w[m] * X[:, n - m]
+        return out
+
     def history_force(self, n, P):
         """Force at t = n*dt per member given primitive snapshots P[:, 0..n]."""
         m = min(n, self.w_nodes)
         dt = self.dt
-        if m > 0:
-            w = self.mu_dt
-            # sum_{i=1..m} mu_i P_{n-i} as a correlation with reversed weights:
-            # one matrix-vector product per member on its contiguous rows
-            L = self.mu_rev.size
-            dot = np.matmul(self.mu_rev[L - 1 - m:L - 1], P[:, n - m:n])
-            dot -= 0.5 * w[m] * P[:, n - m]
-            wsum = self.mu_cum[m] - 0.5 * w[m]
-            conv = dt * (wsum * P[:, n] - dot)
-        else:
-            conv = np.zeros_like(P[:, 0])
-        out = conv + self.k_dt[m] * (P[:, n] - P[:, n - m])
-        if m == n:
-            for e, mem in self._mem0:
-                wts = np.asarray(self.kernel.mu(n * dt + mem.nodes), dtype=float)
-                out[e] = out[e] + (wts @ mem.values) * mem.ds
+        if n != self._n:
+            past = -dt * self._window(n, P)
+            if m == n:
+                for e, mem in self._mem0:
+                    wts = np.asarray(self.kernel.mu(n * dt + mem.nodes), dtype=float)
+                    past[e] += (wts @ mem.values) * mem.ds
+            self._n, self._past = n, past
+        out = (dt * self._wsum[m]) * P[:, n] + self._past
+        out += self.k_dt[m] * (P[:, n] - P[:, n - m])
         return out
 
     def state_force(self, n, a):
         """Force at t = n*dt per member given memory-source snapshots a[:, 0..n]."""
         m = min(n, self.w_nodes)
         dt = self.dt
-        if m > 0:
-            w = self.k_dt
-            L = self.k_rev.size
-            dot = np.matmul(self.k_rev[L - 1 - m:L], a[:, n - m:n + 1])
-            dot -= 0.5 * (w[0] * a[:, n] + w[m] * a[:, n - m])
-            conv = dt * dot
-        else:
-            conv = np.zeros_like(a[:, 0])
-        for e, mem in self._mem0:
+        if n != self._n:
+            past = dt * self._window(n, a)
             theta = n * dt
-            cover = np.clip((mem.nodes + 0.5 * mem.ds - theta) / mem.ds, 0.0, 1.0)
-            conv[e] = conv[e] + (cover @ mem.values) * mem.ds
-        return conv
+            for e, mem in self._mem0:
+                # cover is zero on every node once theta is past the support
+                if theta < mem.nodes[-1] + 0.5 * mem.ds:
+                    cover = np.clip((mem.nodes + 0.5 * mem.ds - theta) / mem.ds,
+                                    0.0, 1.0)
+                    past[e] += (cover @ mem.values) * mem.ds
+            self._n, self._past = n, past
+        if m == 0:
+            return self._past.copy()
+        return self._past + (0.5 * dt * self.k_dt[0]) * a[:, n]
 
     def force(self, n, P, a):
         if self.framework == "history":

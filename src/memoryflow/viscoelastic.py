@@ -95,7 +95,7 @@ def f_modal(model, u):
     if model.f_spec == "zero":
         return np.zeros_like(u)
     phys = model.collocation.to_physical(u)
-    out = model.collocation.to_modal(phys ** 3)
+    out = model.collocation.to_modal(phys * phys * phys)
     if model.f_spec == "cubic_minus_linear":
         out = out - model.beta * u
     return out

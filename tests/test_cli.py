@@ -125,6 +125,11 @@ def test_simulate_t_end_off_grid(workdir, capsys):
     rc = main(["simulate", "--config", str(workdir / "offgrid.json"),
                "--out", str(workdir / "outg")])
     assert rc == 0
+    # the summary names the time the run actually reached
+    summary = read_summary(workdir / "outg")
+    data = np.loadtxt(workdir / "outg" / "traj_0.csv", delimiter=",", skiprows=1)
+    assert summary["t_final"] == data[-1, 0]
+    assert summary["t_final"] != summary["t_end"] == 1.0
 
 
 def test_compare_matches_oracle(workdir, capsys):

@@ -135,6 +135,112 @@ def test_integrate_ensemble_matches_solo_runs(exp1):
                 assert np.array_equal(getattr(traj, name), getattr(solo, name))
 
 
+# -- blocked memory-force window -------------------------------------------------
+# window=0.5 at dt=2e-3 gives W=250 nodes, not a multiple of BLOCK, and the
+# runs go well past W + 2*BLOCK steps, where every window is full
+
+WIN, WIN_DT, WIN_STEPS = 0.5, 2e-3, 600
+
+
+def direct_history_force(mf, n, P):
+    # the trapezoid sum over the whole window, evaluated from scratch
+    m = min(n, mf.w_nodes)
+    dt, mu = mf.dt, mf.mu_dt
+    conv = np.zeros_like(P[:, 0])
+    for i in range(1, m + 1):
+        wt = 0.5 * mu[i] if i == m else mu[i]
+        conv += dt * wt * (P[:, n] - P[:, n - i])
+    return conv + mf.k_dt[m] * (P[:, n] - P[:, n - m])
+
+
+def direct_state_force(mf, n, a):
+    m = min(n, mf.w_nodes)
+    dt, k = mf.dt, mf.k_dt
+    conv = np.zeros_like(a[:, 0])
+    for i in range(m + 1):
+        wt = 0.5 * k[i] if i in (0, m) else k[i]
+        conv += dt * wt * a[:, n - i]
+    return conv if m > 0 else np.zeros_like(a[:, 0])
+
+
+def test_memory_force_window_matches_direct_sum(exp1):
+    from memoryflow.evolution import BLOCK, MemoryForce
+    assert (WIN_STEPS > round(WIN / WIN_DT) + 2 * BLOCK
+            and round(WIN / WIN_DT) % BLOCK != 0)
+    lam = np.arange(1, 5, dtype=float) ** 2
+    X = np.random.default_rng(3).normal(size=(3, WIN_STEPS + 1, lam.size))
+    zero = [HistoryField.zeros(exp1, lam)] * 3
+    # also a window of 10 nodes, shorter than one block
+    for window in (WIN, 10 * WIN_DT):
+        for framework, direct in (("history", direct_history_force),
+                                  ("state", direct_state_force)):
+            mf = MemoryForce(exp1, framework, WIN_DT, WIN_STEPS, window)
+            mf.set_initial_memory(zero)
+            for n in range(WIN_STEPS + 1):
+                want = direct(mf, n, X)
+                # twice per n, as the predictor-corrector loop asks for it
+                for _ in range(2):
+                    got = mf.force(n, X, X)
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+def test_state_initial_memory_vanishes_past_support(exp1):
+    from memoryflow.evolution import MemoryForce
+    lam = np.array([1.0, 4.0])
+    xi0 = StateField.zeros(exp1, lam)
+    xi0.values[:] = np.asarray(exp1.mu(xi0.nodes))[:, None]
+    dt = 0.05
+    n_past = int(math.ceil((xi0.nodes[-1] + 0.5 * xi0.ds) / dt)) + 3
+    a = np.random.default_rng(4).normal(size=(1, n_past + 1, lam.size))
+
+    def force(mem, n):
+        mf = MemoryForce(exp1, "state", dt, n_past, exp1.s_max)
+        mf.set_initial_memory([mem])
+        return mf.state_force(n, a)
+
+    zero = StateField.zeros(exp1, lam)
+    assert np.array_equal(force(xi0, n_past), force(zero, n_past))
+    # before the end of the support the term is live
+    assert not np.allclose(force(xi0, 1), force(zero, 1))
+
+
+def window_runs(exp1):
+    model = make_model(8, f="cubic", g=[0.5, 0, 0.3, 0, 0, 0, 0, 0])
+    ops = assemble(model, exp1)
+    lam = model.lambdas
+    z0s = [draw_random_state(model, exp1, 1.0, "H1", np.random.default_rng([6, e]))
+           for e in range(3)]
+    z0s[1].memory = HistoryField.from_profile(
+        exp1, lam, lambda s: 0.1 * np.sin(s) * np.ones(lam.size))
+    state = [ExtendedVector(z.u.copy(), z.v.copy(), lambda_map(z.memory, exp1))
+             for z in z0s]
+    return ops, (("history", z0s), ("state", state))
+
+
+def test_prefix_property_past_the_window(exp1):
+    ops, runs = window_runs(exp1)
+    t_end = WIN_STEPS * WIN_DT
+    for framework, z0s in runs:
+        z0 = z0s[1]
+        short = integrate(z0, ops, exp1, framework, WIN_DT, t_end, window=WIN)
+        long = integrate(z0, ops, exp1, framework, WIN_DT, 2 * t_end, window=WIN)
+        n = short.n_steps + 1
+        for name in ("u_snaps", "v_snaps", "force_snaps"):
+            assert np.array_equal(getattr(short, name), getattr(long, name)[:n])
+
+
+def test_integrate_ensemble_matches_solo_runs_past_the_window(exp1):
+    ops, runs = window_runs(exp1)
+    t_end = WIN_STEPS * WIN_DT
+    for framework, z0s in runs:
+        batch = integrate_ensemble(z0s, ops, exp1, framework, WIN_DT, t_end,
+                                   window=WIN)
+        for z0, traj in zip(z0s, batch):
+            solo = integrate(z0, ops, exp1, framework, WIN_DT, t_end, window=WIN)
+            for name in ("u_snaps", "v_snaps", "a_prim", "a_vals", "force_snaps"):
+                assert np.array_equal(getattr(traj, name), getattr(solo, name))
+
+
 # -- history reconstruction ----------------------------------------------------
 
 def test_reconstruct_eta_at_zero(exp1):
