@@ -29,6 +29,9 @@ from .spaces import (
 
 BLOWUP_GUARD = 1e8
 BLOCK = 32        # steps whose far-field window sums share one matrix product
+# weights within this of an exact geometric sequence take the recursive
+# window sum; exponential kernels sit below 1e-10 even at W = 4.6e5 nodes
+GEOMETRIC_RTOL = 1e-9
 
 
 class BlowUpError(RuntimeError):
@@ -47,12 +50,16 @@ class ModelOperators:
     ensemble member.  a_primitive, when the memory source is a time derivative (the
     viscoelastic case: source = d/dt(A u)), returns its primitive so history
     reconstruction can use exact differences instead of time quadrature.
+    linear, when set to (lambdas, g), declares that apply_B_force(u, v, F)
+    is exactly (v, -lambdas*u - F + g); the stepper then replaces the RK4
+    stages by per-mode coefficients computed once.
     """
     lambdas: np.ndarray
     apply_A: object
     apply_B_force: object
     a_primitive: object = None
     label: str = "model"
+    linear: tuple = None
 
 
 @dataclass
@@ -96,9 +103,9 @@ def _interp_many(arr, xs):
     """Vectorized row interpolation at fractional indices (m,) -> (m, J)."""
     n = arr.shape[0] - 1
     xs = np.clip(xs, 0.0, float(n))
-    i = np.minimum(xs.astype(int), n - 1) if n > 0 else np.zeros_like(xs, dtype=int)
+    i = np.minimum(xs.astype(int), max(n - 1, 0))
     frac = (xs - i)[:, None]
-    return (1.0 - frac) * arr[i] + frac * arr[i + 1]
+    return (1.0 - frac) * arr[i] + frac * arr[np.minimum(i + 1, n)]
 
 
 class MemoryForce:
@@ -106,42 +113,71 @@ class MemoryForce:
 
     History framework: F(t) = int_0^t mu(s) [P(t) - P(t-s)] ds
                               + k(t) [P(t) - P(0)] + int mu(t+s) eta0(s) ds,
-    with P the primitive of the memory source, so constant trajectories give
-    an exactly zero force regardless of quadrature error.  State framework:
+    with P the primitive of the memory source.  State framework:
     F(t) = int_t^inf xi0 + int_0^t k(s) a(t-s) ds.  Convolutions use the
     trapezoid rule on the snapshot spacing and honor the truncation window.
 
     The part of the force at step n that reads only rows < n (the window
     sum and the initial-memory term) is computed once per n: rows < n are
     final the first time force(n) is asked for, as F1 of the corrector of
-    step n-1, and the second call, as F0 of step n, reuses it.  One object
-    serves one run whose rows are filled in step order.
+    step n-1, and the second call, as F0 of step n, reuses it.
+
+    When the window weights are geometric on nodes 1..W-1, as they are for
+    every exponential kernel, the window sum is a one-term recursion, O(J)
+    per step (see `_carry`); other kernels take blocked Toeplitz products,
+    O(W J) per step (see `_window`).  Either way force(n) may be asked for
+    at any n, in any order.
     """
 
     def __init__(self, kernel, framework, dt, n_max, window):
         self.kernel = kernel
         self.framework = framework
         self.dt = dt
-        self.w_nodes = W = min(n_max, max(1, int(round(window / dt))))
+        w_full = max(1, int(round(window / dt)))
+        self.w_nodes = W = min(n_max, w_full)
         s = np.arange(n_max + 1) * dt
         self.k_dt = np.asarray(kernel.k(s), dtype=float)
         if framework == "history":
+            weight = kernel.mu
             mu = np.asarray(kernel.mu(s), dtype=float)
             mu[0] = 0.0 if not np.isfinite(mu[0]) else mu[0]
             self.mu_dt = w = mu
+        else:
+            weight = kernel.k
+            w = self.k_dt
+        self._w = w
+        self._n = self._n0 = self._h = None
+        # path and ratio come from the whole window, past n_max if need be,
+        # so a longer run takes the same path (prefix property)
+        inner = w[1:w_full] if w_full <= n_max else \
+            np.asarray(weight(np.arange(1, w_full) * dt), dtype=float)
+        self._q = q = _geometric_ratio(inner)
+        if q is not None:
+            self._top = top = w_full - 1
+            self._c = c = dt * w[1]
+            self._leave = c * q ** top
+            # trapezoid end correction -w_m/2, or +w_W/2 at the full window,
+            # where the recursion stops at node W-1; node W's weight comes
+            # from the table (k is 0.0 there at the default window)
+            self._edge = -0.5 * dt * w[:W + 1]
+            if W == w_full:
+                self._edge[W] *= -1.0
+            if framework == "history":
+                self._edge += self.k_dt[:W + 1]
+                # gain[M] = c * sum_{i=1..M} q^(i-1), the weight of P(t) - P(t-dt)
+                self._gain = c * np.concatenate(
+                    [[0.0], np.cumsum(q ** np.arange(min(top, W)))])
+            return
+        if framework == "history":
             # dt-free trapezoid weight of P(t) itself, sum_{i=1..m} mu_i - mu_m/2
             self._wsum = np.cumsum(mu) - mu[0] - 0.5 * mu
             self._wsum[0] = 0.0
-        else:
-            w = self.k_dt
-        self._w = w
         self._w_rev = w[::-1].copy()      # contiguous for BLAS dots
         # T[b, c] = w[W + b - c], zero beyond the window (W + b - c > W):
         # T[b, W-k:] against rows n0-k..n0-1 is the part of step n0+b's
         # window sum that comes from before n0, for a whole block at once
         pad = np.concatenate([np.zeros(BLOCK - 1), self._w_rev[-W - 1:-1]])
         self._T = sliding_window_view(pad, W)[::-1].copy()
-        self._n = self._n0 = None
 
     def set_initial_memory(self, mems):
         """Initial memory per member; only nonzero rows pay for its term."""
@@ -171,19 +207,55 @@ class MemoryForce:
             out -= 0.5 * self._w[m] * X[:, n - m]
         return out
 
+    def _carry(self, n, X):
+        """The rows-before-n part of the recursive window sum, times c = dt w_1.
+
+        With q the weights' ratio, M = min(n, W-1) and Q_M = sum_{i=1..M}
+        q^(i-1), the state framework carries H(n) = sum_{i=1..M} q^(i-1)
+        X[:, n-i].  The history framework carries R(n) = D(n) - Q_M (X[:, n]
+        - X[:, n-1]), with D(n) = sum_{i=1..M} q^(i-1) (X[:, n] - X[:, n-i]);
+        it reads differences of X only, so a constant X gives exactly 0.0.
+        Each step multiplies by q, adds the newest row and drops the row that
+        leaves the window.  An n below the last one restarts from 0.
+        """
+        if self._h is None or n < self._k:
+            self._k, self._h = 0, np.zeros((X.shape[0], X.shape[2]))
+        q, leave, top = self._q, self._leave, self._top
+        h = self._h
+        for k in range(self._k, n):
+            if self.framework == "history":
+                if k > 0:
+                    h = h + self._gain[min(k, top)] * (X[:, k] - X[:, k - 1])
+                h = q * h
+                if k >= top:
+                    h -= leave * (X[:, k] - X[:, k - top])
+            else:
+                h = q * h + self._c * X[:, k]
+                if k >= top:
+                    h -= leave * X[:, k - top]
+        self._k, self._h = n, h
+        return h
+
     def history_force(self, n, P):
         """Force at t = n*dt per member given primitive snapshots P[:, 0..n]."""
         m = min(n, self.w_nodes)
         dt = self.dt
         if n != self._n:
-            past = -dt * self._window(n, P)
+            past = self._carry(n, P).copy() if self._q is not None \
+                else -dt * self._window(n, P)
             if m == n:
                 for e, mem in self._mem0:
                     wts = np.asarray(self.kernel.mu(n * dt + mem.nodes), dtype=float)
                     past[e] += (wts @ mem.values) * mem.ds
             self._n, self._past = n, past
-        out = (dt * self._wsum[m]) * P[:, n] + self._past
-        out += self.k_dt[m] * (P[:, n] - P[:, n - m])
+        if self._q is None:
+            out = (dt * self._wsum[m]) * P[:, n] + self._past
+            out += self.k_dt[m] * (P[:, n] - P[:, n - m])
+            return out
+        if n == 0:
+            return self._past.copy()
+        out = self._past + self._gain[min(n, self._top)] * (P[:, n] - P[:, n - 1])
+        out += self._edge[m] * (P[:, n] - P[:, n - m])
         return out
 
     def state_force(self, n, a):
@@ -191,7 +263,12 @@ class MemoryForce:
         m = min(n, self.w_nodes)
         dt = self.dt
         if n != self._n:
-            past = dt * self._window(n, a)
+            if self._q is None:
+                past = dt * self._window(n, a)
+            else:
+                past = self._carry(n, a).copy()
+                if m > 0:
+                    past += self._edge[m] * a[:, n - m]
             theta = n * dt
             for e, mem in self._mem0:
                 # cover is zero on every node once theta is past the support
@@ -210,6 +287,15 @@ class MemoryForce:
         return self.state_force(n, a)
 
 
+def _geometric_ratio(w):
+    """q when w[i] = w[0] q^i for every i to GEOMETRIC_RTOL, else None."""
+    if w.size < 2 or not w[0] > 0.0:
+        return None
+    q = (w[-1] / w[0]) ** (1.0 / (w.size - 1))
+    fit = w[0] * q ** np.arange(w.size)
+    return q if np.all(np.abs(w - fit) <= GEOMETRIC_RTOL * fit) else None
+
+
 def _rk4(u, v, B, dt, F0, F1):
     """One RK4 pass with the memory force linear in time across the step."""
     Fm = 0.5 * (F0 + F1)
@@ -222,10 +308,36 @@ def _rk4(u, v, B, dt, F0, F1):
     return un, vn
 
 
+def _affine_rk4(lam, g, dt):
+    """`_rk4` for B(u, v, F) = (v, -lam*u - F + g) as per-mode coefficients.
+
+    The pass is affine in (u, v, F0, F1) and diagonal in the modes, so
+    `_rk4` itself, run once on unit inputs and on g alone, gives the
+    coefficients and the constant part.  The returned step(u, v, F0, F1)
+    takes (E, J) rows; the predictor passes F0 as F1, whose two
+    coefficients are then one.
+    """
+    rows = np.eye(5)[:, :, None] * np.ones(lam.size)   # inputs u, v, F0, F1, g
+    u, v, F0, F1, G = rows
+    G = G * g
+    un, vn = _rk4(u, v, lambda u, v, F: (v, -lam * u - F + G), dt, F0, F1)
+    # (input, output u|v, 1, J): one product per input gives both outputs
+    cu, cv, c0, c1, cg = np.stack([un, vn], axis=1)[:, :, None, :]
+    c01 = c0 + c1
+
+    def step(u, v, F0, F1):
+        if F1 is F0:
+            out = cu * u + cv * v + c01 * F0 + cg
+        else:
+            out = cu * u + cv * v + c0 * F0 + c1 * F1 + cg
+        return out[0], out[1]
+    return step
+
+
 def _check_state(u, v, t):
     # the negated comparison also catches NaN, which compares false
     for arr in (u, v):
-        if not np.max(np.abs(arr)) <= BLOWUP_GUARD:
+        if not np.abs(arr).max() <= BLOWUP_GUARD:
             raise BlowUpError(t)
 
 
@@ -264,9 +376,14 @@ def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end, *, window=None):
 
     mf = MemoryForce(kernel, framework, dt, n_steps, window)
     mf.set_initial_memory([z0.memory for z0 in z0s])
+    if ops.linear is not None:
+        rk4 = _affine_rk4(*ops.linear, dt)
+    else:
+        def rk4(u, v, F0, F1):
+            return _rk4(u, v, ops.apply_B_force, dt, F0, F1)
 
     def advance(n, F0, F1):
-        un, vn = _rk4(U[:, n], V[:, n], ops.apply_B_force, dt, F0, F1)
+        un, vn = rk4(U[:, n], V[:, n], F0, F1)
         U[:, n + 1] = un
         V[:, n + 1] = vn
         P[:, n + 1] = prim(un, vn) if prim is not None else \

@@ -114,7 +114,11 @@ def assemble(model, kernel):
                           "(kernel has flat zones)")
     lam = model.lambdas
     g = model.g
+    linear = None
     if model.f_spec == "zero":
+        # the stepper reads (lam, g) in place of calling B
+        linear = (lam, g)
+
         def B(u, v, F):
             return v, -lam * u - F + g
     else:
@@ -125,7 +129,8 @@ def assemble(model, kernel):
         apply_A=lambda u, v: lam * v,
         apply_B_force=B,
         a_primitive=lambda u, v: lam * u,
-        label="viscoelastic")
+        label="viscoelastic",
+        linear=linear)
 
 
 # ---------------------------------------------------------------------------

@@ -86,21 +86,23 @@ def test_simulate_deterministic_rerun(workdir, capsys):
 
 def test_simulate_batch_row_matches_solo_run(workdir, capsys):
     # an ensemble is a batch axis: member 0 of a 4-member run is byte for
-    # byte the 1-member run
-    (workdir / "model_cubic.json").write_text(json.dumps({
-        "J": 4, "f": "cubic", "g": [0.5, 0.0, 0.3, 0.0],
-        "kernel": "exp1.kernel.json"}))
-    cfg = json.loads((workdir / "config.json").read_text())
-    cfg["model"] = "model_cubic.json"
-    for members in (1, 4):
-        cfg["ensemble"] = members
-        (workdir / ("batch%d.json" % members)).write_text(json.dumps(cfg))
-        rc = main(["simulate", "--config", str(workdir / ("batch%d.json" % members)),
-                   "--out", str(workdir / ("out%d" % members))])
-        assert rc == 0
-    a = (workdir / "out1" / "traj_0.csv").read_bytes()
-    b = (workdir / "out4" / "traj_0.csv").read_bytes()
-    assert a == b
+    # byte the 1-member run, with the RK4 stages (cubic) and without (zero)
+    for f in ("cubic", "zero"):
+        (workdir / ("model_%s.json" % f)).write_text(json.dumps({
+            "J": 4, "f": f, "g": [0.5, 0.0, 0.3, 0.0],
+            "kernel": "exp1.kernel.json"}))
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["model"] = "model_%s.json" % f
+        for members in (1, 4):
+            cfg["ensemble"] = members
+            name = "%s%d" % (f, members)
+            (workdir / (name + ".json")).write_text(json.dumps(cfg))
+            rc = main(["simulate", "--config", str(workdir / (name + ".json")),
+                       "--out", str(workdir / ("out_" + name))])
+            assert rc == 0
+        a = (workdir / ("out_%s1" % f) / "traj_0.csv").read_bytes()
+        b = (workdir / ("out_%s4" % f) / "traj_0.csv").read_bytes()
+        assert a == b
 
 
 def test_simulate_initial_from_file(workdir, capsys):

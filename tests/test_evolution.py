@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from memoryflow.kernels import make_exponential_kernel
+from memoryflow.kernels import make_exponential_kernel, make_tabulated_kernel
 from memoryflow.spaces import (
     ExtendedVector,
     HistoryField,
@@ -116,23 +116,48 @@ def test_framework_mismatch_rejected(exp1):
 
 def test_integrate_ensemble_matches_solo_runs(exp1):
     # batch rows are bitwise equal to the same members integrated one by one,
-    # including a member whose nonzero initial memory only it pays for
-    model = make_model(8, f="cubic", g=[0.5, 0, 0.3, 0, 0, 0, 0, 0])
+    # including a member whose nonzero initial memory only it pays for; the
+    # f = "zero" model takes the affine stepper
+    for f in ("cubic", "zero"):
+        model = make_model(8, f=f, g=[0.5, 0, 0.3, 0, 0, 0, 0, 0])
+        ops = assemble(model, exp1)
+        lam = model.lambdas
+        z0s = [draw_random_state(model, exp1, 1.0, "H1", np.random.default_rng([5, e]))
+               for e in range(4)]
+        z0s[2].memory = HistoryField.from_profile(
+            exp1, lam, lambda s: 0.1 * np.sin(s) * np.ones(lam.size))
+        for framework in ("history", "state"):
+            if framework == "state":
+                z0s = [ExtendedVector(z.u.copy(), z.v.copy(), lambda_map(z.memory, exp1))
+                       for z in z0s]
+            batch = integrate_ensemble(z0s, ops, exp1, framework, 2e-3, 0.6)
+            for z0, traj in zip(z0s, batch):
+                solo = integrate(z0, ops, exp1, framework, 2e-3, 0.6)
+                for name in ("u_snaps", "v_snaps", "a_prim", "a_vals", "force_snaps"):
+                    assert np.array_equal(getattr(traj, name), getattr(solo, name))
+
+
+def test_affine_stepper_matches_generic_rk4(exp1):
+    # assemble declares f = "zero" linear, so its runs skip the RK4 stages;
+    # the same B as a plain callback takes _rk4
+    model = make_model(8, f="zero", g=[0.5, 0, 0.3, 0, 0, 0, 0, -0.2])
     ops = assemble(model, exp1)
+    assert ops.linear is not None
+    plain = ModelOperators(lambdas=ops.lambdas, apply_A=ops.apply_A,
+                           apply_B_force=ops.apply_B_force,
+                           a_primitive=ops.a_primitive)
     lam = model.lambdas
-    z0s = [draw_random_state(model, exp1, 1.0, "H1", np.random.default_rng([5, e]))
-           for e in range(4)]
-    z0s[2].memory = HistoryField.from_profile(
+    z0 = draw_random_state(model, exp1, 1.0, "H1", np.random.default_rng(8))
+    z0.memory = HistoryField.from_profile(
         exp1, lam, lambda s: 0.1 * np.sin(s) * np.ones(lam.size))
-    for framework in ("history", "state"):
-        if framework == "state":
-            z0s = [ExtendedVector(z.u.copy(), z.v.copy(), lambda_map(z.memory, exp1))
-                   for z in z0s]
-        batch = integrate_ensemble(z0s, ops, exp1, framework, 2e-3, 0.6)
-        for z0, traj in zip(z0s, batch):
-            solo = integrate(z0, ops, exp1, framework, 2e-3, 0.6)
-            for name in ("u_snaps", "v_snaps", "a_prim", "a_vals", "force_snaps"):
-                assert np.array_equal(getattr(traj, name), getattr(solo, name))
+    z0_s = ExtendedVector(z0.u.copy(), z0.v.copy(), lambda_map(z0.memory, exp1))
+    for framework, z in (("history", z0), ("state", z0_s)):
+        fast = integrate(z, ops, exp1, framework, 2e-3, 1.2, window=0.5)
+        slow = integrate(z, plain, exp1, framework, 2e-3, 1.2, window=0.5)
+        for name in ("u_snaps", "v_snaps", "force_snaps"):
+            want = getattr(slow, name)
+            np.testing.assert_allclose(getattr(fast, name), want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
 
 
 # -- blocked memory-force window -------------------------------------------------
@@ -169,19 +194,52 @@ def test_memory_force_window_matches_direct_sum(exp1):
             and round(WIN / WIN_DT) % BLOCK != 0)
     lam = np.arange(1, 5, dtype=float) ** 2
     X = np.random.default_rng(3).normal(size=(3, WIN_STEPS + 1, lam.size))
-    zero = [HistoryField.zeros(exp1, lam)] * 3
-    # also a window of 10 nodes, shorter than one block
-    for window in (WIN, 10 * WIN_DT):
+    # exponential kernels take the recursion, the triangle the blocked
+    # products; each also with a window of 10 nodes, shorter than one block
+    triangle = make_tabulated_kernel([0.0, 1.0], [6.0, 0.0], theta=1.0,
+                                     delta_decay=1.0)
+    cases = [(kernel, window, kernel is exp1)
+             for kernel in (exp1, triangle) for window in (WIN, 10 * WIN_DT)]
+    # a window at the kernel cutoff (235 nodes), where k is 0.0 at node W
+    short = make_exponential_kernel(50.0)
+    cases.append((short, short.s_max, True))
+    for kernel, window, geometric in cases:
+        zero = [HistoryField.zeros(kernel, lam)] * 3
         for framework, direct in (("history", direct_history_force),
                                   ("state", direct_state_force)):
-            mf = MemoryForce(exp1, framework, WIN_DT, WIN_STEPS, window)
+            mf = MemoryForce(kernel, framework, WIN_DT, WIN_STEPS, window)
+            assert (mf._q is not None) == geometric
+            if kernel is short:
+                assert mf.k_dt[mf.w_nodes] == 0.0 < mf.k_dt[mf.w_nodes - 1]
             mf.set_initial_memory(zero)
+            # roundoff scales with the weights: mu integrates to k(0)
+            atol = 1e-14 * max(1.0, kernel.mass)
             for n in range(WIN_STEPS + 1):
                 want = direct(mf, n, X)
                 # twice per n, as the predictor-corrector loop asks for it
                 for _ in range(2):
                     got = mf.force(n, X, X)
-                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+                    np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
+            # out of order: the recursion restarts when n goes back and
+            # catches up when it jumps forward
+            for n in (3, WIN_STEPS, 400, 399, 0, 251):
+                np.testing.assert_allclose(mf.force(n, X, X), direct(mf, n, X),
+                                           rtol=1e-12, atol=atol)
+
+
+def test_history_force_exactly_zero_on_constant_trajectory(exp1):
+    # the recursion runs on differences of P, which are exactly 0.0 here,
+    # inside the window and past it
+    from memoryflow.evolution import MemoryForce
+    lam = np.array([1.0, 4.0, 9.0])
+    P = np.empty((2, WIN_STEPS + 1, lam.size))
+    P[:] = [[0.7, -1.3, 2.9]]
+    P[1] *= 1e3
+    for window in (WIN, exp1.s_max):
+        mf = MemoryForce(exp1, "history", WIN_DT, WIN_STEPS, window)
+        mf.set_initial_memory([HistoryField.zeros(exp1, lam)] * 2)
+        for n in range(WIN_STEPS + 1):
+            assert np.all(mf.history_force(n, P) == 0.0)
 
 
 def test_state_initial_memory_vanishes_past_support(exp1):
@@ -204,8 +262,8 @@ def test_state_initial_memory_vanishes_past_support(exp1):
     assert not np.allclose(force(xi0, 1), force(zero, 1))
 
 
-def window_runs(exp1):
-    model = make_model(8, f="cubic", g=[0.5, 0, 0.3, 0, 0, 0, 0, 0])
+def window_runs(exp1, f):
+    model = make_model(8, f=f, g=[0.5, 0, 0.3, 0, 0, 0, 0, 0])
     ops = assemble(model, exp1)
     lam = model.lambdas
     z0s = [draw_random_state(model, exp1, 1.0, "H1", np.random.default_rng([6, e]))
@@ -218,27 +276,29 @@ def window_runs(exp1):
 
 
 def test_prefix_property_past_the_window(exp1):
-    ops, runs = window_runs(exp1)
     t_end = WIN_STEPS * WIN_DT
-    for framework, z0s in runs:
-        z0 = z0s[1]
-        short = integrate(z0, ops, exp1, framework, WIN_DT, t_end, window=WIN)
-        long = integrate(z0, ops, exp1, framework, WIN_DT, 2 * t_end, window=WIN)
-        n = short.n_steps + 1
-        for name in ("u_snaps", "v_snaps", "force_snaps"):
-            assert np.array_equal(getattr(short, name), getattr(long, name)[:n])
+    for f in ("cubic", "zero"):
+        ops, runs = window_runs(exp1, f)
+        for framework, z0s in runs:
+            z0 = z0s[1]
+            short = integrate(z0, ops, exp1, framework, WIN_DT, t_end, window=WIN)
+            long = integrate(z0, ops, exp1, framework, WIN_DT, 2 * t_end, window=WIN)
+            n = short.n_steps + 1
+            for name in ("u_snaps", "v_snaps", "force_snaps"):
+                assert np.array_equal(getattr(short, name), getattr(long, name)[:n])
 
 
 def test_integrate_ensemble_matches_solo_runs_past_the_window(exp1):
-    ops, runs = window_runs(exp1)
     t_end = WIN_STEPS * WIN_DT
-    for framework, z0s in runs:
-        batch = integrate_ensemble(z0s, ops, exp1, framework, WIN_DT, t_end,
-                                   window=WIN)
-        for z0, traj in zip(z0s, batch):
-            solo = integrate(z0, ops, exp1, framework, WIN_DT, t_end, window=WIN)
-            for name in ("u_snaps", "v_snaps", "a_prim", "a_vals", "force_snaps"):
-                assert np.array_equal(getattr(traj, name), getattr(solo, name))
+    for f in ("cubic", "zero"):
+        ops, runs = window_runs(exp1, f)
+        for framework, z0s in runs:
+            batch = integrate_ensemble(z0s, ops, exp1, framework, WIN_DT, t_end,
+                                       window=WIN)
+            for z0, traj in zip(z0s, batch):
+                solo = integrate(z0, ops, exp1, framework, WIN_DT, t_end, window=WIN)
+                for name in ("u_snaps", "v_snaps", "a_prim", "a_vals", "force_snaps"):
+                    assert np.array_equal(getattr(traj, name), getattr(solo, name))
 
 
 # -- history reconstruction ----------------------------------------------------

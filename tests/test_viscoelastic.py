@@ -18,7 +18,7 @@ from memoryflow.spaces import (
     ModalVector,
     norm_H,
 )
-from memoryflow.evolution import integrate
+from memoryflow.evolution import Trajectory, integrate
 from memoryflow.viscoelastic import (
     CollocationTransform,
     assemble,
@@ -383,6 +383,20 @@ def test_condition_probe_constant(exp1):
     rep = condition_asso_probe(traj, exp1)
     expect = math.sqrt(float(np.sum(lam * u_star ** 2)))
     assert rep.sup_norm == pytest.approx(expect, rel=1e-10)
+
+
+def test_condition_probe_one_snapshot(exp1):
+    # a hand-built trajectory holding only its initial snapshot: psi is 0
+    lam = np.array([1.0, 4.0])
+    u, v = np.array([[0.3, -0.1]]), np.array([[0.2, 0.5]])
+    traj = Trajectory(
+        times=np.array([0.0]), u_snaps=u, v_snaps=v, a_prim=lam * u,
+        a_vals=lam * v, force_snaps=np.zeros((1, 2)),
+        initial_memory=HistoryField.zeros(exp1, lam), window=exp1.s_max,
+        framework="history", dt=1e-2, kernel_id=exp1.kernel_id, lambdas=lam)
+    rep = condition_asso_probe(traj, exp1)
+    expect = math.sqrt(float(np.sum(lam * u ** 2) + np.sum(v ** 2)))
+    assert rep.sup_norm == pytest.approx(expect, rel=1e-15)
 
 
 def test_hypothesis_probe_identity_and_decay(exp1):
