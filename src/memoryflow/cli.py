@@ -208,6 +208,9 @@ def cmd_simulate(args):
     cfg = _load_config(args)
     if args.framework:
         cfg.framework = args.framework
+    if args.cloud_every and not cfg.dt <= args.cloud_every <= cfg.t_end:
+        raise ValueError("--cloud-every must be 0 or in [dt, t_end] = [%g, %g], "
+                         "not %g" % (cfg.dt, cfg.t_end, args.cloud_every))
     model, kernel = load_experiment(cfg)
     ops = assemble(model, kernel)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -410,6 +413,17 @@ def cmd_attract(args):
 
 # ---------------------------------------------------------------------------
 
+def _positive_int(text):
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be an integer >= 1, not %r" % text)
+    return value
+
+
 def build_parser():
     p = argparse.ArgumentParser(prog="memoryflow",
                                 description=__doc__.splitlines()[0])
@@ -433,8 +447,9 @@ def build_parser():
     ps.add_argument("--framework", choices=("history", "state"))
     ps.add_argument("--out")
     ps.add_argument("--cloud-every", type=float, default=0.0,
-                    help="also write state clouds at this time spacing")
-    ps.add_argument("--cloud-stride", type=int, default=8,
+                    help="also write state clouds at this time spacing "
+                    "(0 for none, else in [dt, t_end])")
+    ps.add_argument("--cloud-stride", type=_positive_int, default=8,
                     help="memory-node thinning for cloud coordinates")
     ps.set_defaults(func=cmd_simulate)
 
@@ -450,14 +465,14 @@ def build_parser():
     pe.add_argument("--eps", type=float, default=0.05)
     pe.add_argument("--nu-small", dest="nu_small", type=float, default=0.1)
     pe.add_argument("--delta-split", dest="delta_split", type=float, default=0.5)
-    pe.add_argument("--samples", type=int, default=100)
+    pe.add_argument("--samples", type=_positive_int, default=100)
     pe.set_defaults(func=cmd_energy_report)
 
     pl = sub.add_parser("lk-split", help="linear/compact difference split")
     pl.add_argument("--config", required=True)
     pl.add_argument("--out")
     pl.add_argument("--separation", type=float, default=1e-3)
-    pl.add_argument("--samples", type=int, default=40)
+    pl.add_argument("--samples", type=_positive_int, default=40)
     pl.set_defaults(func=cmd_lk_split)
 
     ph = sub.add_parser("hypotheses", help="boundedness probes over ball data")

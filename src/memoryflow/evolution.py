@@ -442,8 +442,31 @@ def reconstruct_eta(traj, t, kernel):
     return out
 
 
+def _readback_ratio(kernel, dt):
+    """q when mu(tau_i + k dt) = mu(tau_i) q^k at every read-back point, else None.
+
+    With r = ds/dt an integer, tau_i + k dt = (m + r/2) dt for m = r i + k,
+    so mu is tested on that grid for m = 0..r (n_tau - 1) + W, W = s_max/dt,
+    by the same geometric test as the memory force.  The range is fixed by
+    the kernel, not by t, so every read-back of a run takes the same path.
+    """
+    ratio = kernel.ds / dt
+    r = int(round(ratio))
+    if r < 1 or abs(ratio - r) > 1e-9:
+        return None
+    m = np.arange(r * (kernel.grid.size - 1) + int(round(kernel.s_max / dt)) + 1)
+    return _geometric_ratio(np.asarray(kernel.mu((m + 0.5 * r) * dt), dtype=float))
+
+
 def reconstruct_xi(traj, t, kernel):
-    """State variable at time t: left-shifted xi0 plus the mu convolution."""
+    """State variable at time t: left-shifted xi0 plus the mu convolution.
+
+    xi^t(tau) = xi0(tau + t) + int_0^t mu(tau + s) a(t - s) ds, by the
+    trapezoid rule on the snapshot spacing.  When mu is geometric on the
+    read-back points (see `_readback_ratio`), the integral is the kernel
+    column mu(tau) times one modal vector, O((n_tau + t/dt) J); otherwise it
+    is a blocked n_tau x (t/dt) matrix product.
+    """
     idx = traj.index_of(t)
     if not isinstance(traj.initial_memory, StateField):
         raise ValueError("trajectory does not carry a state-type initial memory")
@@ -451,21 +474,27 @@ def reconstruct_xi(traj, t, kernel):
     tau = kernel.grid
     J = traj.lambdas.size
     vals = np.zeros((tau.size, J))
-    for j in range(J):
-        vals[:, j] = np.interp(tau + t, xi0.nodes, xi0.values[:, j],
-                               left=xi0.values[0, j], right=0.0)
+    if np.any(xi0.values):
+        for j in range(J):
+            vals[:, j] = np.interp(tau + t, xi0.nodes, xi0.values[:, j],
+                                   left=xi0.values[0, j], right=0.0)
     if idx > 0:
         dt = traj.dt
         a = traj.a_vals[:idx + 1]
         w_t = np.full(idx + 1, dt)
         w_t[0] = w_t[-1] = 0.5 * dt
-        block = max(1, int(2e6 // (idx + 1)))
         a_rev = a[::-1]
-        for lo in range(0, tau.size, block):
-            tb = tau[lo:lo + block]
-            muM = np.asarray(kernel.mu(tb[:, None] + (np.arange(idx + 1) * dt)[None, :]))
-            vals[lo:lo + block] += (muM * w_t[None, :]) @ a_rev
-    return StateField(tau, vals, kernel.nu(tau) * kernel.ds, traj.lambdas,
+        q = _readback_ratio(kernel, dt)
+        if q is not None:
+            vals += kernel.mu_grid[:, None] * ((w_t * q ** np.arange(idx + 1)) @ a_rev)
+        else:
+            block = max(1, int(2e6 // (idx + 1)))
+            for lo in range(0, tau.size, block):
+                tb = tau[lo:lo + block]
+                pts = tb[:, None] + (np.arange(idx + 1) * dt)[None, :]
+                muM = np.asarray(kernel.mu(pts))
+                vals[lo:lo + block] += (muM * w_t[None, :]) @ a_rev
+    return StateField(tau, vals, kernel.nu_grid * kernel.ds, traj.lambdas,
                       kernel.ds)
 
 

@@ -34,6 +34,11 @@ def _as_array(s):
     return np.asarray(s, dtype=float)
 
 
+def _reciprocal(m):
+    """1/m where m > 0, zero elsewhere."""
+    return np.where(m > 0, 1.0 / np.where(m > 0, m, 1.0), 0.0)
+
+
 def default_s_max(theta, delta, ds=DEFAULT_DS, floor=TAIL_FLOOR):
     """Smallest grid-aligned cutoff with theta*exp(-delta*s_max) < floor."""
     s = math.log(theta / floor) / delta
@@ -76,6 +81,7 @@ class MemoryKernel:
         self.mu_grid = _as_array(self.mu(self.grid))
         if not np.all(np.isfinite(self.mu_grid)) or np.any(self.mu_grid < 0):
             raise KernelError("mu must be finite and nonnegative on the grid")
+        self.nu_grid = _reciprocal(self.mu_grid)
         self._cum_mass = np.cumsum(self.mu_grid) * self.ds
 
         if validate:
@@ -98,11 +104,7 @@ class MemoryKernel:
 
     def nu(self, tau):
         """nu = 1/mu, set to zero wherever mu vanishes (finite delay case)."""
-        tau = _as_array(tau)
-        m = _as_array(self.mu(tau))
-        with np.errstate(divide="ignore"):
-            out = np.where(m > 0, 1.0 / np.where(m > 0, m, 1.0), 0.0)
-        return out
+        return _reciprocal(_as_array(self.mu(_as_array(tau))))
 
     @property
     def mass(self):

@@ -161,7 +161,7 @@ class StateField(_GridField):
         nodes = kernel.grid
         lambdas = np.asarray(lambdas, dtype=float)
         return cls(nodes, np.zeros((nodes.size, lambdas.size)),
-                   kernel.nu(nodes) * kernel.ds, lambdas, kernel.ds)
+                   kernel.nu_grid * kernel.ds, lambdas, kernel.ds)
 
 
 class ExtendedVector:

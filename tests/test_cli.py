@@ -174,6 +174,23 @@ def test_config_rejects_bad_field(workdir, field, value):
         ExperimentConfig.from_file(str(workdir / "bad.json"))
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("simulate", "--cloud-stride", "-3"), ("simulate", "--cloud-stride", "0"),
+    ("simulate", "--cloud-every", "-0.05"), ("simulate", "--cloud-every", "5"),
+    ("energy-report", "--samples", "0"), ("lk-split", "--samples", "0")])
+def test_bad_flag_exits_two(workdir, command, flag, value, capsys):
+    # config t_end is 1.0 and dt 5e-3; nothing is run or written
+    out = workdir / "bad_flag"
+    try:
+        rc = main([command, "--config", str(workdir / "config.json"),
+                   "--out", str(out), flag, value])
+    except SystemExit as exc:
+        rc = exc.code
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.fixture()
 def blowup_config(workdir):
     # J=1 cubic from a ball of radius 1e3 at dt=0.1 leaves the guard

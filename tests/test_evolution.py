@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from memoryflow.kernels import make_exponential_kernel, make_tabulated_kernel
+from memoryflow.kernels import (
+    MemoryKernel,
+    make_exponential_kernel,
+    make_tabulated_kernel,
+)
 from memoryflow.spaces import (
     ExtendedVector,
     HistoryField,
@@ -435,6 +439,59 @@ def test_xi_integral_swap_oracle(exp1):
     w[0] = w[-1] = 0.5 * dt
     rhs = float(np.sum(w * ks * a[::-1]))
     assert lhs == pytest.approx(rhs, rel=1e-3, abs=1e-6)
+
+
+def direct_xi(traj, t, kernel):
+    # xi0(tau + t) plus the trapezoid sum of mu(tau + k dt) a(t - k dt),
+    # one term per snapshot, in a field with the same tail clamp
+    idx, dt = traj.index_of(t), traj.dt
+    xi0, tau = traj.initial_memory, kernel.grid
+    out = np.empty((tau.size, traj.lambdas.size))
+    for j in range(traj.lambdas.size):
+        out[:, j] = np.interp(tau + t, xi0.nodes, xi0.values[:, j],
+                              left=xi0.values[0, j], right=0.0)
+    for k in range(idx + 1 if idx > 0 else 0):
+        wt = 0.5 * dt if k in (0, idx) else dt
+        out += wt * np.asarray(kernel.mu(tau + k * dt))[:, None] * traj.a_vals[idx - k]
+    return StateField(tau, out, kernel.nu(tau) * kernel.ds, traj.lambdas, kernel.ds)
+
+
+def test_reconstruct_xi_matches_direct_sum(exp1):
+    from memoryflow.evolution import _readback_ratio
+    triangle = make_tabulated_kernel([0.0, 1.0], [6.0, 0.0], theta=1.0,
+                                     delta_decay=1.0)
+    def cut_exp(s, c=4.0):
+        s = np.asarray(s, dtype=float)
+        return c * np.exp(-2.0 * s) * (s <= 1.0)
+
+    # geometric on [0, s_max] and zero past it, where the read-back reaches
+    cut = MemoryKernel(cut_exp, lambda s: cut_exp(s, -8.0), theta=1.0,
+                       delta_decay=2.0, s_max=1.0, kernel_id="cut", validate=False)
+    # exp1 at dt = 2e-3 is separable (ds/dt = 5); the triangle is not
+    # geometric, and ds/dt = 10/3 is not an integer
+    for kernel, dt, separable in ((exp1, 2e-3, True), (triangle, 2e-3, False),
+                                  (exp1, 3e-3, False), (cut, 2e-3, False)):
+        assert (_readback_ratio(kernel, dt) is not None) == separable
+        model = make_model(3, f="cubic", g=[0.5, 0.0, 0.3])
+        ops = assemble(model, kernel)
+        z0 = draw_random_state(model, kernel, 1.0, "H1", np.random.default_rng(8),
+                               framework="state")
+        z0.memory.values[:] = np.outer(kernel.mu_grid * np.cos(z0.memory.nodes),
+                                       [1.0, -0.5, 0.2])
+        n = 150
+        short = integrate(z0, ops, kernel, "state", dt, n * dt)
+        long = integrate(z0, ops, kernel, "state", dt, 2 * n * dt)
+        for idx in (0, 1, 2, 77, n):
+            t = idx * dt
+            got = reconstruct_xi(short, t, kernel)
+            want = direct_xi(short, t, kernel)
+            # the absolute floor covers entries where xi0 and the sum cancel
+            np.testing.assert_allclose(got.values, want.values, rtol=1e-12,
+                                       atol=1e-15 * np.abs(want.values).max())
+            assert np.array_equal(got.weights, want.weights)
+            # prefix property: the path does not depend on the run length
+            assert np.array_equal(got.values,
+                                  reconstruct_xi(long, t, kernel).values)
 
 
 # -- cross-framework and structural properties -----------------------------------
