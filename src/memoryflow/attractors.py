@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .spaces import ExtendedVector, ModalVector, write_rows
+
 FIT_FLOOR = 1e-10           # distances below this are floating-point noise
 FIT_SKIP_FRACTION = 0.2     # leading transient excluded from rate fits
 
@@ -57,7 +59,6 @@ class CloudLayout:
         return np.concatenate(blocks)
 
     def unflatten(self, x, memory_template):
-        from .spaces import ExtendedVector, ModalVector
         lam = self.lambdas
         J = lam.size
         u = x[:J] / lam ** ((self.iota + 1) / 2.0)
@@ -191,8 +192,7 @@ def box_counting_dim(cloud, r_range=None, n_scales=8):
 def save_cloud_csv(cloud, path):
     with open(path, "w") as fh:
         fh.write("# label=%s norm=%s\n" % (cloud.label, cloud.norm))
-        for row in cloud.points:
-            fh.write(",".join("%.17g" % x for x in row) + "\n")
+        write_rows(fh, cloud.points)
 
 
 def load_cloud_csv(path, label=None, norm="H0"):

@@ -45,6 +45,7 @@ from .spaces import (
     StateField,
     lambda_map,
     norm_H,
+    write_rows,
 )
 from .viscoelastic import (
     assemble,
@@ -57,9 +58,6 @@ from .viscoelastic import (
     phi_control_ratio,
     phi_functional,
 )
-
-FMT = "%.17g"
-
 
 @dataclass
 class ExperimentConfig:
@@ -151,8 +149,7 @@ def write_summary(out_dir, payload):
 def write_csv(path, header, rows):
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(FMT % x for x in row) + "\n")
+        write_rows(fh, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -413,15 +410,18 @@ def cmd_attract(args):
 
 # ---------------------------------------------------------------------------
 
-def _positive_int(text):
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be an integer >= 1, not %r" % text)
-    return value
+def _int_at_least(lo):
+    """argparse type: an integer >= lo."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            value = lo - 1
+        if value < lo:
+            raise argparse.ArgumentTypeError(
+                "must be an integer >= %d, not %r" % (lo, text))
+        return value
+    return parse
 
 
 def build_parser():
@@ -449,7 +449,7 @@ def build_parser():
     ps.add_argument("--cloud-every", type=float, default=0.0,
                     help="also write state clouds at this time spacing "
                     "(0 for none, else in [dt, t_end])")
-    ps.add_argument("--cloud-stride", type=_positive_int, default=8,
+    ps.add_argument("--cloud-stride", type=_int_at_least(1), default=8,
                     help="memory-node thinning for cloud coordinates")
     ps.set_defaults(func=cmd_simulate)
 
@@ -465,14 +465,16 @@ def build_parser():
     pe.add_argument("--eps", type=float, default=0.05)
     pe.add_argument("--nu-small", dest="nu_small", type=float, default=0.1)
     pe.add_argument("--delta-split", dest="delta_split", type=float, default=0.5)
-    pe.add_argument("--samples", type=_positive_int, default=100)
+    # a decay-rate fit needs two points
+    pe.add_argument("--samples", type=_int_at_least(2), default=100)
     pe.set_defaults(func=cmd_energy_report)
 
     pl = sub.add_parser("lk-split", help="linear/compact difference split")
     pl.add_argument("--config", required=True)
     pl.add_argument("--out")
     pl.add_argument("--separation", type=float, default=1e-3)
-    pl.add_argument("--samples", type=_positive_int, default=40)
+    # attraction_rate skips the first fifth and then wants 5 samples
+    pl.add_argument("--samples", type=_int_at_least(6), default=40)
     pl.set_defaults(func=cmd_lk_split)
 
     ph = sub.add_parser("hypotheses", help="boundedness probes over ball data")

@@ -25,6 +25,7 @@ from .spaces import (
     StateField,
     lambda_map,
     norm_H,
+    write_rows,
 )
 
 BLOWUP_GUARD = 1e8
@@ -42,24 +43,24 @@ class BlowUpError(RuntimeError):
 
 @dataclass
 class ModelOperators:
-    """Model callbacks for the abstract coupled system.
+    """The model u' = v, v' = -lambdas*u - F - f(u) + g as data.
 
-    apply_A(u, v) is the source feeding the memory variable; apply_B_force
-    (u, v, memforce) returns the (du, dv) right-hand side given the memory
-    force.  The stepper hands every callback (E, J) arrays, one row per
-    ensemble member.  a_primitive, when the memory source is a time derivative (the
-    viscoelastic case: source = d/dt(A u)), returns its primitive so history
-    reconstruction can use exact differences instead of time quadrature.
-    linear, when set to (lambdas, g), declares that apply_B_force(u, v, F)
-    is exactly (v, -lambdas*u - F + g); the stepper then replaces the RK4
-    stages by per-mode coefficients computed once.
+    lambdas are the eigenvalues of the operator A behind the memory: its
+    source is A v = lambdas*v, with primitive lambdas*u, and F is the memory
+    force.  f maps (E, J) rows of u to (E, J) rows of f(u); f = None means
+    no nonlinearity, and the stepper then takes per-mode affine coefficients
+    in place of the RK4 stages.  g is a (J,) forcing, or (E, J) rows of it.
     """
     lambdas: np.ndarray
-    apply_A: object
-    apply_B_force: object
-    a_primitive: object = None
-    label: str = "model"
-    linear: tuple = None
+    g: np.ndarray
+    f: object = None
+
+    def accel(self, u, F, fu=None):
+        """-lambdas*u - F - fu + g, given fu = f(u), or None when f is."""
+        a = -self.lambdas * u - F
+        if fu is not None:
+            a = a - fu
+        return a + self.g
 
 
 @dataclass
@@ -296,20 +297,36 @@ def _geometric_ratio(w):
     return q if np.all(np.abs(w - fit) <= GEOMETRIC_RTOL * fit) else None
 
 
-def _rk4(u, v, B, dt, F0, F1):
-    """One RK4 pass with the memory force linear in time across the step."""
+def _rk4(ops, u, v, dt, F0, F1, shared=None):
+    """One RK4 pass for u' = v with the memory force linear in time across the step.
+
+    The u-stages 1-3 read u, v and F0 only, so they are the same in the
+    predictor pass (F1 = F0) and the corrector pass: the corrector takes the
+    predictor's f values there as `shared` and evaluates f once, at stage 4.
+    Returns un, vn and the f values at stages 1-3.
+    """
+    f = ops.f if ops.f is not None else (lambda u: None)
+    f1, f2, f3 = shared if shared is not None else (f(u), None, None)
+    h = 0.5 * dt
     Fm = 0.5 * (F0 + F1)
-    k1u, k1v = B(u, v, F0)
-    k2u, k2v = B(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v, Fm)
-    k3u, k3v = B(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v, Fm)
-    k4u, k4v = B(u + dt * k3u, v + dt * k3v, F1)
-    un = u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u)
-    vn = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return un, vn
+    a1 = ops.accel(u, F0, f1)
+    u2, v2 = u + h * v, v + h * a1
+    if shared is None:
+        f2 = f(u2)
+    a2 = ops.accel(u2, Fm, f2)
+    u3, v3 = u + h * v2, v + h * a2
+    if shared is None:
+        f3 = f(u3)
+    a3 = ops.accel(u3, Fm, f3)
+    u4, v4 = u + dt * v3, v + dt * a3
+    a4 = ops.accel(u4, F1, f(u4))
+    un = u + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
+    vn = v + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+    return un, vn, (f1, f2, f3)
 
 
 def _affine_rk4(lam, g, dt):
-    """`_rk4` for B(u, v, F) = (v, -lam*u - F + g) as per-mode coefficients.
+    """`_rk4` for f = None as per-mode coefficients.
 
     The pass is affine in (u, v, F0, F1) and diagonal in the modes, so
     `_rk4` itself, run once on unit inputs and on g alone, gives the
@@ -319,8 +336,7 @@ def _affine_rk4(lam, g, dt):
     """
     rows = np.eye(5)[:, :, None] * np.ones(lam.size)   # inputs u, v, F0, F1, g
     u, v, F0, F1, G = rows
-    G = G * g
-    un, vn = _rk4(u, v, lambda u, v, F: (v, -lam * u - F + G), dt, F0, F1)
+    un, vn, _ = _rk4(ModelOperators(lam, G * g), u, v, dt, F0, F1)
     # (input, output u|v, 1, J): one product per input gives both outputs
     cu, cv, c0, c1, cg = np.stack([un, vn], axis=1)[:, :, None, :]
     c01 = c0 + c1
@@ -370,30 +386,28 @@ def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end, *, window=None):
     F = np.empty_like(U)
     U[:, 0] = [z0.u.coeffs for z0 in z0s]
     V[:, 0] = [z0.v.coeffs for z0 in z0s]
-    prim = ops.a_primitive
-    P[:, 0] = prim(U[:, 0], V[:, 0]) if prim is not None else 0.0
-    A[:, 0] = ops.apply_A(U[:, 0], V[:, 0])
+    P[:, 0] = lam * U[:, 0]
+    A[:, 0] = lam * V[:, 0]
 
     mf = MemoryForce(kernel, framework, dt, n_steps, window)
     mf.set_initial_memory([z0.memory for z0 in z0s])
-    if ops.linear is not None:
-        rk4 = _affine_rk4(*ops.linear, dt)
-    else:
-        def rk4(u, v, F0, F1):
-            return _rk4(u, v, ops.apply_B_force, dt, F0, F1)
+    affine = _affine_rk4(lam, ops.g, dt) if ops.f is None else None
 
-    def advance(n, F0, F1):
-        un, vn = rk4(U[:, n], V[:, n], F0, F1)
+    def advance(n, F0, F1, shared=None):
+        if affine is not None:
+            un, vn = affine(U[:, n], V[:, n], F0, F1)
+        else:
+            un, vn, shared = _rk4(ops, U[:, n], V[:, n], dt, F0, F1, shared)
         U[:, n + 1] = un
         V[:, n + 1] = vn
-        P[:, n + 1] = prim(un, vn) if prim is not None else \
-            P[:, n] + 0.5 * dt * (A[:, n] + ops.apply_A(un, vn))
-        A[:, n + 1] = ops.apply_A(un, vn)
+        P[:, n + 1] = lam * un
+        A[:, n + 1] = lam * vn
+        return shared
 
     for n in range(n_steps):
         F0 = mf.force(n, P, A)
-        advance(n, F0, F0)                      # predictor: force frozen
-        advance(n, F0, mf.force(n + 1, P, A))   # corrector: force linear in t
+        shared = advance(n, F0, F0)                     # predictor: force frozen
+        advance(n, F0, mf.force(n + 1, P, A), shared)   # corrector: force linear in t
         F[:, n] = F0
         _check_state(U[:, n + 1], V[:, n + 1], n * dt + dt)
     F[:, n_steps] = mf.force(n_steps, P, A)
@@ -507,11 +521,6 @@ def sample_times(t_end, dt, n_samples):
     return np.round(ts / dt) * dt
 
 
-def norm_series(traj, kernel, ts, iota=0):
-    """Extended norms along the trajectory at the given grid times."""
-    return np.array([norm_H(traj.state_at(t, kernel), iota) for t in ts])
-
-
 def intertwine_residual(z0, ops, kernel, t_end, dt, *, n_samples=8, window=None):
     """Max over sample times of the state-space gap between the two routes.
 
@@ -581,9 +590,7 @@ def save_trajectory_csv(traj, path):
         + ["v_%d" % (j + 1) for j in range(J)]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for i, t in enumerate(traj.times):
-            row = [t] + list(traj.u_snaps[i]) + list(traj.v_snaps[i])
-            fh.write(",".join("%.17g" % x for x in row) + "\n")
+        write_rows(fh, traj.times, traj.u_snaps, traj.v_snaps)
 
 
 def trajectory_metadata(traj, extra=None):

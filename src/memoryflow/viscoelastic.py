@@ -112,25 +112,10 @@ def assemble(model, kernel):
     if flatness_rate(kernel) > 0.0:
         raise KernelError("viscoelastic model requires mu' < 0 a.e. "
                           "(kernel has flat zones)")
-    lam = model.lambdas
-    g = model.g
-    linear = None
-    if model.f_spec == "zero":
-        # the stepper reads (lam, g) in place of calling B
-        linear = (lam, g)
-
-        def B(u, v, F):
-            return v, -lam * u - F + g
-    else:
-        def B(u, v, F):
-            return v, -lam * u - F - f_modal(model, u) + g
-    return ModelOperators(
-        lambdas=lam,
-        apply_A=lambda u, v: lam * v,
-        apply_B_force=B,
-        a_primitive=lambda u, v: lam * u,
-        label="viscoelastic",
-        linear=linear)
+    # f_modal is looked up at call time, so a wrapper set on the module sees it
+    return ModelOperators(model.lambdas, model.g,
+                          None if model.f_spec == "zero" else
+                          lambda u: f_modal(model, u))
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +238,6 @@ def lk_split(z1, z2, model, kernel, t_end, dt, *, window=None):
     residual series records relative to the base state scale.
     """
     lam = model.lambdas
-    g = model.g
     d0 = z1 - z2
     k0 = ExtendedVector(ModalVector.zeros(lam), ModalVector.zeros(lam),
                         HistoryField.zeros(kernel, lam))
@@ -261,20 +245,17 @@ def lk_split(z1, z2, model, kernel, t_end, dt, *, window=None):
                       and np.max(np.abs(d0.v.coeffs)) == 0.0
                       and not np.any(d0.memory.values))
 
-    def B(u, v, F):
+    def f(u):
         # rows b1, b2, d, l, k: only the bases see f, and d and k are driven
-        # by the difference of the base rows' f at the same stage
-        dv = -lam * u - F
-        f = f_modal(model, u[:2])
-        dv[:2] = dv[:2] - f + g
-        r = f[0] - f[1]
-        dv[2] = dv[2] - r
-        dv[4] = dv[4] - r
-        return v, dv
+        # by the difference r of the base rows' f at the same stage
+        out = np.zeros_like(u)
+        out[:2] = f_modal(model, u[:2])
+        out[2] = out[4] = out[0] - out[1]
+        return out
 
-    ops = ModelOperators(lambdas=lam, apply_A=lambda u, v: lam * v,
-                         apply_B_force=B, a_primitive=lambda u, v: lam * u,
-                         label="lk-split")
+    g_rows = np.zeros((5, lam.size))
+    g_rows[:2] = model.g
+    ops = ModelOperators(lam, g_rows, f)
     b1, b2, d, l, k = integrate_ensemble([z1, z2, d0, d0, k0], ops, kernel,
                                          "history", dt, t_end, window=window)
 
@@ -377,26 +358,26 @@ def hypothesis_probe_suite(model, kernel, radii, *, t_end=30.0, dt=2e-3,
         rhs = math.sqrt(float(np.sum(lam * v ** 2)))
         gap = max(gap, abs(lhs - rhs))
 
+    # all radii x members step as the rows of one batch
+    z0s = [draw_random_state(model, kernel, radius, "H1",
+                             np.random.default_rng([seed, int(radius * 1000), e]))
+           for radius in radii for e in range(ensemble)]
+    trajs = integrate_ensemble(z0s, ops, kernel, "history", dt, t_end,
+                               window=window)
     plateau_h1 = {}
     accel_sup = {}
     sigma_plateaus = {}
-    for radius in radii:
+    for i, radius in enumerate(radii):
         h1_tails = []
         acc_vals = []
-        z0s = [draw_random_state(model, kernel, radius, "H1",
-                                 np.random.default_rng([seed, int(radius * 1000), e]))
-               for e in range(ensemble)]
-        trajs = integrate_ensemble(z0s, ops, kernel, "history", dt, t_end,
-                                   window=window)
-        for e, traj in enumerate(trajs):
+        for e, traj in enumerate(trajs[i * ensemble:(i + 1) * ensemble]):
             ts = traj.times[::max(1, traj.n_steps // 60)]
             tail = ts[ts >= (2.0 / 3.0) * t_end]
             vals = [norm_H(traj.state_at(t, kernel), 1) for t in tail]
             h1_tails.extend(vals)
             idxs = np.arange(0, traj.n_steps + 1, max(1, traj.n_steps // 400))
             u = traj.u_snaps[idxs]
-            acc = -(lam * u) - traj.force_snaps[idxs] - f_modal(model, u) \
-                + model.g[None, :]
+            acc = ops.accel(u, traj.force_snaps[idxs], f_modal(model, u))
             acc_vals.append(float(np.max(np.sqrt(np.sum(acc ** 2, axis=1)))))
             if radius == max(radii) and e == 0:
                 for sigma in (0.0, 1.0 / 3.0, 1.0):

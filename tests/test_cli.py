@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from memoryflow import cli
 from memoryflow.cli import ExperimentConfig, main
 
 
@@ -177,9 +178,14 @@ def test_config_rejects_bad_field(workdir, field, value):
 @pytest.mark.parametrize("command,flag,value", [
     ("simulate", "--cloud-stride", "-3"), ("simulate", "--cloud-stride", "0"),
     ("simulate", "--cloud-every", "-0.05"), ("simulate", "--cloud-every", "5"),
-    ("energy-report", "--samples", "0"), ("lk-split", "--samples", "0")])
-def test_bad_flag_exits_two(workdir, command, flag, value, capsys):
+    ("energy-report", "--samples", "0"), ("lk-split", "--samples", "0"),
+    ("energy-report", "--samples", "1"), ("lk-split", "--samples", "5")])
+def test_bad_flag_exits_two(workdir, command, flag, value, capsys, monkeypatch):
     # config t_end is 1.0 and dt 5e-3; nothing is run or written
+    def no_run(*args, **kwargs):
+        raise AssertionError("an integration started")
+    for name in ("integrate", "integrate_ensemble", "lk_split"):
+        monkeypatch.setattr(cli, name, no_run)
     out = workdir / "bad_flag"
     try:
         rc = main([command, "--config", str(workdir / "config.json"),

@@ -28,7 +28,7 @@ from memoryflow.evolution import (
     reconstruct_xi,
     save_trajectory_csv,
 )
-from memoryflow.viscoelastic import assemble, draw_random_state, make_model
+from memoryflow.viscoelastic import assemble, draw_random_state, f_modal, make_model
 
 
 @pytest.fixture(scope="module")
@@ -38,12 +38,7 @@ def exp1():
 
 def linear_ops(lam):
     lam = np.asarray(lam, dtype=float)
-    return ModelOperators(
-        lambdas=lam,
-        apply_A=lambda u, v: lam * v,
-        apply_B_force=lambda u, v, F: (v, -lam * u - F),
-        a_primitive=lambda u, v: lam * u,
-    )
+    return ModelOperators(lam, np.zeros_like(lam))
 
 
 def single_mode_state(exp1, u0=1.0, v0=0.0):
@@ -142,14 +137,12 @@ def test_integrate_ensemble_matches_solo_runs(exp1):
 
 
 def test_affine_stepper_matches_generic_rk4(exp1):
-    # assemble declares f = "zero" linear, so its runs skip the RK4 stages;
-    # the same B as a plain callback takes _rk4
+    # assemble gives f = "zero" as f = None, so its runs skip the RK4
+    # stages; the same model with an f that returns zeros takes _rk4
     model = make_model(8, f="zero", g=[0.5, 0, 0.3, 0, 0, 0, 0, -0.2])
     ops = assemble(model, exp1)
-    assert ops.linear is not None
-    plain = ModelOperators(lambdas=ops.lambdas, apply_A=ops.apply_A,
-                           apply_B_force=ops.apply_B_force,
-                           a_primitive=ops.a_primitive)
+    assert ops.f is None
+    plain = ModelOperators(ops.lambdas, ops.g, f=np.zeros_like)
     lam = model.lambdas
     z0 = draw_random_state(model, exp1, 1.0, "H1", np.random.default_rng(8))
     z0.memory = HistoryField.from_profile(
@@ -162,6 +155,79 @@ def test_affine_stepper_matches_generic_rk4(exp1):
             want = getattr(slow, name)
             np.testing.assert_allclose(getattr(fast, name), want, rtol=0,
                                        atol=1e-12 * np.abs(want).max())
+
+
+def textbook_predictor_corrector(z0s, model, kernel, framework, dt, t_end):
+    """(U, V) of the predictor-corrector scheme with four fresh B calls per pass."""
+    from memoryflow.evolution import MemoryForce
+    lam, g = model.lambdas, model.g
+
+    def B(u, v, F):
+        return v, -lam * u - F - f_modal(model, u) + g
+
+    def rk4(u, v, F0, F1):
+        Fm = 0.5 * (F0 + F1)
+        k1u, k1v = B(u, v, F0)
+        k2u, k2v = B(u + 0.5 * dt * k1u, v + 0.5 * dt * k1v, Fm)
+        k3u, k3v = B(u + 0.5 * dt * k2u, v + 0.5 * dt * k2v, Fm)
+        k4u, k4v = B(u + dt * k3u, v + dt * k3v, F1)
+        return (u + (dt / 6.0) * (k1u + 2.0 * k2u + 2.0 * k3u + k4u),
+                v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v))
+
+    n_steps = int(round(t_end / dt))
+    U = np.empty((len(z0s), n_steps + 1, lam.size))
+    V, P, A = np.empty_like(U), np.empty_like(U), np.empty_like(U)
+    U[:, 0] = [z.u.coeffs for z in z0s]
+    V[:, 0] = [z.v.coeffs for z in z0s]
+    mf = MemoryForce(kernel, framework, dt, n_steps, kernel.s_max)
+    mf.set_initial_memory([z.memory for z in z0s])
+
+    def advance(n, F0, F1):
+        U[:, n + 1], V[:, n + 1] = rk4(U[:, n], V[:, n], F0, F1)
+        P[:, n + 1], A[:, n + 1] = lam * U[:, n + 1], lam * V[:, n + 1]
+
+    P[:, 0], A[:, 0] = lam * U[:, 0], lam * V[:, 0]
+    for n in range(n_steps):
+        F0 = mf.force(n, P, A)
+        advance(n, F0, F0)
+        advance(n, F0, mf.force(n + 1, P, A))
+    return U, V
+
+
+def test_stepper_matches_textbook_predictor_corrector(exp1):
+    # sharing the predictor's f at u-stages 1-3 moves no bit
+    model = make_model(8, f="cubic", g=[0.5, 0, 0.3, 0, 0, 0, 0, -0.2])
+    ops = assemble(model, exp1)
+    lam = model.lambdas
+    z0s = [draw_random_state(model, exp1, 2.0, "H1", np.random.default_rng([9, e]))
+           for e in range(2)]
+    z0s[1].memory = HistoryField.from_profile(
+        exp1, lam, lambda s: 0.1 * np.sin(s) * np.ones(lam.size))
+    for framework in ("history", "state"):
+        if framework == "state":
+            z0s = [ExtendedVector(z.u.copy(), z.v.copy(), lambda_map(z.memory, exp1))
+                   for z in z0s]
+        trajs = integrate_ensemble(z0s, ops, exp1, framework, 2e-3, 0.4)
+        U, V = textbook_predictor_corrector(z0s, model, exp1, framework, 2e-3, 0.4)
+        for e, traj in enumerate(trajs):
+            assert np.array_equal(traj.u_snaps, U[e])
+            assert np.array_equal(traj.v_snaps, V[e])
+
+
+def test_stepper_evaluates_f_five_times_per_step(exp1):
+    model = make_model(4, f="cubic")
+    calls = []
+
+    def f(u):
+        calls.append(u.shape)
+        return f_modal(model, u)
+
+    ops = ModelOperators(model.lambdas, model.g, f)
+    z0s = [draw_random_state(model, exp1, 1.0, "H1", np.random.default_rng([3, e]))
+           for e in range(3)]
+    integrate_ensemble(z0s, ops, exp1, "history", 1e-2, 0.5)
+    assert len(calls) == 5 * 50
+    assert set(calls) == {(3, 4)}
 
 
 # -- blocked memory-force window -------------------------------------------------
@@ -572,11 +638,7 @@ def test_window_truncation_bound(exp1):
 def test_blowup_guard(exp1):
     lam = np.array([1.0])
     # explosive right-hand side
-    ops = ModelOperators(
-        lambdas=lam,
-        apply_A=lambda u, v: lam * v,
-        apply_B_force=lambda u, v, F: (v, (u ** 3) * 1e3 + 1.0),
-        a_primitive=lambda u, v: lam * u)
+    ops = ModelOperators(lam, np.ones(1), f=lambda u: -(u ** 3) * 1e3)
     z0 = ExtendedVector(ModalVector(np.array([2.0]), lam),
                         ModalVector.zeros(lam), HistoryField.zeros(exp1, lam))
     with pytest.raises(BlowUpError, match="blow-up detected at t="):
@@ -586,11 +648,7 @@ def test_blowup_guard(exp1):
 def test_blowup_guard_catches_nan(exp1):
     lam = np.array([1.0])
     # a right-hand side that turns NaN at once, never exceeding the guard
-    ops = ModelOperators(
-        lambdas=lam,
-        apply_A=lambda u, v: lam * v,
-        apply_B_force=lambda u, v, F: (v, np.full_like(v, np.nan)),
-        a_primitive=lambda u, v: lam * u)
+    ops = ModelOperators(lam, np.zeros(1), f=lambda u: np.full_like(u, np.nan))
     z0 = ExtendedVector(ModalVector(np.array([0.5]), lam),
                         ModalVector.zeros(lam), HistoryField.zeros(exp1, lam))
     with pytest.raises(BlowUpError, match="blow-up detected at t=0.01"):

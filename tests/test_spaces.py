@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from memoryflow.attractors import PointCloud, save_cloud_csv
+from memoryflow.cli import write_csv
+from memoryflow.evolution import Trajectory, save_trajectory_csv
 from memoryflow.kernels import (
     make_exponential_kernel,
     make_jump_exponential_kernel,
@@ -328,3 +331,30 @@ def test_field_csv_roundtrip(tmp_path, exp1):
     assert isinstance(back, HistoryField)
     assert np.array_equal(back.values, eta.values)
     assert np.allclose(back.weights, eta.weights)
+
+
+def test_csv_writers_format_every_value_as_17g(tmp_path, exp1):
+    # the shared row writer gives the bytes of formatting value by value
+    rows = np.array([[-0.0, 1e-300, 0.1, 3.0], [3.0, 0.1, 1e-300, -0.0]])
+    lines = "".join(",".join("%.17g" % float(x) for x in row) + "\n" for row in rows)
+    assert lines.startswith("-0,1e-300,0.10000000000000001,3\n")
+
+    def body(path, skip):
+        return "".join(open(path).readlines()[skip:])
+
+    save_cloud_csv(PointCloud(rows), tmp_path / "cloud.csv")
+    assert body(tmp_path / "cloud.csv", 1) == lines
+    write_csv(tmp_path / "rows.csv", ["a", "b", "c", "d"], [tuple(r) for r in rows])
+    assert body(tmp_path / "rows.csv", 1) == lines
+    lam = np.array([1.0, 4.0, 9.0])
+    field = HistoryField(rows[:, 0], rows[:, 1:], np.ones(2), lam, 0.1)
+    save_field_csv(field, tmp_path / "field.csv")
+    assert body(tmp_path / "field.csv", 3) == lines
+    lam = np.array([1.0])
+    traj = Trajectory(times=rows[:, 0], u_snaps=rows[:, 1:2], v_snaps=rows[:, 2:3],
+                      a_prim=None, a_vals=None, force_snaps=None,
+                      initial_memory=None, window=1.0, framework="history",
+                      dt=0.1, kernel_id="", lambdas=lam)
+    save_trajectory_csv(traj, tmp_path / "traj.csv")
+    want = "".join(",".join("%.17g" % float(x) for x in row[:3]) + "\n" for row in rows)
+    assert body(tmp_path / "traj.csv", 1) == want
