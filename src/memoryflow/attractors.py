@@ -5,7 +5,7 @@ distance equals the extended norm they were built in (H0 by default).
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,10 +40,8 @@ class PointCloud:
 class CloudLayout:
     """Weights to flatten an extended state into norm-true coordinates."""
     lambdas: np.ndarray
-    nodes: np.ndarray
     weights: np.ndarray
     iota: int
-    memory_kind: str
     memory_stride: int = 1
 
     def flatten(self, z):
@@ -81,9 +79,8 @@ def cloud_from_states(states, label="", iota=0, memory_stride=1):
     """
     z0 = states[0]
     mem = z0.memory
-    layout = CloudLayout(lambdas=z0.u.lambdas, nodes=mem.nodes,
-                         weights=mem.weights, iota=iota,
-                         memory_kind=mem.kind, memory_stride=memory_stride)
+    layout = CloudLayout(lambdas=z0.u.lambdas, weights=mem.weights, iota=iota,
+                         memory_stride=memory_stride)
     pts = np.stack([layout.flatten(z) for z in states])
     return PointCloud(pts, label=label, norm="H%d" % iota, layout=layout)
 
@@ -110,8 +107,6 @@ class RateFit:
     q: float
     r_squared: float
     n_used: int
-    times: np.ndarray = field(default=None, repr=False)
-    dists: np.ndarray = field(default=None, repr=False)
 
 
 def attraction_rate(dist_series):
@@ -139,8 +134,7 @@ def attraction_rate(dist_series):
     ss_tot = float(np.sum((dd - dd.mean()) ** 2))
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return RateFit(omega=float(-slope), q=float(np.exp(intercept)),
-                   r_squared=r2, n_used=int(np.count_nonzero(keep)),
-                   times=t[keep], dists=d[keep])
+                   r_squared=r2, n_used=int(np.count_nonzero(keep)))
 
 
 def invariance_residual(e_cloud, stepper, t):
@@ -161,11 +155,11 @@ class BoxCountResult:
     counts: np.ndarray
 
 
-def box_counting_dim(cloud, r_range=None, n_scales=8):
+def box_counting_dim(cloud, r_range=None):
     """Box-occupancy slope of ln N(r) against ln(1/r); an estimate, not a bound.
 
-    Wants at least 100 points and a scale range spanning a decade; a cloud
-    that collapses to one point has dimension zero.
+    Wants at least 100 points and a scale range spanning a decade, which it
+    samples at 8 radii; a cloud that collapses to one point has dimension zero.
     """
     pts = cloud.points
     uniq = np.unique(pts, axis=0)
@@ -179,9 +173,9 @@ def box_counting_dim(cloud, r_range=None, n_scales=8):
     r_lo, r_hi = sorted(map(float, r_range))
     if r_hi / r_lo < 10.0 - 1e-9:
         raise ValueError("scale range must span at least one decade")
-    radii = np.geomspace(r_hi, r_lo, n_scales)
+    radii = np.geomspace(r_hi, r_lo, 8)
     origin = np.min(pts, axis=0)
-    counts = np.empty(n_scales)
+    counts = np.empty(radii.size)
     for i, r in enumerate(radii):
         boxes = np.floor((pts - origin) / r).astype(np.int64)
         counts[i] = np.unique(boxes, axis=0).shape[0]
@@ -195,7 +189,7 @@ def save_cloud_csv(cloud, path):
         write_rows(fh, cloud.points)
 
 
-def load_cloud_csv(path, label=None, norm="H0"):
+def load_cloud_csv(path):
     meta = {}
     with open(path) as fh:
         first = fh.readline()
@@ -205,5 +199,5 @@ def load_cloud_csv(path, label=None, norm="H0"):
         else:
             fh.seek(0)
             pts = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return PointCloud(pts, label=label or meta.get("label", ""),
-                      norm=meta.get("norm", norm))
+    return PointCloud(pts, label=meta.get("label", ""),
+                      norm=meta.get("norm", "H0"))

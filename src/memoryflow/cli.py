@@ -9,6 +9,7 @@ byte-identical apart from the timestamp header line.
 import argparse
 import datetime
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from .kernels import (
     check_nec,
     flatness_rate,
     load_kernel_file,
+    path_beside,
 )
 from .spaces import (
     ExtendedVector,
@@ -79,21 +81,26 @@ class ExperimentConfig:
             except json.JSONDecodeError as exc:
                 raise ValueError("parse error in %s at line %d: %s"
                                  % (path, exc.lineno, exc.msg)) from exc
-        base = os.path.dirname(os.path.abspath(path))
-        rel = lambda p: p if p is None or os.path.isabs(p) else os.path.join(base, p)
-        dt = float(raw.get("dt", 1e-3))
-        t_end = float(raw.get("t_end", 10.0))
+        rel = lambda p: p if p is None else path_beside(path, p)
+        if raw.get("model") is None:
+            raise ValueError("config field 'model' is required")
+
+        def checked(name, default, check):
+            # the flag checks, on the JSON text of the value: 2.5 and true
+            # are not integers, and NaN and Infinity are not finite
+            try:
+                return check(json.dumps(raw.get(name, default)))
+            except argparse.ArgumentTypeError as exc:
+                raise ValueError("config field %r %s" % (name, exc)) from None
+        dt = checked("dt", 1e-3, _bounded(float))
+        t_end = checked("t_end", 10.0, _bounded(float))
         if dt <= 0 or t_end < dt:
             raise ValueError("config needs dt > 0 and t_end >= dt")
         framework = raw.get("framework", "history")
         if framework not in ("history", "state"):
             raise ValueError("config field 'framework' must be 'history' or "
                              "'state', not %r" % (framework,))
-        ensemble = raw.get("ensemble", 1)
-        if isinstance(ensemble, bool) or not isinstance(ensemble, int) \
-                or ensemble < 1:
-            raise ValueError("config field 'ensemble' must be an integer >= 1, "
-                             "not %r" % (ensemble,))
+        ensemble = checked("ensemble", 1, _bounded(int, 1))
         initial = raw.get("initial", "zero")
         if isinstance(initial, dict) and "file" in initial:
             initial = {"file": rel(initial["file"])}
@@ -101,16 +108,18 @@ class ExperimentConfig:
             kernel_path=rel(raw.get("kernel")),
             model_path=rel(raw.get("model")),
             framework=framework, dt=dt, t_end=t_end, ensemble=ensemble,
-            seed=int(raw.get("seed", 0)),
+            seed=checked("seed", 0, _bounded(int, 0)),
             initial=initial,
             out_dir=rel(raw.get("out", ".")))
 
 
 def load_experiment(cfg):
     model, kernel_from_model = load_model_file(cfg.model_path)
-    kpath = cfg.kernel_path or kernel_from_model
-    if kpath and not os.path.isabs(kpath):
-        kpath = os.path.join(os.path.dirname(os.path.abspath(cfg.model_path)), kpath)
+    kpath = cfg.kernel_path
+    if kpath is None:
+        if kernel_from_model is None:
+            raise ValueError("neither the config nor the model names a kernel")
+        kpath = path_beside(cfg.model_path, kernel_from_model)
     kernel = load_kernel_file(kpath)
     return model, kernel
 
@@ -277,6 +286,9 @@ def cmd_compare(args):
 def cmd_energy_report(args):
     cfg = _load_config(args)
     model, kernel = load_experiment(cfg)
+    if not args.nu_small / 2.0 < kernel.mass:
+        raise ValueError("--nu-small must be below twice the kernel mass k(0) = %g, "
+                         "not %g" % (kernel.mass, args.nu_small))
     if abs(kernel.mass - 1.0) > 1e-6:
         print("note: kernel mass k(0)=%.6g differs from 1; energy diagnostics "
               "assume the unit normalization and are reported unrescaled"
@@ -397,6 +409,8 @@ def cmd_attract(args):
         print("need at least 5 bundle clouds", file=sys.stderr)
         return 2
     rows.sort()
+    out_dir = os.path.dirname(os.path.abspath(args.out))
+    os.makedirs(out_dir, exist_ok=True)
     write_csv(args.out, ["time", "dist"], rows)
     try:
         fit = attraction_rate(np.array(rows))
@@ -404,22 +418,24 @@ def cmd_attract(args):
                    "r_squared": fit.r_squared, "n_used": fit.n_used}
     except ValueError as exc:
         summary = {"command": "attract", "note": str(exc)}
-    write_summary(os.path.dirname(os.path.abspath(args.out)) or ".", summary)
+    write_summary(out_dir, summary)
     return 0
 
 
 # ---------------------------------------------------------------------------
 
-def _int_at_least(lo):
-    """argparse type: an integer >= lo."""
+def _bounded(kind, lo=-math.inf, hi=math.inf, above=False):
+    """argparse type: a finite int or float in [lo, hi], or in (lo, hi] if `above`."""
     def parse(text):
         try:
-            value = int(text)
+            value = kind(text)
         except ValueError:
-            value = lo - 1
-        if value < lo:
+            value = math.nan
+        if not (math.isfinite(value) and value <= hi
+                and (value > lo if above else value >= lo)):
             raise argparse.ArgumentTypeError(
-                "must be an integer >= %d, not %r" % (lo, text))
+                "must be a finite %s in %s%g, %g], not %r"
+                % (kind.__name__, "(" if above else "[", lo, hi, text))
         return value
     return parse
 
@@ -427,9 +443,9 @@ def _int_at_least(lo):
 def build_parser():
     p = argparse.ArgumentParser(prog="memoryflow",
                                 description=__doc__.splitlines()[0])
-    p.add_argument("--tol", type=float, default=1e-4,
+    p.add_argument("--tol", type=_bounded(float, 0.0), default=1e-4,
                    help="comparison tolerance")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_bounded(int, 0), default=None,
                    help="override the config seed")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -437,8 +453,9 @@ def build_parser():
     pk_sub = pk.add_subparsers(dest="kernel_command", required=True)
     pkc = pk_sub.add_parser("check")
     pkc.add_argument("file")
-    pkc.add_argument("--nec", nargs=2, type=float, metavar=("THETA", "DELTA"))
-    pkc.add_argument("--dafermos", type=float, metavar="DELTA")
+    pkc.add_argument("--nec", nargs=2, type=_bounded(float), metavar=("THETA", "DELTA"))
+    pkc.add_argument("--dafermos", type=_bounded(float, 0.0, above=True),
+                     metavar="DELTA")
     pkc.add_argument("--flatness", action="store_true")
     pkc.set_defaults(func=cmd_kernel)
 
@@ -449,7 +466,7 @@ def build_parser():
     ps.add_argument("--cloud-every", type=float, default=0.0,
                     help="also write state clouds at this time spacing "
                     "(0 for none, else in [dt, t_end])")
-    ps.add_argument("--cloud-stride", type=_int_at_least(1), default=8,
+    ps.add_argument("--cloud-stride", type=_bounded(int, 1), default=8,
                     help="memory-node thinning for cloud coordinates")
     ps.set_defaults(func=cmd_simulate)
 
@@ -461,26 +478,29 @@ def build_parser():
     pe = sub.add_parser("energy-report", help="energy functionals along a run")
     pe.add_argument("--config", required=True)
     pe.add_argument("--out")
-    pe.add_argument("--sigma", type=float, default=0.0)
-    pe.add_argument("--eps", type=float, default=0.05)
-    pe.add_argument("--nu-small", dest="nu_small", type=float, default=0.1)
-    pe.add_argument("--delta-split", dest="delta_split", type=float, default=0.5)
+    pe.add_argument("--sigma", type=_bounded(float, 0.0, 1.0), default=0.0)
+    pe.add_argument("--eps", type=_bounded(float, 0.0), default=0.05)
+    pe.add_argument("--nu-small", dest="nu_small",
+                    type=_bounded(float, 0.0, above=True), default=0.1)
+    pe.add_argument("--delta-split", dest="delta_split",
+                    type=_bounded(float, 0.0, above=True), default=0.5)
     # a decay-rate fit needs two points
-    pe.add_argument("--samples", type=_int_at_least(2), default=100)
+    pe.add_argument("--samples", type=_bounded(int, 2), default=100)
     pe.set_defaults(func=cmd_energy_report)
 
     pl = sub.add_parser("lk-split", help="linear/compact difference split")
     pl.add_argument("--config", required=True)
     pl.add_argument("--out")
-    pl.add_argument("--separation", type=float, default=1e-3)
+    pl.add_argument("--separation", type=_bounded(float), default=1e-3)
     # attraction_rate skips the first fifth and then wants 5 samples
-    pl.add_argument("--samples", type=_int_at_least(6), default=40)
+    pl.add_argument("--samples", type=_bounded(int, 6), default=40)
     pl.set_defaults(func=cmd_lk_split)
 
     ph = sub.add_parser("hypotheses", help="boundedness probes over ball data")
     ph.add_argument("--config", required=True)
     ph.add_argument("--out")
-    ph.add_argument("--radii", nargs="+", type=float, default=[1.0, 2.0, 4.0])
+    ph.add_argument("--radii", nargs="+", type=_bounded(float, 0.0, above=True),
+                    default=[1.0, 2.0, 4.0])
     ph.set_defaults(func=cmd_hypotheses)
 
     pa = sub.add_parser("attract", help="bundle-to-surrogate distance decay")

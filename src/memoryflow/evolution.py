@@ -13,7 +13,7 @@ as rows of member-major arrays, and each row is bitwise equal to the same
 member integrated alone.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -521,17 +521,17 @@ def sample_times(t_end, dt, n_samples):
     return np.round(ts / dt) * dt
 
 
-def intertwine_residual(z0, ops, kernel, t_end, dt, *, n_samples=8, window=None):
+def intertwine_residual(z0, ops, kernel, t_end, dt, *, n_samples=8):
     """Max over sample times of the state-space gap between the two routes.
 
     Runs the history semigroup on z0 and the state semigroup on its bridge
     image, then compares bridging-after-evolving with evolving-after-bridging
     in the extended state norm.
     """
-    traj_h = integrate(z0, ops, kernel, "history", dt, t_end, window=window)
+    traj_h = integrate(z0, ops, kernel, "history", dt, t_end)
     xi0 = lambda_map(z0.memory, kernel)
     z0_s = ExtendedVector(z0.u.copy(), z0.v.copy(), xi0)
-    traj_s = integrate(z0_s, ops, kernel, "state", dt, t_end, window=window)
+    traj_s = integrate(z0_s, ops, kernel, "state", dt, t_end)
     worst = 0.0
     for t in sample_times(t_end, dt, n_samples):
         idx = traj_h.index_of(t)
@@ -553,31 +553,26 @@ class GrowthFit:
     rate: float
     q: float
     degenerate: bool
-    note: str = ""
-    times: np.ndarray = field(default=None, repr=False)
-    separations: np.ndarray = field(default=None, repr=False)
 
 
 def holder_growth_probe(z1, z2, ops, kernel, framework, t_end, dt, *,
-                        n_samples=25, window=None):
+                        n_samples=25):
     """Fit log separation of two trajectories against time.
 
     Reports the least-squares slope and intercept; separations below the
     floating-point floor make the probe degenerate.
     """
-    traj1, traj2 = integrate_ensemble([z1, z2], ops, kernel, framework, dt,
-                                      t_end, window=window)
+    traj1, traj2 = integrate_ensemble([z1, z2], ops, kernel, framework, dt, t_end)
     ts = sample_times(t_end, dt, n_samples)
     seps = np.empty(ts.size)
     for i, t in enumerate(ts):
         d = traj1.state_at(t, kernel) - traj2.state_at(t, kernel)
         seps[i] = norm_H(d, 0)
     if np.all(seps < 1e-14):
-        return GrowthFit(0.0, 0.0, True, "indistinguishable", ts, seps)
+        return GrowthFit(0.0, 0.0, True)
     ok = seps > 1e-300
     coeffs = np.polyfit(ts[ok], np.log(seps[ok]), 1)
-    return GrowthFit(float(coeffs[0]), float(np.exp(coeffs[1])), False, "",
-                     ts, seps)
+    return GrowthFit(float(coeffs[0]), float(np.exp(coeffs[1])), False)
 
 
 # ---------------------------------------------------------------------------

@@ -12,13 +12,11 @@ which is checked on a grid at construction time.
 """
 
 import json
-import logging
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_DS = 0.01
 TAIL_FLOOR = 1e-10          # s_max chosen so theta*exp(-delta*s_max) < TAIL_FLOOR
@@ -39,9 +37,9 @@ def _reciprocal(m):
     return np.where(m > 0, 1.0 / np.where(m > 0, m, 1.0), 0.0)
 
 
-def default_s_max(theta, delta, ds=DEFAULT_DS, floor=TAIL_FLOOR):
-    """Smallest grid-aligned cutoff with theta*exp(-delta*s_max) < floor."""
-    s = math.log(theta / floor) / delta
+def default_s_max(theta, delta, ds=DEFAULT_DS):
+    """Smallest grid-aligned cutoff with theta*exp(-delta*s_max) < TAIL_FLOOR."""
+    s = math.log(theta / TAIL_FLOOR) / delta
     return math.ceil(s / ds) * ds
 
 
@@ -128,9 +126,9 @@ class MemoryKernel:
     def has_jumps(self):
         return len(self.jumps) > 0
 
-    def check_grid(self, max_nodes=400):
-        """Strided copy of the quadrature grid, avoiding jump points."""
-        stride = max(1, len(self.grid) // max_nodes)
+    def check_grid(self):
+        """Strided copy of the quadrature grid, about 400 nodes, avoiding jumps."""
+        stride = max(1, len(self.grid) // 400)
         g = self.grid[::stride]
         for s_n, _ in self.jumps:
             g = g[np.abs(g - s_n) > 1e-9]
@@ -276,8 +274,7 @@ def make_jump_exponential_kernel(delta, jump_spec, *, ds=DEFAULT_DS, s_max=None)
 
 
 def make_tabulated_kernel(s_pts, mu_pts, *, theta, delta_decay,
-                          ds=None, kernel_id="tabulated", normalize=False,
-                          validate=True):
+                          ds=None, kernel_id="tabulated", normalize=False):
     """Piecewise-linear kernel from (s, mu) samples.
 
     The interpolant itself is the kernel: k and the first moment are exact
@@ -339,7 +336,7 @@ def make_tabulated_kernel(s_pts, mu_pts, *, theta, delta_decay,
         mu=mu, mu_prime=mu_prime, theta=theta, delta_decay=delta_decay,
         s_max=s_end, ds=ds if ds is not None else min(DEFAULT_DS, s_end / 100),
         kernel_id=kernel_id, k_exact=k_exact, first_moment_exact=fm,
-        rtol=TABULATED_RTOL, validate=validate)
+        rtol=TABULATED_RTOL)
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +356,6 @@ def k_from_mu(kernel, s):
 class NecResult:
     passed: bool
     worst_ratio: float
-
-    def __bool__(self):
-        return self.passed
 
 
 def check_nec(kernel, theta, delta, grid=None, rtol=None):
@@ -389,14 +383,13 @@ def check_nec(kernel, theta, delta, grid=None, rtol=None):
     return NecResult(worst <= 1.0 + rtol, worst)
 
 
-def check_dafermos(kernel, delta, grid=None, rtol=None):
-    """Pointwise check of mu'(s) + delta*mu(s) <= 0 on the grid."""
+def check_dafermos(kernel, delta):
+    """Pointwise check of mu'(s) + delta*mu(s) <= 0 on the check grid."""
     if delta <= 0:
         raise KernelError("delta must be positive")
-    grid = kernel.check_grid() if grid is None else _as_array(grid)
-    rtol = kernel.rtol if rtol is None else rtol
+    grid = kernel.check_grid()
     vals = _as_array(kernel.mu_prime(grid)) + delta * _as_array(kernel.mu(grid))
-    tol = rtol * delta * np.maximum(_as_array(kernel.mu(grid)), 1.0)
+    tol = kernel.rtol * delta * np.maximum(_as_array(kernel.mu(grid)), 1.0)
     return bool(np.all(vals <= tol))
 
 
@@ -453,7 +446,6 @@ class KernelReport:
     kernel_id: str
     mass: float
     first_moment: float
-    grid_moment: float
     monotone: bool
     moment_ok: bool
     jumps_ok: bool
@@ -476,7 +468,6 @@ def admissibility_report(kernel):
     monotone = bool(np.all(mu[1:] <= mu[:-1] + tol))
     if kernel.jumps:
         # exclude cells crossing a jump from the monotone scan: handled below
-        monotone = True
         drop = np.diff(mu) > tol
         jump_cells = np.zeros(mu.size - 1, dtype=bool)
         for s_n, _ in kernel.jumps:
@@ -486,7 +477,6 @@ def admissibility_report(kernel):
         failures.append("mu is not nonincreasing on the grid")
 
     fm = kernel.first_moment
-    grid_fm = float(np.sum(kernel.grid * mu) * kernel.ds)
     moment_tol = 10 * kernel.rtol if kernel._first_moment_exact is not None \
         else max(100 * kernel.ds ** 2, TABULATED_RTOL)
     moment_ok = abs(fm - 1.0) <= moment_tol
@@ -509,7 +499,7 @@ def admissibility_report(kernel):
 
     return KernelReport(
         kernel_id=kernel.kernel_id, mass=kernel.mass, first_moment=fm,
-        grid_moment=grid_fm, monotone=monotone, moment_ok=moment_ok,
+        monotone=monotone, moment_ok=moment_ok,
         jumps_ok=jumps_ok, nec_ok=nec.passed, nec_worst=nec.worst_ratio,
         theta=kernel.theta, delta_decay=kernel.delta_decay, failures=failures)
 
@@ -518,11 +508,17 @@ def admissibility_report(kernel):
 # kernel definition files
 # ---------------------------------------------------------------------------
 
+def path_beside(path, name):
+    """`name` resolved against the directory of the file `path`; absolute names pass."""
+    return os.path.join(os.path.dirname(os.path.abspath(path)), name)
+
+
 def load_kernel_file(path):
     """Build a kernel from a JSON definition.
 
     Fields: family (exponential | flatzone | tabulated), delta, theta,
-    jumps [(s, drop), ...], table (CSV path with s, mu columns), ds, s_max.
+    jumps [(s, drop), ...], table (CSV path with s, mu columns, relative to
+    this file), ds, s_max.
     """
     with open(path) as fh:
         try:
@@ -542,7 +538,7 @@ def load_kernel_file(path):
         return make_flatzone_kernel(ds=ds, s_max=spec.get("s_max"))
     if family == "tabulated":
         table_path = spec["table"]
-        data = np.genfromtxt(table_path, delimiter=",", names=True)
+        data = np.genfromtxt(path_beside(path, table_path), delimiter=",", names=True)
         return make_tabulated_kernel(
             data["s"], data["mu"], theta=spec["theta"],
             delta_decay=spec["delta"], ds=spec.get("ds"),

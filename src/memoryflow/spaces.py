@@ -50,11 +50,6 @@ class ModalVector:
     def __sub__(self, other):
         return ModalVector(self.coeffs - other.coeffs, self.lambdas)
 
-    def __mul__(self, a):
-        return ModalVector(self.coeffs * a, self.lambdas)
-
-    __rmul__ = __mul__
-
     def __repr__(self):
         return "ModalVector(J=%d)" % self.coeffs.size
 
@@ -97,12 +92,6 @@ class _GridField:
     def __sub__(self, other):
         return self._lin(other, 1.0, -1.0)
 
-    def __mul__(self, a):
-        return type(self)(self.nodes, self.values * a, self.weights,
-                          self.lambdas, self.ds)
-
-    __rmul__ = __mul__
-
 
 class HistoryField(_GridField):
     """Past-history variable eta(s) with node weights mu(s)*ds."""
@@ -134,10 +123,9 @@ class StateField(_GridField):
 
     kind = "state"
 
-    def __init__(self, nodes, values, weights, lambdas, ds, clamp=True):
+    def __init__(self, nodes, values, weights, lambdas, ds):
         super().__init__(nodes, values, weights, lambdas, ds)
-        if clamp:
-            self._clamp_tail()
+        self._clamp_tail()
 
     def _clamp_tail(self):
         lamw = self.lambdas ** (-1.0)
@@ -358,11 +346,11 @@ def write_rows(fh, *columns):
                           for row in rows]))
 
 
-def save_field_csv(field, path, kernel_id="", sigma_convention="lambda^(iota-1)"):
+def save_field_csv(field, path, kernel_id=""):
     header = ["node"] + ["mode_%d" % (j + 1) for j in range(field.lambdas.size)]
     with open(path, "w") as fh:
-        fh.write("# kind=%s kernel=%s ds=%.17g sigma=%s\n"
-                 % (field.kind, kernel_id, field.ds, sigma_convention))
+        fh.write("# kind=%s kernel=%s ds=%.17g sigma=lambda^(iota-1)\n"
+                 % (field.kind, kernel_id, field.ds))
         fh.write("# lambdas=%s\n" % ",".join("%.17g" % l for l in field.lambdas))
         fh.write(",".join(header) + "\n")
         write_rows(fh, field.nodes, field.values)

@@ -19,7 +19,13 @@ from .evolution import (
     _interp_many,
     integrate_ensemble,
 )
-from .kernels import KernelError, flatness_rate, split_sets, truncated_kernel
+from .kernels import (
+    KernelError,
+    flatness_rate,
+    path_beside,
+    split_sets,
+    truncated_kernel,
+)
 from .spaces import ExtendedVector, HistoryField, ModalVector, StateField, norm_H
 
 F_SELECTORS = ("zero", "cubic", "cubic_minus_linear")
@@ -42,7 +48,6 @@ class CollocationTransform:
         x = math.pi * m / M
         self.sines = math.sqrt(2.0 / math.pi) * np.sin(np.outer(x, j))
         self.quad_w = math.pi / M
-        self.x = x
 
     def to_physical(self, u):
         return np.matmul(self.sines, u[..., None])[..., 0]
@@ -220,14 +225,12 @@ class LKSplitResult:
     l_traj: Trajectory
     k_traj: Trajectory
     d_traj: Trajectory
-    base1: Trajectory
-    base2: Trajectory
     residual_rel: np.ndarray          # per step, relative to the state scale
     base_gap_rel: float               # D versus literal difference of bases
     degenerate: bool
 
 
-def lk_split(z1, z2, model, kernel, t_end, dt, *, window=None):
+def lk_split(z1, z2, model, kernel, t_end, dt):
     """Decompose the difference of two runs into linear and forced parts.
 
     Five systems advance as the rows of one batch: the two nonlinear bases,
@@ -257,7 +260,7 @@ def lk_split(z1, z2, model, kernel, t_end, dt, *, window=None):
     g_rows[:2] = model.g
     ops = ModelOperators(lam, g_rows, f)
     b1, b2, d, l, k = integrate_ensemble([z1, z2, d0, d0, k0], ops, kernel,
-                                         "history", dt, t_end, window=window)
+                                         "history", dt, t_end)
 
     scale0 = max(norm_H(z1, 0), norm_H(z2, 0), 1e-30)
     gap_u = l.u_snaps + k.u_snaps - d.u_snaps
@@ -267,7 +270,7 @@ def lk_split(z1, z2, model, kernel, t_end, dt, *, window=None):
                                     + np.sum(b1.v_snaps ** 2, axis=1)))
     base_gap = float(np.max(np.abs(d.u_snaps - (b1.u_snaps - b2.u_snaps))))
     return LKSplitResult(
-        l_traj=l, k_traj=k, d_traj=d, base1=b1, base2=b2,
+        l_traj=l, k_traj=k, d_traj=d,
         residual_rel=num / sc, base_gap_rel=base_gap / scale0,
         degenerate=degenerate)
 
@@ -279,7 +282,6 @@ def lk_split(z1, z2, model, kernel, t_end, dt, *, window=None):
 @dataclass
 class ConditionProbeReport:
     sup_norm: float
-    t_at_sup: float
     times: np.ndarray = field(repr=False)
     series: np.ndarray = field(repr=False)
 
@@ -304,8 +306,7 @@ def condition_asso_probe(traj, kernel, n_samples=60):
         psi_sq = float(np.sum(wts * (diff ** 2 @ lam)))
         x_sq = float(np.sum(lam * u_t ** 2) + np.sum(traj.v_snaps[idx] ** 2))
         series[i] = math.sqrt(x_sq + psi_sq)
-    i_max = int(np.argmax(series))
-    return ConditionProbeReport(float(series[i_max]), float(ts[i_max]), ts, series)
+    return ConditionProbeReport(float(np.max(series)), ts, series)
 
 
 def draw_random_state(model, kernel, radius, space, rng, framework="history"):
@@ -339,7 +340,7 @@ class HypothesisProbeReport:
 
 
 def hypothesis_probe_suite(model, kernel, radii, *, t_end=30.0, dt=2e-3,
-                           ensemble=2, seed=0, window=None):
+                           ensemble=2, seed=0):
     """Empirical boundedness probes over ensembles of ball data.
 
     Reports the late-time plateau of the H1 norm per radius, the sup of the
@@ -362,8 +363,7 @@ def hypothesis_probe_suite(model, kernel, radii, *, t_end=30.0, dt=2e-3,
     z0s = [draw_random_state(model, kernel, radius, "H1",
                              np.random.default_rng([seed, int(radius * 1000), e]))
            for radius in radii for e in range(ensemble)]
-    trajs = integrate_ensemble(z0s, ops, kernel, "history", dt, t_end,
-                               window=window)
+    trajs = integrate_ensemble(z0s, ops, kernel, "history", dt, t_end)
     plateau_h1 = {}
     accel_sup = {}
     sigma_plateaus = {}
@@ -408,18 +408,23 @@ def load_g_csv(path, J):
 
 
 def load_model_file(path):
-    """Model config: {J, domain, f, g, kernel}; returns (model, kernel_path)."""
+    """Model config: {J, domain, f, g, kernel}; returns (model, kernel_path).
+
+    Its data files are read relative to it; the kernel path is returned as written.
+    """
     with open(path) as fh:
         try:
             spec = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError("parse error in %s at line %d: %s"
                              % (path, exc.lineno, exc.msg)) from exc
-    J = int(spec["J"])
+    J = spec.get("J")
+    if isinstance(J, bool) or not isinstance(J, int) or J < 1:
+        raise ValueError("model field 'J' must be an integer >= 1, not %r" % (J,))
     domain = spec.get("domain", "interval_pi")
     lambdas = None
     if isinstance(domain, dict) and "eigenfile" in domain:
-        lambdas = np.loadtxt(domain["eigenfile"], ndmin=1)
+        lambdas = np.loadtxt(path_beside(path, domain["eigenfile"]), ndmin=1)
     elif domain != "interval_pi":
         raise ValueError("unknown domain %r" % domain)
     f_spec = spec.get("f", "cubic")
@@ -429,7 +434,7 @@ def load_model_file(path):
         f_spec = "cubic_minus_linear"
     g_spec = spec.get("g", 0)
     if isinstance(g_spec, str):
-        g = load_g_csv(g_spec, J)
+        g = load_g_csv(path_beside(path, g_spec), J)
     elif isinstance(g_spec, list):
         g = np.asarray(g_spec, dtype=float)
     else:

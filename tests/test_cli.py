@@ -6,6 +6,7 @@ import pytest
 
 from memoryflow import cli
 from memoryflow.cli import ExperimentConfig, main
+from memoryflow.viscoelastic import load_model_file
 
 
 @pytest.fixture()
@@ -56,6 +57,15 @@ def test_kernel_check_inadmissible(tmp_path, capsys):
     rc = main(["kernel", "check", str(spec)])
     assert rc == 1
     assert "failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--nec", "1", "nan"], ["--dafermos", "nan"]])
+def test_kernel_check_rejects_nan_flags(workdir, flags, capsys):
+    # a NaN delta used to pass the domination scan with worst ratio 0
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "check", str(workdir / "exp1.kernel.json")] + flags)
+    assert exc.value.code == 2
+    assert flags[0] in capsys.readouterr().err
 
 
 def test_simulate_zero_data(workdir, capsys):
@@ -166,7 +176,10 @@ def test_malformed_config(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("field,value", [("framework", "bogus"),
-                                         ("ensemble", 0), ("ensemble", 2.5)])
+                                         ("ensemble", 0), ("ensemble", 2.5),
+                                         ("t_end", math.inf), ("dt", math.nan),
+                                         ("seed", 1.7), ("seed", True),
+                                         ("seed", -1), ("model", None)])
 def test_config_rejects_bad_field(workdir, field, value):
     cfg = json.loads((workdir / "config.json").read_text())
     cfg[field] = value
@@ -179,12 +192,18 @@ def test_config_rejects_bad_field(workdir, field, value):
     ("simulate", "--cloud-stride", "-3"), ("simulate", "--cloud-stride", "0"),
     ("simulate", "--cloud-every", "-0.05"), ("simulate", "--cloud-every", "5"),
     ("energy-report", "--samples", "0"), ("lk-split", "--samples", "0"),
-    ("energy-report", "--samples", "1"), ("lk-split", "--samples", "5")])
+    ("energy-report", "--samples", "1"), ("lk-split", "--samples", "5"),
+    ("energy-report", "--sigma", "2"), ("energy-report", "--eps", "-1"),
+    ("energy-report", "--nu-small", "0"), ("energy-report", "--delta-split", "0"),
+    # the kernel mass is 1 and truncation needs nu_small / 2 below it
+    ("energy-report", "--nu-small", "2"),
+    ("hypotheses", "--radii", "-1"), ("lk-split", "--separation", "nan")])
 def test_bad_flag_exits_two(workdir, command, flag, value, capsys, monkeypatch):
     # config t_end is 1.0 and dt 5e-3; nothing is run or written
     def no_run(*args, **kwargs):
         raise AssertionError("an integration started")
-    for name in ("integrate", "integrate_ensemble", "lk_split"):
+    for name in ("integrate", "integrate_ensemble", "lk_split",
+                 "hypothesis_probe_suite"):
         monkeypatch.setattr(cli, name, no_run)
     out = workdir / "bad_flag"
     try:
@@ -195,6 +214,31 @@ def test_bad_flag_exits_two(workdir, command, flag, value, capsys, monkeypatch):
     assert rc == 2
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_bad_global_seed_exits_two(workdir, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--seed", "-3", "simulate", "--config", str(workdir / "config.json")])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("J", [0, 2.5, True, None])
+def test_model_file_rejects_bad_J(workdir, J):
+    (workdir / "bad_model.json").write_text(json.dumps({
+        "J": J, "f": "zero", "kernel": "exp1.kernel.json"}))
+    with pytest.raises(ValueError, match="'J'"):
+        load_model_file(str(workdir / "bad_model.json"))
+
+
+def test_model_without_kernel_exits_two(workdir, capsys):
+    (workdir / "no_kernel.json").write_text(json.dumps({"J": 1, "f": "zero"}))
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["model"] = "no_kernel.json"
+    (workdir / "no_kernel_cfg.json").write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(workdir / "no_kernel_cfg.json")])
+    assert rc == 2
+    assert "kernel" in capsys.readouterr().err
 
 
 @pytest.fixture()
@@ -261,3 +305,122 @@ def test_attract_roundtrip(workdir, tmp_path, capsys):
     assert rc == 0
     summary = json.loads((tmp_path / "summary.txt").read_text())
     assert summary["omega"] == pytest.approx(0.5, abs=1e-6)
+
+
+def test_data_files_resolve_against_their_file(tmp_path, monkeypatch, capsys):
+    # the kernel table, the eigenvalue file and the g CSV are named relative
+    # to the file that names them, and the run starts from another directory
+    cfg_dir, elsewhere = tmp_path / "cfg", tmp_path / "elsewhere"
+    cfg_dir.mkdir(), elsewhere.mkdir()
+    s = np.arange(0.0, 20.25, 0.5)
+    (cfg_dir / "tab.csv").write_text(
+        "s,mu\n" + "".join("%.17g,%.17g\n" % (x, math.exp(-x)) for x in s))
+    (cfg_dir / "tab.kernel.json").write_text(json.dumps({
+        "family": "tabulated", "table": "tab.csv", "theta": 1.1, "delta": 0.9,
+        "normalize": True}))
+    (cfg_dir / "eig.txt").write_text("1\n4\n")
+    (cfg_dir / "g.csv").write_text("mode,coeff\n1,0.5\n")
+    (cfg_dir / "model.json").write_text(json.dumps({
+        "J": 2, "domain": {"eigenfile": "eig.txt"}, "f": "zero", "g": "g.csv",
+        "kernel": "tab.kernel.json"}))
+    (cfg_dir / "config.json").write_text(json.dumps({
+        "model": "model.json", "dt": 5e-3, "t_end": 0.1, "initial": "zero",
+        "out": "out"}))
+    monkeypatch.chdir(elsewhere)
+    rc = main(["simulate", "--config", str(cfg_dir / "config.json")])
+    assert rc == 0
+    summary = read_summary(cfg_dir / "out")
+    assert summary["kernel"] == "tabulated:tab.csv"
+    # zero data driven by g = 0.5 on mode 1 only
+    data = np.loadtxt(cfg_dir / "out" / "traj_0.csv", delimiter=",", skiprows=1)
+    assert data[-1, 1] > 0.0 and np.all(data[:, 2] == 0.0)
+
+
+def test_simulate_state_clouds_then_attract(workdir, tmp_path, capsys):
+    # --framework and the global --seed override the config; the clouds
+    # feed attract, whose --out names a directory that does not exist yet
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg.update({"t_end": 0.1, "framework": "state", "seed": 3})
+    (workdir / "seed3.json").write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(workdir / "seed3.json"),
+               "--out", str(workdir / "direct")])
+    assert rc == 0
+    cfg.update({"framework": "history", "seed": 7})
+    (workdir / "short.json").write_text(json.dumps(cfg))
+    out = workdir / "overridden"
+    rc = main(["--seed", "3", "simulate", "--config", str(workdir / "short.json"),
+               "--framework", "state", "--cloud-every", "0.02", "--out", str(out)])
+    assert rc == 0
+    summary = read_summary(out)
+    assert summary["framework"] == "state" and summary["seed"] == 3
+    for name in ("traj_0.csv", "traj_1.csv"):
+        assert (out / name).read_bytes() == (workdir / "direct" / name).read_bytes()
+    clouds = sorted((out / "clouds").glob("cloud_t*.csv"))
+    assert [c.name for c in clouds] == ["cloud_t%.6f.csv" % t
+                                        for t in (0.02, 0.04, 0.06, 0.08, 0.1)]
+    report = tmp_path / "new" / "dir" / "attract.csv"
+    rc = main(["attract", "--bundle", str(out / "clouds"),
+               "--surrogate", str(out / "clouds"), "--out", str(report)])
+    assert rc == 0
+    data = np.loadtxt(report, delimiter=",", skiprows=1)
+    assert data.shape == (5, 2) and np.all(data[:, 1] == 0.0)
+    assert "note" in json.loads((report.parent / "summary.txt").read_text())
+
+
+def test_hypotheses_cli(workdir, capsys):
+    (workdir / "model4.json").write_text(json.dumps({
+        "J": 4, "f": "cubic", "kernel": "exp1.kernel.json"}))
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg.update({"model": "model4.json", "t_end": 0.1})
+    (workdir / "hyp.json").write_text(json.dumps(cfg))
+    rc = main(["hypotheses", "--config", str(workdir / "hyp.json"),
+               "--out", str(workdir / "hyp"), "--radii", "1", "2"])
+    assert rc == 0
+    data = np.loadtxt(workdir / "hyp" / "hypotheses.csv", delimiter=",",
+                      skiprows=1)
+    assert data.shape == (2, 3) and list(data[:, 0]) == [1.0, 2.0]
+    summary = read_summary(workdir / "hyp")
+    assert summary["radii"] == [1.0, 2.0]
+    assert summary["identity_gap"] < 1e-12
+
+
+@pytest.mark.parametrize("beta,expect", [(0.5, 0), (1.0, 2)])
+def test_simulate_cubic_minus_linear(workdir, beta, expect, capsys):
+    # beta must stay below lambda_1 = 1; the model differs from plain cubic
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["t_end"] = 0.1
+    for name, f in (("cml", {"cubic_minus_linear": beta}), ("cubic", "cubic")):
+        (workdir / ("model_%s.json" % name)).write_text(json.dumps({
+            "J": 2, "f": f, "kernel": "exp1.kernel.json"}))
+        cfg["model"] = "model_%s.json" % name
+        (workdir / (name + ".json")).write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(workdir / "cml.json"),
+               "--out", str(workdir / "cml")])
+    assert rc == expect
+    if expect:
+        assert "beta" in capsys.readouterr().err
+        return
+    assert main(["simulate", "--config", str(workdir / "cubic.json"),
+                 "--out", str(workdir / "cubic")]) == 0
+    a = np.loadtxt(workdir / "cml" / "traj_0.csv", delimiter=",", skiprows=1)
+    b = np.loadtxt(workdir / "cubic" / "traj_0.csv", delimiter=",", skiprows=1)
+    assert not np.array_equal(a, b)
+
+
+def test_kernel_file_with_jumps(workdir, capsys):
+    # a jump kernel passes its checks but the wave model refuses it
+    (workdir / "jump.kernel.json").write_text(json.dumps({
+        "family": "exponential", "delta": 1.0, "jumps": [[1.0, 0.5]]}))
+    rc = main(["kernel", "check", str(workdir / "jump.kernel.json")])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "jump_exponential(delta=1,n=1)" in out and "FAIL" not in out
+    (workdir / "model_jump.json").write_text(json.dumps({
+        "J": 1, "f": "zero", "kernel": "jump.kernel.json"}))
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["model"] = "model_jump.json"
+    (workdir / "jump.json").write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(workdir / "jump.json"),
+               "--out", str(workdir / "jump")])
+    assert rc == 2
+    assert "jump-free" in capsys.readouterr().err

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from support import random_smooth_history
 
@@ -20,11 +23,13 @@ from memoryflow.spaces import (
     ModalVector,
     big_l_map,
     norm_H,
+    right_translate,
 )
 from memoryflow.viscoelastic import (
     assemble,
     dissipation_integral_probe,
     draw_random_state,
+    lk_split,
     make_model,
 )
 
@@ -200,3 +205,63 @@ def test_decay_fit_stable_under_dt_halving(exp1):
         omegas.append(fit.omega)
         assert fit.omega > 0
     assert abs(omegas[0] - omegas[1]) < 0.02 * omegas[0] + 1e-4
+
+
+# -- randomized properties -----------------------------------------------------
+# derandomize keeps the examples, and so tier-1, the same on every run
+
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
+UNIT = st.floats(-1.0, 1.0)
+
+
+def modes(J):
+    return arrays(float, J, elements=UNIT)
+
+
+@st.composite
+def extended_states(draw, kernel):
+    """(u, v, eta) with eta(s) = a s^p exp(-b s) per mode, b >= 0."""
+    lam = np.arange(1.0, draw(st.integers(1, 4)) + 1.0) ** 2
+    u, v, a = (draw(modes(lam.size)) for _ in range(3))
+    p, b = draw(st.integers(0, 2)), draw(st.floats(0.0, 2.0))
+    eta = HistoryField.zeros(kernel, lam)
+    eta.values[:] = np.outer(eta.nodes ** p * np.exp(-b * eta.nodes), a)
+    return ExtendedVector(ModalVector(u, lam), ModalVector(v, lam), eta)
+
+
+@PROPERTY
+@given(data=st.data(), iota=st.sampled_from([0, 1]))
+def test_bridge_map_does_not_increase_norm(exp1, data, iota):
+    # the tolerance of acceptance criterion 2
+    z = data.draw(extended_states(exp1))
+    assert norm_H(big_l_map(z, exp1), iota) <= (1.0 + 1e-6) * norm_H(z, iota)
+
+
+COARSE = make_exponential_kernel(1.0, ds=0.1)      # 231 nodes
+
+
+@PROPERTY
+@given(values=arrays(float, (COARSE.grid.size, 2), elements=st.floats(-1e3, 1e3)),
+       a=st.integers(0, 250), b=st.integers(0, 250))
+def test_translation_semigroup_on_whole_cells(values, a, b):
+    eta = HistoryField.zeros(COARSE, np.array([1.0, 4.0]))
+    eta.values[:] = values
+    ds = COARSE.ds
+    twice = right_translate(right_translate(eta, a * ds), b * ds)
+    once = right_translate(eta, (a + b) * ds)
+    assert twice.values.tobytes() == once.values.tobytes()
+
+
+@PROPERTY
+@given(J=st.integers(1, 4), delta=st.floats(0.5, 2.0), data=st.data())
+def test_lk_split_superposition(J, delta, data):
+    # L + K = D to the bound of acceptance criterion 7, for any two cubic
+    # runs under any exponential kernel
+    kernel = make_exponential_kernel(delta)
+    model = make_model(J, f="cubic", g=data.draw(modes(J)))
+    lam = model.lambdas
+    z1, z2 = (ExtendedVector(ModalVector(data.draw(modes(J)), lam),
+                             ModalVector(data.draw(modes(J)), lam),
+                             HistoryField.zeros(kernel, lam)) for _ in range(2))
+    res = lk_split(z1, z2, model, kernel, 0.2, 1e-2)
+    assert np.max(res.residual_rel) <= 1e-12
