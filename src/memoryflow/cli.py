@@ -85,30 +85,41 @@ class ExperimentConfig:
         if raw.get("model") is None:
             raise ValueError("config field 'model' is required")
 
-        def checked(name, default, check):
+        def checked(name, value, check):
             # the flag checks, on the JSON text of the value: 2.5 and true
             # are not integers, and NaN and Infinity are not finite
             try:
-                return check(json.dumps(raw.get(name, default)))
+                return check(json.dumps(value))
             except argparse.ArgumentTypeError as exc:
                 raise ValueError("config field %r %s" % (name, exc)) from None
-        dt = checked("dt", 1e-3, _bounded(float))
-        t_end = checked("t_end", 10.0, _bounded(float))
+        dt = checked("dt", raw.get("dt", 1e-3), _bounded(float))
+        t_end = checked("t_end", raw.get("t_end", 10.0), _bounded(float))
         if dt <= 0 or t_end < dt:
             raise ValueError("config needs dt > 0 and t_end >= dt")
         framework = raw.get("framework", "history")
         if framework not in ("history", "state"):
             raise ValueError("config field 'framework' must be 'history' or "
                              "'state', not %r" % (framework,))
-        ensemble = checked("ensemble", 1, _bounded(int, 1))
+        ensemble = checked("ensemble", raw.get("ensemble", 1), _bounded(int, 1))
         initial = raw.get("initial", "zero")
         if isinstance(initial, dict) and "file" in initial:
             initial = {"file": rel(initial["file"])}
+        if isinstance(initial, dict) and "random_ball" in initial:
+            ball = initial["random_ball"]
+            if not isinstance(ball, dict):
+                raise ValueError("config field 'initial.random_ball' must be an "
+                                 "object, not %r" % (ball,))
+            space = ball.get("space", "H0")
+            if space not in ("H0", "H1"):
+                raise ValueError("config field 'initial.random_ball.space' must be "
+                                 "'H0' or 'H1', not %r" % (space,))
+            initial = {"random_ball": {"space": space, "radius": checked(
+                "initial.random_ball.radius", ball.get("radius"), _bounded(float, 0.0))}}
         return cls(
             kernel_path=rel(raw.get("kernel")),
             model_path=rel(raw.get("model")),
             framework=framework, dt=dt, t_end=t_end, ensemble=ensemble,
-            seed=checked("seed", 0, _bounded(int, 0)),
+            seed=checked("seed", raw.get("seed", 0), _bounded(int, 0)),
             initial=initial,
             out_dir=rel(raw.get("out", ".")))
 
@@ -134,8 +145,7 @@ def initial_state(cfg, model, kernel, index):
     if isinstance(recipe, dict) and "random_ball" in recipe:
         ball = recipe["random_ball"]
         rng = np.random.default_rng([cfg.seed, index])
-        return draw_random_state(model, kernel, float(ball["radius"]),
-                                 ball.get("space", "H0"), rng,
+        return draw_random_state(model, kernel, ball["radius"], ball["space"], rng,
                                  framework=cfg.framework)
     if isinstance(recipe, dict) and "file" in recipe:
         data = np.loadtxt(recipe["file"], delimiter=",", skiprows=1, ndmin=2)[0]

@@ -11,6 +11,13 @@ second order overall.
 An ensemble is a batch axis: `integrate_ensemble` steps all members together
 as rows of member-major arrays, and each row is bitwise equal to the same
 member integrated alone.
+
+Linear runs (f = None) whose window sum is recursive, as it is for every
+exponential kernel, and whose window spans more than BLOCK steps, advance
+BLOCK steps per Python pass (`_integrate_blocks`): a step is then a fixed
+small matrix per mode, one stacked matmul, and the stores and the blow-up
+guard run once per block.  Its results match the step-by-step path to
+roundoff.  Every other run steps one at a time through `MemoryForce`.
 """
 
 from dataclasses import dataclass
@@ -182,7 +189,30 @@ class MemoryForce:
 
     def set_initial_memory(self, mems):
         """Initial memory per member; only nonzero rows pay for its term."""
+        self._rows = (len(mems), mems[0].values.shape[1])
         self._mem0 = [(e, mem) for e, mem in enumerate(mems) if np.any(mem.values)]
+
+    def initial_terms(self, ns):
+        """The initial-memory part of the force at steps ns, as (len(ns), E, J).
+
+        History: int mu(t + s) eta0(s) ds while t = n dt is inside the
+        window.  State: int_t^inf xi0, with each cell weighted by its share
+        past t, which is zero on every cell once t is past the support.
+        """
+        t = ns[:, None] * self.dt
+        out = np.zeros((ns.size,) + self._rows)
+        for e, mem in self._mem0:
+            live = ns <= self.w_nodes if self.framework == "history" \
+                else t[:, 0] < mem.nodes[-1] + 0.5 * mem.ds
+            if not live.any():
+                continue
+            # one product over all of ns, so a row's bits do not depend on
+            # which other rows are live
+            wts = np.asarray(self.kernel.mu(t + mem.nodes), dtype=float) \
+                if self.framework == "history" \
+                else np.clip((mem.nodes + 0.5 * mem.ds - t) / mem.ds, 0.0, 1.0)
+            out[live, e] = ((wts @ mem.values) * mem.ds)[live]
+        return out
 
     def _window(self, n, X):
         """sum_{i=1..m} w_i X[:, n-i] - w_m X[:, n-m] / 2 with m = min(n, W).
@@ -244,10 +274,8 @@ class MemoryForce:
         if n != self._n:
             past = self._carry(n, P).copy() if self._q is not None \
                 else -dt * self._window(n, P)
-            if m == n:
-                for e, mem in self._mem0:
-                    wts = np.asarray(self.kernel.mu(n * dt + mem.nodes), dtype=float)
-                    past[e] += (wts @ mem.values) * mem.ds
+            if self._mem0:
+                past += self.initial_terms(np.array([n]))[0]
             self._n, self._past = n, past
         if self._q is None:
             out = (dt * self._wsum[m]) * P[:, n] + self._past
@@ -270,13 +298,8 @@ class MemoryForce:
                 past = self._carry(n, a).copy()
                 if m > 0:
                     past += self._edge[m] * a[:, n - m]
-            theta = n * dt
-            for e, mem in self._mem0:
-                # cover is zero on every node once theta is past the support
-                if theta < mem.nodes[-1] + 0.5 * mem.ds:
-                    cover = np.clip((mem.nodes + 0.5 * mem.ds - theta) / mem.ds,
-                                    0.0, 1.0)
-                    past[e] += (cover @ mem.values) * mem.ds
+            if self._mem0:
+                past += self.initial_terms(np.array([n]))[0]
             self._n, self._past = n, past
         if m == 0:
             return self._past.copy()
@@ -357,6 +380,126 @@ def _check_state(u, v, t):
             raise BlowUpError(t)
 
 
+def _step_map(mf, lam, g, s):
+    """One predictor-corrector step of an f = None run as per-mode matrices.
+
+    The step is the row z = (u, v, p, h, F, x0, x1, xt, m0, m1, 1) at n
+    times an (11, 5) matrix per mode, which gives (u, v, p, h) at n+1 and
+    F = F(n).  Here p = X[n-1] and h is the carry of `MemoryForce._carry`
+    of mf, with X = P in the history framework and A in the state
+    framework; the F slot is not read.  The inputs x0 = X[n-m], x1 =
+    X[n+1-m1], xt = X[n-top] and the initial-memory terms m0, m1 at n and
+    n+1 are final before n.  The matrix depends on n only through the
+    scalars s = (a[n], b[n], a[n+1], b[n+1], leave [n >= top]), where
+    (a, b) is (gain, edge) in the history framework and (dt k(0)/2, edge)
+    in the state framework, both 0 at n = 0.  For s of shape (5, K) it
+    returns (K, J, 11, 5), from `_rk4` run on unit inputs as in
+    `_affine_rk4`.
+    """
+    a0, b0, a1, b1, lv = np.asarray(s, dtype=float)[:, :, None, None]
+    u, v, p, h, _, x0, x1, xt, m0, m1, one = np.eye(11)[:, :, None] * np.ones(lam.size)
+    ops, dt, q = ModelOperators(lam, one * g), mf.dt, mf._q
+    if mf.framework == "history":
+        Pn = lam * u
+        F0 = h + m0 + a0 * (Pn - p) + b0 * (Pn - x0)
+        up, _, _ = _rk4(ops, u, v, dt, F0, F0)
+        h1 = q * (h + a0 * (Pn - p)) - lv * (Pn - xt)
+        F1 = h1 + m1 + a1 * (lam * up - Pn) + b1 * (lam * up - x1)
+        p1 = Pn
+    else:
+        F0 = h + m0 + a0 * lam * v + b0 * x0
+        _, vp, _ = _rk4(ops, u, v, dt, F0, F0)
+        h1 = q * h + mf._c * lam * v - lv * xt
+        F1 = h1 + m1 + a1 * lam * vp + b1 * x1
+        p1 = 0.0 * p
+    un, vn, _ = _rk4(ops, u, v, dt, F0, F1)
+    return np.moveaxis(np.stack(np.broadcast_arrays(un, vn, p1, h1, F0), axis=-1), -2, 1)
+
+
+def _monomials(s, pairs):
+    """Rows (1, s_i, s_i s_j for (i, j) in pairs) of rows s; a step map is
+    linear in them."""
+    i, j = pairs
+    return np.concatenate([np.ones((len(s), 1)), s, s[:, i] * s[:, j]], axis=1)
+
+
+def _block_path(ops, mf):
+    """Whether a run takes `_integrate_blocks`: f = None and a recursive window
+    of top >= BLOCK nodes, fixed by the whole window, not by the run length."""
+    return ops.f is None and mf._q is not None and mf._top >= BLOCK
+
+
+def _integrate_blocks(mf, ops, lam, U, V, P, A, F):
+    """Fill U, V, P, A and F of an f = None run with a recursive window.
+
+    Steps run BLOCK at a time from n = 0.  The matrix of `_step_map` is a
+    polynomial of degree 2 in its five scalars, so a block's matrices are
+    one product with monomial coefficients fitted once, and one matrix
+    serves every step past the window.  The inputs read rows before the
+    block (top >= BLOCK), so a step is one stacked matmul; the stores and
+    the blow-up guard run once per block, and the guard reports the first
+    bad row, as the stepwise loop does.
+    """
+    E, n_steps, J = U.shape[0], U.shape[1] - 1, lam.size
+    dt = mf.dt
+    X = P if mf.framework == "history" else A
+    top = mf._top
+    # the scalars of the step from n = 0..n_steps; at n_steps only the F
+    # column is used, which does not read a[n+1] or b[n+1]
+    n = np.arange(n_steps + 1)
+    b = np.where(n > 0, mf._edge[np.minimum(n, mf.w_nodes)], 0.0)
+    a = mf._gain[np.minimum(n, top)] if mf.framework == "history" \
+        else np.where(n > 0, 0.5 * dt * mf.k_dt[0], 0.0)
+    up = np.minimum(n + 1, n_steps)
+    scalars = np.column_stack([a, b, a[up], b[up], np.where(n >= top, mf._leave, 0.0)])
+    # the monomial coefficients, from the map at 0, e_i and e_i + e_j, are
+    # exactly 0 in this order of differences where the map does not read
+    # the scalars, so the F column at n_steps does not see a[n+1], b[n+1]
+    i, j = pairs = np.triu_indices(5, 1)
+    eye = np.eye(5)
+    f = _step_map(mf, lam, ops.g, np.vstack([np.zeros(5), eye, eye[i] + eye[j]]).T)
+    f = f.reshape(len(f), -1)
+    coef = np.concatenate([f[:1], f[1:6] - f[0], f[6:] - f[1 + j] - (f[1 + i] - f[0])])
+    steady = _monomials(scalars[[min(top + 1, n_steps)]], pairs) @ coef
+    steady = np.broadcast_to(steady.reshape(1, J, 11, 5), (BLOCK, J, 11, 5))
+
+    z = np.zeros((BLOCK + 1, E, J, 1, 11))     # the rows of `_step_map`, per step
+    z[0, :, :, 0, 0] = U[:, 0]
+    z[0, :, :, 0, 1] = V[:, 0]
+    z[..., 10] = 1.0
+    for n0 in range(0, n_steps + 1, BLOCK):
+        ns = n0 + np.arange(BLOCK)
+        M = steady if n0 > top else (_monomials(scalars[np.minimum(ns, n_steps)], pairs)
+                                     @ coef).reshape(BLOCK, J, 11, 5)
+        for k, rows in enumerate([ns - np.minimum(ns, top + 1),
+                                  ns + 1 - np.minimum(ns + 1, top + 1),
+                                  np.maximum(ns - top, 0)]):
+            z[:BLOCK, :, :, 0, 5 + k] = X[:, rows].swapaxes(0, 1)
+        if mf._mem0:
+            mem = mf.initial_terms(np.arange(n0, n0 + BLOCK + 1))
+            z[:BLOCK, :, :, 0, 8] = mem[:-1]
+            z[:BLOCK, :, :, 0, 9] = mem[1:]
+        L = min(BLOCK, n_steps - n0)
+        # the last block takes one more row, whose F slot is the force at
+        # n_steps, from the same matrix row as at every step
+        last = L + 1 if n0 + BLOCK > n_steps else L
+        with np.errstate(over="ignore", invalid="ignore"):
+            for l in range(last):
+                np.matmul(z[l], M[l], out=z[l + 1, ..., :5])
+            new = slice(n0 + 1, n0 + L + 1)
+            U[:, new] = z[1:L + 1, :, :, 0, 0].swapaxes(0, 1)
+            V[:, new] = z[1:L + 1, :, :, 0, 1].swapaxes(0, 1)
+            F[:, n0:n0 + last] = z[1:last + 1, :, :, 0, 4].swapaxes(0, 1)
+            P[:, new] = lam * U[:, new]
+            A[:, new] = lam * V[:, new]
+            ok = ((np.abs(U[:, new]) <= BLOWUP_GUARD)
+                  & (np.abs(V[:, new]) <= BLOWUP_GUARD)).all(axis=(0, 2))
+        if not ok.all():
+            bad = n0 + int(np.argmin(ok))          # the step whose end left the guard
+            raise BlowUpError(bad * dt + dt)
+        z[0] = z[L]
+
+
 def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end, *, window=None):
     """Advance all members of z0s together to t_end; one trajectory each.
 
@@ -391,6 +534,20 @@ def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end, *, window=None):
 
     mf = MemoryForce(kernel, framework, dt, n_steps, window)
     mf.set_initial_memory([z0.memory for z0 in z0s])
+    advance = _integrate_blocks if _block_path(ops, mf) else _integrate_steps
+    advance(mf, ops, lam, U, V, P, A, F)
+
+    times = np.arange(n_steps + 1) * dt
+    return [Trajectory(
+        times=times, u_snaps=U[e], v_snaps=V[e], a_prim=P[e], a_vals=A[e],
+        force_snaps=F[e], initial_memory=z0.memory.copy(), window=window,
+        framework=framework, dt=dt, kernel_id=kernel.kernel_id, lambdas=lam)
+        for e, z0 in enumerate(z0s)]
+
+
+def _integrate_steps(mf, ops, lam, U, V, P, A, F):
+    """Fill U, V, P, A and F one predictor-corrector step at a time."""
+    n_steps, dt = U.shape[1] - 1, mf.dt
     affine = _affine_rk4(lam, ops.g, dt) if ops.f is None else None
 
     def advance(n, F0, F1, shared=None):
@@ -411,13 +568,6 @@ def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end, *, window=None):
         F[:, n] = F0
         _check_state(U[:, n + 1], V[:, n + 1], n * dt + dt)
     F[:, n_steps] = mf.force(n_steps, P, A)
-
-    times = np.arange(n_steps + 1) * dt
-    return [Trajectory(
-        times=times, u_snaps=U[e], v_snaps=V[e], a_prim=P[e], a_vals=A[e],
-        force_snaps=F[e], initial_memory=z0.memory.copy(), window=window,
-        framework=framework, dt=dt, kernel_id=kernel.kernel_id, lambdas=lam)
-        for e, z0 in enumerate(z0s)]
 
 
 def integrate(z0, ops, kernel, framework, dt, t_end, *, window=None):

@@ -526,22 +526,35 @@ def load_kernel_file(path):
         except json.JSONDecodeError as exc:
             raise KernelError("parse error in %s at line %d: %s"
                               % (path, exc.lineno, exc.msg)) from exc
+
+    def positive(name, default=None, required=False):
+        # a finite number > 0, or the default when the field is absent
+        value = spec.get(name, default)
+        if value is None and not required:
+            return None
+        if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                or not (math.isfinite(value) and value > 0):
+            raise KernelError("kernel field %r must be a finite number > 0, not %r in %s"
+                              % (name, value, path))
+        return value
+
     family = spec.get("family")
-    ds = spec.get("ds", DEFAULT_DS)
+    ds = positive("ds", DEFAULT_DS)
+    s_max = positive("s_max")
     if family == "exponential":
+        delta = positive("delta", required=True)
         jumps = spec.get("jumps") or []
         if jumps:
-            return make_jump_exponential_kernel(
-                spec["delta"], jumps, ds=ds, s_max=spec.get("s_max"))
-        return make_exponential_kernel(spec["delta"], ds=ds, s_max=spec.get("s_max"))
+            return make_jump_exponential_kernel(delta, jumps, ds=ds, s_max=s_max)
+        return make_exponential_kernel(delta, ds=ds, s_max=s_max)
     if family == "flatzone":
-        return make_flatzone_kernel(ds=ds, s_max=spec.get("s_max"))
+        return make_flatzone_kernel(ds=ds, s_max=s_max)
     if family == "tabulated":
         table_path = spec["table"]
         data = np.genfromtxt(path_beside(path, table_path), delimiter=",", names=True)
         return make_tabulated_kernel(
-            data["s"], data["mu"], theta=spec["theta"],
-            delta_decay=spec["delta"], ds=spec.get("ds"),
+            data["s"], data["mu"], theta=positive("theta", required=True),
+            delta_decay=positive("delta", required=True), ds=positive("ds"),
             kernel_id=spec.get("id", "tabulated:%s" % table_path),
             normalize=spec.get("normalize", False))
     raise KernelError("unknown kernel family %r in %s" % (family, path))

@@ -321,7 +321,9 @@ def draw_random_state(model, kernel, radius, space, rng, framework="history"):
     mem = HistoryField.zeros(kernel, lam) if framework == "history" \
         else StateField.zeros(kernel, lam)
     z = ExtendedVector(ModalVector(u, lam), ModalVector(v, lam), mem)
-    iota = {"H0": 0, "H1": 1}[space]
+    if space not in ("H0", "H1"):
+        raise ValueError("space must be 'H0' or 'H1', not %r" % (space,))
+    iota = int(space[1])
     nz = norm_H(z, iota)
     if nz > 0:
         z.u.coeffs *= radius / nz

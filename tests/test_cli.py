@@ -6,6 +6,7 @@ import pytest
 
 from memoryflow import cli
 from memoryflow.cli import ExperimentConfig, main
+from memoryflow.kernels import KernelError, load_kernel_file
 from memoryflow.viscoelastic import load_model_file
 
 
@@ -57,6 +58,26 @@ def test_kernel_check_inadmissible(tmp_path, capsys):
     rc = main(["kernel", "check", str(spec)])
     assert rc == 1
     assert "failed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field,value", [
+    ("delta", math.nan), ("delta", 0.0), ("delta", "2"), ("delta", None),
+    ("ds", math.inf), ("ds", -1e-3), ("s_max", math.nan), ("s_max", 0),
+    ("theta", math.nan), ("theta", -1.0)])
+def test_kernel_file_rejects_bad_number(workdir, field, value, capsys):
+    # NaN used to fail deep inside the grid set-up, naming no field
+    if field == "theta":
+        (workdir / "t.csv").write_text("s,mu\n0.0,2.0\n1.0,1.0\n2.0,0.0\n")
+        spec = {"family": "tabulated", "table": "t.csv", "theta": 1.0, "delta": 1.0}
+    else:
+        spec = {"family": "exponential", "delta": 1.0}
+    spec[field] = value
+    (workdir / "exp1.kernel.json").write_text(json.dumps(spec))
+    with pytest.raises(KernelError, match="kernel field %r" % field):
+        load_kernel_file(str(workdir / "exp1.kernel.json"))
+    assert main(["simulate", "--config", str(workdir / "config.json"),
+                 "--out", str(workdir / "out")]) == 2
+    assert "kernel field %r" % field in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--nec", "1", "nan"], ["--dafermos", "nan"]])
@@ -179,13 +200,22 @@ def test_malformed_config(tmp_path, capsys):
                                          ("ensemble", 0), ("ensemble", 2.5),
                                          ("t_end", math.inf), ("dt", math.nan),
                                          ("seed", 1.7), ("seed", True),
-                                         ("seed", -1), ("model", None)])
+                                         ("seed", -1), ("model", None),
+                                         ("initial.random_ball", 3),
+                                         ("initial.random_ball.space", "H2"),
+                                         ("initial.random_ball.radius", math.nan),
+                                         ("initial.random_ball.radius", -1.0)])
 def test_config_rejects_bad_field(workdir, field, value):
     cfg = json.loads((workdir / "config.json").read_text())
-    cfg[field] = value
+    *outer, name = field.split(".")
+    node = cfg
+    for key in outer:
+        node = node[key]
+    node[name] = value
     (workdir / "bad.json").write_text(json.dumps(cfg))
     with pytest.raises(ValueError, match=field):
         ExperimentConfig.from_file(str(workdir / "bad.json"))
+    assert main(["simulate", "--config", str(workdir / "bad.json")]) == 2
 
 
 @pytest.mark.parametrize("command,flag,value", [

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from memoryflow.spaces import (
     StateField,
     lambda_map,
 )
+from memoryflow import evolution
 from memoryflow.evolution import (
     BlowUpError,
     ModelOperators,
@@ -138,7 +140,9 @@ def test_integrate_ensemble_matches_solo_runs(exp1):
 
 def test_affine_stepper_matches_generic_rk4(exp1):
     # assemble gives f = "zero" as f = None, so its runs skip the RK4
-    # stages; the same model with an f that returns zeros takes _rk4
+    # stages; the same model with an f that returns zeros takes _rk4.
+    # window=0.5 at dt=2e-3 is 250 nodes, so f = None runs a block at a
+    # time here, and this pins the block path to the generic RK4
     model = make_model(8, f="zero", g=[0.5, 0, 0.3, 0, 0, 0, 0, -0.2])
     ops = assemble(model, exp1)
     assert ops.f is None
@@ -369,6 +373,95 @@ def test_integrate_ensemble_matches_solo_runs_past_the_window(exp1):
                 solo = integrate(z0, ops, exp1, framework, WIN_DT, t_end, window=WIN)
                 for name in ("u_snaps", "v_snaps", "a_prim", "a_vals", "force_snaps"):
                     assert np.array_equal(getattr(traj, name), getattr(solo, name))
+
+
+# -- linear runs a block at a time ----------------------------------------------
+
+def block_and_stepwise(monkeypatch, *args, **kwargs):
+    """integrate_ensemble as it runs, and again with the block path turned off."""
+    fast = integrate_ensemble(*args, **kwargs)
+    with monkeypatch.context() as m:
+        m.setattr(evolution, "_block_path", lambda ops, mf: False)
+        slow = integrate_ensemble(*args, **kwargs)
+    return fast, slow
+
+
+def test_block_path_matches_stepwise(exp1, monkeypatch):
+    # 3 members, one with nonzero initial memory; runs of 165, 512 = 16
+    # BLOCK and 565 steps, windows of 33 and 250 nodes (shorter than the
+    # run) and of the kernel cutoff, 11515 nodes (longer)
+    ops, runs = window_runs(exp1, "zero")
+    cases = [(0.33, None), (1.13, WIN), (1.024, WIN),
+             (1.13, (evolution.BLOCK + 1) * WIN_DT)]
+    for framework, z0s in runs:
+        for t_end, window in cases:
+            fast, slow = block_and_stepwise(monkeypatch, z0s, ops, exp1, framework,
+                                            WIN_DT, t_end, window=window)
+            for got, want in zip(fast, slow):
+                for name in ("u_snaps", "v_snaps", "a_prim", "a_vals", "force_snaps"):
+                    w = getattr(want, name)
+                    np.testing.assert_allclose(getattr(got, name), w, rtol=0,
+                                               atol=1e-12 * np.abs(w).max())
+
+
+def test_block_path_prefix_property_inside_the_window(exp1):
+    # the kernel-cutoff window (11515 nodes) outlasts both runs; 160 steps
+    # is 5 BLOCK, so the force at the end comes from a block of its own
+    ops, runs = window_runs(exp1, "zero")
+    for framework, z0s in runs:
+        for n_steps in (160, 165):
+            short = integrate(z0s[1], ops, exp1, framework, WIN_DT, n_steps * WIN_DT)
+            long = integrate(z0s[1], ops, exp1, framework, WIN_DT, 2 * n_steps * WIN_DT)
+            for name in ("u_snaps", "v_snaps", "force_snaps"):
+                assert np.array_equal(getattr(short, name),
+                                      getattr(long, name)[:n_steps + 1])
+
+
+def test_block_path_runs_where_it_applies(exp1, monkeypatch):
+    calls = []
+    blocks = evolution._integrate_blocks
+    monkeypatch.setattr(evolution, "_integrate_blocks",
+                        lambda *args: calls.append(1) or blocks(*args))
+    triangle = make_tabulated_kernel([0.0, 1.0], [6.0, 0.0], theta=1.0,
+                                     delta_decay=1.0)
+
+    def took_blocks(f, kernel, window):
+        model = make_model(4, f=f)
+        z0 = draw_random_state(model, kernel, 1.0, "H1", np.random.default_rng(2))
+        calls.clear()
+        integrate(z0, assemble(model, kernel), kernel, "history", WIN_DT, 0.2,
+                  window=window)
+        return bool(calls)
+
+    # top = window nodes - 1 decides, not the run length of 100 steps
+    top_is_block = (evolution.BLOCK + 1) * WIN_DT
+    assert took_blocks("zero", exp1, None)
+    assert took_blocks("zero", exp1, top_is_block)
+    assert not took_blocks("zero", exp1, top_is_block - WIN_DT)
+    assert not took_blocks("zero", triangle, WIN)
+    assert not took_blocks("cubic", exp1, None)
+
+
+@pytest.mark.parametrize("lam2,u0,t_blow", [
+    # a stiff mode, unstable at dt = 1e-2, leaves the guard in the third block
+    (1e5, 1e-30, {"history": 0.6, "state": 0.91}),
+    # ... or at step 4, and then overflows to inf and NaN before the block ends
+    (1e30, 1e-300, {"history": 0.04, "state": 0.04})])
+def test_block_path_blow_up_time_matches_stepwise(exp1, monkeypatch, lam2, u0, t_blow):
+    lam = np.array([1.0, lam2])
+    ops = linear_ops(lam)
+    for framework, field in (("history", HistoryField), ("state", StateField)):
+        z0 = ExtendedVector(ModalVector(np.array([1.0, u0]), lam),
+                            ModalVector.zeros(lam), field.zeros(exp1, lam))
+        times = []
+        for block_path in (evolution._block_path, lambda ops, mf: False):
+            monkeypatch.setattr(evolution, "_block_path", block_path)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(BlowUpError) as exc:
+                    integrate(z0, ops, exp1, framework, 1e-2, 5.0)
+            times.append(exc.value.t)
+        assert times[0] == times[1] == pytest.approx(t_blow[framework])
 
 
 # -- history reconstruction ----------------------------------------------------

@@ -166,6 +166,12 @@ def test_energy_equals_norm_sq_at_sigma0(exp1):
                                                         rel=1e-13)
 
 
+def test_draw_random_state_rejects_unknown_space(exp1):
+    model = make_model(3, f="zero")
+    with pytest.raises(ValueError, match="H2"):
+        draw_random_state(model, exp1, 1.0, "H2", np.random.default_rng(8))
+
+
 def test_energy_dissipation_identity(exp1):
     # linear run: the per-step discrete dE0/dt tracks the mu'-weighted
     # history mass; a coarser difference stencil would be polluted by the
