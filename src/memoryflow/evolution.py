@@ -12,6 +12,14 @@ An ensemble is a batch axis: `integrate_ensemble` steps all members together
 as rows of member-major arrays, and each row is bitwise equal to the same
 member integrated alone.
 
+A step keeps w = (u, v) as one (2, E, J) array and its four RK4 stages in
+one (4, 3, E, J) buffer of (u_i, v_i, a_i) rows, so each stage update and
+the final combination is one numpy expression over both halves (`_rk4`).
+The corrector reuses the predictor's stage 1, its u-stages 2-3 and f there,
+so a step evaluates f five times, not eight.  Every element goes through
+the operations of the textbook predictor-corrector scheme in its order, so
+the results are its bits.
+
 Linear runs (f = None) whose window sum is recursive, as it is for every
 exponential kernel, and whose window spans more than BLOCK steps, advance
 BLOCK steps per Python pass (`_integrate_blocks`): a step is then a fixed
@@ -20,6 +28,7 @@ guard run once per block.  Its results match the step-by-step path to
 roundoff.  Every other run steps one at a time through `MemoryForce`.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,12 +71,16 @@ class ModelOperators:
     g: np.ndarray
     f: object = None
 
-    def accel(self, u, F, fu=None):
-        """-lambdas*u - F - fu + g, given fu = f(u), or None when f is."""
-        a = -self.lambdas * u - F
+    def __post_init__(self):
+        self._neg_lambdas = -self.lambdas
+
+    def accel(self, u, F, fu=None, out=None):
+        """-lambdas*u - F - fu + g, given fu = f(u), or None when f is; into
+        `out` if given, with the same bits either way."""
+        a = np.subtract(np.multiply(self._neg_lambdas, u, out=out), F, out=out)
         if fu is not None:
-            a = a - fu
-        return a + self.g
+            a = np.subtract(a, fu, out=out)
+        return np.add(a, self.g, out=out)
 
 
 @dataclass
@@ -320,32 +333,46 @@ def _geometric_ratio(w):
     return q if np.all(np.abs(w - fit) <= GEOMETRIC_RTOL * fit) else None
 
 
-def _rk4(ops, u, v, dt, F0, F1, shared=None):
-    """One RK4 pass for u' = v with the memory force linear in time across the step.
+def _stages(u, v, shape):
+    """A stage buffer for `_rk4` on rows of `shape`, holding w = (u, v)."""
+    S = np.empty((4, 3) + shape)
+    S[0, 0], S[0, 1] = u, v
+    return S
 
-    The u-stages 1-3 read u, v and F0 only, so they are the same in the
-    predictor pass (F1 = F0) and the corrector pass: the corrector takes the
-    predictor's f values there as `shared` and evaluates f once, at stage 4.
-    Returns un, vn and the f values at stages 1-3.
+
+def _rk4(ops, S, dt, F0, F1, shared=None, out=None):
+    """One RK4 pass for w = (u, v), w' = (v, a), with the memory force linear
+    in time across the step.
+
+    S is a (4, 3, ...) stage buffer whose S[i] holds (u_i, v_i, a_i), so
+    the slope of stage i is the view S[i, 1:]; S[0, :2] holds w on entry.
+    Stage 1 and the u-stages 2-3 read w and F0 only, so they are the same
+    in the predictor pass (F1 = F0) and the corrector pass.  A pass given
+    the predictor's f values at stages 1-3 as `shared` is a corrector: it
+    keeps S[0] and S[1, :2] as the predictor left them, recomputes from a2
+    on and evaluates f once, at stage 4.  Returns w + dt/6 (k1 + 2 k2 +
+    2 k3 + k4), into `out` if given, and the f values at stages 1-3.
     """
     f = ops.f if ops.f is not None else (lambda u: None)
-    f1, f2, f3 = shared if shared is not None else (f(u), None, None)
+    w, u, k = S[0, :2], S[:, 0], S[:, 1:]
     h = 0.5 * dt
     Fm = 0.5 * (F0 + F1)
-    a1 = ops.accel(u, F0, f1)
-    u2, v2 = u + h * v, v + h * a1
     if shared is None:
-        f2 = f(u2)
-    a2 = ops.accel(u2, Fm, f2)
-    u3, v3 = u + h * v2, v + h * a2
+        f1 = f(u[0])
+        ops.accel(u[0], F0, f1, out=S[0, 2])
+        np.add(w, h * k[0], out=S[1, :2])
+        f2 = f(u[1])
+    else:
+        f1, f2, f3 = shared
+    ops.accel(u[1], Fm, f2, out=S[1, 2])
+    np.add(w, h * k[1], out=S[2, :2])
     if shared is None:
-        f3 = f(u3)
-    a3 = ops.accel(u3, Fm, f3)
-    u4, v4 = u + dt * v3, v + dt * a3
-    a4 = ops.accel(u4, F1, f(u4))
-    un = u + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4)
-    vn = v + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-    return un, vn, (f1, f2, f3)
+        f3 = f(u[2])
+    ops.accel(u[2], Fm, f3, out=S[2, 2])
+    np.add(w, dt * k[2], out=S[3, :2])
+    ops.accel(u[3], F1, f(u[3]), out=S[3, 2])
+    wn = np.add(w, (dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]), out=out)
+    return wn, (f1, f2, f3)
 
 
 def _affine_rk4(lam, g, dt):
@@ -353,31 +380,24 @@ def _affine_rk4(lam, g, dt):
 
     The pass is affine in (u, v, F0, F1) and diagonal in the modes, so
     `_rk4` itself, run once on unit inputs and on g alone, gives the
-    coefficients and the constant part.  The returned step(u, v, F0, F1)
-    takes (E, J) rows; the predictor passes F0 as F1, whose two
-    coefficients are then one.
+    coefficients and the constant part.  The returned step(w, F0, F1, out)
+    takes w = (u, v) as (2, E, J) and returns w one pass on, into `out` if
+    given; the predictor passes F0 as F1, whose two coefficients are then
+    one.
     """
     rows = np.eye(5)[:, :, None] * np.ones(lam.size)   # inputs u, v, F0, F1, g
     u, v, F0, F1, G = rows
-    un, vn, _ = _rk4(ModelOperators(lam, G * g), u, v, dt, F0, F1)
+    wn, _ = _rk4(ModelOperators(lam, G * g), _stages(u, v, u.shape), dt, F0, F1)
     # (input, output u|v, 1, J): one product per input gives both outputs
-    cu, cv, c0, c1, cg = np.stack([un, vn], axis=1)[:, :, None, :]
+    cu, cv, c0, c1, cg = wn.swapaxes(0, 1)[:, :, None, :]
     c01 = c0 + c1
 
-    def step(u, v, F0, F1):
+    def step(w, F0, F1, out=None):
+        u, v = w
         if F1 is F0:
-            out = cu * u + cv * v + c01 * F0 + cg
-        else:
-            out = cu * u + cv * v + c0 * F0 + c1 * F1 + cg
-        return out[0], out[1]
+            return np.add(cu * u + cv * v + c01 * F0, cg, out=out)
+        return np.add(cu * u + cv * v + c0 * F0 + c1 * F1, cg, out=out)
     return step
-
-
-def _check_state(u, v, t):
-    # the negated comparison also catches NaN, which compares false
-    for arr in (u, v):
-        if not np.abs(arr).max() <= BLOWUP_GUARD:
-            raise BlowUpError(t)
 
 
 def _step_map(mf, lam, g, s):
@@ -402,17 +422,19 @@ def _step_map(mf, lam, g, s):
     if mf.framework == "history":
         Pn = lam * u
         F0 = h + m0 + a0 * (Pn - p) + b0 * (Pn - x0)
-        up, _, _ = _rk4(ops, u, v, dt, F0, F0)
+        S = _stages(u, v, F0.shape)
+        (up, _), shared = _rk4(ops, S, dt, F0, F0)
         h1 = q * (h + a0 * (Pn - p)) - lv * (Pn - xt)
         F1 = h1 + m1 + a1 * (lam * up - Pn) + b1 * (lam * up - x1)
         p1 = Pn
     else:
         F0 = h + m0 + a0 * lam * v + b0 * x0
-        _, vp, _ = _rk4(ops, u, v, dt, F0, F0)
+        S = _stages(u, v, F0.shape)
+        (_, vp), shared = _rk4(ops, S, dt, F0, F0)
         h1 = q * h + mf._c * lam * v - lv * xt
         F1 = h1 + m1 + a1 * lam * vp + b1 * x1
         p1 = 0.0 * p
-    un, vn, _ = _rk4(ops, u, v, dt, F0, F1)
+    (un, vn), _ = _rk4(ops, S, dt, F0, F1, shared)
     return np.moveaxis(np.stack(np.broadcast_arrays(un, vn, p1, h1, F0), axis=-1), -2, 1)
 
 
@@ -546,27 +568,41 @@ def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end, *, window=None):
 
 
 def _integrate_steps(mf, ops, lam, U, V, P, A, F):
-    """Fill U, V, P, A and F one predictor-corrector step at a time."""
+    """Fill U, V, P, A and F one predictor-corrector step at a time.
+
+    The state w = (u, v) of all members is one (2, E, J) array, which the
+    corrector advances in place.  The predictor stores only the row of P
+    (history) or A (state) that force(n+1) reads; the corrector's w is
+    stored once into U, V, P and A, and the blow-up guard checks it in one
+    call.
+    """
     n_steps, dt = U.shape[1] - 1, mf.dt
-    affine = _affine_rk4(lam, ops.g, dt) if ops.f is None else None
+    if ops.f is None:
+        affine = _affine_rk4(lam, ops.g, dt)
+        w = np.stack([U[:, 0], V[:, 0]])
 
-    def advance(n, F0, F1, shared=None):
-        if affine is not None:
-            un, vn = affine(U[:, n], V[:, n], F0, F1)
-        else:
-            un, vn, shared = _rk4(ops, U[:, n], V[:, n], dt, F0, F1, shared)
-        U[:, n + 1] = un
-        V[:, n + 1] = vn
-        P[:, n + 1] = lam * un
-        A[:, n + 1] = lam * vn
-        return shared
+        def advance(F0, F1, shared=None, out=None):
+            return affine(w, F0, F1, out), None
+    else:
+        S = _stages(U[:, 0], V[:, 0], U[:, 0].shape)
+        w = S[0, :2]
 
+        def advance(F0, F1, shared=None, out=None):
+            return _rk4(ops, S, dt, F0, F1, shared, out)
+
+    k, X = (0, P) if mf.framework == "history" else (1, A)
     for n in range(n_steps):
         F0 = mf.force(n, P, A)
-        shared = advance(n, F0, F0)                     # predictor: force frozen
-        advance(n, F0, mf.force(n + 1, P, A), shared)   # corrector: force linear in t
+        wp, shared = advance(F0, F0)                       # predictor: force frozen
+        np.multiply(lam, wp[k], out=X[:, n + 1])
+        advance(F0, mf.force(n + 1, P, A), shared, w)      # corrector: force linear in t
+        U[:, n + 1], V[:, n + 1] = w
+        np.multiply(lam, w[0], out=P[:, n + 1])
+        np.multiply(lam, w[1], out=A[:, n + 1])
         F[:, n] = F0
-        _check_state(U[:, n + 1], V[:, n + 1], n * dt + dt)
+        # the negated comparison also catches NaN, which compares false
+        if not np.abs(w).max() <= BLOWUP_GUARD:
+            raise BlowUpError(n * dt + dt)
     F[:, n_steps] = mf.force(n_steps, P, A)
 
 
@@ -606,6 +642,7 @@ def reconstruct_eta(traj, t, kernel):
     return out
 
 
+@functools.lru_cache(maxsize=16)
 def _readback_ratio(kernel, dt):
     """q when mu(tau_i + k dt) = mu(tau_i) q^k at every read-back point, else None.
 
@@ -613,6 +650,8 @@ def _readback_ratio(kernel, dt):
     so mu is tested on that grid for m = 0..r (n_tau - 1) + W, W = s_max/dt,
     by the same geometric test as the memory force.  The range is fixed by
     the kernel, not by t, so every read-back of a run takes the same path.
+    The answer is kept per (kernel, dt), which a run's read-backs share: a
+    kernel does not change after construction, and q is a float.
     """
     ratio = kernel.ds / dt
     r = int(round(ratio))

@@ -527,13 +527,16 @@ def load_kernel_file(path):
             raise KernelError("parse error in %s at line %d: %s"
                               % (path, exc.lineno, exc.msg)) from exc
 
+    def finite(value):
+        return isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and math.isfinite(value)
+
     def positive(name, default=None, required=False):
         # a finite number > 0, or the default when the field is absent
         value = spec.get(name, default)
         if value is None and not required:
             return None
-        if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                or not (math.isfinite(value) and value > 0):
+        if not (finite(value) and value > 0):
             raise KernelError("kernel field %r must be a finite number > 0, not %r in %s"
                               % (name, value, path))
         return value
@@ -543,7 +546,16 @@ def load_kernel_file(path):
     s_max = positive("s_max")
     if family == "exponential":
         delta = positive("delta", required=True)
-        jumps = spec.get("jumps") or []
+        jumps = [] if spec.get("jumps") is None else spec["jumps"]
+        if not isinstance(jumps, list):
+            raise KernelError("kernel field 'jumps' must be a list of [location, drop] "
+                              "pairs, not %r in %s" % (jumps, path))
+        for i, jump in enumerate(jumps):
+            if not (isinstance(jump, list) and len(jump) == 2 and all(map(finite, jump))
+                    and jump[0] > 0 and 0 < jump[1] < 1):
+                raise KernelError("kernel field 'jumps[%d]' must be a pair of finite "
+                                  "numbers, location > 0 and drop in (0, 1), not %r in %s"
+                                  % (i, jump, path))
         if jumps:
             return make_jump_exponential_kernel(delta, jumps, ds=ds, s_max=s_max)
         return make_exponential_kernel(delta, ds=ds, s_max=s_max)

@@ -80,6 +80,24 @@ def test_kernel_file_rejects_bad_number(workdir, field, value, capsys):
     assert "kernel field %r" % field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jumps,name", [
+    ([[math.nan, 0.5]], "jumps[0]"), ([[1.0, "x"]], "jumps[0]"), ([[1.0]], "jumps[0]"),
+    ([[1.0, 0.5, 2.0]], "jumps[0]"), ([[1.0, None]], "jumps[0]"),
+    ([[1.0, True]], "jumps[0]"), ([[0.0, 0.5]], "jumps[0]"), ([[1.0, 1.0]], "jumps[0]"),
+    ([[1.0, 0.5], [math.inf, 0.2]], "jumps[1]"), ([[1.0, 0.5], [2.0, -0.1]], "jumps[1]"),
+    (3, "jumps"), (False, "jumps"), ({"1.0": 0.5}, "jumps")])
+def test_kernel_file_rejects_bad_jumps(workdir, jumps, name, capsys):
+    # a NaN location used to surface as "mu must be finite", and a string
+    # or a short entry as a bare Python error, naming no field
+    spec = {"family": "exponential", "delta": 1.0, "jumps": jumps}
+    (workdir / "exp1.kernel.json").write_text(json.dumps(spec))
+    with pytest.raises(KernelError, match=r"kernel field '%s'" % name.replace("[", r"\[")):
+        load_kernel_file(str(workdir / "exp1.kernel.json"))
+    assert main(["simulate", "--config", str(workdir / "config.json"),
+                 "--out", str(workdir / "out")]) == 2
+    assert "kernel field '%s'" % name in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [["--nec", "1", "nan"], ["--dafermos", "nan"]])
 def test_kernel_check_rejects_nan_flags(workdir, flags, capsys):
     # a NaN delta used to pass the domination scan with worst ratio 0

@@ -218,6 +218,47 @@ def test_stepper_matches_textbook_predictor_corrector(exp1):
             assert np.array_equal(traj.v_snaps, V[e])
 
 
+def test_stepper_matches_textbook_with_forcing_rows(exp1):
+    # per-member forcing rows and f = u^3 - beta u; the corrector reuses the
+    # predictor's stage 1 and u-stage 2 and must recompute from a2 on
+    model = make_model(6, f="cubic_minus_linear", beta=0.5)
+    model.g = np.random.default_rng(4).uniform(-0.5, 0.5, (3, 6))
+    ops = assemble(model, exp1)
+    lam = model.lambdas
+    z0s = [draw_random_state(model, exp1, 2.0, "H1", np.random.default_rng([10, e]))
+           for e in range(3)]
+    z0s[2].memory = HistoryField.from_profile(
+        exp1, lam, lambda s: 0.1 * np.exp(-s) * np.ones(lam.size))
+    for framework in ("history", "state"):
+        if framework == "state":
+            z0s = [ExtendedVector(z.u.copy(), z.v.copy(), lambda_map(z.memory, exp1))
+                   for z in z0s]
+        trajs = integrate_ensemble(z0s, ops, exp1, framework, 2e-3, 0.4)
+        U, V = textbook_predictor_corrector(z0s, model, exp1, framework, 2e-3, 0.4)
+        for e, traj in enumerate(trajs):
+            assert np.array_equal(traj.u_snaps, U[e])
+            assert np.array_equal(traj.v_snaps, V[e])
+
+
+@pytest.mark.parametrize("framework,t_blow", [("history", 0.56), ("state", 0.56)])
+def test_blowup_guard_checks_v_on_the_generic_path(exp1, monkeypatch, framework, t_blow):
+    # member 1 has u = g (1 - cos t), v = g sin t, less the memory's damping:
+    # v leaves the guard near t = pi/6, while u stays below it until pi/3
+    lam = np.array([1.0])
+    ops = ModelOperators(lam, np.array([[0.0], [2e8]]), f=np.zeros_like)
+    field = HistoryField if framework == "history" else StateField
+    z0s = [ExtendedVector(ModalVector.zeros(lam), ModalVector.zeros(lam),
+                          field.zeros(exp1, lam)) for _ in range(2)]
+    with pytest.raises(BlowUpError) as exc:
+        integrate_ensemble(z0s, ops, exp1, framework, 1e-2, 5.0)
+    assert exc.value.t == pytest.approx(t_blow, rel=1e-12)
+    monkeypatch.setattr(evolution, "BLOWUP_GUARD", 2 * evolution.BLOWUP_GUARD)
+    trajs = integrate_ensemble(z0s, ops, exp1, framework, 1e-2, t_blow)
+    u, v = trajs[1].u_snaps, trajs[1].v_snaps
+    assert np.abs(v[:-1]).max() <= 1e8 < np.abs(v[-1]).max()
+    assert np.abs(u).max() <= 0.5e8
+
+
 def test_stepper_evaluates_f_five_times_per_step(exp1):
     model = make_model(4, f="cubic")
     calls = []
@@ -651,6 +692,20 @@ def test_reconstruct_xi_matches_direct_sum(exp1):
             # prefix property: the path does not depend on the run length
             assert np.array_equal(got.values,
                                   reconstruct_xi(long, t, kernel).values)
+
+
+def test_readback_path_decided_once_per_kernel_and_dt():
+    # a fresh kernel, so its first read-back is the one that decides
+    kernel = make_exponential_kernel(1.0, ds=0.1)
+    model = make_model(3, f="cubic")
+    z0s = [draw_random_state(model, kernel, 1.0, "H1", np.random.default_rng([6, e]),
+                             framework="state") for e in range(2)]
+    trajs = integrate_ensemble(z0s, assemble(model, kernel), kernel, "state", 1e-2, 0.5)
+    before = evolution._readback_ratio.cache_info().misses
+    for traj in trajs:
+        for t in (0.1, 0.2, 0.5):
+            reconstruct_xi(traj, t, kernel)
+    assert evolution._readback_ratio.cache_info().misses == before + 1
 
 
 # -- cross-framework and structural properties -----------------------------------

@@ -15,12 +15,18 @@ from memoryflow.attractors import (
     cloud_from_states,
     invariance_residual,
 )
-from memoryflow.evolution import holder_growth_probe, integrate, sample_times
+from memoryflow.evolution import (
+    holder_growth_probe,
+    integrate,
+    integrate_ensemble,
+    sample_times,
+)
 from memoryflow.kernels import make_exponential_kernel, make_flatzone_kernel, split_sets
 from memoryflow.spaces import (
     ExtendedVector,
     HistoryField,
     ModalVector,
+    StateField,
     big_l_map,
     norm_H,
     right_translate,
@@ -265,3 +271,30 @@ def test_lk_split_superposition(J, delta, data):
                              HistoryField.zeros(kernel, lam)) for _ in range(2))
     res = lk_split(z1, z2, model, kernel, 0.2, 1e-2)
     assert np.max(res.residual_rel) <= 1e-12
+
+
+@PROPERTY
+@given(E=st.integers(1, 4), J=st.integers(1, 6), f=st.sampled_from(["cubic", "zero"]),
+       framework=st.sampled_from(["history", "state"]), full_window=st.booleans(),
+       data=st.data())
+def test_ensemble_rows_equal_solo_runs(E, J, f, framework, full_window, data):
+    # cubic runs take the RK4 stage buffers; f = "zero" runs a block at a
+    # time under the cutoff window and steps the affine pass under a window
+    # of 20 steps; either way a row is bitwise the member run alone
+    model = make_model(J, f=f, g=data.draw(modes(J)))
+    ops = assemble(model, COARSE)
+    lam = model.lambdas
+    field = HistoryField if framework == "history" else StateField
+    z0s = []
+    for _ in range(E):
+        mem = field.zeros(COARSE, lam)
+        if data.draw(st.booleans()):
+            mem.values[:] = np.outer(np.exp(-mem.nodes), data.draw(modes(J)))
+        z0s.append(ExtendedVector(ModalVector(data.draw(modes(J)), lam),
+                                  ModalVector(data.draw(modes(J)), lam), mem))
+    window = None if full_window else 0.2
+    batch = integrate_ensemble(z0s, ops, COARSE, framework, 1e-2, 0.3, window=window)
+    for z0, traj in zip(z0s, batch):
+        solo = integrate(z0, ops, COARSE, framework, 1e-2, 0.3, window=window)
+        for name in ("u_snaps", "v_snaps", "a_prim", "a_vals", "force_snaps"):
+            assert np.array_equal(getattr(traj, name), getattr(solo, name))
