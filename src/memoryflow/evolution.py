@@ -642,7 +642,7 @@ def reconstruct_eta(traj, t, kernel):
     return out
 
 
-@functools.lru_cache(maxsize=16)
+@functools.lru_cache(maxsize=1)
 def _readback_ratio(kernel, dt):
     """q when mu(tau_i + k dt) = mu(tau_i) q^k at every read-back point, else None.
 
@@ -650,8 +650,8 @@ def _readback_ratio(kernel, dt):
     so mu is tested on that grid for m = 0..r (n_tau - 1) + W, W = s_max/dt,
     by the same geometric test as the memory force.  The range is fixed by
     the kernel, not by t, so every read-back of a run takes the same path.
-    The answer is kept per (kernel, dt), which a run's read-backs share: a
-    kernel does not change after construction, and q is a float.
+    The answer is kept for the last (kernel, dt), which all read-backs of a
+    run share: a kernel does not change after construction, and q is a float.
     """
     ratio = kernel.ds / dt
     r = int(round(ratio))

@@ -1,9 +1,9 @@
 """Print a sha256 of every output file the shipped CLI commands write on configs/.
 
-Usage:  python tools/output_digest.py [--keep DIR]
+Usage:  python tools/output_digest.py
 
 The commands run in-process on the package source beside this file
-(`../src`), into a temporary directory (or DIR with --keep):
+(`../src`), into a temporary directory:
 
 - `kernel check` on each kernel file in configs/ (its report is saved as
   a text file);
@@ -19,7 +19,6 @@ that exits nonzero, other than a failing `kernel check`, stops the script
 with status 1.
 """
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -64,16 +63,6 @@ def commands(out):
     return runs
 
 
-def prepare(name, out):
-    """Untimed set-up a command needs: attract's surrogate is the last state cloud."""
-    if name == "attract":
-        clouds = os.path.join(out, "simulate_state", "clouds")
-        last = max(os.listdir(clouds),
-                   key=lambda c: float(c[len("cloud_t"):-len(".csv")]))
-        os.makedirs(os.path.join(out, "surrogate"), exist_ok=True)
-        shutil.copy(os.path.join(clouds, last), os.path.join(out, "surrogate"))
-
-
 def digest(path):
     with open(path, "rb") as fh:
         data = fh.read()
@@ -85,7 +74,13 @@ def digest(path):
 
 def run_all(out):
     for name, argv, allowed in commands(out):
-        prepare(name, out)
+        if name == "attract":
+            # attract's surrogate is the last cloud of the state run
+            clouds = os.path.join(out, "simulate_state", "clouds")
+            last = max(os.listdir(clouds),
+                       key=lambda c: float(c[len("cloud_t"):-len(".csv")]))
+            os.makedirs(os.path.join(out, "surrogate"))
+            shutil.copy(os.path.join(clouds, last), os.path.join(out, "surrogate"))
         text = io.StringIO()
         with contextlib.redirect_stdout(text):
             rc = main(argv)
@@ -100,16 +95,7 @@ def run_all(out):
             yield os.path.relpath(path, out), digest(path)
 
 
-def main_digest(argv=None):
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--keep", help="write the outputs here and keep them")
-    args = p.parse_args(argv)
-    with contextlib.ExitStack() as stack:
-        out = args.keep or stack.enter_context(tempfile.TemporaryDirectory())
-        os.makedirs(out, exist_ok=True)
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as out:
         for rel, sha in sorted(run_all(out)):
             print("%s  %s" % (sha, rel))
-
-
-if __name__ == "__main__":
-    main_digest()
