@@ -57,8 +57,8 @@ from .viscoelastic import (
     hypothesis_probe_suite,
     lk_split,
     load_model_file,
-    phi_control_ratio,
     phi_functional,
+    sigma_state_norm,
 )
 
 @dataclass
@@ -313,13 +313,15 @@ def cmd_energy_report(args):
     for t in ts:
         z = traj.state_at(t, kernel)
         e0 = energy_sigma(z, 0.0, model)
-        es = energy_sigma(z, args.sigma, model)
+        es = e0 if args.sigma == 0.0 else energy_sigma(z, args.sigma, model)
         phi = phi_functional(z, args.sigma, args.nu_small, args.delta_split,
                              model, kernel)
         gam = es + args.eps * phi
         rows.append((t, e0, es, phi, gam, dissipation_rhs(z, 0.0, kernel)))
-        phi_c = max(phi_c, phi_control_ratio(z, args.sigma, args.nu_small,
-                                             args.delta_split, model, kernel))
+        # phi_control_ratio's |Phi| / ||z||^2_sigma, without a second Phi
+        norm_sq = sigma_state_norm(z, args.sigma) ** 2
+        if norm_sq != 0.0:
+            phi_c = max(phi_c, abs(phi) / norm_sq)
     os.makedirs(cfg.out_dir, exist_ok=True)
     write_csv(os.path.join(cfg.out_dir, "energy.csv"),
               ["time", "E0", "E_sigma", "Phi", "Gamma", "dissipation_rhs"],

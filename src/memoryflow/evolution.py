@@ -627,9 +627,11 @@ def reconstruct_eta(traj, t, kernel):
     nodes = kernel.grid
     eta0 = traj.initial_memory
     out = HistoryField.zeros(kernel, traj.lambdas)
-    past = nodes <= t
-    future = ~past
-    if isinstance(eta0, HistoryField) and np.any(eta0.values) and np.any(future):
+    # the grid increases, so the nodes s <= t are a prefix and the updates
+    # below act on views
+    n_past = int(np.searchsorted(nodes, t, side="right"))
+    past, future = slice(None, n_past), slice(n_past, None)
+    if isinstance(eta0, HistoryField) and np.any(eta0.values) and n_past < nodes.size:
         # translated initial history, interpolated onto the evaluation grid
         pts = nodes[future] - t
         for j in range(traj.lambdas.size):

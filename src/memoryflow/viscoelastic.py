@@ -180,7 +180,7 @@ def phi_functional(z, sigma, nu_small, delta_split, model, kernel):
     # forward cumulative mass of P from each node (its own cell counted half)
     kappa = (np.cumsum((mu_p * mem.ds)[::-1])[::-1] - 0.5 * mu_p * mem.ds)
     diff = mem.values - (lam * u)[None, :]
-    t3 = float(np.sum(kappa * (diff ** 2 @ lamw))) * mem.ds
+    t3 = float(np.sum(kappa * (np.square(diff, out=diff) @ lamw))) * mem.ds
     return t1 + t2 + t3
 
 
@@ -374,18 +374,23 @@ def hypothesis_probe_suite(model, kernel, radii, *, t_end=30.0, dt=2e-3,
         acc_vals = []
         for e, traj in enumerate(trajs[i * ensemble:(i + 1) * ensemble]):
             ts = traj.times[::max(1, traj.n_steps // 60)]
-            tail = ts[ts >= (2.0 / 3.0) * t_end]
-            vals = [norm_H(traj.state_at(t, kernel), 1) for t in tail]
-            h1_tails.extend(vals)
+            # each tail state is built once; member 0 at the largest radius
+            # also gives the sigma ladder
+            probe_sigma = radius == max(radii) and e == 0
+            sig_vals = {sigma: [] for sigma in (0.0, 1.0 / 3.0, 1.0)}
+            for t in ts[ts >= (2.0 / 3.0) * t_end]:
+                z = traj.state_at(t, kernel)
+                h1_tails.append(norm_H(z, 1))
+                if probe_sigma:
+                    for sigma, col in sig_vals.items():
+                        col.append(sigma_state_norm(z, sigma))
             idxs = np.arange(0, traj.n_steps + 1, max(1, traj.n_steps // 400))
             u = traj.u_snaps[idxs]
             acc = ops.accel(u, traj.force_snaps[idxs], f_modal(model, u))
             acc_vals.append(float(np.max(np.sqrt(np.sum(acc ** 2, axis=1)))))
-            if radius == max(radii) and e == 0:
-                for sigma in (0.0, 1.0 / 3.0, 1.0):
-                    sig_vals = [sigma_state_norm(traj.state_at(t, kernel), sigma)
-                                for t in tail]
-                    sigma_plateaus[sigma] = float(np.median(sig_vals))
+            if probe_sigma:
+                sigma_plateaus = {sigma: float(np.median(col))
+                                  for sigma, col in sig_vals.items()}
         plateau_h1[radius] = float(np.median(h1_tails))
         accel_sup[radius] = max(acc_vals)
     vals = list(plateau_h1.values())

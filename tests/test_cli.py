@@ -319,6 +319,51 @@ def test_energy_report(workdir, capsys):
     assert np.all(np.diff(E0) <= 1e-8 * E0[0])
 
 
+@pytest.mark.parametrize("sigma", [0.0, 0.5])
+def test_energy_report_matches_per_sample_functionals(workdir, monkeypatch, sigma):
+    from memoryflow import viscoelastic
+    from memoryflow.evolution import integrate, sample_times
+    from memoryflow.viscoelastic import (assemble, dissipation_rhs, energy_sigma,
+                                         phi_control_ratio, phi_functional)
+    (workdir / "model_cubic.json").write_text(json.dumps({
+        "J": 3, "f": "cubic", "g": [0.5, 0.0, 0.3], "kernel": "exp1.kernel.json"}))
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["model"] = "model_cubic.json"
+    (workdir / "energy.json").write_text(json.dumps(cfg))
+    # counted under both names, so a call through phi_control_ratio counts too
+    phi_calls = []
+    for module in (cli, viscoelastic):
+        monkeypatch.setattr(module, "phi_functional",
+                            lambda *a: phi_calls.append(a) or phi_functional(*a))
+    samples, eps, nu, split = 12, 0.05, 0.1, 0.5   # eps, nu, split: the CLI defaults
+    rc = main(["energy-report", "--config", str(workdir / "energy.json"),
+               "--out", str(workdir / "en"), "--sigma", str(sigma),
+               "--samples", str(samples)])
+    assert rc == 0
+    assert len(phi_calls) == samples
+    monkeypatch.undo()
+    # the per-sample loop that evaluated each functional on its own
+    config = ExperimentConfig.from_file(str(workdir / "energy.json"))
+    model, kernel = cli.load_experiment(config)
+    z0 = cli.initial_state(config, model, kernel, 0)
+    traj = integrate(z0, assemble(model, kernel), kernel, "history",
+                     config.dt, config.t_end)
+    rows, phi_c = [], 0.0
+    for t in sample_times(config.t_end, config.dt, samples):
+        z = traj.state_at(t, kernel)
+        es = energy_sigma(z, sigma, model)
+        phi = phi_functional(z, sigma, nu, split, model, kernel)
+        rows.append((t, energy_sigma(z, 0.0, model), es, phi, es + eps * phi,
+                     dissipation_rhs(z, 0.0, kernel)))
+        phi_c = max(phi_c, phi_control_ratio(z, sigma, nu, split, model, kernel))
+    cli.write_csv(str(workdir / "want.csv"),
+                  ["time", "E0", "E_sigma", "Phi", "Gamma", "dissipation_rhs"], rows)
+    assert ((workdir / "en" / "energy.csv").read_bytes()
+            == (workdir / "want.csv").read_bytes())
+    assert read_summary(workdir / "en")["phi_control_constant"] == phi_c
+    assert phi_c > 0.0
+
+
 def test_lk_split_cli(workdir, capsys):
     cfg = json.loads((workdir / "config.json").read_text())
     cfg["t_end"] = 2.0

@@ -586,6 +586,48 @@ def test_representation_shift_consistency(exp1):
     assert np.allclose(base.values, eta_th.values, atol=1e-12)
 
 
+def masked_reconstruct_eta(traj, t, kernel):
+    # reference: the grid split into s <= t and s > t by boolean masks
+    idx = traj.index_of(t)
+    nodes = kernel.grid
+    eta0 = traj.initial_memory
+    out = HistoryField.zeros(kernel, traj.lambdas)
+    past = nodes <= t
+    future = ~past
+    if isinstance(eta0, HistoryField) and np.any(eta0.values) and np.any(future):
+        pts = nodes[future] - t
+        for j in range(traj.lambdas.size):
+            out.values[future, j] = np.interp(pts, eta0.nodes, eta0.values[:, j],
+                                              left=eta0.values[0, j], right=0.0)
+    Pt = traj.a_prim[idx]
+    out.values[past] = Pt[None, :] - evolution._interp_many(
+        traj.a_prim, (t - nodes[past]) / traj.dt)
+    out.values[future] += (Pt - traj.a_prim[0])[None, :]
+    return out.values
+
+
+@pytest.mark.parametrize("initial", ["zero", "profile"])
+def test_reconstruct_eta_slices_match_masks(initial):
+    # dyadic steps: ds = 2 dt, so t = 3 dt is the grid node 1.5 ds exactly
+    dt = 2.0 ** -6
+    kernel = make_exponential_kernel(1.0, ds=2 * dt, s_max=1.0)
+    lam = np.array([1.0, 4.0])
+    eta0 = HistoryField.zeros(kernel, lam)
+    if initial == "profile":
+        eta0 = HistoryField.from_profile(
+            kernel, lam, lambda s: [math.sin(3.0 * s) + 0.5, math.exp(-s)])
+    z0 = ExtendedVector(ModalVector(np.array([0.7, -0.3]), lam),
+                        ModalVector(np.array([0.2, 0.5]), lam), eta0)
+    traj = integrate(z0, linear_ops(lam), kernel, "history", dt, 1.5)
+    nodes = kernel.grid
+    on_node, between, past_s_max = 3 * dt, 4 * dt, 1.5
+    assert np.any(nodes == on_node) and not np.any(nodes == between)
+    assert nodes[-1] < past_s_max
+    for t in (0.0, on_node, between, 0.5, past_s_max):
+        got = reconstruct_eta(traj, t, kernel).values
+        assert got.tobytes() == masked_reconstruct_eta(traj, t, kernel).tobytes()
+
+
 # -- state reconstruction --------------------------------------------------------
 
 def test_reconstruct_xi_at_zero(exp1):

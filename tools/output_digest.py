@@ -9,7 +9,8 @@ The commands run in-process on the package source beside this file
   a text file);
 - `simulate` in the history framework, and in the state framework with
   `--cloud-every 2`;
-- `compare`, `energy-report`, `lk-split` and `hypotheses`;
+- `compare`, `energy-report` (on the single-mode config, and at
+  `--sigma 0.5 --samples 20` on the cubic one), `lk-split` and `hypotheses`;
 - `attract` of the state run's clouds against its last cloud.
 
 Each line is `<sha256>  <path>`, sorted by path, so two trees compare by
@@ -52,6 +53,9 @@ def commands(out):
                      "--out", os.path.join(out, "compare")], (0,)),
         ("energy_report", ["energy-report", "--config", single,
                            "--out", os.path.join(out, "energy_report")], (0,)),
+        ("energy_report_sigma", ["energy-report", "--config", cubic, "--sigma", "0.5",
+                                 "--samples", "20",
+                                 "--out", os.path.join(out, "energy_report_sigma")], (0,)),
         ("lk_split", ["lk-split", "--config", cubic,
                       "--out", os.path.join(out, "lk_split")], (0,)),
         ("hypotheses", ["hypotheses", "--config", cubic, "--radii", "1", "2", "4",
