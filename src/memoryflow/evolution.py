@@ -20,12 +20,14 @@ so a step evaluates f five times, not eight.  Every element goes through
 the operations of the textbook predictor-corrector scheme in its order, so
 the results are its bits.
 
-Linear runs (f = None) whose window sum is recursive, as it is for every
-exponential kernel, and whose window spans more than BLOCK steps, advance
-BLOCK steps per Python pass (`_integrate_blocks`): a step is then a fixed
-small matrix per mode, one stacked matmul, and the stores and the blow-up
-guard run once per block.  Its results match the step-by-step path to
-roundoff.  Every other run steps one at a time through `MemoryForce`.
+Linear runs (f = None) with one (J,) forcing, whose window sum is
+recursive, as it is for every exponential kernel, and whose window spans
+more than BLOCK steps, advance BLOCK steps per Python pass
+(`_integrate_blocks`): a step is then a fixed small matrix per mode, one
+stacked matmul, and the stores and the blow-up guard run once per block.
+Its results match the step-by-step path to roundoff.  Every other run,
+(E, J) forcing rows included, steps one at a time through `_rk4` and
+`MemoryForce`, and has the textbook scheme's bits.
 """
 
 import functools
@@ -64,8 +66,8 @@ class ModelOperators:
     lambdas are the eigenvalues of the operator A behind the memory: its
     source is A v = lambdas*v, with primitive lambdas*u, and F is the memory
     force.  f maps (E, J) rows of u to (E, J) rows of f(u); f = None means
-    no nonlinearity, and the stepper then takes per-mode affine coefficients
-    in place of the RK4 stages.  g is a (J,) forcing, or (E, J) rows of it.
+    no nonlinearity.  g is a (J,) forcing, or (E, J) rows of it, one per
+    member; runs with forcing rows advance one step at a time.
     """
     lambdas: np.ndarray
     g: np.ndarray
@@ -375,31 +377,6 @@ def _rk4(ops, S, dt, F0, F1, shared=None, out=None):
     return wn, (f1, f2, f3)
 
 
-def _affine_rk4(lam, g, dt):
-    """`_rk4` for f = None as per-mode coefficients.
-
-    The pass is affine in (u, v, F0, F1) and diagonal in the modes, so
-    `_rk4` itself, run once on unit inputs and on g alone, gives the
-    coefficients and the constant part.  The returned step(w, F0, F1, out)
-    takes w = (u, v) as (2, E, J) and returns w one pass on, into `out` if
-    given; the predictor passes F0 as F1, whose two coefficients are then
-    one.
-    """
-    rows = np.eye(5)[:, :, None] * np.ones(lam.size)   # inputs u, v, F0, F1, g
-    u, v, F0, F1, G = rows
-    wn, _ = _rk4(ModelOperators(lam, G * g), _stages(u, v, u.shape), dt, F0, F1)
-    # (input, output u|v, 1, J): one product per input gives both outputs
-    cu, cv, c0, c1, cg = wn.swapaxes(0, 1)[:, :, None, :]
-    c01 = c0 + c1
-
-    def step(w, F0, F1, out=None):
-        u, v = w
-        if F1 is F0:
-            return np.add(cu * u + cv * v + c01 * F0, cg, out=out)
-        return np.add(cu * u + cv * v + c0 * F0 + c1 * F1, cg, out=out)
-    return step
-
-
 def _step_map(mf, lam, g, s):
     """One predictor-corrector step of an f = None run as per-mode matrices.
 
@@ -413,8 +390,8 @@ def _step_map(mf, lam, g, s):
     scalars s = (a[n], b[n], a[n+1], b[n+1], leave [n >= top]), where
     (a, b) is (gain, edge) in the history framework and (dt k(0)/2, edge)
     in the state framework, both 0 at n = 0.  For s of shape (5, K) it
-    returns (K, J, 11, 5), from `_rk4` run on unit inputs as in
-    `_affine_rk4`.
+    returns (K, J, 11, 5), from `_rk4` run on the 11 unit rows of z, with
+    g, which must be one (J,) forcing, on the constant row.
     """
     a0, b0, a1, b1, lv = np.asarray(s, dtype=float)[:, :, None, None]
     u, v, p, h, _, x0, x1, xt, m0, m1, one = np.eye(11)[:, :, None] * np.ones(lam.size)
@@ -446,9 +423,11 @@ def _monomials(s, pairs):
 
 
 def _block_path(ops, mf):
-    """Whether a run takes `_integrate_blocks`: f = None and a recursive window
-    of top >= BLOCK nodes, fixed by the whole window, not by the run length."""
-    return ops.f is None and mf._q is not None and mf._top >= BLOCK
+    """Whether a run takes `_integrate_blocks`: f = None, one (J,) forcing and
+    a recursive window of top >= BLOCK nodes, fixed by the whole window, not
+    by the run length."""
+    return (ops.f is None and np.ndim(ops.g) == 1 and mf._q is not None
+            and mf._top >= BLOCK)
 
 
 def _integrate_blocks(mf, ops, lam, U, V, P, A, F):
@@ -577,25 +556,15 @@ def _integrate_steps(mf, ops, lam, U, V, P, A, F):
     call.
     """
     n_steps, dt = U.shape[1] - 1, mf.dt
-    if ops.f is None:
-        affine = _affine_rk4(lam, ops.g, dt)
-        w = np.stack([U[:, 0], V[:, 0]])
-
-        def advance(F0, F1, shared=None, out=None):
-            return affine(w, F0, F1, out), None
-    else:
-        S = _stages(U[:, 0], V[:, 0], U[:, 0].shape)
-        w = S[0, :2]
-
-        def advance(F0, F1, shared=None, out=None):
-            return _rk4(ops, S, dt, F0, F1, shared, out)
-
+    S = _stages(U[:, 0], V[:, 0], U[:, 0].shape)
+    w = S[0, :2]
     k, X = (0, P) if mf.framework == "history" else (1, A)
     for n in range(n_steps):
         F0 = mf.force(n, P, A)
-        wp, shared = advance(F0, F0)                       # predictor: force frozen
+        wp, shared = _rk4(ops, S, dt, F0, F0)            # predictor: force frozen
         np.multiply(lam, wp[k], out=X[:, n + 1])
-        advance(F0, mf.force(n + 1, P, A), shared, w)      # corrector: force linear in t
+        # corrector: force linear in t
+        _rk4(ops, S, dt, F0, mf.force(n + 1, P, A), shared, w)
         U[:, n + 1], V[:, n + 1] = w
         np.multiply(lam, w[0], out=P[:, n + 1])
         np.multiply(lam, w[1], out=A[:, n + 1])

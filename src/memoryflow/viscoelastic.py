@@ -75,14 +75,21 @@ def make_model(J, f="cubic", beta=0.0, g=None, lambdas=None):
     """Build a model on (0, pi) (lambda_j = j^2) or on given eigenvalues.
 
     Admissible nonlinearities: zero, cubic u^3, and u^3 - beta*u with
-    beta < lambda_1 so the dissipation condition holds structurally.
+    beta < lambda_1 so the dissipation condition holds structurally.  f is
+    collocated on the interval's sines, so given eigenvalues (another
+    domain) admit only f = "zero", and there must be J of them.
     """
     lam = np.arange(1, J + 1, dtype=float) ** 2 if lambdas is None \
         else np.asarray(lambdas, dtype=float)
+    if lam.shape != (J,):
+        raise ValueError("J = %r, but %d eigenvalues were given" % (J, lam.size))
     if np.any(np.diff(lam) < 0) or lam[0] <= 0:
         raise ValueError("eigenvalues must be positive and nondecreasing")
     if f not in F_SELECTORS:
         raise ValueError("unknown nonlinearity %r" % f)
+    if lambdas is not None and f != "zero":
+        raise ValueError("f = %r is collocated on the interval (0, pi); a domain "
+                         "given by its eigenvalues admits only f = 'zero'" % (f,))
     if f == "cubic_minus_linear" and not beta < lam[0]:
         raise ValueError("beta must be below the first eigenvalue")
     if f != "cubic_minus_linear":

@@ -279,6 +279,24 @@ def test_model_file_rejects_bad_J(workdir, J):
         load_model_file(str(workdir / "bad_model.json"))
 
 
+@pytest.mark.parametrize("J,f,words", [
+    (3, "zero", ["J = 3", "2 eigenvalues"]),
+    (2, "cubic", ["f = 'cubic'", "domain"])])
+def test_model_file_eigenvalues_checked_before_any_work(workdir, capsys, J, f, words):
+    (workdir / "eig.txt").write_text("1\n4\n")
+    (workdir / "eig_model.json").write_text(json.dumps({
+        "J": J, "domain": {"eigenfile": "eig.txt"}, "f": f,
+        "kernel": "exp1.kernel.json"}))
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["model"] = "eig_model.json"
+    (workdir / "eig_cfg.json").write_text(json.dumps(cfg))
+    rc = main(["simulate", "--config", str(workdir / "eig_cfg.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert all(word in err for word in words)
+    assert not (workdir / "out").exists()
+
+
 def test_model_without_kernel_exits_two(workdir, capsys):
     (workdir / "no_kernel.json").write_text(json.dumps({"J": 1, "f": "zero"}))
     cfg = json.loads((workdir / "config.json").read_text())

@@ -118,7 +118,7 @@ def test_framework_mismatch_rejected(exp1):
 def test_integrate_ensemble_matches_solo_runs(exp1):
     # batch rows are bitwise equal to the same members integrated one by one,
     # including a member whose nonzero initial memory only it pays for; the
-    # f = "zero" model takes the affine stepper
+    # f = "zero" model runs a block at a time under the exp1 cutoff window
     for f in ("cubic", "zero"):
         model = make_model(8, f=f, g=[0.5, 0, 0.3, 0, 0, 0, 0, 0])
         ops = assemble(model, exp1)
@@ -139,10 +139,10 @@ def test_integrate_ensemble_matches_solo_runs(exp1):
 
 
 def test_affine_stepper_matches_generic_rk4(exp1):
-    # assemble gives f = "zero" as f = None, so its runs skip the RK4
-    # stages; the same model with an f that returns zeros takes _rk4.
-    # window=0.5 at dt=2e-3 is 250 nodes, so f = None runs a block at a
-    # time here, and this pins the block path to the generic RK4
+    # assemble gives f = "zero" as f = None; the same model with an f that
+    # returns zeros steps one at a time.  window=0.5 at dt=2e-3 is 250
+    # nodes, so f = None runs a block at a time here, and this pins the
+    # block path to the stepwise RK4
     model = make_model(8, f="zero", g=[0.5, 0, 0.3, 0, 0, 0, 0, -0.2])
     ops = assemble(model, exp1)
     assert ops.f is None
@@ -235,6 +235,43 @@ def test_stepper_matches_textbook_with_forcing_rows(exp1):
                    for z in z0s]
         trajs = integrate_ensemble(z0s, ops, exp1, framework, 2e-3, 0.4)
         U, V = textbook_predictor_corrector(z0s, model, exp1, framework, 2e-3, 0.4)
+        for e, traj in enumerate(trajs):
+            assert np.array_equal(traj.u_snaps, U[e])
+            assert np.array_equal(traj.v_snaps, V[e])
+
+
+TRIANGLE = make_tabulated_kernel([0.0, 1.0], [6.0, 0.0], theta=1.0, delta_decay=1.0)
+EXP50 = make_exponential_kernel(50.0)
+
+
+@pytest.mark.parametrize("kernel,dt,t_end,rows", [
+    # a tabulated window of 500 nodes, then a 23-node exponential one,
+    # each with one (J,) forcing and with forcing rows; the exp1 cutoff
+    # window would take the block path but for its forcing rows
+    (TRIANGLE, 2e-3, 1.2, None), (TRIANGLE, 2e-3, 1.2, 5),
+    (EXP50, 2e-2, 1.0, None), (EXP50, 2e-2, 1.0, 3),
+    (None, 2e-3, 0.4, 3), (None, 2e-3, 0.4, 5)],
+    ids=["triangle", "triangle-rows5", "exp50", "exp50-rows3", "exp1-rows3",
+         "exp1-rows5"])
+def test_linear_stepper_matches_textbook_predictor_corrector(exp1, kernel, dt,
+                                                             t_end, rows):
+    kernel = kernel or exp1
+    model = make_model(6, f="zero", g=[0.5, 0, 0.3, 0, 0, -0.2])
+    if rows:
+        model.g = np.random.default_rng(11).uniform(-0.5, 0.5, (rows, 6))
+    ops = assemble(model, kernel)
+    assert ops.f is None
+    lam = model.lambdas
+    z0s = [draw_random_state(model, kernel, 2.0, "H1", np.random.default_rng([12, e]))
+           for e in range(rows or 3)]
+    z0s[1].memory = HistoryField.from_profile(
+        kernel, lam, lambda s: 0.1 * np.exp(-s) * np.ones(lam.size))
+    for framework in ("history", "state"):
+        if framework == "state":
+            z0s = [ExtendedVector(z.u.copy(), z.v.copy(), lambda_map(z.memory, kernel))
+                   for z in z0s]
+        trajs = integrate_ensemble(z0s, ops, kernel, framework, dt, t_end)
+        U, V = textbook_predictor_corrector(z0s, model, kernel, framework, dt, t_end)
         for e, traj in enumerate(trajs):
             assert np.array_equal(traj.u_snaps, U[e])
             assert np.array_equal(traj.v_snaps, V[e])
@@ -464,15 +501,16 @@ def test_block_path_runs_where_it_applies(exp1, monkeypatch):
     blocks = evolution._integrate_blocks
     monkeypatch.setattr(evolution, "_integrate_blocks",
                         lambda *args: calls.append(1) or blocks(*args))
-    triangle = make_tabulated_kernel([0.0, 1.0], [6.0, 0.0], theta=1.0,
-                                     delta_decay=1.0)
 
-    def took_blocks(f, kernel, window):
+    def took_blocks(f, kernel, window, rows=1):
         model = make_model(4, f=f)
+        if rows > 1:
+            # (E, J) forcing rows, one per member
+            model.g = np.linspace(-0.5, 0.5, rows * 4).reshape(rows, 4)
         z0 = draw_random_state(model, kernel, 1.0, "H1", np.random.default_rng(2))
         calls.clear()
-        integrate(z0, assemble(model, kernel), kernel, "history", WIN_DT, 0.2,
-                  window=window)
+        integrate_ensemble([z0] * rows, assemble(model, kernel), kernel, "history",
+                           WIN_DT, 0.2, window=window)
         return bool(calls)
 
     # top = window nodes - 1 decides, not the run length of 100 steps
@@ -480,8 +518,9 @@ def test_block_path_runs_where_it_applies(exp1, monkeypatch):
     assert took_blocks("zero", exp1, None)
     assert took_blocks("zero", exp1, top_is_block)
     assert not took_blocks("zero", exp1, top_is_block - WIN_DT)
-    assert not took_blocks("zero", triangle, WIN)
+    assert not took_blocks("zero", TRIANGLE, WIN)
     assert not took_blocks("cubic", exp1, None)
+    assert not took_blocks("zero", exp1, None, rows=3)
 
 
 @pytest.mark.parametrize("lam2,u0,t_blow", [

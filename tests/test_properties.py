@@ -278,9 +278,9 @@ def test_lk_split_superposition(J, delta, data):
        framework=st.sampled_from(["history", "state"]), full_window=st.booleans(),
        data=st.data())
 def test_ensemble_rows_equal_solo_runs(E, J, f, framework, full_window, data):
-    # cubic runs take the RK4 stage buffers; f = "zero" runs a block at a
-    # time under the cutoff window and steps the affine pass under a window
-    # of 20 steps; either way a row is bitwise the member run alone
+    # cubic runs step one at a time; f = "zero" runs a block at a time
+    # under the cutoff window and steps one at a time under a window of 20
+    # steps; either way a row is bitwise the member run alone
     model = make_model(J, f=f, g=data.draw(modes(J)))
     ops = assemble(model, COARSE)
     lam = model.lambdas

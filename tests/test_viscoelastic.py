@@ -57,6 +57,21 @@ def test_default_eigenvalues():
     assert np.array_equal(model.lambdas, [1.0, 4.0, 9.0, 16.0])
 
 
+def test_given_eigenvalues_must_number_J():
+    make_model(3, f="zero", lambdas=[1.0, 2.0, 5.0])
+    with pytest.raises(ValueError, match="J = 2, but 3 eigenvalues"):
+        make_model(2, f="zero", lambdas=[1.0, 2.0, 5.0])
+    with pytest.raises(ValueError, match="J = 4, but 3 eigenvalues"):
+        make_model(4, f="zero", lambdas=[1.0, 2.0, 5.0])
+
+
+@pytest.mark.parametrize("f", ["cubic", "cubic_minus_linear"])
+def test_given_eigenvalues_refuse_a_nonlinear_f(f):
+    # f is collocated on the interval's sines, whatever the eigenvalues
+    with pytest.raises(ValueError, match="f = '%s'.*domain" % f):
+        make_model(4, f=f, beta=0.5, lambdas=[2.0, 5.0, 5.0, 8.0])
+
+
 def test_beta_must_be_subcritical():
     make_model(4, f="cubic_minus_linear", beta=0.5)
     with pytest.raises(ValueError):

@@ -11,18 +11,22 @@ The commands run in-process on the package source beside this file
   `--cloud-every 2`;
 - `compare`, `energy-report` (on the single-mode config, and at
   `--sigma 0.5 --samples 20` on the cubic one), `lk-split` and `hypotheses`;
-- `attract` of the state run's clouds against its last cloud.
+- `attract` of the state run's clouds against its last cloud;
+- `simulate` in both frameworks on a small f = "zero" model with a
+  tabulated kernel, whose table and JSON files the script writes into
+  `inputs/` of its temporary directory; these runs step one at a time.
 
 Each line is `<sha256>  <path>`, sorted by path, so two trees compare by
-`diff`.  summary.txt is hashed without its `generated` timestamp line,
-which is the only part of an output that differs between reruns.  A command
-that exits nonzero, other than a failing `kernel check`, stops the script
-with status 1.
+`diff`; the files under `inputs/` are not listed.  summary.txt is hashed
+without its `generated` timestamp line, which is the only part of an output
+that differs between reruns.  A command that exits nonzero, other than a
+failing `kernel check`, stops the script with status 1.
 """
 
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shutil
 import sys
@@ -33,6 +37,19 @@ CONFIGS = os.path.join(ROOT, "configs")
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from memoryflow.cli import main  # noqa: E402
+
+# a linear J = 4 model on a broken-line kernel, whose window sum is not a
+# recursion; file name -> contents
+TABULATED = {
+    "tab.csv": "s,mu\n0,6\n0.25,3\n0.5,1.5\n1,0\n",
+    "tab.kernel.json": {"family": "tabulated", "table": "tab.csv",
+                        "theta": 1.0, "delta": 1.0, "normalize": True},
+    "tab_model.json": {"J": 4, "f": "zero", "g": [0.5, 0.0, 0.3, -0.2],
+                       "kernel": "tab.kernel.json"},
+    "tab_experiment.json": {"model": "tab_model.json", "dt": 0.005, "t_end": 2.0,
+                            "ensemble": 2, "seed": 3,
+                            "initial": {"random_ball": {"radius": 1.0, "space": "H1"}}},
+}
 
 
 def commands(out):
@@ -64,6 +81,11 @@ def commands(out):
                      "--surrogate", os.path.join(out, "surrogate"),
                      "--out", os.path.join(out, "attract", "attract.csv")], (0,)),
     ]
+    tabulated = os.path.join(out, "inputs", "tab_experiment.json")
+    runs += [("simulate_tabulated_" + fw,
+              ["simulate", "--config", tabulated, "--framework", fw,
+               "--out", os.path.join(out, "simulate_tabulated_" + fw)], (0,))
+             for fw in ("history", "state")]
     return runs
 
 
@@ -77,6 +99,11 @@ def digest(path):
 
 
 def run_all(out):
+    inputs = os.path.join(out, "inputs")
+    os.makedirs(inputs)
+    for name, content in TABULATED.items():
+        with open(os.path.join(inputs, name), "w") as fh:
+            fh.write(content if isinstance(content, str) else json.dumps(content))
     for name, argv, allowed in commands(out):
         if name == "attract":
             # attract's surrogate is the last cloud of the state run
@@ -94,6 +121,8 @@ def run_all(out):
             with open(os.path.join(out, name + ".txt"), "w") as fh:
                 fh.write(text.getvalue())
     for root, _, files in os.walk(out):
+        if root == inputs:
+            continue
         for name in files:
             path = os.path.join(root, name)
             yield os.path.relpath(path, out), digest(path)
