@@ -104,6 +104,7 @@ class ExperimentConfig:
         initial = raw.get("initial", "zero")
         if isinstance(initial, dict) and "file" in initial:
             initial = {"file": rel(initial["file"])}
+            initial["row"] = _initial_row(initial["file"])
         if isinstance(initial, dict) and "random_ball" in initial:
             ball = initial["random_ball"]
             if not isinstance(ball, dict):
@@ -122,6 +123,25 @@ class ExperimentConfig:
             seed=checked("seed", raw.get("seed", 0), _bounded(int, 0)),
             initial=initial,
             out_dir=rel(raw.get("out", ".")))
+
+
+def _initial_row(path):
+    """The first data row of an initial-data file, after its header line;
+    every value must be a finite number."""
+    try:
+        with open(path) as fh:
+            fh.readline()
+            line = fh.readline()
+    except OSError as exc:
+        raise ValueError("config field 'initial.file': %s" % exc) from None
+    try:
+        row = np.array([float(x) for x in line.split(",")])
+    except ValueError:
+        row = np.array([math.nan])
+    if not np.all(np.isfinite(row)):
+        raise ValueError("config field 'initial.file': the first data row of %s must "
+                         "be finite numbers, not %r" % (path, line.strip()))
+    return row
 
 
 def load_experiment(cfg):
@@ -148,10 +168,13 @@ def initial_state(cfg, model, kernel, index):
         return draw_random_state(model, kernel, ball["radius"], ball["space"], rng,
                                  framework=cfg.framework)
     if isinstance(recipe, dict) and "file" in recipe:
-        data = np.loadtxt(recipe["file"], delimiter=",", skiprows=1, ndmin=2)[0]
-        J = lam.size
+        data, J = recipe["row"], lam.size
+        if data.size != 2 * J:
+            raise ValueError("config field 'initial.file': the first data row of %s "
+                             "must hold 2J = %d values (u_1..u_J, v_1..v_J), not %d"
+                             % (recipe["file"], 2 * J, data.size))
         return ExtendedVector(ModalVector(data[:J], lam),
-                              ModalVector(data[J:2 * J], lam), mem)
+                              ModalVector(data[J:], lam), mem)
     raise ValueError("unknown initial-data recipe %r" % recipe)
 
 
@@ -229,8 +252,8 @@ def cmd_simulate(args):
                          "not %g" % (cfg.dt, cfg.t_end, args.cloud_every))
     model, kernel = load_experiment(cfg)
     ops = assemble(model, kernel)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     z0s = [initial_state(cfg, model, kernel, k) for k in range(cfg.ensemble)]
+    os.makedirs(cfg.out_dir, exist_ok=True)
     trajs = integrate_ensemble(z0s, ops, kernel, cfg.framework, cfg.dt, cfg.t_end)
     cloud_times = []
     if args.cloud_every:
@@ -265,9 +288,9 @@ def cmd_compare(args):
     cfg = _load_config(args)
     model, kernel = load_experiment(cfg)
     ops = assemble(model, kernel)
-    os.makedirs(cfg.out_dir, exist_ok=True)
     cfg.framework = "history"
     z0s = [initial_state(cfg, model, kernel, k) for k in range(cfg.ensemble)]
+    os.makedirs(cfg.out_dir, exist_ok=True)
     # keep only (u, v) of the history run, so its other arrays are freed
     # before the state run allocates its own
     uv_h = [(traj.u_snaps, traj.v_snaps) for traj in

@@ -48,9 +48,6 @@ from .spaces import (
 
 BLOWUP_GUARD = 1e8
 BLOCK = 32        # steps whose far-field window sums share one matrix product
-# weights within this of an exact geometric sequence take the recursive
-# window sum; exponential kernels sit below 1e-10 even at W = 4.6e5 nodes
-GEOMETRIC_RTOL = 1e-9
 
 
 class BlowUpError(RuntimeError):
@@ -161,20 +158,18 @@ class MemoryForce:
         s = np.arange(n_max + 1) * dt
         self.k_dt = np.asarray(kernel.k(s), dtype=float)
         if framework == "history":
-            weight = kernel.mu
             mu = np.asarray(kernel.mu(s), dtype=float)
             mu[0] = 0.0 if not np.isfinite(mu[0]) else mu[0]
             self.mu_dt = w = mu
         else:
-            weight = kernel.k
             w = self.k_dt
         self._w = w
         self._n = self._n0 = self._h = None
-        # path and ratio come from the whole window, past n_max if need be,
-        # so a longer run takes the same path (prefix property)
-        inner = w[1:w_full] if w_full <= n_max else \
-            np.asarray(weight(np.arange(1, w_full) * dt), dtype=float)
-        self._q = q = _geometric_ratio(inner)
+        # path and ratio come from the whole window, nodes 1..w_full-1, past
+        # n_max if need be, so a longer run takes the same path (prefix
+        # property)
+        self._q = q = kernel.geometric_ratio(
+            "mu" if framework == "history" else "k", 1, dt, w_full - 1)
         if q is not None:
             self._top = top = w_full - 1
             self._c = c = dt * w[1]
@@ -324,15 +319,6 @@ class MemoryForce:
         if self.framework == "history":
             return self.history_force(n, P)
         return self.state_force(n, a)
-
-
-def _geometric_ratio(w):
-    """q when w[i] = w[0] q^i for every i to GEOMETRIC_RTOL, else None."""
-    if w.size < 2 or not w[0] > 0.0:
-        return None
-    q = (w[-1] / w[0]) ** (1.0 / (w.size - 1))
-    fit = w[0] * q ** np.arange(w.size)
-    return q if np.all(np.abs(w - fit) <= GEOMETRIC_RTOL * fit) else None
 
 
 def _stages(u, v, shape):
@@ -619,17 +605,17 @@ def _readback_ratio(kernel, dt):
 
     With r = ds/dt an integer, tau_i + k dt = (m + r/2) dt for m = r i + k,
     so mu is tested on that grid for m = 0..r (n_tau - 1) + W, W = s_max/dt,
-    by the same geometric test as the memory force.  The range is fixed by
-    the kernel, not by t, so every read-back of a run takes the same path.
-    The answer is kept for the last (kernel, dt), which all read-backs of a
-    run share: a kernel does not change after construction, and q is a float.
+    by the kernel's geometric query, as for the memory force.  The range is
+    fixed by the kernel, not by t, so every read-back of a run takes the
+    same path.  The answer is kept for the last (kernel, dt), which all
+    read-backs of a run share.
     """
     ratio = kernel.ds / dt
     r = int(round(ratio))
     if r < 1 or abs(ratio - r) > 1e-9:
         return None
-    m = np.arange(r * (kernel.grid.size - 1) + int(round(kernel.s_max / dt)) + 1)
-    return _geometric_ratio(np.asarray(kernel.mu((m + 0.5 * r) * dt), dtype=float))
+    return kernel.geometric_ratio(
+        "mu", 0.5 * r, dt, r * (kernel.grid.size - 1) + int(round(kernel.s_max / dt)) + 1)
 
 
 def reconstruct_xi(traj, t, kernel):

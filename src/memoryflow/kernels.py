@@ -22,6 +22,9 @@ DEFAULT_DS = 0.01
 TAIL_FLOOR = 1e-10          # s_max chosen so theta*exp(-delta*s_max) < TAIL_FLOOR
 ANALYTIC_RTOL = 1e-9        # inequality tolerance for closed-form kernels
 TABULATED_RTOL = 1e-6       # looser: linear interpolation noise
+# values within this of an exact geometric sequence count as geometric;
+# exponential kernels sit below 1e-10 even at 4.6e5 points
+GEOMETRIC_RTOL = 1e-9
 
 
 class KernelError(ValueError):
@@ -35,6 +38,15 @@ def _as_array(s):
 def _reciprocal(m):
     """1/m where m > 0, zero elsewhere."""
     return np.where(m > 0, 1.0 / np.where(m > 0, m, 1.0), 0.0)
+
+
+def _geometric_fit(w):
+    """q when w[i] = w[0] q^i for every i to GEOMETRIC_RTOL, else None."""
+    if w.size < 2 or not w[0] > 0.0:
+        return None
+    q = (w[-1] / w[0]) ** (1.0 / (w.size - 1))
+    fit = w[0] * q ** np.arange(w.size)
+    return q if np.all(np.abs(w - fit) <= GEOMETRIC_RTOL * fit) else None
 
 
 def default_s_max(theta, delta, ds=DEFAULT_DS):
@@ -73,6 +85,7 @@ class MemoryKernel:
         self._k_exact = k_exact
         self._first_moment_exact = first_moment_exact
         self.rtol = rtol
+        self._ratios = {}
 
         n = int(round(self.s_max / self.ds))
         self.grid = (np.arange(n) + 0.5) * self.ds   # midpoint nodes, never 0
@@ -125,6 +138,22 @@ class MemoryKernel:
     @property
     def has_jumps(self):
         return len(self.jumps) > 0
+
+    def geometric_ratio(self, of, start, step, count):
+        """q when of(x_i) = of(x_0) q^i for i = 0..count-1, else None.
+
+        `of` is "mu", "k" or "-mu'", and x_i = (start + i) * step, with
+        start counted in steps.  The memory-force window, the state
+        read-back and the bridge map all ask here.  Answers are kept per
+        question: a kernel does not change after construction.
+        """
+        key = (of, float(start), float(step), int(count))
+        if key not in self._ratios:
+            f = {"mu": self.mu, "k": self.k,
+                 "-mu'": lambda x: -_as_array(self.mu_prime(x))}[of]
+            x = (start + np.arange(count)) * step
+            self._ratios[key] = _geometric_fit(_as_array(f(x)))
+        return self._ratios[key]
 
     def check_grid(self):
         """Strided copy of the quadrature grid, about 400 nodes, avoiding jumps."""

@@ -245,16 +245,47 @@ def lambda_map(eta, kernel, tau_nodes=None):
                       kernel.nu(tau) * eta.ds, eta.lambdas, eta.ds)
 
 
+def _on_spacing(x, h):
+    """Whether the points x are x[0] + i h, to GRID_EQ_TOL of their size."""
+    return x.size > 0 and bool(np.all(np.abs(x - (x[0] + np.arange(x.size) * h))
+                                      <= GRID_EQ_TOL * max(1.0, np.abs(x).max())))
+
+
+def _bridge_ratio(eta, kernel, tau):
+    """q when -mu'(tau_i + s_j) = -mu'(tau_i + s_0) q^j at every pair, else None.
+
+    With tau and the field's nodes s on the field's spacing h, tau_i + s_j
+    = tau_0 + s_0 + (i + j) h, so it suffices that -mu' is geometric on
+    those points, i + j = 0..n_tau + n_s - 2.
+    """
+    h, s = eta.ds, eta.nodes
+    if not (_on_spacing(tau, h) and _on_spacing(s, h)):
+        return None
+    return kernel.geometric_ratio("-mu'", (tau[0] + s[0]) / h, h, tau.size + s.size - 1)
+
+
 def lambda_map_pointwise(eta, kernel, tau):
-    """Values of the mapped field at arbitrary tau points (no weights)."""
+    """Values of the mapped field at arbitrary tau points (no weights).
+
+    When -mu' is geometric on the pairs tau + s (see `_bridge_ratio`), as
+    for an exponential kernel with tau on the field's spacing, the
+    tau x s matrix of -mu'(tau + s) has rank one and the integral is the
+    column -mu'(tau + s_0) times one modal row, O((n_tau + n_s) J).
+    Otherwise it is the dense product, in blocks of tau.
+    """
     s = eta.nodes
     tau = np.atleast_1d(_as_array(tau))
-    out = np.zeros((tau.size, eta.lambdas.size))
-    block = max(1, int(2e6 // max(s.size, 1)))
-    for lo in range(0, tau.size, block):
-        tb = tau[lo:lo + block]
-        w = -_as_array(kernel.mu_prime(tb[:, None] + s[None, :]))
-        out[lo:lo + block] = (w @ eta.values) * eta.ds
+    q = _bridge_ratio(eta, kernel, tau)
+    if q is not None:
+        col = -_as_array(kernel.mu_prime(tau + s[0]))
+        out = col[:, None] * ((q ** np.arange(s.size)) @ eta.values) * eta.ds
+    else:
+        out = np.zeros((tau.size, eta.lambdas.size))
+        block = max(1, int(2e6 // max(s.size, 1)))
+        for lo in range(0, tau.size, block):
+            tb = tau[lo:lo + block]
+            w = -_as_array(kernel.mu_prime(tb[:, None] + s[None, :]))
+            out[lo:lo + block] = (w @ eta.values) * eta.ds
     for s_n, mu_n in kernel.jumps:
         sel = tau < s_n
         if not np.any(sel):

@@ -411,13 +411,23 @@ def hypothesis_probe_suite(model, kernel, radii, *, t_end=30.0, dt=2e-3,
 # ---------------------------------------------------------------------------
 
 def load_g_csv(path, J):
+    """Forcing from a CSV with `mode, coeff` columns; unlisted modes are 0.
+
+    Each mode is an integer in 1..J listed at most once, and each coeff is
+    finite; a row that breaks this raises a ValueError naming the file and
+    the row.
+    """
     data = np.genfromtxt(path, delimiter=",", names=True)
     g = np.zeros(J)
-    modes = np.atleast_1d(data["mode"]).astype(int)
-    coeffs = np.atleast_1d(data["coeff"])
-    for m, c in zip(modes, coeffs):
-        if 1 <= m <= J:
-            g[m - 1] = c
+    seen = set()
+    for row, (m, c) in enumerate(zip(np.atleast_1d(data["mode"]),
+                                     np.atleast_1d(data["coeff"])), 1):
+        if not (1 <= m <= J and m == int(m)) or m in seen or not math.isfinite(c):
+            raise ValueError("data row %d of %s: mode must be an integer in 1..%d "
+                             "listed once and coeff a finite number, not %g,%g"
+                             % (row, path, J, m, c))
+        seen.add(m)
+        g[int(m) - 1] = c
     return g
 
 

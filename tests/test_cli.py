@@ -297,6 +297,37 @@ def test_model_file_eigenvalues_checked_before_any_work(workdir, capsys, J, f, w
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare", "energy-report"])
+@pytest.mark.parametrize("row", ["0.1,0.2,0.3", "0.1,nan,0.3,0.4", "0.1,x,0.3,0.4",
+                                 "0.1,0.2,0.3,0.4,0.5", ""],
+                         ids=["three", "nan", "text", "five", "empty"])
+def test_initial_file_checked_before_any_work(workdir, capsys, command, row):
+    # a J = 2 model needs 2J = 4 finite values in the first data row
+    (workdir / "two.json").write_text(json.dumps({
+        "J": 2, "f": "zero", "kernel": "exp1.kernel.json"}))
+    (workdir / "init.csv").write_text("u_1,u_2,v_1,v_2\n%s\n" % row)
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg.update({"model": "two.json", "initial": {"file": "init.csv"}})
+    (workdir / "init_cfg.json").write_text(json.dumps(cfg))
+    assert main([command, "--config", str(workdir / "init_cfg.json")]) == 2
+    err = capsys.readouterr().err
+    assert "initial.file" in err and str(workdir / "init.csv") in err
+    assert not (workdir / "out").exists()
+
+
+def test_g_csv_bad_row_checked_before_any_work(workdir, capsys):
+    (workdir / "g.csv").write_text("mode,coeff\n1,0.5\n3,0.2\n")
+    (workdir / "g_model.json").write_text(json.dumps({
+        "J": 2, "f": "zero", "g": "g.csv", "kernel": "exp1.kernel.json"}))
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["model"] = "g_model.json"
+    (workdir / "g_cfg.json").write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(workdir / "g_cfg.json")]) == 2
+    err = capsys.readouterr().err
+    assert "row 2" in err and str(workdir / "g.csv") in err
+    assert not (workdir / "out").exists()
+
+
 def test_model_without_kernel_exits_two(workdir, capsys):
     (workdir / "no_kernel.json").write_text(json.dumps({"J": 1, "f": "zero"}))
     cfg = json.loads((workdir / "config.json").read_text())

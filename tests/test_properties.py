@@ -21,13 +21,20 @@ from memoryflow.evolution import (
     integrate_ensemble,
     sample_times,
 )
-from memoryflow.kernels import make_exponential_kernel, make_flatzone_kernel, split_sets
+from memoryflow.kernels import (
+    make_exponential_kernel,
+    make_flatzone_kernel,
+    make_tabulated_kernel,
+    split_sets,
+)
 from memoryflow.spaces import (
     ExtendedVector,
     HistoryField,
     ModalVector,
     StateField,
+    _bridge_ratio,
     big_l_map,
+    lambda_map_pointwise,
     norm_H,
     right_translate,
 )
@@ -244,6 +251,30 @@ def test_bridge_map_does_not_increase_norm(exp1, data, iota):
 
 
 COARSE = make_exponential_kernel(1.0, ds=0.1)      # 231 nodes
+
+
+@PROPERTY
+@given(delta=st.floats(1.0, 5.0), length=st.floats(0.5, 2.0), shift=st.integers(0, 40),
+       J=st.integers(1, 3), data=st.data())
+def test_rank_one_bridge_matches_dense_product(delta, length, shift, J, data):
+    # tau on the field's spacing, a whole number of cells past the grid:
+    # an exponential kernel takes the rank-one path, a tabulated triangle
+    # (unit moment, certificate (1, 1/length)) the dense one; both must
+    # give the dense product to 1e-12 of the sum of the absolute terms
+    lam = np.arange(1.0, J + 1.0) ** 2
+    triangle = make_tabulated_kernel([0.0, length], [6.0 / length ** 2, 0.0],
+                                     theta=1.0, delta_decay=1.0 / length)
+    for kernel in (make_exponential_kernel(delta, ds=0.1), triangle):
+        eta = HistoryField.zeros(kernel, lam)
+        eta.values[:] = data.draw(arrays(float, eta.values.shape,
+                                         elements=st.floats(-1e3, 1e3)))
+        tau = kernel.grid + shift * kernel.ds
+        assert (_bridge_ratio(eta, kernel, tau) is not None) == (kernel is not triangle)
+        w = -np.asarray(kernel.mu_prime(tau[:, None] + eta.nodes[None, :]))
+        want = (w @ eta.values) * eta.ds
+        scale = (np.abs(w) @ np.abs(eta.values)) * eta.ds
+        np.testing.assert_allclose(lambda_map_pointwise(eta, kernel, tau), want,
+                                   rtol=1e-12, atol=1e-12 * scale.max())
 
 
 @PROPERTY

@@ -205,6 +205,63 @@ def test_lambda_map_jump_term():
         assert got.values[row, 0] == pytest.approx(smooth + jump, rel=1e-12)
 
 
+def direct_bridge(eta, kernel, tau):
+    """(L eta)(tau) summed over the field's nodes one at a time, plus jumps."""
+    out = np.zeros((tau.size, eta.lambdas.size))
+    for s_j, row in zip(eta.nodes, eta.values):
+        out -= np.asarray(kernel.mu_prime(tau + s_j))[:, None] * row * eta.ds
+    for s_n, mu_n in kernel.jumps:
+        for j in range(eta.lambdas.size):
+            out[:, j] += mu_n * np.where(tau < s_n, np.interp(
+                s_n - tau, eta.nodes, eta.values[:, j], left=0.0, right=0.0), 0.0)
+    return out
+
+
+def test_bridge_map_matches_direct_sum(exp1):
+    from memoryflow.kernels import MemoryKernel, make_flatzone_kernel
+    from memoryflow.spaces import _bridge_ratio, lambda_map_pointwise
+
+    def cut_exp(s, c=4.0):
+        s = np.asarray(s, dtype=float)
+        return c * np.exp(-2.0 * s) * (s <= 1.0)
+
+    # geometric on [0, s_max] and zero past it, where tau + s reaches
+    cut = MemoryKernel(cut_exp, lambda s: cut_exp(s, -8.0), theta=1.0,
+                       delta_decay=2.0, s_max=1.0, kernel_id="cut", validate=False)
+    flat = make_flatzone_kernel(ds=0.05)
+    jump = make_jump_exponential_kernel(1.0, [(1.5, 0.4)], ds=0.05)
+    h = exp1.ds
+    # the y points of lambda_identity_residual at tau = 1, built as it does
+    n = int(np.ceil((exp1.s_max + 1.0 - 1.0) / h))
+    y = 1.0 + np.arange(n + n % 2 + 1) * h
+    # (kernel, tau, whether the rank-one path applies)
+    cases = [(exp1, exp1.grid, True),
+             (exp1, exp1.grid[:300] + 0.3 * h, True),     # a fraction of a cell off
+             (exp1, np.array([0.7]), True),
+             (exp1, y, True),
+             (exp1, 1.5 * exp1.grid[:300], False),         # spacing 1.5 h
+             (exp1, np.array([0.25, 0.75, 1.25]), False),
+             (cut, cut.grid, False), (flat, flat.grid, False), (jump, jump.grid, False)]
+    for kernel, tau, structured in cases:
+        eta = random_smooth_history(kernel, np.array([1.0, 4.0, 9.0]),
+                                    np.random.default_rng(11))
+        assert (_bridge_ratio(eta, kernel, tau) is not None) == structured
+        got = lambda_map_pointwise(eta, kernel, tau)
+        want = direct_bridge(eta, kernel, tau)
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-13 * np.abs(want).max())
+    # the identity residual through the same direct sums
+    eta = random_smooth_history(exp1, np.array([1.0, 4.0]), np.random.default_rng(12))
+    w = np.ones(y.size)
+    w[1:-1:2], w[2:-1:2] = 4.0, 2.0
+    lhs = (np.asarray(exp1.mu(1.0 + eta.nodes)) @ eta.values) * h
+    want = float(np.linalg.norm(lhs - (h / 3.0) * (w @ direct_bridge(eta, exp1, y))))
+    # the residual is about 2e-11 against sides of about 0.4: roundoff of
+    # the sides, not the residual, sets the tolerance
+    assert lambda_identity_residual(eta, exp1, 1.0) == pytest.approx(
+        want, abs=1e-13 * np.abs(lhs).max())
+
+
 def test_lambda_identity_zero(exp1):
     eta = HistoryField.zeros(exp1, scalar_lambdas())
     assert lambda_identity_residual(eta, exp1, 1.0) == 0.0

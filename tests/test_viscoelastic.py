@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from memoryflow.viscoelastic import (
     gamma_functional,
     hypothesis_probe_suite,
     lk_split,
+    load_g_csv,
     load_model_file,
     make_model,
     phi_functional,
@@ -440,3 +442,15 @@ def test_model_file_roundtrip(tmp_path):
     assert model.J == 4
     assert model.g[0] == 0.5 and model.g[2] == -0.25
     assert kpath == "unused.json"
+
+
+@pytest.mark.parametrize("rows,bad", [("1,0.5\n3,0.2", 2), ("0,1.0", 1),
+                                      ("1,0.5\n1,0.7", 2), ("1.5,0.2", 1),
+                                      ("2,nan", 1), ("1,0.5\n2,inf", 2), ("x,1", 1)],
+                         ids=["above-J", "zero", "repeat", "fraction", "nan", "inf", "text"])
+def test_g_csv_refuses_bad_rows(tmp_path, rows, bad):
+    # modes are integers in 1..J listed once, coeffs finite; J = 2
+    g_path = tmp_path / "g.csv"
+    g_path.write_text("mode,coeff\n%s\n" % rows)
+    with pytest.raises(ValueError, match=re.escape("row %d of %s" % (bad, g_path))):
+        load_g_csv(str(g_path), 2)

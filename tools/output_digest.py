@@ -12,9 +12,11 @@ The commands run in-process on the package source beside this file
 - `compare`, `energy-report` (on the single-mode config, and at
   `--sigma 0.5 --samples 20` on the cubic one), `lk-split` and `hypotheses`;
 - `attract` of the state run's clouds against its last cloud;
-- `simulate` in both frameworks on a small f = "zero" model with a
-  tabulated kernel, whose table and JSON files the script writes into
-  `inputs/` of its temporary directory; these runs step one at a time.
+- `simulate` in both frameworks and `compare` on a small f = "zero" model
+  with a tabulated kernel, whose table and JSON files the script writes
+  into `inputs/` of its temporary directory; these runs step one at a
+  time, and `compare` maps the history to the state by the dense bridge
+  product, not the rank-one one.
 
 Each line is `<sha256>  <path>`, sorted by path, so two trees compare by
 `diff`; the files under `inputs/` are not listed.  summary.txt is hashed
@@ -86,6 +88,9 @@ def commands(out):
               ["simulate", "--config", tabulated, "--framework", fw,
                "--out", os.path.join(out, "simulate_tabulated_" + fw)], (0,))
              for fw in ("history", "state")]
+    runs.append(("compare_tabulated", ["compare", "--config", tabulated,
+                                       "--out", os.path.join(out, "compare_tabulated")],
+                 (0,)))
     return runs
 
 
