@@ -3,8 +3,9 @@
 The equation u_tt - Lap(u) - int k(s) Lap(u_t(t-s)) ds + f(u) = g with
 Dirichlet conditions is discretized on the eigenpairs of -Lap; the default
 domain is the interval (0, pi) with lambda_j = j^2 and sine eigenfunctions.
-The nonlinearity is evaluated pseudospectrally on a 4J-point collocation
-grid, which de-aliases cubic products exactly.
+The nonlinearity is evaluated pseudospectrally on the 2J points
+x_m = pi*m/(2J + 1), the fewest equispaced points on which projecting a
+cubic back onto J modes is exact (see `CollocationTransform`).
 """
 
 import json
@@ -34,15 +35,18 @@ F_SELECTORS = ("zero", "cubic", "cubic_minus_linear")
 class CollocationTransform:
     """Modal <-> pointwise transforms on the de-aliasing grid.
 
-    Quadrature at x_m = pi*m/M, m = 1..M-1 with M = 4J is exact for products
-    of sine modes up to degree 2M - 1, so projecting u^3 back onto the first
-    J modes is exact for trigonometric polynomials.  Both transforms act on
-    the last axis as stacked matrix-vector products, so a row of a batch
-    gets the same bits as the same vector transformed alone.
+    The grid is x_m = pi*m/M, m = 1..M-1, with M = 2J + 1, and the weight
+    is pi/M.  With it sin(a x) sin(b x) sums exactly to (pi/2) [a = b]
+    whenever a + b < 2M.  u^3 has sine modes up to 3J and is projected
+    on modes up to J, so a + b <= 4J < 4J + 2 and the Galerkin projection
+    of u^3 is exact for trigonometric polynomials.  M = 2J is not enough:
+    it aliases mode 3J onto mode J.  Both transforms act on the last axis
+    as stacked matrix-vector products, so a row of a batch gets the same
+    bits as the same vector transformed alone.
     """
 
-    def __init__(self, n_modes, oversample=4):
-        M = oversample * n_modes
+    def __init__(self, n_modes):
+        M = 2 * n_modes + 1
         m = np.arange(1, M)
         j = np.arange(1, n_modes + 1)
         x = math.pi * m / M
