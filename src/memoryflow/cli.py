@@ -57,6 +57,7 @@ from .viscoelastic import (
     hypothesis_probe_suite,
     lk_split,
     load_model_file,
+    memory_norms_sq,
     phi_functional,
     sigma_state_norm,
 )
@@ -335,14 +336,19 @@ def cmd_energy_report(args):
     phi_c = 0.0
     for t in ts:
         z = traj.state_at(t, kernel)
-        e0 = energy_sigma(z, 0.0, model)
-        es = e0 if args.sigma == 0.0 else energy_sigma(z, args.sigma, model)
+        # one pass over the history field serves E0's norm and the
+        # dissipation rate; the sigma-norm serves E_sigma and the ratio
+        mem_sq = memory_norms_sq(z.memory, 0.0)
+        norm0 = sigma_state_norm(z, 0.0, mem_sq)
+        norm = norm0 if args.sigma == 0.0 else sigma_state_norm(z, args.sigma)
+        e0 = energy_sigma(z, 0.0, model, norm0)
+        es = e0 if args.sigma == 0.0 else energy_sigma(z, args.sigma, model, norm)
         phi = phi_functional(z, args.sigma, args.nu_small, args.delta_split,
                              model, kernel)
         gam = es + args.eps * phi
-        rows.append((t, e0, es, phi, gam, dissipation_rhs(z, 0.0, kernel)))
+        rows.append((t, e0, es, phi, gam, dissipation_rhs(z, 0.0, kernel, mem_sq)))
         # phi_control_ratio's |Phi| / ||z||^2_sigma, without a second Phi
-        norm_sq = sigma_state_norm(z, args.sigma) ** 2
+        norm_sq = norm ** 2
         if norm_sq != 0.0:
             phi_c = max(phi_c, abs(phi) / norm_sq)
     os.makedirs(cfg.out_dir, exist_ok=True)

@@ -8,6 +8,7 @@ x_m = pi*m/(2J + 1), the fewest equispaced points on which projecting a
 cubic back onto J modes is exact (see `CollocationTransform`).
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -138,32 +139,72 @@ def assemble(model, kernel):
 # energy functionals
 # ---------------------------------------------------------------------------
 
-def sigma_state_norm(z, sigma):
-    """Extended norm at real regularity index sigma in [0, 1]."""
+def memory_norms_sq(mem, sigma):
+    """Per-node ||eta(s)||^2_{sigma-1} of a grid field, shape (nodes,).
+
+    The memory part of the sigma-norm and the dissipation rate both weight
+    it; a caller that needs both at one sigma can compute it once.
+    """
+    return mem.values ** 2 @ mem.lambdas ** (sigma - 1.0)
+
+
+def sigma_state_norm(z, sigma, mem_sq=None):
+    """Extended norm at real regularity index sigma in [0, 1].
+
+    `mem_sq` is `memory_norms_sq(z.memory, sigma)` when the caller has it.
+    """
     lam = z.u.lambdas
     part_u = np.sum(lam ** (sigma + 1) * z.u.coeffs ** 2)
     part_v = np.sum(lam ** sigma * z.v.coeffs ** 2)
-    mem = z.memory
-    part_m = np.sum(mem.weights * (mem.values ** 2 @ lam ** (sigma - 1.0)))
+    if mem_sq is None:
+        mem_sq = memory_norms_sq(z.memory, sigma)
+    part_m = np.sum(z.memory.weights * mem_sq)
     return float(np.sqrt(part_u + part_v + part_m))
 
 
-def energy_sigma(z, sigma, model):
-    """E_sigma: squared norms plus twice the pairing of f(u) - g with A^sigma u."""
+def energy_sigma(z, sigma, model, norm=None):
+    """E_sigma: squared norms plus twice the pairing of f(u) - g with A^sigma u.
+
+    `norm` is `sigma_state_norm(z, sigma)` when the caller has it.
+    """
     if not 0.0 <= sigma <= 1.0:
         raise ValueError("sigma must lie in [0, 1]")
     lam = model.lambdas
     u = z.u.coeffs
     pairing = float(np.sum((f_modal(model, u) - model.g) * lam ** sigma * u))
-    return sigma_state_norm(z, sigma) ** 2 + 2.0 * pairing
+    if norm is None:
+        norm = sigma_state_norm(z, sigma)
+    return norm ** 2 + 2.0 * pairing
 
 
-def dissipation_rhs(z, sigma, kernel):
-    """Grid value of int mu'(s) ||eta(s)||^2_{sigma-1} ds (nonpositive)."""
+def dissipation_rhs(z, sigma, kernel, mem_sq=None):
+    """Grid value of int mu'(s) ||eta(s)||^2_{sigma-1} ds (nonpositive).
+
+    `mem_sq` is `memory_norms_sq(z.memory, sigma)` when the caller has it.
+    """
     mem = z.memory
     mup = np.asarray(kernel.mu_prime(mem.nodes), dtype=float)
-    lamw = mem.lambdas ** (sigma - 1.0)
-    return float(np.sum(mup * (mem.values ** 2 @ lamw)) * mem.ds)
+    if mem_sq is None:
+        mem_sq = memory_norms_sq(mem, sigma)
+    return float(np.sum(mup * mem_sq) * mem.ds)
+
+
+@functools.lru_cache(maxsize=8)
+def _phi_weights(kernel, nu_small, delta_split, node_bytes, ds):
+    """Node weights of terms 1 and 3 of `phi_functional`.
+
+    They depend on the kernel, the flags and the nodes (given as bytes, so
+    that they key the cache) but not on the state: mu_nu at the nodes, and
+    the forward cumulative mass of the non-dissipative set P from each node
+    (its own cell counted half).
+    """
+    nodes = np.frombuffer(node_bytes)
+    _, mu_nu = truncated_kernel(kernel, nu_small)
+    mu_nu_vals = np.asarray(mu_nu(nodes), dtype=float)
+    p_mask, _ = split_sets(kernel, delta_split, nodes)
+    mu_p = np.asarray(kernel.mu(nodes), dtype=float) * p_mask
+    kappa = np.cumsum((mu_p * ds)[::-1])[::-1] - 0.5 * mu_p * ds
+    return mu_nu_vals, kappa
 
 
 def phi_functional(z, sigma, nu_small, delta_split, model, kernel):
@@ -178,18 +219,15 @@ def phi_functional(z, sigma, nu_small, delta_split, model, kernel):
         raise ValueError("phi functional needs a history-type state")
     lam = model.lambdas
     u, v = z.u.coeffs, z.v.coeffs
-    s_nu, mu_nu = truncated_kernel(kernel, nu_small)
+    mu_nu_vals, kappa = _phi_weights(
+        kernel, nu_small, delta_split,
+        np.ascontiguousarray(mem.nodes, dtype=float).tobytes(), mem.ds)
     lamw = lam ** (sigma - 1.0)
 
-    mu_nu_vals = np.asarray(mu_nu(mem.nodes), dtype=float)
     t1 = -float(np.sum(mu_nu_vals * (mem.values @ (lamw * v)))) * mem.ds
 
     t2 = (1.0 - 2.0 * nu_small) * float(np.sum(lam ** sigma * v * u))
 
-    p_mask, _ = split_sets(kernel, delta_split, mem.nodes)
-    mu_p = np.asarray(kernel.mu(mem.nodes), dtype=float) * p_mask
-    # forward cumulative mass of P from each node (its own cell counted half)
-    kappa = (np.cumsum((mu_p * mem.ds)[::-1])[::-1] - 0.5 * mu_p * mem.ds)
     diff = mem.values - (lam * u)[None, :]
     t3 = float(np.sum(kappa * (np.square(diff, out=diff) @ lamw))) * mem.ds
     return t1 + t2 + t3
