@@ -11,6 +11,7 @@ cubic back onto J modes is exact (see `CollocationTransform`).
 import functools
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,12 @@ class GalerkinModel:
         return self.lambdas.size
 
 
+def _check_modes(J):
+    """Refuse a mode count J that is not an integer >= 1 (a bool included)."""
+    if isinstance(J, bool) or not isinstance(J, numbers.Integral) or J < 1:
+        raise ValueError("model field 'J' must be an integer >= 1, not %r" % (J,))
+
+
 def make_model(J, f="cubic", beta=0.0, g=None, lambdas=None):
     """Build a model on (0, pi) (lambda_j = j^2) or on given eigenvalues.
 
@@ -84,6 +91,7 @@ def make_model(J, f="cubic", beta=0.0, g=None, lambdas=None):
     collocated on the interval's sines, so given eigenvalues (another
     domain) admit only f = "zero", and there must be J of them.
     """
+    _check_modes(J)
     lam = np.arange(1, J + 1, dtype=float) ** 2 if lambdas is None \
         else np.asarray(lambdas, dtype=float)
     if lam.shape != (J,):
@@ -189,14 +197,15 @@ def dissipation_rhs(z, sigma, kernel, mem_sq=None):
     return float(np.sum(mup * mem_sq) * mem.ds)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _phi_weights(kernel, nu_small, delta_split, node_bytes, ds):
     """Node weights of terms 1 and 3 of `phi_functional`.
 
     They depend on the kernel, the flags and the nodes (given as bytes, so
     that they key the cache) but not on the state: mu_nu at the nodes, and
     the forward cumulative mass of the non-dissipative set P from each node
-    (its own cell counted half).
+    (its own cell counted half).  Only the last answer is kept, which every
+    sample of an energy report shares; more would keep old kernels alive.
     """
     nodes = np.frombuffer(node_bytes)
     _, mu_nu = truncated_kernel(kernel, nu_small)
@@ -485,8 +494,7 @@ def load_model_file(path):
             raise ValueError("parse error in %s at line %d: %s"
                              % (path, exc.lineno, exc.msg)) from exc
     J = spec.get("J")
-    if isinstance(J, bool) or not isinstance(J, int) or J < 1:
-        raise ValueError("model field 'J' must be an integer >= 1, not %r" % (J,))
+    _check_modes(J)
     domain = spec.get("domain", "interval_pi")
     lambdas = None
     if isinstance(domain, dict) and "eigenfile" in domain:

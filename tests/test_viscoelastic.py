@@ -132,6 +132,54 @@ def test_collocation_roundtrip():
     assert np.allclose(back, u, atol=1e-13)
 
 
+def projected_cube(u, n_points):
+    """Sine coefficients of u^3 on modes 1..J by the quadrature with weight
+    pi/M on the points x_m = pi*m/M, m = 1..M-1, where M = n_points + 1."""
+    M = n_points + 1
+    x = math.pi * np.arange(1, M) / M
+    sines = math.sqrt(2.0 / math.pi) * np.sin(np.outer(x, np.arange(1, u.size + 1)))
+    return (math.pi / M) * (sines.T @ (sines @ u) ** 3)
+
+
+@pytest.mark.parametrize("J", [1, 2, 3, 8, 33, 128])
+def test_collocation_grid_projects_the_cube_exactly(J):
+    # u^3 reaches mode 3J; 2J points project it on modes 1..J exactly, and
+    # the top modes are where too few points would alias first
+    model = make_model(J, f="cubic")
+    assert model.collocation.sines.shape == (2 * J, J)
+    rng = np.random.default_rng(J)
+    top = np.zeros(J)
+    top[-1] = 1.0
+    cases = [rng.standard_normal(J) / np.arange(1, J + 1), top]
+    if J > 1:
+        pair = top.copy()
+        pair[-2] = 1.0
+        cases.append(pair)
+    for u in cases:
+        want = projected_cube(u, 8 * J - 1)     # a grid four times as fine
+        got = f_modal(model, u)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_collocation_batch_rows_match_solo_calls():
+    J, E = 128, 5
+    model = make_model(J, f="cubic")
+    U = np.random.default_rng(7).standard_normal((E, J)) / np.arange(1, J + 1)
+    batch = f_modal(model, U)
+    for e in range(E):
+        assert np.array_equal(batch[e], f_modal(model, U[e]))
+
+
+@pytest.mark.parametrize("J", [0, -2, True, False, 2.0, "3", None])
+def test_make_model_refuses_a_bad_mode_count(J):
+    with pytest.raises(ValueError, match="'J' must be an integer >= 1"):
+        make_model(J, f="cubic")
+
+
+def test_make_model_takes_a_numpy_mode_count():
+    assert make_model(np.int64(3), f="zero").J == 3
+
+
 def test_single_mode_reduction(exp1):
     # zero nonlinearity, one mode: matches the generic linear operator form
     model = make_model(1, f="zero")

@@ -16,7 +16,10 @@ The commands run in-process on the package source beside this file
   with a tabulated kernel, whose table and JSON files the script writes
   into `inputs/` of its temporary directory; these runs step one at a
   time, and `compare` maps the history to the state by the dense bridge
-  product, not the rank-one one.
+  product, not the rank-one one;
+- `simulate` of two members of a J = 64 cubic model, also written into
+  `inputs/`, where f's collocation transform, not call overhead, is most
+  of a step.
 
 Each line is `<sha256>  <path>`, sorted by path, so two trees compare by
 `diff`; the files under `inputs/` are not listed.  summary.txt is hashed
@@ -51,6 +54,14 @@ TABULATED = {
     "tab_experiment.json": {"model": "tab_model.json", "dt": 0.005, "t_end": 2.0,
                             "ensemble": 2, "seed": 3,
                             "initial": {"random_ball": {"radius": 1.0, "space": "H1"}}},
+}
+# a cubic J = 64 model, wide enough that f_modal's matvecs dominate a step
+WIDE = {
+    "wide.kernel.json": {"family": "exponential", "delta": 1.0},
+    "wide_model.json": {"J": 64, "f": "cubic", "kernel": "wide.kernel.json"},
+    "wide_experiment.json": {"model": "wide_model.json", "dt": 0.001, "t_end": 0.1,
+                             "ensemble": 2, "seed": 4,
+                             "initial": {"random_ball": {"radius": 1.0, "space": "H1"}}},
 }
 
 
@@ -91,6 +102,9 @@ def commands(out):
     runs.append(("compare_tabulated", ["compare", "--config", tabulated,
                                        "--out", os.path.join(out, "compare_tabulated")],
                  (0,)))
+    runs.append(("simulate_wide_cubic",
+                 ["simulate", "--config", os.path.join(out, "inputs", "wide_experiment.json"),
+                  "--out", os.path.join(out, "simulate_wide_cubic")], (0,)))
     return runs
 
 
@@ -106,7 +120,7 @@ def digest(path):
 def run_all(out):
     inputs = os.path.join(out, "inputs")
     os.makedirs(inputs)
-    for name, content in TABULATED.items():
+    for name, content in {**TABULATED, **WIDE}.items():
         with open(os.path.join(inputs, name), "w") as fh:
             fh.write(content if isinstance(content, str) else json.dumps(content))
     for name, argv, allowed in commands(out):
