@@ -33,6 +33,7 @@ from .evolution import (
 )
 from .kernels import (
     KernelError,
+    KernelFileError,
     admissibility_report,
     check_dafermos,
     check_nec,
@@ -203,6 +204,8 @@ def cmd_kernel(args):
     try:
         kernel = load_kernel_file(args.file)
         report = admissibility_report(kernel)
+    except KernelFileError:
+        raise                 # a malformed file exits 2, as every config error
     except KernelError as exc:
         print("kernel check failed: %s" % exc, file=sys.stderr)
         return 1

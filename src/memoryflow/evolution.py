@@ -3,10 +3,14 @@
 The (u, v) pair advances by a classical four-stage Runge-Kutta step with the
 memory force interpolated linearly in time between its values at the step
 endpoints; the endpoint at t+dt comes from a predictor pass.  The memory
-variable itself is never stepped: it is reconstructed on demand from stored
-snapshots through the explicit representation formulas, so the history
-transport is exact and free of CFL constraints.  The coupled scheme is
-second order overall.
+variable itself is never stepped: it is reconstructed on demand from the
+stored (u, v) snapshots through the explicit representation formulas, so
+the history transport is exact and free of CFL constraints.  The coupled
+scheme is second order overall.
+
+A run fills (E, n+1, J) arrays of u, v, the memory force F and the memory
+source X that F reads (lambdas*u for history, lambdas*v for state).  A
+trajectory keeps u, v and F; read-backs form X's rows from u or v.
 
 An ensemble is a batch axis: `integrate_ensemble` steps all members together
 as rows of member-major arrays, and each row is bitwise equal to the same
@@ -30,7 +34,6 @@ Its results match the step-by-step path to roundoff.  Every other run,
 `MemoryForce`, and has the textbook scheme's bits.
 """
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,12 +87,10 @@ class ModelOperators:
 
 @dataclass
 class Trajectory:
-    """Uniformly spaced snapshots plus the stored data propagators need."""
+    """Uniformly spaced snapshots of u, v and the memory force."""
     times: np.ndarray
     u_snaps: np.ndarray            # (n+1, J)
     v_snaps: np.ndarray
-    a_prim: np.ndarray             # primitive of the memory source per snapshot
-    a_vals: np.ndarray             # memory source per snapshot
     force_snaps: np.ndarray        # memory force as used at each snapshot
     initial_memory: object
     window: float
@@ -315,10 +316,10 @@ class MemoryForce:
             return self._past.copy()
         return self._past + (0.5 * dt * self.k_dt[0]) * a[:, n]
 
-    def force(self, n, P, a):
+    def force(self, n, X):
         if self.framework == "history":
-            return self.history_force(n, P)
-        return self.state_force(n, a)
+            return self.history_force(n, X)
+        return self.state_force(n, X)
 
 
 def _stages(u, v, shape):
@@ -369,15 +370,15 @@ def _step_map(mf, lam, g, s):
     The step is the row z = (u, v, p, h, F, x0, x1, xt, m0, m1, 1) at n
     times an (11, 5) matrix per mode, which gives (u, v, p, h) at n+1 and
     F = F(n).  Here p = X[n-1] and h is the carry of `MemoryForce._carry`
-    of mf, with X = P in the history framework and A in the state
-    framework; the F slot is not read.  The inputs x0 = X[n-m], x1 =
-    X[n+1-m1], xt = X[n-top] and the initial-memory terms m0, m1 at n and
-    n+1 are final before n.  The matrix depends on n only through the
-    scalars s = (a[n], b[n], a[n+1], b[n+1], leave [n >= top]), where
-    (a, b) is (gain, edge) in the history framework and (dt k(0)/2, edge)
-    in the state framework, both 0 at n = 0.  For s of shape (5, K) it
-    returns (K, J, 11, 5), from `_rk4` run on the 11 unit rows of z, with
-    g, which must be one (J,) forcing, on the constant row.
+    of mf, with X the run's memory source; the F slot is not read.  The
+    inputs x0 = X[n-m], x1 = X[n+1-m1], xt = X[n-top] and the
+    initial-memory terms m0, m1 at n and n+1 are final before n.  The
+    matrix depends on n only through the scalars s = (a[n], b[n], a[n+1],
+    b[n+1], leave [n >= top]), where (a, b) is (gain, edge) in the history
+    framework and (dt k(0)/2, edge) in the state framework, both 0 at n = 0.
+    For s of shape (5, K) it returns (K, J, 11, 5), from `_rk4` run on the
+    11 unit rows of z, with g, which must be one (J,) forcing, on the
+    constant row.
     """
     a0, b0, a1, b1, lv = np.asarray(s, dtype=float)[:, :, None, None]
     u, v, p, h, _, x0, x1, xt, m0, m1, one = np.eye(11)[:, :, None] * np.ones(lam.size)
@@ -416,8 +417,8 @@ def _block_path(ops, mf):
             and mf._top >= BLOCK)
 
 
-def _integrate_blocks(mf, ops, lam, U, V, P, A, F):
-    """Fill U, V, P, A and F of an f = None run with a recursive window.
+def _integrate_blocks(mf, ops, lam, U, V, X, F):
+    """Fill U, V, X and F of an f = None run with a recursive window.
 
     Steps run BLOCK at a time from n = 0.  The matrix of `_step_map` is a
     polynomial of degree 2 in its five scalars, so a block's matrices are
@@ -429,7 +430,6 @@ def _integrate_blocks(mf, ops, lam, U, V, P, A, F):
     """
     E, n_steps, J = U.shape[0], U.shape[1] - 1, lam.size
     dt = mf.dt
-    X = P if mf.framework == "history" else A
     top = mf._top
     # the scalars of the step from n = 0..n_steps; at n_steps only the F
     # column is used, which does not read a[n+1] or b[n+1]
@@ -477,8 +477,7 @@ def _integrate_blocks(mf, ops, lam, U, V, P, A, F):
             U[:, new] = z[1:L + 1, :, :, 0, 0].swapaxes(0, 1)
             V[:, new] = z[1:L + 1, :, :, 0, 1].swapaxes(0, 1)
             F[:, n0:n0 + last] = z[1:last + 1, :, :, 0, 4].swapaxes(0, 1)
-            P[:, new] = lam * U[:, new]
-            A[:, new] = lam * V[:, new]
+            X[:, new] = lam * (U if mf.framework == "history" else V)[:, new]
             ok = ((np.abs(U[:, new]) <= BLOWUP_GUARD)
                   & (np.abs(V[:, new]) <= BLOWUP_GUARD)).all(axis=(0, 2))
         if not ok.all():
@@ -511,54 +510,50 @@ def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end, *, window=None):
 
     U = np.empty((len(z0s), n_steps + 1, lam.size))
     V = np.empty_like(U)
-    P = np.empty_like(U)
-    A = np.empty_like(U)
+    X = np.empty_like(U)
     F = np.empty_like(U)
     U[:, 0] = [z0.u.coeffs for z0 in z0s]
     V[:, 0] = [z0.v.coeffs for z0 in z0s]
-    P[:, 0] = lam * U[:, 0]
-    A[:, 0] = lam * V[:, 0]
+    X[:, 0] = lam * (U if framework == "history" else V)[:, 0]
 
     mf = MemoryForce(kernel, framework, dt, n_steps, window)
     mf.set_initial_memory([z0.memory for z0 in z0s])
     advance = _integrate_blocks if _block_path(ops, mf) else _integrate_steps
-    advance(mf, ops, lam, U, V, P, A, F)
+    advance(mf, ops, lam, U, V, X, F)
 
     times = np.arange(n_steps + 1) * dt
     return [Trajectory(
-        times=times, u_snaps=U[e], v_snaps=V[e], a_prim=P[e], a_vals=A[e],
-        force_snaps=F[e], initial_memory=z0.memory.copy(), window=window,
-        framework=framework, dt=dt, kernel_id=kernel.kernel_id, lambdas=lam)
+        times=times, u_snaps=U[e], v_snaps=V[e], force_snaps=F[e],
+        initial_memory=z0.memory.copy(), window=window, framework=framework,
+        dt=dt, kernel_id=kernel.kernel_id, lambdas=lam)
         for e, z0 in enumerate(z0s)]
 
 
-def _integrate_steps(mf, ops, lam, U, V, P, A, F):
-    """Fill U, V, P, A and F one predictor-corrector step at a time.
+def _integrate_steps(mf, ops, lam, U, V, X, F):
+    """Fill U, V, X and F one predictor-corrector step at a time.
 
     The state w = (u, v) of all members is one (2, E, J) array, which the
-    corrector advances in place.  The predictor stores only the row of P
-    (history) or A (state) that force(n+1) reads; the corrector's w is
-    stored once into U, V, P and A, and the blow-up guard checks it in one
-    call.
+    corrector advances in place.  The predictor stores the row of X that
+    force(n+1) reads; the corrector's w is stored once into U and V and
+    overwrites that row, and the blow-up guard checks it in one call.
     """
     n_steps, dt = U.shape[1] - 1, mf.dt
     S = _stages(U[:, 0], V[:, 0], U[:, 0].shape)
     w = S[0, :2]
-    k, X = (0, P) if mf.framework == "history" else (1, A)
+    k = 0 if mf.framework == "history" else 1
     for n in range(n_steps):
-        F0 = mf.force(n, P, A)
+        F0 = mf.force(n, X)
         wp, shared = _rk4(ops, S, dt, F0, F0)            # predictor: force frozen
         np.multiply(lam, wp[k], out=X[:, n + 1])
         # corrector: force linear in t
-        _rk4(ops, S, dt, F0, mf.force(n + 1, P, A), shared, w)
+        _rk4(ops, S, dt, F0, mf.force(n + 1, X), shared, w)
         U[:, n + 1], V[:, n + 1] = w
-        np.multiply(lam, w[0], out=P[:, n + 1])
-        np.multiply(lam, w[1], out=A[:, n + 1])
+        np.multiply(lam, w[k], out=X[:, n + 1])
         F[:, n] = F0
         # the negated comparison also catches NaN, which compares false
         if not np.abs(w).max() <= BLOWUP_GUARD:
             raise BlowUpError(n * dt + dt)
-    F[:, n_steps] = mf.force(n_steps, P, A)
+    F[:, n_steps] = mf.force(n_steps, X)
 
 
 def integrate(z0, ops, kernel, framework, dt, t_end, *, window=None):
@@ -574,9 +569,10 @@ def integrate(z0, ops, kernel, framework, dt, t_end, *, window=None):
 def reconstruct_eta(traj, t, kernel):
     """History variable at time t, assembled from snapshots.
 
-    eta^t(s) = P(t) - P(t-s) for s <= t (P the memory-source primitive,
-    interpolated between snapshots) and the right-translated initial history
-    plus P(t) - P(0) beyond.
+    eta^t(s) = P(t) - P(t-s) for s <= t (P = lambdas*u, the memory-source
+    primitive, interpolated between snapshots) and the right-translated
+    initial history plus P(t) - P(0) beyond.  Grid nodes are positive, so
+    the interpolation reads snapshots 0..idx only.
     """
     idx = traj.index_of(t)
     nodes = kernel.grid
@@ -592,14 +588,12 @@ def reconstruct_eta(traj, t, kernel):
         for j in range(traj.lambdas.size):
             out.values[future, j] = np.interp(pts, eta0.nodes, eta0.values[:, j],
                                               left=eta0.values[0, j], right=0.0)
-    Pt = traj.a_prim[idx]
-    out.values[past] = Pt[None, :] - _interp_many(traj.a_prim,
-                                                  (t - nodes[past]) / traj.dt)
-    out.values[future] += (Pt - traj.a_prim[0])[None, :]
+    P = traj.lambdas * traj.u_snaps[:idx + 1]
+    out.values[past] = P[idx][None, :] - _interp_many(P, (t - nodes[past]) / traj.dt)
+    out.values[future] += (P[idx] - P[0])[None, :]
     return out
 
 
-@functools.lru_cache(maxsize=1)
 def _readback_ratio(kernel, dt):
     """q when mu(tau_i + k dt) = mu(tau_i) q^k at every read-back point, else None.
 
@@ -607,8 +601,7 @@ def _readback_ratio(kernel, dt):
     so mu is tested on that grid for m = 0..r (n_tau - 1) + W, W = s_max/dt,
     by the kernel's geometric query, as for the memory force.  The range is
     fixed by the kernel, not by t, so every read-back of a run takes the
-    same path.  The answer is kept for the last (kernel, dt), which all
-    read-backs of a run share.
+    same path, and the kernel keeps the answer.
     """
     ratio = kernel.ds / dt
     r = int(round(ratio))
@@ -621,8 +614,8 @@ def _readback_ratio(kernel, dt):
 def reconstruct_xi(traj, t, kernel):
     """State variable at time t: left-shifted xi0 plus the mu convolution.
 
-    xi^t(tau) = xi0(tau + t) + int_0^t mu(tau + s) a(t - s) ds, by the
-    trapezoid rule on the snapshot spacing.  When mu is geometric on the
+    xi^t(tau) = xi0(tau + t) + int_0^t mu(tau + s) a(t - s) ds, a = lambdas*v,
+    by the trapezoid rule on the snapshot spacing.  When mu is geometric on the
     read-back points (see `_readback_ratio`), the integral is the kernel
     column mu(tau) times one modal vector, O((n_tau + t/dt) J); otherwise it
     is a blocked n_tau x (t/dt) matrix product.
@@ -640,7 +633,7 @@ def reconstruct_xi(traj, t, kernel):
                                    left=xi0.values[0, j], right=0.0)
     if idx > 0:
         dt = traj.dt
-        a = traj.a_vals[:idx + 1]
+        a = traj.lambdas * traj.v_snaps[:idx + 1]
         w_t = np.full(idx + 1, dt)
         w_t[0] = w_t[-1] = 0.5 * dt
         a_rev = a[::-1]

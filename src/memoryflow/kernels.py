@@ -31,6 +31,17 @@ class KernelError(ValueError):
     """Raised when a kernel fails an admissibility requirement."""
 
 
+class KernelFileError(KernelError):
+    """Raised when a kernel file is malformed: a config error, not a failed
+    admissibility check."""
+
+
+def finite_number(value):
+    """Whether a config value is a finite int or float (a bool is not)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
+
+
 def _as_array(s):
     return np.asarray(s, dtype=float)
 
@@ -547,27 +558,24 @@ def load_kernel_file(path):
 
     Fields: family (exponential | flatzone | tabulated), delta, theta,
     jumps [(s, drop), ...], table (CSV path with s, mu columns, relative to
-    this file), ds, s_max.
+    this file), normalize (bool), ds, s_max.  A malformed file raises a
+    KernelFileError naming the field.
     """
     with open(path) as fh:
         try:
             spec = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise KernelError("parse error in %s at line %d: %s"
-                              % (path, exc.lineno, exc.msg)) from exc
-
-    def finite(value):
-        return isinstance(value, (int, float)) and not isinstance(value, bool) \
-            and math.isfinite(value)
+            raise KernelFileError("parse error in %s at line %d: %s"
+                                  % (path, exc.lineno, exc.msg)) from exc
 
     def positive(name, default=None, required=False):
         # a finite number > 0, or the default when the field is absent
         value = spec.get(name, default)
         if value is None and not required:
             return None
-        if not (finite(value) and value > 0):
-            raise KernelError("kernel field %r must be a finite number > 0, not %r in %s"
-                              % (name, value, path))
+        if not (finite_number(value) and value > 0):
+            raise KernelFileError("kernel field %r must be a finite number > 0, not %r "
+                                  "in %s" % (name, value, path))
         return value
 
     family = spec.get("family")
@@ -577,25 +585,32 @@ def load_kernel_file(path):
         delta = positive("delta", required=True)
         jumps = [] if spec.get("jumps") is None else spec["jumps"]
         if not isinstance(jumps, list):
-            raise KernelError("kernel field 'jumps' must be a list of [location, drop] "
-                              "pairs, not %r in %s" % (jumps, path))
+            raise KernelFileError("kernel field 'jumps' must be a list of [location, "
+                                  "drop] pairs, not %r in %s" % (jumps, path))
         for i, jump in enumerate(jumps):
-            if not (isinstance(jump, list) and len(jump) == 2 and all(map(finite, jump))
-                    and jump[0] > 0 and 0 < jump[1] < 1):
-                raise KernelError("kernel field 'jumps[%d]' must be a pair of finite "
-                                  "numbers, location > 0 and drop in (0, 1), not %r in %s"
-                                  % (i, jump, path))
+            if not (isinstance(jump, list) and len(jump) == 2
+                    and all(map(finite_number, jump)) and jump[0] > 0 and 0 < jump[1] < 1):
+                raise KernelFileError("kernel field 'jumps[%d]' must be a pair of finite "
+                                      "numbers, location > 0 and drop in (0, 1), not %r "
+                                      "in %s" % (i, jump, path))
         if jumps:
             return make_jump_exponential_kernel(delta, jumps, ds=ds, s_max=s_max)
         return make_exponential_kernel(delta, ds=ds, s_max=s_max)
     if family == "flatzone":
         return make_flatzone_kernel(ds=ds, s_max=s_max)
     if family == "tabulated":
-        table_path = spec["table"]
+        table_path = spec.get("table")
+        if not isinstance(table_path, str):
+            raise KernelFileError("kernel field 'table' must be the path of an s,mu "
+                                  "CSV, not %r in %s" % (table_path, path))
+        normalize = spec.get("normalize", False)
+        if not isinstance(normalize, bool):
+            raise KernelFileError("kernel field 'normalize' must be true or false, "
+                                  "not %r in %s" % (normalize, path))
         data = np.genfromtxt(path_beside(path, table_path), delimiter=",", names=True)
         return make_tabulated_kernel(
             data["s"], data["mu"], theta=positive("theta", required=True),
             delta_decay=positive("delta", required=True), ds=positive("ds"),
-            kernel_id=spec.get("id", "tabulated:%s" % table_path),
-            normalize=spec.get("normalize", False))
-    raise KernelError("unknown kernel family %r in %s" % (family, path))
+            kernel_id=spec.get("id", "tabulated:%s" % table_path), normalize=normalize)
+    raise KernelFileError("kernel field 'family' must be 'exponential', 'flatzone' or "
+                          "'tabulated', not %r in %s" % (family, path))

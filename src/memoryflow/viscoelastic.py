@@ -24,6 +24,7 @@ from .evolution import (
 )
 from .kernels import (
     KernelError,
+    finite_number,
     flatness_rate,
     path_beside,
     split_sets,
@@ -352,7 +353,7 @@ def condition_asso_probe(traj, kernel, n_samples=60):
     """
     lam = traj.lambdas
     nodes = kernel.grid
-    wts = np.asarray(kernel.mu(nodes), dtype=float) * kernel.ds
+    wts = kernel.mu_grid * kernel.ds
     ts = np.unique(np.round(np.linspace(0.0, traj.times[-1], n_samples)
                             / traj.dt) * traj.dt)
     series = np.empty(ts.size)
@@ -485,7 +486,8 @@ def load_g_csv(path, J):
 def load_model_file(path):
     """Model config: {J, domain, f, g, kernel}; returns (model, kernel_path).
 
-    Its data files are read relative to it; the kernel path is returned as written.
+    Its data files are read relative to it; the kernel path is returned as
+    written.  A malformed J, f or g raises a ValueError naming the field.
     """
     with open(path) as fh:
         try:
@@ -503,15 +505,19 @@ def load_model_file(path):
         raise ValueError("unknown domain %r" % domain)
     f_spec = spec.get("f", "cubic")
     beta = 0.0
-    if isinstance(f_spec, dict):
-        beta = float(f_spec["cubic_minus_linear"])
-        f_spec = "cubic_minus_linear"
-    g_spec = spec.get("g", 0)
-    if isinstance(g_spec, str):
-        g = load_g_csv(path_beside(path, g_spec), J)
-    elif isinstance(g_spec, list):
-        g = np.asarray(g_spec, dtype=float)
-    else:
-        g = None
+    if isinstance(f_spec, dict) and list(f_spec) == ["cubic_minus_linear"] \
+            and finite_number(f_spec["cubic_minus_linear"]):
+        f_spec, beta = "cubic_minus_linear", f_spec["cubic_minus_linear"]
+    elif f_spec not in F_SELECTORS:
+        raise ValueError("model field 'f' must be one of %s or {\"cubic_minus_linear\": "
+                         "beta} with beta a finite number, not %r in %s"
+                         % (", ".join(map(repr, F_SELECTORS)), f_spec, path))
+    g = spec.get("g")
+    if isinstance(g, str):
+        g = load_g_csv(path_beside(path, g), J)
+    elif g is not None and not (isinstance(g, list) and len(g) == J
+                                and all(map(finite_number, g))):
+        raise ValueError("model field 'g' must be a list of J = %d finite numbers or "
+                         "the path of a mode,coeff CSV, not %r in %s" % (J, g, path))
     model = make_model(J, f=f_spec, beta=beta, g=g, lambdas=lambdas)
     return model, spec.get("kernel")

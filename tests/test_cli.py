@@ -98,6 +98,32 @@ def test_kernel_file_rejects_bad_jumps(workdir, jumps, name, capsys):
     assert "kernel field '%s'" % name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value", [
+    ("table", None), ("table", 5), ("table", ["t.csv"]), ("normalize", "no"),
+    ("normalize", 1), ("delta", "2"), ("family", "gaussian")],
+    ids=["no-table", "table-number", "table-list", "normalize-text", "normalize-number",
+         "delta-text", "family"])
+def test_tabulated_kernel_file_fields_exit_two(workdir, field, value, capsys):
+    # a missing table used to crash with a KeyError and a number with a
+    # TypeError, and "normalize": "no" normalized; None leaves the field out
+    (workdir / "t.csv").write_text("s,mu\n0,6\n0.25,3\n0.5,1.5\n1,0\n")
+    spec = {"family": "tabulated", "table": "t.csv", "theta": 1.0, "delta": 1.0,
+            "normalize": True}
+    (workdir / "exp1.kernel.json").write_text(json.dumps(spec))
+    assert main(["kernel", "check", str(workdir / "exp1.kernel.json")]) == 0
+    spec[field] = value
+    spec = {k: v for k, v in spec.items() if v is not None}
+    (workdir / "exp1.kernel.json").write_text(json.dumps(spec))
+    with pytest.raises(KernelError, match="kernel field '%s'" % field):
+        load_kernel_file(str(workdir / "exp1.kernel.json"))
+    capsys.readouterr()
+    for argv in (["kernel", "check", str(workdir / "exp1.kernel.json")],
+                 ["simulate", "--config", str(workdir / "config.json")]):
+        assert main(argv) == 2
+        assert "kernel field '%s'" % field in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 @pytest.mark.parametrize("flags", [["--nec", "1", "nan"], ["--dafermos", "nan"]])
 def test_kernel_check_rejects_nan_flags(workdir, flags, capsys):
     # a NaN delta used to pass the domination scan with worst ratio 0
@@ -312,6 +338,32 @@ def test_initial_file_checked_before_any_work(workdir, capsys, command, row):
     assert main([command, "--config", str(workdir / "init_cfg.json")]) == 2
     err = capsys.readouterr().err
     assert "initial.file" in err and str(workdir / "init.csv") in err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "energy-report"])
+@pytest.mark.parametrize("field,value", [
+    ("f", {"cubic": 1}), ("f", {"cubic_minus_linear": math.nan}),
+    ("f", {"cubic_minus_linear": "0.5"}), ("f", "quartic"), ("f", 3),
+    ("g", {"a": 1}), ("g", [1, math.nan]), ("g", [1, "x"]), ("g", [1, True]),
+    ("g", [1]), ("g", 0.5)],
+    ids=["f-cubic-dict", "f-beta-nan", "f-beta-text", "f-unknown", "f-number",
+         "g-dict", "g-nan", "g-text", "g-bool", "g-short", "g-number"])
+def test_model_file_fields_checked_before_any_work(workdir, capsys, command, field,
+                                                    value):
+    # {"cubic": 1} used to crash with a KeyError, a dict g to run unforced,
+    # a NaN in g to blow up at the first step, and a text entry to exit 2
+    # without naming g
+    (workdir / "bad_model.json").write_text(json.dumps({
+        "J": 2, "f": "zero", "kernel": "exp1.kernel.json", field: value}))
+    with pytest.raises(ValueError, match="model field '%s'" % field):
+        load_model_file(str(workdir / "bad_model.json"))
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["model"] = "bad_model.json"
+    (workdir / "bad_cfg.json").write_text(json.dumps(cfg))
+    assert main([command, "--config", str(workdir / "bad_cfg.json")]) == 2
+    err = capsys.readouterr().err
+    assert "model field '%s'" % field in err and str(workdir / "bad_model.json") in err
     assert not (workdir / "out").exists()
 
 

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from memoryflow import kernels
 from memoryflow.kernels import (
     MemoryKernel,
     make_exponential_kernel,
@@ -134,7 +136,7 @@ def test_integrate_ensemble_matches_solo_runs(exp1):
             batch = integrate_ensemble(z0s, ops, exp1, framework, 2e-3, 0.6)
             for z0, traj in zip(z0s, batch):
                 solo = integrate(z0, ops, exp1, framework, 2e-3, 0.6)
-                for name in ("u_snaps", "v_snaps", "a_prim", "a_vals", "force_snaps"):
+                for name in ("u_snaps", "v_snaps", "force_snaps"):
                     assert np.array_equal(getattr(traj, name), getattr(solo, name))
 
 
@@ -180,21 +182,23 @@ def textbook_predictor_corrector(z0s, model, kernel, framework, dt, t_end):
 
     n_steps = int(round(t_end / dt))
     U = np.empty((len(z0s), n_steps + 1, lam.size))
-    V, P, A = np.empty_like(U), np.empty_like(U), np.empty_like(U)
+    V, X = np.empty_like(U), np.empty_like(U)
     U[:, 0] = [z.u.coeffs for z in z0s]
     V[:, 0] = [z.v.coeffs for z in z0s]
+    # the memory source: lambdas*u (history) or lambdas*v (state)
+    source = U if framework == "history" else V
     mf = MemoryForce(kernel, framework, dt, n_steps, kernel.s_max)
     mf.set_initial_memory([z.memory for z in z0s])
 
     def advance(n, F0, F1):
         U[:, n + 1], V[:, n + 1] = rk4(U[:, n], V[:, n], F0, F1)
-        P[:, n + 1], A[:, n + 1] = lam * U[:, n + 1], lam * V[:, n + 1]
+        X[:, n + 1] = lam * source[:, n + 1]
 
-    P[:, 0], A[:, 0] = lam * U[:, 0], lam * V[:, 0]
+    X[:, 0] = lam * source[:, 0]
     for n in range(n_steps):
-        F0 = mf.force(n, P, A)
+        F0 = mf.force(n, X)
         advance(n, F0, F0)
-        advance(n, F0, mf.force(n + 1, P, A))
+        advance(n, F0, mf.force(n + 1, X))
     return U, V
 
 
@@ -371,12 +375,12 @@ def test_memory_force_window_matches_direct_sum(exp1):
                 want = direct(mf, n, X)
                 # twice per n, as the predictor-corrector loop asks for it
                 for _ in range(2):
-                    got = mf.force(n, X, X)
+                    got = mf.force(n, X)
                     np.testing.assert_allclose(got, want, rtol=1e-12, atol=atol)
             # out of order: the recursion restarts when n goes back and
             # catches up when it jumps forward
             for n in (3, WIN_STEPS, 400, 399, 0, 251):
-                np.testing.assert_allclose(mf.force(n, X, X), direct(mf, n, X),
+                np.testing.assert_allclose(mf.force(n, X), direct(mf, n, X),
                                            rtol=1e-12, atol=atol)
 
 
@@ -450,7 +454,7 @@ def test_integrate_ensemble_matches_solo_runs_past_the_window(exp1):
                                        window=WIN)
             for z0, traj in zip(z0s, batch):
                 solo = integrate(z0, ops, exp1, framework, WIN_DT, t_end, window=WIN)
-                for name in ("u_snaps", "v_snaps", "a_prim", "a_vals", "force_snaps"):
+                for name in ("u_snaps", "v_snaps", "force_snaps"):
                     assert np.array_equal(getattr(traj, name), getattr(solo, name))
 
 
@@ -477,7 +481,7 @@ def test_block_path_matches_stepwise(exp1, monkeypatch):
             fast, slow = block_and_stepwise(monkeypatch, z0s, ops, exp1, framework,
                                             WIN_DT, t_end, window=window)
             for got, want in zip(fast, slow):
-                for name in ("u_snaps", "v_snaps", "a_prim", "a_vals", "force_snaps"):
+                for name in ("u_snaps", "v_snaps", "force_snaps"):
                     w = getattr(want, name)
                     np.testing.assert_allclose(getattr(got, name), w, rtol=0,
                                                atol=1e-12 * np.abs(w).max())
@@ -565,7 +569,7 @@ def test_reconstruct_eta_constant_trajectory(exp1):
     u = np.tile([0.7, -0.2], (n + 1, 1))
     traj = Trajectory(
         times=np.arange(n + 1) * 0.01, u_snaps=u, v_snaps=np.zeros_like(u),
-        a_prim=u * lam, a_vals=np.zeros_like(u), force_snaps=np.zeros_like(u),
+        force_snaps=np.zeros_like(u),
         initial_memory=HistoryField.zeros(exp1, lam), window=exp1.s_max,
         framework="history", dt=0.01, kernel_id=exp1.kernel_id, lambdas=lam)
     eta = reconstruct_eta(traj, 0.2, exp1)
@@ -585,7 +589,7 @@ def test_reconstruct_eta_upwind_transport_oracle(exp1):
     c = dt / ds
     assert c <= 1.0
     for n in range(traj.n_steps):
-        src = traj.a_vals[n, 0]
+        src = lam[0] * traj.v_snaps[n, 0]
         shifted = np.empty_like(eta)
         shifted[0] = eta[0] - c * (eta[0] - 0.0)
         shifted[1:] = eta[1:] - c * (eta[1:] - eta[:-1])
@@ -615,13 +619,14 @@ def test_representation_shift_consistency(exp1):
     from memoryflow.spaces import right_translate
     base = right_translate(eta_t, h)
     nodes = base.nodes
-    Pt = traj.a_prim[traj.index_of(t)]
-    Pth = traj.a_prim[traj.index_of(t + h)]
+    P = lam * traj.u_snaps
+    Pt = P[traj.index_of(t)]
+    Pth = P[traj.index_of(t + h)]
     base.values[nodes > h] += (Pth - Pt)[None, :]
     recent = nodes <= h
     from memoryflow.evolution import _interp_many
     base.values[recent] = Pth[None, :] - _interp_many(
-        traj.a_prim, (t + h - nodes[recent]) / dt)
+        P, (t + h - nodes[recent]) / dt)
     assert np.allclose(base.values, eta_th.values, atol=1e-12)
 
 
@@ -638,10 +643,12 @@ def masked_reconstruct_eta(traj, t, kernel):
         for j in range(traj.lambdas.size):
             out.values[future, j] = np.interp(pts, eta0.nodes, eta0.values[:, j],
                                               left=eta0.values[0, j], right=0.0)
-    Pt = traj.a_prim[idx]
+    # the primitive of the memory source at every snapshot
+    P = traj.lambdas * traj.u_snaps
+    Pt = P[idx]
     out.values[past] = Pt[None, :] - evolution._interp_many(
-        traj.a_prim, (t - nodes[past]) / traj.dt)
-    out.values[future] += (Pt - traj.a_prim[0])[None, :]
+        P, (t - nodes[past]) / traj.dt)
+    out.values[future] += (Pt - P[0])[None, :]
     return out.values
 
 
@@ -692,7 +699,6 @@ def test_reconstruct_xi_pure_shift(exp1):
     traj = Trajectory(
         times=np.arange(n + 1) * dt,
         u_snaps=np.zeros((n + 1, 1)), v_snaps=np.zeros((n + 1, 1)),
-        a_prim=np.zeros((n + 1, 1)), a_vals=np.zeros((n + 1, 1)),
         force_snaps=np.zeros((n + 1, 1)), initial_memory=xi0,
         window=exp1.s_max, framework="state", dt=dt,
         kernel_id=exp1.kernel_id, lambdas=lam)
@@ -715,7 +721,7 @@ def test_xi_integral_swap_oracle(exp1):
     xi_t = reconstruct_xi(traj, t, exp1)
     lhs = np.sum(xi_t.values[:, 0]) * exp1.ds
     idx = traj.index_of(t)
-    a = traj.a_vals[:idx + 1, 0]
+    a = lam[0] * traj.v_snaps[:idx + 1, 0]
     ks = np.asarray(exp1.k(np.arange(idx + 1) * dt))
     w = np.full(idx + 1, dt)
     w[0] = w[-1] = 0.5 * dt
@@ -734,7 +740,8 @@ def direct_xi(traj, t, kernel):
                               left=xi0.values[0, j], right=0.0)
     for k in range(idx + 1 if idx > 0 else 0):
         wt = 0.5 * dt if k in (0, idx) else dt
-        out += wt * np.asarray(kernel.mu(tau + k * dt))[:, None] * traj.a_vals[idx - k]
+        a = traj.lambdas * traj.v_snaps[idx - k]
+        out += wt * np.asarray(kernel.mu(tau + k * dt))[:, None] * a
     return StateField(tau, out, kernel.nu(tau) * kernel.ds, traj.lambdas, kernel.ds)
 
 
@@ -776,18 +783,51 @@ def test_reconstruct_xi_matches_direct_sum(exp1):
                                   reconstruct_xi(long, t, kernel).values)
 
 
-def test_readback_path_decided_once_per_kernel_and_dt():
-    # a fresh kernel, so its first read-back is the one that decides
+def test_readback_path_decided_once_per_kernel_and_dt(monkeypatch):
+    # a fresh kernel, so its first read-back at a dt is the one that tests
+    # mu; the kernel keeps the answer for every later read-back at that dt
     kernel = make_exponential_kernel(1.0, ds=0.1)
     model = make_model(3, f="cubic")
     z0s = [draw_random_state(model, kernel, 1.0, "H1", np.random.default_rng([6, e]),
                              framework="state") for e in range(2)]
-    trajs = integrate_ensemble(z0s, assemble(model, kernel), kernel, "state", 1e-2, 0.5)
-    before = evolution._readback_ratio.cache_info().misses
-    for traj in trajs:
-        for t in (0.1, 0.2, 0.5):
-            reconstruct_xi(traj, t, kernel)
-    assert evolution._readback_ratio.cache_info().misses == before + 1
+    runs = [integrate_ensemble(z0s, assemble(model, kernel), kernel, "state", dt, 0.5)
+            for dt in (1e-2, 2e-2)]
+    fits = []
+    fit = kernels._geometric_fit
+    monkeypatch.setattr(kernels, "_geometric_fit", lambda w: fits.append(w.size) or fit(w))
+    for k, trajs in enumerate(runs):
+        for traj in trajs:
+            for t in (0.1, 0.2, 0.5):
+                reconstruct_xi(traj, t, kernel)
+        assert len(fits) == k + 1
+    assert evolution._readback_ratio(kernel, 1e-2) is not None
+    assert len(fits) == 2
+
+
+@pytest.mark.parametrize("framework", ["history", "state"])
+def test_returned_batch_holds_u_v_and_force_only(framework):
+    # a trajectory keeps its (n+1, J) rows of u, v and F, and the run's
+    # memory-source array is freed when it returns: about 3.1 arrays of
+    # (E, n+1, J) with the grid and the initial memory, where u, v, F and
+    # the two stored memory sources were 5.1
+    kernel = make_exponential_kernel(2.0)
+    model = make_model(32, f="zero")
+    lam = model.lambdas
+    mem = HistoryField if framework == "history" else StateField
+    z0s = [ExtendedVector(ModalVector(np.full(32, 0.1), lam), ModalVector.zeros(lam),
+                          mem.zeros(kernel, lam)) for _ in range(2)]
+    ops = assemble(model, kernel)
+    n_steps, dt = 14000, 1e-3
+    array_bytes = len(z0s) * (n_steps + 1) * lam.size * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        trajs = integrate_ensemble(z0s, ops, kernel, framework, dt, n_steps * dt)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert trajs[0].n_steps == n_steps
+    assert 3.0 < held / array_bytes < 3.5
 
 
 # -- cross-framework and structural properties -----------------------------------

@@ -409,7 +409,7 @@ def test_csv_writers_format_every_value_as_17g(tmp_path, exp1):
     assert body(tmp_path / "field.csv", 3) == lines
     lam = np.array([1.0])
     traj = Trajectory(times=rows[:, 0], u_snaps=rows[:, 1:2], v_snaps=rows[:, 2:3],
-                      a_prim=None, a_vals=None, force_snaps=None,
+                      force_snaps=None,
                       initial_memory=None, window=1.0, framework="history",
                       dt=0.1, kernel_id="", lambdas=lam)
     save_trajectory_csv(traj, tmp_path / "traj.csv")

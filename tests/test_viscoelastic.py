@@ -461,8 +461,7 @@ def test_condition_probe_one_snapshot(exp1):
     lam = np.array([1.0, 4.0])
     u, v = np.array([[0.3, -0.1]]), np.array([[0.2, 0.5]])
     traj = Trajectory(
-        times=np.array([0.0]), u_snaps=u, v_snaps=v, a_prim=lam * u,
-        a_vals=lam * v, force_snaps=np.zeros((1, 2)),
+        times=np.array([0.0]), u_snaps=u, v_snaps=v, force_snaps=np.zeros((1, 2)),
         initial_memory=HistoryField.zeros(exp1, lam), window=exp1.s_max,
         framework="history", dt=1e-2, kernel_id=exp1.kernel_id, lambdas=lam)
     rep = condition_asso_probe(traj, exp1)

@@ -7,8 +7,9 @@ The commands run in-process on the package source beside this file
 
 - `kernel check` on each kernel file in configs/ (its report is saved as
   a text file);
-- `simulate` in the history framework, and in the state framework with
-  `--cloud-every 2`;
+- `simulate` in the history and in the state framework, each with
+  `--cloud-every 2`, so the read-backs of both frameworks at many times
+  are hashed;
 - `compare`, `energy-report` (on the single-mode config, and at
   `--sigma 0.5 --samples 20` on the cubic one), `lk-split` and `hypotheses`;
 - `attract` of the state run's clouds against its last cloud;
@@ -76,6 +77,7 @@ def commands(out):
             for name in sorted(os.listdir(CONFIGS)) if name.endswith(".kernel.json")]
     runs += [
         ("simulate_history", ["simulate", "--config", cubic, "--framework", "history",
+                              "--cloud-every", "2",
                               "--out", os.path.join(out, "simulate_history")], (0,)),
         ("simulate_state", ["simulate", "--config", cubic, "--framework", "state",
                             "--cloud-every", "2", "--out", state], (0,)),
