@@ -26,9 +26,9 @@ the results are its bits.
 
 Linear runs (f = None) with one (J,) forcing, whose window sum is
 recursive, as it is for every exponential kernel, and whose window spans
-more than BLOCK steps, advance BLOCK steps per Python pass
+more than BLOCK steps, advance up to 4 BLOCK steps per Python pass
 (`_integrate_blocks`): a step is then a fixed small matrix per mode, one
-stacked matmul, and the stores and the blow-up guard run once per block.
+stacked matmul, and the stores and the blow-up guard run once per pass.
 Its results match the step-by-step path to roundoff.  Every other run,
 (E, J) forcing rows included, steps one at a time through `_rk4` and
 `MemoryForce`, and has the textbook scheme's bits.
@@ -420,17 +420,20 @@ def _block_path(ops, mf):
 def _integrate_blocks(mf, ops, lam, U, V, X, F):
     """Fill U, V, X and F of an f = None run with a recursive window.
 
-    Steps run BLOCK at a time from n = 0.  The matrix of `_step_map` is a
-    polynomial of degree 2 in its five scalars, so a block's matrices are
-    one product with monomial coefficients fitted once, and one matrix
-    serves every step past the window.  The inputs read rows before the
-    block (top >= BLOCK), so a step is one stacked matmul; the stores and
-    the blow-up guard run once per block, and the guard reports the first
-    bad row, as the stepwise loop does.
+    Steps run in passes of P = min(top, 4 BLOCK) from n = 0; P depends on
+    the window only, so a run to T is the prefix of a run to 2T.  The
+    matrix of `_step_map` is a polynomial of degree 2 in its five scalars,
+    so a pass's matrices are one product with monomial coefficients fitted
+    once, into one (P, J, 11, 5) buffer, and one matrix serves every step
+    from the first multiple of BLOCK past top.  The inputs read rows before
+    the pass (P <= top), so a step is one stacked matmul on views made once;
+    the stores and the blow-up guard run once per pass, and the guard
+    reports the first bad row, as the stepwise loop does.
     """
     E, n_steps, J = U.shape[0], U.shape[1] - 1, lam.size
     dt = mf.dt
     top = mf._top
+    P, on = min(top, 4 * BLOCK), (top // BLOCK + 1) * BLOCK
     # the scalars of the step from n = 0..n_steps; at n_steps only the F
     # column is used, which does not read a[n+1] or b[n+1]
     n = np.arange(n_steps + 1)
@@ -447,32 +450,38 @@ def _integrate_blocks(mf, ops, lam, U, V, X, F):
     f = _step_map(mf, lam, ops.g, np.vstack([np.zeros(5), eye, eye[i] + eye[j]]).T)
     f = f.reshape(len(f), -1)
     coef = np.concatenate([f[:1], f[1:6] - f[0], f[6:] - f[1 + j] - (f[1 + i] - f[0])])
-    steady = _monomials(scalars[[min(top + 1, n_steps)]], pairs) @ coef
-    steady = np.broadcast_to(steady.reshape(1, J, 11, 5), (BLOCK, J, 11, 5))
+    steady = (_monomials(scalars[[min(top + 1, n_steps)]], pairs) @ coef).reshape(J, 11, 5)
 
-    z = np.zeros((BLOCK + 1, E, J, 1, 11))     # the rows of `_step_map`, per step
+    M = np.empty((P, J, 11, 5))                # the step matrices of a pass
+    z = np.zeros((P + 1, E, J, 1, 11))         # the rows of `_step_map`, per step
     z[0, :, :, 0, 0] = U[:, 0]
     z[0, :, :, 0, 1] = V[:, 0]
     z[..., 10] = 1.0
-    for n0 in range(0, n_steps + 1, BLOCK):
-        ns = n0 + np.arange(BLOCK)
-        M = steady if n0 > top else (_monomials(scalars[np.minimum(ns, n_steps)], pairs)
-                                     @ coef).reshape(BLOCK, J, 11, 5)
+    steps = [(z[l], M[l], z[l + 1, ..., :5]) for l in range(P)]
+    for n0 in range(0, n_steps + 1, P):
+        ns = n0 + np.arange(P)
+        if n0 < on:
+            np.matmul(_monomials(scalars[np.minimum(ns, n_steps)], pairs), coef,
+                      out=M.reshape(P, -1))
+            M[on - n0:] = steady               # empty unless `on` falls in the pass
+        elif n0 < on + P:
+            M[:] = steady
         for k, rows in enumerate([ns - np.minimum(ns, top + 1),
                                   ns + 1 - np.minimum(ns + 1, top + 1),
                                   np.maximum(ns - top, 0)]):
-            z[:BLOCK, :, :, 0, 5 + k] = X[:, rows].swapaxes(0, 1)
-        if mf._mem0:
-            mem = mf.initial_terms(np.arange(n0, n0 + BLOCK + 1))
-            z[:BLOCK, :, :, 0, 8] = mem[:-1]
-            z[:BLOCK, :, :, 0, 9] = mem[1:]
-        L = min(BLOCK, n_steps - n0)
-        # the last block takes one more row, whose F slot is the force at
+            z[:P, :, :, 0, 5 + k] = X[:, rows].swapaxes(0, 1)
+        # BLOCK + 1 rows at a time bound the (rows, nodes) weights of initial_terms
+        for k in range(0, P, BLOCK) if mf._mem0 else ():
+            mem = mf.initial_terms(np.arange(n0 + k, n0 + min(k + BLOCK, P) + 1))
+            z[k:k + len(mem) - 1, :, :, 0, 8] = mem[:-1]
+            z[k:k + len(mem) - 1, :, :, 0, 9] = mem[1:]
+        L = min(P, n_steps - n0)
+        # the last pass takes one more row, whose F slot is the force at
         # n_steps, from the same matrix row as at every step
-        last = L + 1 if n0 + BLOCK > n_steps else L
+        last = L + 1 if n0 + P > n_steps else L
         with np.errstate(over="ignore", invalid="ignore"):
-            for l in range(last):
-                np.matmul(z[l], M[l], out=z[l + 1, ..., :5])
+            for zl, Ml, out in steps[:last]:
+                np.matmul(zl, Ml, out=out)
             new = slice(n0 + 1, n0 + L + 1)
             U[:, new] = z[1:L + 1, :, :, 0, 0].swapaxes(0, 1)
             V[:, new] = z[1:L + 1, :, :, 0, 1].swapaxes(0, 1)

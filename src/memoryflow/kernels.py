@@ -553,6 +553,42 @@ def path_beside(path, name):
     return os.path.join(os.path.dirname(os.path.abspath(path)), name)
 
 
+def _read_kernel_table(path, table_path):
+    """The s and mu columns of the CSV table of the kernel file `path`.
+
+    The first line that is not blank names the columns, after an optional
+    '#'; below it '#' starts a comment and blank lines are skipped.  A
+    missing s or mu column, a row whose number of cells is not the
+    header's, or an s or mu cell that is not a number raises a
+    KernelFileError naming the kernel file, its table field and the column
+    or the line.
+    """
+    where = "kernel field 'table' (%s) in %s" % (table_path, path)
+    with open(path_beside(path, table_path)) as fh:
+        lines = [(i, line.strip()) for i, line in enumerate(fh, 1) if line.strip()]
+    head = lines[0][1].lstrip("#") if lines else ""
+    header = [name.strip() for name in head.split("#")[0].split(",")]
+    cols = []
+    for name in ("s", "mu"):
+        if name not in header:
+            raise KernelFileError("%s: the table has no %r column" % (where, name))
+        cols.append(header.index(name))
+    rows = []
+    for i, line in lines[1:]:
+        cells = line.split("#")[0].split(",")
+        if cells == [""]:
+            continue
+        if len(cells) != len(header):
+            raise KernelFileError("%s: line %d of the table has %d cells, not %d"
+                                  % (where, i, len(cells), len(header)))
+        try:
+            rows.append([float(cells[c]) for c in cols])
+        except ValueError:
+            raise KernelFileError("%s: line %d of the table has an s or mu cell that "
+                                  "is not a number: %r" % (where, i, line)) from None
+    return np.array(rows, dtype=float).reshape(-1, 2).T
+
+
 def load_kernel_file(path):
     """Build a kernel from a JSON definition.
 
@@ -607,9 +643,9 @@ def load_kernel_file(path):
         if not isinstance(normalize, bool):
             raise KernelFileError("kernel field 'normalize' must be true or false, "
                                   "not %r in %s" % (normalize, path))
-        data = np.genfromtxt(path_beside(path, table_path), delimiter=",", names=True)
+        s_pts, mu_pts = _read_kernel_table(path, table_path)
         return make_tabulated_kernel(
-            data["s"], data["mu"], theta=positive("theta", required=True),
+            s_pts, mu_pts, theta=positive("theta", required=True),
             delta_decay=positive("delta", required=True), ds=positive("ds"),
             kernel_id=spec.get("id", "tabulated:%s" % table_path), normalize=normalize)
     raise KernelFileError("kernel field 'family' must be 'exponential', 'flatzone' or "

@@ -25,3 +25,24 @@ def random_extended(kernel, lambdas, rng):
     u = ModalVector(rng.normal(size=lambdas.size) / lambdas, lambdas)
     v = ModalVector(rng.normal(size=lambdas.size) / lambdas, lambdas)
     return ExtendedVector(u, v, random_smooth_history(kernel, lambdas, rng))
+
+
+def direct_history_force(mf, n, P):
+    # the trapezoid sum over the whole window, evaluated from scratch
+    m = min(n, mf.w_nodes)
+    dt, mu = mf.dt, mf.mu_dt
+    conv = np.zeros_like(P[:, 0])
+    for i in range(1, m + 1):
+        wt = 0.5 * mu[i] if i == m else mu[i]
+        conv += dt * wt * (P[:, n] - P[:, n - i])
+    return conv + mf.k_dt[m] * (P[:, n] - P[:, n - m])
+
+
+def direct_state_force(mf, n, a):
+    m = min(n, mf.w_nodes)
+    dt, k = mf.dt, mf.k_dt
+    conv = np.zeros_like(a[:, 0])
+    for i in range(m + 1):
+        wt = 0.5 * k[i] if i in (0, m) else k[i]
+        conv += dt * wt * a[:, n - i]
+    return conv if m > 0 else np.zeros_like(a[:, 0])

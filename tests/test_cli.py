@@ -6,7 +6,7 @@ import pytest
 
 from memoryflow import cli
 from memoryflow.cli import ExperimentConfig, main
-from memoryflow.kernels import KernelError, load_kernel_file
+from memoryflow.kernels import KernelError, KernelFileError, load_kernel_file
 from memoryflow.viscoelastic import load_model_file
 
 
@@ -122,6 +122,37 @@ def test_tabulated_kernel_file_fields_exit_two(workdir, field, value, capsys):
         assert main(argv) == 2
         assert "kernel field '%s'" % field in capsys.readouterr().err
     assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("table,what", [
+    ("s,m\n0,6\n1,0\n", "no 'mu' column"), ("t,mu\n0,6\n1,0\n", "no 's' column"),
+    ("s,mu\n0,6\n0.5,abc\n1,0\n", "line 3 "), ("s,mu\n0,6\n0.5\n1,0\n", "line 3 ")],
+    ids=["no-mu", "no-s", "cell", "short-row"])
+def test_tabulated_kernel_table_errors_exit_two(workdir, table, what, capsys):
+    # a header s,m used to exit 2 with "no field of name mu", naming neither
+    # the file nor the field, and a cell abc became NaN and exited 1
+    (workdir / "t.csv").write_text(table)
+    kernel = workdir / "exp1.kernel.json"
+    kernel.write_text(json.dumps({"family": "tabulated", "table": "t.csv", "theta": 1.0,
+                                  "delta": 1.0, "normalize": True}))
+    with pytest.raises(KernelFileError, match=what):
+        load_kernel_file(str(kernel))
+    for argv in (["kernel", "check", str(kernel)],
+                 ["simulate", "--config", str(workdir / "config.json")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "kernel field 'table' (t.csv) in %s" % kernel in err and what in err
+    assert not (workdir / "out").exists()
+
+
+def test_tabulated_kernel_table_that_parses_stays_a_failed_check(workdir, capsys):
+    # "nan" is a number; the table is read and then fails admissibility
+    (workdir / "t.csv").write_text("s,mu\n# a comment line\n0,nan\n\n1,0\n")
+    kernel = workdir / "exp1.kernel.json"
+    kernel.write_text(json.dumps({"family": "tabulated", "table": "t.csv", "theta": 1.0,
+                                  "delta": 1.0}))
+    assert main(["kernel", "check", str(kernel)]) == 1
+    assert "kernel check failed" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flags", [["--nec", "1", "nan"], ["--dafermos", "nan"]])

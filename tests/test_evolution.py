@@ -34,6 +34,8 @@ from memoryflow.evolution import (
 )
 from memoryflow.viscoelastic import assemble, draw_random_state, f_modal, make_model
 
+from support import direct_history_force, direct_state_force
+
 
 @pytest.fixture(scope="module")
 def exp1():
@@ -324,27 +326,6 @@ def test_stepper_evaluates_f_five_times_per_step(exp1):
 WIN, WIN_DT, WIN_STEPS = 0.5, 2e-3, 600
 
 
-def direct_history_force(mf, n, P):
-    # the trapezoid sum over the whole window, evaluated from scratch
-    m = min(n, mf.w_nodes)
-    dt, mu = mf.dt, mf.mu_dt
-    conv = np.zeros_like(P[:, 0])
-    for i in range(1, m + 1):
-        wt = 0.5 * mu[i] if i == m else mu[i]
-        conv += dt * wt * (P[:, n] - P[:, n - i])
-    return conv + mf.k_dt[m] * (P[:, n] - P[:, n - m])
-
-
-def direct_state_force(mf, n, a):
-    m = min(n, mf.w_nodes)
-    dt, k = mf.dt, mf.k_dt
-    conv = np.zeros_like(a[:, 0])
-    for i in range(m + 1):
-        wt = 0.5 * k[i] if i in (0, m) else k[i]
-        conv += dt * wt * a[:, n - i]
-    return conv if m > 0 else np.zeros_like(a[:, 0])
-
-
 def test_memory_force_window_matches_direct_sum(exp1):
     from memoryflow.evolution import BLOCK, MemoryForce
     assert (WIN_STEPS > round(WIN / WIN_DT) + 2 * BLOCK
@@ -498,6 +479,46 @@ def test_block_path_prefix_property_inside_the_window(exp1):
             for name in ("u_snaps", "v_snaps", "force_snaps"):
                 assert np.array_equal(getattr(short, name),
                                       getattr(long, name)[:n_steps + 1])
+
+
+def pass_length(kernel, window):
+    """The window's top = W - 1 and the steps per pass of `_integrate_blocks`."""
+    top = evolution.MemoryForce(kernel, "history", WIN_DT, 10 ** 5, window)._top
+    return top, min(top, 4 * evolution.BLOCK)
+
+
+def test_block_path_matches_stepwise_at_the_pass_length(exp1, monkeypatch):
+    # top = 100 is between BLOCK and 4 BLOCK, so a pass is top steps and the
+    # steady matrix takes over at step 128, inside the second pass; top =
+    # 300 is not a multiple of 128, and the steady matrix takes over at step
+    # 320, inside the third 128-step pass; both runs go past the window
+    ops, runs = window_runs(exp1, "zero")
+    cases = [(1.13, 101 * WIN_DT, (100, 100)), (1.6, 301 * WIN_DT, (300, 128))]
+    for framework, z0s in runs:
+        for t_end, window, top_and_pass in cases:
+            assert pass_length(exp1, window) == top_and_pass
+            fast, slow = block_and_stepwise(monkeypatch, z0s, ops, exp1, framework,
+                                            WIN_DT, t_end, window=window)
+            for got, want in zip(fast, slow):
+                for name in ("u_snaps", "v_snaps", "force_snaps"):
+                    w = getattr(want, name)
+                    np.testing.assert_allclose(getattr(got, name), w, rtol=0,
+                                               atol=1e-12 * np.abs(w).max())
+
+
+def test_block_path_prefix_property_at_one_and_two_passes(exp1):
+    # runs of P and 2P steps against runs twice as long, for the cutoff
+    # window (P = 128, inside the window) and for top = P = 100 (past it)
+    ops, runs = window_runs(exp1, "zero")
+    for window in (None, 101 * WIN_DT):
+        _, P = pass_length(exp1, exp1.s_max if window is None else window)
+        for framework, z0s in runs:
+            for n_steps in (P, 2 * P):
+                short, long = (integrate(z0s[1], ops, exp1, framework, WIN_DT, k * WIN_DT,
+                                         window=window) for k in (n_steps, 2 * n_steps))
+                for name in ("u_snaps", "v_snaps", "force_snaps"):
+                    assert np.array_equal(getattr(short, name),
+                                          getattr(long, name)[:n_steps + 1])
 
 
 def test_block_path_runs_where_it_applies(exp1, monkeypatch):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from support import random_smooth_history
+from support import direct_history_force, direct_state_force, random_smooth_history
 
 from memoryflow.attractors import (
     attraction_rate,
@@ -16,6 +16,8 @@ from memoryflow.attractors import (
     invariance_residual,
 )
 from memoryflow.evolution import (
+    BLOCK,
+    MemoryForce,
     holder_growth_probe,
     integrate,
     integrate_ensemble,
@@ -329,3 +331,53 @@ def test_ensemble_rows_equal_solo_runs(E, J, f, framework, full_window, data):
         solo = integrate(z0, ops, COARSE, framework, 1e-2, 0.3, window=window)
         for name in ("u_snaps", "v_snaps", "force_snaps"):
             assert np.array_equal(getattr(traj, name), getattr(solo, name))
+
+
+@st.composite
+def broken_lines(draw):
+    """An admissible broken-line kernel: 2-6 nodes, nonincreasing to 0 at the
+    last, unit first moment, sometimes flat on its first segment.  mu(t + s)
+    > 0 needs t < s_end, so theta = e and delta = 1/s_end certify it."""
+    n = draw(st.integers(2, 6))
+    s = np.concatenate([[0.0], np.cumsum(draw(arrays(float, n - 1,
+                                                      elements=st.floats(0.05, 0.5))))])
+    mu = np.sort(draw(arrays(float, n, elements=st.floats(0.1, 5.0))))[::-1]
+    mu[-1] = 0.0
+    if n > 2 and draw(st.booleans()):
+        mu[1] = mu[0]
+    return make_tabulated_kernel(s, mu, theta=math.e, delta_decay=1.0 / s[-1],
+                                 normalize=True)
+
+
+@PROPERTY
+@given(kernel=broken_lines(), dt=st.sampled_from([2e-3, 1e-2]), W=st.integers(1, 80),
+       seed=st.integers(0, 2 ** 16), scale=st.sampled_from([1e-3, 1.0, 1e3]))
+def test_tabulated_window_matches_direct_sum(kernel, dt, W, seed, scale):
+    # windows of 1..80 steps, shorter and longer than BLOCK and than the
+    # table, on runs two blocks past the window; a window inside a flat first
+    # segment is a recursion (q = 1), any other takes the blocked products
+    lam = np.array([1.0, 4.0, 9.0])
+    n_max = W + 2 * BLOCK + 8
+    X = np.random.default_rng(seed).normal(size=(2, n_max + 1, lam.size))
+    P = np.empty_like(X)
+    P[:] = scale * X[:, :1]
+    atol = 1e-14 * max(1.0, kernel.mass)
+    for framework, direct in (("history", direct_history_force),
+                              ("state", direct_state_force)):
+        mf = MemoryForce(kernel, framework, dt, n_max, W * dt)
+        mf.set_initial_memory([HistoryField.zeros(kernel, lam)] * 2)
+        for n in range(n_max + 1):
+            want = direct(mf, n, X)
+            for _ in range(2):
+                np.testing.assert_allclose(mf.force(n, X), want, rtol=1e-12, atol=atol)
+        if framework == "history":
+            # a constant trajectory: the recursion reads differences only and
+            # gives exactly 0.0; the blocked products sum P with the weights
+            # and subtract, which leaves roundoff of a few ulps of k(0) |P|
+            mf = MemoryForce(kernel, framework, dt, n_max, W * dt)
+            mf.set_initial_memory([HistoryField.zeros(kernel, lam)] * 2)
+            F = np.array([mf.history_force(n, P) for n in range(n_max + 1)])
+            if mf._q is not None:
+                assert np.all(F == 0.0)
+            else:
+                assert np.abs(F).max() <= 1e-14 * kernel.mass * np.abs(P).max()

@@ -20,7 +20,12 @@ The commands run in-process on the package source beside this file
   product, not the rank-one one;
 - `simulate` of two members of a J = 64 cubic model, also written into
   `inputs/`, where f's collocation transform, not call overhead, is most
-  of a step.
+  of a step;
+- `simulate` in both frameworks and `compare` on an f = "zero", J = 4
+  model with an exponential kernel of delta = 8, also written into
+  `inputs/`: its window is 2880 steps at dt = 1e-3 and the runs go to
+  t_end = 4, so the block path reaches the step where one matrix takes
+  over for every step past the window.
 
 Each line is `<sha256>  <path>`, sorted by path, so two trees compare by
 `diff`; the files under `inputs/` are not listed.  summary.txt is hashed
@@ -62,6 +67,15 @@ WIDE = {
     "wide_model.json": {"J": 64, "f": "cubic", "kernel": "wide.kernel.json"},
     "wide_experiment.json": {"model": "wide_model.json", "dt": 0.001, "t_end": 0.1,
                              "ensemble": 2, "seed": 4,
+                             "initial": {"random_ball": {"radius": 1.0, "space": "H1"}}},
+}
+# a linear J = 4 model whose 2880-step window the runs outlast
+PAST = {
+    "past.kernel.json": {"family": "exponential", "delta": 8.0},
+    "past_model.json": {"J": 4, "f": "zero", "g": [0.5, 0.0, 0.3, -0.2],
+                        "kernel": "past.kernel.json"},
+    "past_experiment.json": {"model": "past_model.json", "dt": 0.001, "t_end": 4.0,
+                             "ensemble": 2, "seed": 5,
                              "initial": {"random_ball": {"radius": 1.0, "space": "H1"}}},
 }
 
@@ -107,6 +121,14 @@ def commands(out):
     runs.append(("simulate_wide_cubic",
                  ["simulate", "--config", os.path.join(out, "inputs", "wide_experiment.json"),
                   "--out", os.path.join(out, "simulate_wide_cubic")], (0,)))
+    past = os.path.join(out, "inputs", "past_experiment.json")
+    runs += [("simulate_past_window_" + fw,
+              ["simulate", "--config", past, "--framework", fw,
+               "--out", os.path.join(out, "simulate_past_window_" + fw)], (0,))
+             for fw in ("history", "state")]
+    runs.append(("compare_past_window", ["compare", "--config", past,
+                                         "--out", os.path.join(out, "compare_past_window")],
+                 (0,)))
     return runs
 
 
@@ -122,7 +144,7 @@ def digest(path):
 def run_all(out):
     inputs = os.path.join(out, "inputs")
     os.makedirs(inputs)
-    for name, content in {**TABULATED, **WIDE}.items():
+    for name, content in {**TABULATED, **WIDE, **PAST}.items():
         with open(os.path.join(inputs, name), "w") as fh:
             fh.write(content if isinstance(content, str) else json.dumps(content))
     for name, argv, allowed in commands(out):
