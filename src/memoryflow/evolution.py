@@ -25,15 +25,17 @@ the operations of the textbook predictor-corrector scheme in its order, so
 the results are its bits.
 
 Linear runs (f = None) with one (J,) forcing, whose window sum is
-recursive, as it is for every exponential kernel, and whose window spans
-more than BLOCK steps, advance up to 4 BLOCK steps per Python pass
-(`_integrate_blocks`): a step is then a fixed small matrix per mode, one
-stacked matmul, and the stores and the blow-up guard run once per pass.
+recursive, as it is for every kernel that states its decay rate (the
+exponential family), and whose window spans more than BLOCK steps, advance
+up to 4 BLOCK steps per Python pass (`_integrate_blocks`): a step is then a
+fixed small matrix per mode, one stacked matmul, and the stores and the
+blow-up guard run once per pass.
 Its results match the step-by-step path to roundoff.  Every other run,
 (E, J) forcing rows included, steps one at a time through `_rk4` and
 `MemoryForce`, and has the textbook scheme's bits.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,11 +145,14 @@ class MemoryForce:
     final the first time force(n) is asked for, as F1 of the corrector of
     step n-1, and the second call, as F0 of step n, reuses it.
 
-    When the window weights are geometric on nodes 1..W-1, as they are for
-    every exponential kernel, the window sum is a one-term recursion, O(J)
-    per step (see `_carry`); other kernels take blocked Toeplitz products,
-    O(W J) per step (see `_window`).  Either way force(n) may be asked for
-    at any n, in any order.
+    When the kernel states its decay rate, the window weights are geometric
+    with ratio q = exp(-rate dt) on nodes 1..W-1 (in the state framework
+    while those nodes lie inside s_max, past which k is 0.0), and the window
+    sum is a one-term recursion, O(J) per step (see `_carry`); other kernels
+    take blocked Toeplitz products, O(W J) per step (see `_window`).  Both
+    read the history framework's P as differences, so a constant P gives
+    exactly 0.0.  Either way force(n) may be asked for at any n, in any
+    order.
     """
 
     def __init__(self, kernel, framework, dt, n_max, window):
@@ -166,11 +171,12 @@ class MemoryForce:
             w = self.k_dt
         self._w = w
         self._n = self._n0 = self._h = None
-        # path and ratio come from the whole window, nodes 1..w_full-1, past
-        # n_max if need be, so a longer run takes the same path (prefix
-        # property)
-        self._q = q = kernel.geometric_ratio(
-            "mu" if framework == "history" else "k", 1, dt, w_full - 1)
+        # the path comes from the whole window, nodes 1..w_full-1, past n_max
+        # if need be, so a longer run takes the same path (prefix property)
+        rate = kernel.rate
+        self._q = q = None if rate is None or (
+            framework == "state" and (w_full - 1) * dt >= kernel.s_max) \
+            else math.exp(-rate * dt)
         if q is not None:
             self._top = top = w_full - 1
             self._c = c = dt * w[1]
@@ -225,8 +231,9 @@ class MemoryForce:
             out[live, e] = ((wts @ mem.values) * mem.ds)[live]
         return out
 
-    def _window(self, n, X):
-        """sum_{i=1..m} w_i X[:, n-i] - w_m X[:, n-m] / 2 with m = min(n, W).
+    def _window(self, n, X, x0=0.0):
+        """sum_{i=1..m} w_i Y[:, n-i] - w_m Y[:, n-m] / 2 with m = min(n, W)
+        and Y = X - x0, for x0 the (E, 1, J) rows X[:, :1] or 0.0.
 
         Steps come in blocks of BLOCK from n0 = 0: the rows before the
         block's start n0 enter through one product with T, made when the
@@ -238,15 +245,15 @@ class MemoryForce:
         n0 = n - r
         if n0 != self._n0:
             k = min(n0, W)
-            self._far = np.matmul(self._T[:, W - k:], X[:, n0 - k:n0])
+            self._far = np.matmul(self._T[:, W - k:], X[:, n0 - k:n0] - x0)
             self._n0 = n0
         out = self._far[:, r].copy()
         lo = max(n0, n - m)
         if lo < n:
             L = self._w_rev.size
-            out += np.matmul(self._w_rev[L - 1 - (n - lo):L - 1], X[:, lo:n])
+            out += np.matmul(self._w_rev[L - 1 - (n - lo):L - 1], X[:, lo:n] - x0)
         if m > 0:
-            out -= 0.5 * self._w[m] * X[:, n - m]
+            out -= 0.5 * self._w[m] * (X[:, n - m:n - m + 1] - x0)[:, 0]
         return out
 
     def _carry(self, n, X):
@@ -284,12 +291,12 @@ class MemoryForce:
         dt = self.dt
         if n != self._n:
             past = self._carry(n, P).copy() if self._q is not None \
-                else -dt * self._window(n, P)
+                else -dt * self._window(n, P, P[:, :1])
             if self._mem0:
                 past += self.initial_terms(np.array([n]))[0]
             self._n, self._past = n, past
         if self._q is None:
-            out = (dt * self._wsum[m]) * P[:, n] + self._past
+            out = (dt * self._wsum[m]) * (P[:, n] - P[:, 0]) + self._past
             out += self.k_dt[m] * (P[:, n] - P[:, n - m])
             return out
         if n == 0:
@@ -603,31 +610,15 @@ def reconstruct_eta(traj, t, kernel):
     return out
 
 
-def _readback_ratio(kernel, dt):
-    """q when mu(tau_i + k dt) = mu(tau_i) q^k at every read-back point, else None.
-
-    With r = ds/dt an integer, tau_i + k dt = (m + r/2) dt for m = r i + k,
-    so mu is tested on that grid for m = 0..r (n_tau - 1) + W, W = s_max/dt,
-    by the kernel's geometric query, as for the memory force.  The range is
-    fixed by the kernel, not by t, so every read-back of a run takes the
-    same path, and the kernel keeps the answer.
-    """
-    ratio = kernel.ds / dt
-    r = int(round(ratio))
-    if r < 1 or abs(ratio - r) > 1e-9:
-        return None
-    return kernel.geometric_ratio(
-        "mu", 0.5 * r, dt, r * (kernel.grid.size - 1) + int(round(kernel.s_max / dt)) + 1)
-
-
 def reconstruct_xi(traj, t, kernel):
     """State variable at time t: left-shifted xi0 plus the mu convolution.
 
     xi^t(tau) = xi0(tau + t) + int_0^t mu(tau + s) a(t - s) ds, a = lambdas*v,
-    by the trapezoid rule on the snapshot spacing.  When mu is geometric on the
-    read-back points (see `_readback_ratio`), the integral is the kernel
-    column mu(tau) times one modal vector, O((n_tau + t/dt) J); otherwise it
-    is a blocked n_tau x (t/dt) matrix product.
+    by the trapezoid rule on the snapshot spacing.  When the kernel states
+    its decay rate, mu(tau + k dt) = mu(tau) q^k with q = exp(-rate dt) at
+    every dt, and the integral is the kernel column mu(tau) times one modal
+    vector, O((n_tau + t/dt) J); otherwise it is a blocked n_tau x (t/dt)
+    matrix product.
     """
     idx = traj.index_of(t)
     if not isinstance(traj.initial_memory, StateField):
@@ -646,8 +637,8 @@ def reconstruct_xi(traj, t, kernel):
         w_t = np.full(idx + 1, dt)
         w_t[0] = w_t[-1] = 0.5 * dt
         a_rev = a[::-1]
-        q = _readback_ratio(kernel, dt)
-        if q is not None:
+        if kernel.rate is not None:
+            q = math.exp(-kernel.rate * dt)
             vals += kernel.mu_grid[:, None] * ((w_t * q ** np.arange(idx + 1)) @ a_rev)
         else:
             block = max(1, int(2e6 // (idx + 1)))

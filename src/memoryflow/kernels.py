@@ -22,9 +22,6 @@ DEFAULT_DS = 0.01
 TAIL_FLOOR = 1e-10          # s_max chosen so theta*exp(-delta*s_max) < TAIL_FLOOR
 ANALYTIC_RTOL = 1e-9        # inequality tolerance for closed-form kernels
 TABULATED_RTOL = 1e-6       # looser: linear interpolation noise
-# values within this of an exact geometric sequence count as geometric;
-# exponential kernels sit below 1e-10 even at 4.6e5 points
-GEOMETRIC_RTOL = 1e-9
 
 
 class KernelError(ValueError):
@@ -51,15 +48,6 @@ def _reciprocal(m):
     return np.where(m > 0, 1.0 / np.where(m > 0, m, 1.0), 0.0)
 
 
-def _geometric_fit(w):
-    """q when w[i] = w[0] q^i for every i to GEOMETRIC_RTOL, else None."""
-    if w.size < 2 or not w[0] > 0.0:
-        return None
-    q = (w[-1] / w[0]) ** (1.0 / (w.size - 1))
-    fit = w[0] * q ** np.arange(w.size)
-    return q if np.all(np.abs(w - fit) <= GEOMETRIC_RTOL * fit) else None
-
-
 def default_s_max(theta, delta, ds=DEFAULT_DS):
     """Smallest grid-aligned cutoff with theta*exp(-delta*s_max) < TAIL_FLOOR."""
     s = math.log(theta / TAIL_FLOOR) / delta
@@ -72,12 +60,16 @@ class MemoryKernel:
     Evaluators must be vectorized over numpy arrays.  `jumps` is an ordered
     list of (s_n, mu_n) with mu_n = mu(s_n-) - mu(s_n) > 0.  `k_exact` and
     `first_moment_exact`, when supplied by a constructor, bypass grid
-    quadrature for the derived kernel and the unit-moment check.
+    quadrature for the derived kernel and the unit-moment check.  `rate`,
+    stated by the exponential family, is the exact decay rate of mu (and of
+    mu', and of k below s_max): mu(s + t) = mu(s) exp(-rate t) for s, t >= 0.
+    The memory force, the state read-back and the bridge map take their
+    fast paths on it; kernels that state no rate take the dense ones.
     """
 
     def __init__(self, mu, mu_prime, *, theta, delta_decay, s_max,
                  ds=DEFAULT_DS, jumps=(), kernel_id="custom",
-                 k_exact=None, first_moment_exact=None,
+                 k_exact=None, first_moment_exact=None, rate=None,
                  rtol=ANALYTIC_RTOL, validate=True):
         if theta < 1:
             raise KernelError("theta must be >= 1")
@@ -95,8 +87,8 @@ class MemoryKernel:
         self.kernel_id = kernel_id
         self._k_exact = k_exact
         self._first_moment_exact = first_moment_exact
+        self.rate = rate
         self.rtol = rtol
-        self._ratios = {}
 
         n = int(round(self.s_max / self.ds))
         self.grid = (np.arange(n) + 0.5) * self.ds   # midpoint nodes, never 0
@@ -150,22 +142,6 @@ class MemoryKernel:
     def has_jumps(self):
         return len(self.jumps) > 0
 
-    def geometric_ratio(self, of, start, step, count):
-        """q when of(x_i) = of(x_0) q^i for i = 0..count-1, else None.
-
-        `of` is "mu", "k" or "-mu'", and x_i = (start + i) * step, with
-        start counted in steps.  The memory-force window, the state
-        read-back and the bridge map all ask here.  Answers are kept per
-        question: a kernel does not change after construction.
-        """
-        key = (of, float(start), float(step), int(count))
-        if key not in self._ratios:
-            f = {"mu": self.mu, "k": self.k,
-                 "-mu'": lambda x: -_as_array(self.mu_prime(x))}[of]
-            x = (start + np.arange(count)) * step
-            self._ratios[key] = _geometric_fit(_as_array(f(x)))
-        return self._ratios[key]
-
     def check_grid(self):
         """Strided copy of the quadrature grid, about 400 nodes, avoiding jumps."""
         stride = max(1, len(self.grid) // 400)
@@ -186,7 +162,8 @@ def make_exponential_kernel(delta, *, ds=DEFAULT_DS, s_max=None):
     """mu(s) = delta^2 exp(-delta s): unit first moment for every delta.
 
     k(s) = delta*exp(-delta*s), so delta = 1 also satisfies k(0) = 1.
-    The domination certificate is (theta, delta) = (1, delta), with equality.
+    The domination certificate is (theta, delta) = (1, delta), with equality,
+    and delta is the kernel's stated decay rate.
     """
     if delta <= 0:
         raise KernelError("delta must be positive")
@@ -199,7 +176,7 @@ def make_exponential_kernel(delta, *, ds=DEFAULT_DS, s_max=None):
         theta=1.0, delta_decay=d, s_max=s_max, ds=ds,
         kernel_id="exponential(delta=%g)" % d,
         k_exact=lambda s: d * np.exp(-d * _as_array(s)),
-        first_moment_exact=1.0)
+        first_moment_exact=1.0, rate=d)
 
 
 # piecewise profile exp(-s) / exp(-1) / exp(1-s), normalized to unit moment

@@ -7,6 +7,7 @@ lambda^(iota-1), matching position space H^(iota+1) x H^iota.
 """
 
 import logging
+import math
 
 import numpy as np
 
@@ -57,8 +58,6 @@ class ModalVector:
 class _GridField:
     """Shared storage for weighted grid functions of modal vectors."""
 
-    kind = "field"
-
     def __init__(self, nodes, values, weights, lambdas, ds):
         self.nodes = np.asarray(nodes, dtype=float)
         self.values = np.asarray(values, dtype=float)
@@ -96,8 +95,6 @@ class _GridField:
 class HistoryField(_GridField):
     """Past-history variable eta(s) with node weights mu(s)*ds."""
 
-    kind = "history"
-
     @classmethod
     def zeros(cls, kernel, lambdas):
         nodes = kernel.grid
@@ -120,8 +117,6 @@ class StateField(_GridField):
     nu = 1/mu grows without bound, so far-tail nodes whose cumulative
     weighted mass falls below STATE_TAIL_DROP of the total are zeroed.
     """
-
-    kind = "state"
 
     def __init__(self, nodes, values, weights, lambdas, ds):
         super().__init__(nodes, values, weights, lambdas, ds)
@@ -245,38 +240,19 @@ def lambda_map(eta, kernel, tau_nodes=None):
                       kernel.nu(tau) * eta.ds, eta.lambdas, eta.ds)
 
 
-def _on_spacing(x, h):
-    """Whether the points x are x[0] + i h, to GRID_EQ_TOL of their size."""
-    return x.size > 0 and bool(np.all(np.abs(x - (x[0] + np.arange(x.size) * h))
-                                      <= GRID_EQ_TOL * max(1.0, np.abs(x).max())))
-
-
-def _bridge_ratio(eta, kernel, tau):
-    """q when -mu'(tau_i + s_j) = -mu'(tau_i + s_0) q^j at every pair, else None.
-
-    With tau and the field's nodes s on the field's spacing h, tau_i + s_j
-    = tau_0 + s_0 + (i + j) h, so it suffices that -mu' is geometric on
-    those points, i + j = 0..n_tau + n_s - 2.
-    """
-    h, s = eta.ds, eta.nodes
-    if not (_on_spacing(tau, h) and _on_spacing(s, h)):
-        return None
-    return kernel.geometric_ratio("-mu'", (tau[0] + s[0]) / h, h, tau.size + s.size - 1)
-
-
 def lambda_map_pointwise(eta, kernel, tau):
     """Values of the mapped field at arbitrary tau points (no weights).
 
-    When -mu' is geometric on the pairs tau + s (see `_bridge_ratio`), as
-    for an exponential kernel with tau on the field's spacing, the
-    tau x s matrix of -mu'(tau + s) has rank one and the integral is the
-    column -mu'(tau + s_0) times one modal row, O((n_tau + n_s) J).
-    Otherwise it is the dense product, in blocks of tau.
+    When the kernel states its decay rate, -mu'(tau + s_j) = -mu'(tau + s_0)
+    q^j with q = exp(-rate ds) on the field's nodes s_j = s_0 + j ds, for
+    every tau, so the tau x s matrix of -mu'(tau + s) has rank one and the
+    integral is the column -mu'(tau + s_0) times one modal row,
+    O((n_tau + n_s) J).  Otherwise it is the dense product, in blocks of tau.
     """
     s = eta.nodes
     tau = np.atleast_1d(_as_array(tau))
-    q = _bridge_ratio(eta, kernel, tau)
-    if q is not None:
+    if kernel.rate is not None:
+        q = math.exp(-kernel.rate * eta.ds)
         col = -_as_array(kernel.mu_prime(tau + s[0]))
         out = col[:, None] * ((q ** np.arange(s.size)) @ eta.values) * eta.ds
     else:
@@ -375,29 +351,3 @@ def write_rows(fh, *columns):
         rows = np.hstack([c[lo:lo + step] for c in cols]).tolist()
         fh.write("".join([",".join(["%.17g" % x for x in row]) + "\n"
                           for row in rows]))
-
-
-def save_field_csv(field, path, kernel_id=""):
-    header = ["node"] + ["mode_%d" % (j + 1) for j in range(field.lambdas.size)]
-    with open(path, "w") as fh:
-        fh.write("# kind=%s kernel=%s ds=%.17g sigma=lambda^(iota-1)\n"
-                 % (field.kind, kernel_id, field.ds))
-        fh.write("# lambdas=%s\n" % ",".join("%.17g" % l for l in field.lambdas))
-        fh.write(",".join(header) + "\n")
-        write_rows(fh, field.nodes, field.values)
-
-
-def load_field_csv(path, kernel):
-    with open(path) as fh:
-        meta = fh.readline().strip().lstrip("# ").split()
-        lam_line = fh.readline().strip()
-        fh.readline()
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
-    kind = dict(item.split("=", 1) for item in meta)["kind"]
-    lambdas = np.array([float(x) for x in lam_line.split("=", 1)[1].split(",")])
-    nodes = data[:, 0]
-    values = data[:, 1:]
-    ds = float(nodes[1] - nodes[0]) if nodes.size > 1 else kernel.ds
-    if kind == "history":
-        return HistoryField(nodes, values, kernel.mu(nodes) * ds, lambdas, ds)
-    return StateField(nodes, values, kernel.nu(nodes) * ds, lambdas, ds)

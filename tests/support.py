@@ -46,3 +46,14 @@ def direct_state_force(mf, n, a):
         wt = 0.5 * k[i] if i in (0, m) else k[i]
         conv += dt * wt * a[:, n - i]
     return conv if m > 0 else np.zeros_like(a[:, 0])
+
+
+def record_kernel_calls(kernel, monkeypatch):
+    """Wrap kernel.mu and kernel.mu_prime so that each records the shape of
+    every argument it is called on; returns {"mu": [...], "mu_prime": [...]}."""
+    calls = {"mu": [], "mu_prime": []}
+    for name, shapes in calls.items():
+        f = getattr(kernel, name)
+        monkeypatch.setattr(kernel, name,
+                            lambda s, f=f, shapes=shapes: shapes.append(np.shape(s)) or f(s))
+    return calls

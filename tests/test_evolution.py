@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from memoryflow import kernels
 from memoryflow.kernels import (
     MemoryKernel,
     make_exponential_kernel,
@@ -34,7 +33,7 @@ from memoryflow.evolution import (
 )
 from memoryflow.viscoelastic import assemble, draw_random_state, f_modal, make_model
 
-from support import direct_history_force, direct_state_force
+from support import direct_history_force, direct_state_force, record_kernel_calls
 
 
 @pytest.fixture(scope="module")
@@ -332,23 +331,29 @@ def test_memory_force_window_matches_direct_sum(exp1):
             and round(WIN / WIN_DT) % BLOCK != 0)
     lam = np.arange(1, 5, dtype=float) ** 2
     X = np.random.default_rng(3).normal(size=(3, WIN_STEPS + 1, lam.size))
-    # exponential kernels take the recursion, the triangle the blocked
-    # products; each also with a window of 10 nodes, shorter than one block
+    # exponential kernels state their rate and take the recursion, the
+    # triangle the blocked products; each also with a window of 10 nodes,
+    # shorter than one block.  (kernel, window, frameworks on the recursion)
     triangle = make_tabulated_kernel([0.0, 1.0], [6.0, 0.0], theta=1.0,
                                      delta_decay=1.0)
-    cases = [(kernel, window, kernel is exp1)
+    both = ("history", "state")
+    cases = [(kernel, window, both if kernel is exp1 else ())
              for kernel in (exp1, triangle) for window in (WIN, 10 * WIN_DT)]
     # a window at the kernel cutoff (235 nodes), where k is 0.0 at node W
     short = make_exponential_kernel(50.0)
-    cases.append((short, short.s_max, True))
-    for kernel, window, geometric in cases:
+    cases.append((short, short.s_max, both))
+    # a window past the cutoff (353 nodes): k is 0.0 on its last nodes, so
+    # the state framework takes the blocked products; mu is not cut
+    cases.append((short, 1.5 * short.s_max, ("history",)))
+    for kernel, window, recursive in cases:
         zero = [HistoryField.zeros(kernel, lam)] * 3
         for framework, direct in (("history", direct_history_force),
                                   ("state", direct_state_force)):
             mf = MemoryForce(kernel, framework, WIN_DT, WIN_STEPS, window)
-            assert (mf._q is not None) == geometric
+            assert (mf._q is not None) == (framework in recursive)
             if kernel is short:
-                assert mf.k_dt[mf.w_nodes] == 0.0 < mf.k_dt[mf.w_nodes - 1]
+                assert mf.k_dt[mf.w_nodes] == 0.0
+                assert (mf.k_dt[mf.w_nodes - 1] > 0.0) == (window == short.s_max)
             mf.set_initial_memory(zero)
             # roundoff scales with the weights: mu integrates to k(0)
             atol = 1e-14 * max(1.0, kernel.mass)
@@ -767,7 +772,6 @@ def direct_xi(traj, t, kernel):
 
 
 def test_reconstruct_xi_matches_direct_sum(exp1):
-    from memoryflow.evolution import _readback_ratio
     triangle = make_tabulated_kernel([0.0, 1.0], [6.0, 0.0], theta=1.0,
                                      delta_decay=1.0)
     def cut_exp(s, c=4.0):
@@ -777,11 +781,11 @@ def test_reconstruct_xi_matches_direct_sum(exp1):
     # geometric on [0, s_max] and zero past it, where the read-back reaches
     cut = MemoryKernel(cut_exp, lambda s: cut_exp(s, -8.0), theta=1.0,
                        delta_decay=2.0, s_max=1.0, kernel_id="cut", validate=False)
-    # exp1 at dt = 2e-3 is separable (ds/dt = 5); the triangle is not
-    # geometric, and ds/dt = 10/3 is not an integer
+    # exp1 states its rate, so its read-back is separable at every dt,
+    # ds/dt = 5 or 10/3; the triangle and the cut exponential state none
     for kernel, dt, separable in ((exp1, 2e-3, True), (triangle, 2e-3, False),
-                                  (exp1, 3e-3, False), (cut, 2e-3, False)):
-        assert (_readback_ratio(kernel, dt) is not None) == separable
+                                  (exp1, 3e-3, True), (cut, 2e-3, False)):
+        assert (kernel.rate is not None) == separable
         model = make_model(3, f="cubic", g=[0.5, 0.0, 0.3])
         ops = assemble(model, kernel)
         z0 = draw_random_state(model, kernel, 1.0, "H1", np.random.default_rng(8),
@@ -804,25 +808,17 @@ def test_reconstruct_xi_matches_direct_sum(exp1):
                                   reconstruct_xi(long, t, kernel).values)
 
 
-def test_readback_path_decided_once_per_kernel_and_dt(monkeypatch):
-    # a fresh kernel, so its first read-back at a dt is the one that tests
-    # mu; the kernel keeps the answer for every later read-back at that dt
-    kernel = make_exponential_kernel(1.0, ds=0.1)
+def test_readback_at_a_fractional_step_ratio_is_rank_one(monkeypatch):
+    # ds/dt = 10/3 at dt = 3e-3: mu(tau + k dt) = mu(tau) q^k still holds,
+    # so the read-back evaluates no n_tau x (t/dt) matrix of mu
+    kernel = make_exponential_kernel(1.0)
     model = make_model(3, f="cubic")
-    z0s = [draw_random_state(model, kernel, 1.0, "H1", np.random.default_rng([6, e]),
-                             framework="state") for e in range(2)]
-    runs = [integrate_ensemble(z0s, assemble(model, kernel), kernel, "state", dt, 0.5)
-            for dt in (1e-2, 2e-2)]
-    fits = []
-    fit = kernels._geometric_fit
-    monkeypatch.setattr(kernels, "_geometric_fit", lambda w: fits.append(w.size) or fit(w))
-    for k, trajs in enumerate(runs):
-        for traj in trajs:
-            for t in (0.1, 0.2, 0.5):
-                reconstruct_xi(traj, t, kernel)
-        assert len(fits) == k + 1
-    assert evolution._readback_ratio(kernel, 1e-2) is not None
-    assert len(fits) == 2
+    z0 = draw_random_state(model, kernel, 1.0, "H1", np.random.default_rng(6),
+                           framework="state")
+    traj = integrate(z0, assemble(model, kernel), kernel, "state", 3e-3, 0.3)
+    calls = record_kernel_calls(kernel, monkeypatch)
+    reconstruct_xi(traj, 0.3, kernel)
+    assert sum(np.prod(shape) for shape in calls["mu"]) <= kernel.grid.size
 
 
 @pytest.mark.parametrize("framework", ["history", "state"])

@@ -34,7 +34,6 @@ from memoryflow.spaces import (
     HistoryField,
     ModalVector,
     StateField,
-    _bridge_ratio,
     big_l_map,
     lambda_map_pointwise,
     norm_H,
@@ -260,9 +259,10 @@ COARSE = make_exponential_kernel(1.0, ds=0.1)      # 231 nodes
        J=st.integers(1, 3), data=st.data())
 def test_rank_one_bridge_matches_dense_product(delta, length, shift, J, data):
     # tau on the field's spacing, a whole number of cells past the grid:
-    # an exponential kernel takes the rank-one path, a tabulated triangle
-    # (unit moment, certificate (1, 1/length)) the dense one; both must
-    # give the dense product to 1e-12 of the sum of the absolute terms
+    # an exponential kernel states its rate and takes the rank-one path, a
+    # tabulated triangle (unit moment, certificate (1, 1/length)) the dense
+    # one; both must give the dense product to 1e-12 of the sum of the
+    # absolute terms
     lam = np.arange(1.0, J + 1.0) ** 2
     triangle = make_tabulated_kernel([0.0, length], [6.0 / length ** 2, 0.0],
                                      theta=1.0, delta_decay=1.0 / length)
@@ -271,7 +271,7 @@ def test_rank_one_bridge_matches_dense_product(delta, length, shift, J, data):
         eta.values[:] = data.draw(arrays(float, eta.values.shape,
                                          elements=st.floats(-1e3, 1e3)))
         tau = kernel.grid + shift * kernel.ds
-        assert (_bridge_ratio(eta, kernel, tau) is not None) == (kernel is not triangle)
+        assert (kernel.rate is not None) == (kernel is not triangle)
         w = -np.asarray(kernel.mu_prime(tau[:, None] + eta.nodes[None, :]))
         want = (w @ eta.values) * eta.ds
         scale = (np.abs(w) @ np.abs(eta.values)) * eta.ds
@@ -354,8 +354,8 @@ def broken_lines(draw):
        seed=st.integers(0, 2 ** 16), scale=st.sampled_from([1e-3, 1.0, 1e3]))
 def test_tabulated_window_matches_direct_sum(kernel, dt, W, seed, scale):
     # windows of 1..80 steps, shorter and longer than BLOCK and than the
-    # table, on runs two blocks past the window; a window inside a flat first
-    # segment is a recursion (q = 1), any other takes the blocked products
+    # table, on runs two blocks past the window; a broken line states no
+    # decay rate, so every window takes the blocked products
     lam = np.array([1.0, 4.0, 9.0])
     n_max = W + 2 * BLOCK + 8
     X = np.random.default_rng(seed).normal(size=(2, n_max + 1, lam.size))
@@ -371,13 +371,10 @@ def test_tabulated_window_matches_direct_sum(kernel, dt, W, seed, scale):
             for _ in range(2):
                 np.testing.assert_allclose(mf.force(n, X), want, rtol=1e-12, atol=atol)
         if framework == "history":
-            # a constant trajectory: the recursion reads differences only and
-            # gives exactly 0.0; the blocked products sum P with the weights
-            # and subtract, which leaves roundoff of a few ulps of k(0) |P|
+            # a constant trajectory: the blocked products read P - P(0),
+            # which is exactly 0.0, so the force is too
             mf = MemoryForce(kernel, framework, dt, n_max, W * dt)
             mf.set_initial_memory([HistoryField.zeros(kernel, lam)] * 2)
+            assert mf._q is None
             F = np.array([mf.history_force(n, P) for n in range(n_max + 1)])
-            if mf._q is not None:
-                assert np.all(F == 0.0)
-            else:
-                assert np.abs(F).max() <= 1e-14 * kernel.mass * np.abs(P).max()
+            assert np.all(F == 0.0)

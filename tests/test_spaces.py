@@ -20,13 +20,13 @@ from memoryflow.spaces import (
     h_functional,
     lambda_identity_residual,
     lambda_map,
-    load_field_csv,
     norm_H,
     right_translate,
     s_derivative,
-    save_field_csv,
     tail_function,
 )
+
+from support import record_kernel_calls
 
 
 @pytest.fixture(scope="module")
@@ -219,7 +219,7 @@ def direct_bridge(eta, kernel, tau):
 
 def test_bridge_map_matches_direct_sum(exp1):
     from memoryflow.kernels import MemoryKernel, make_flatzone_kernel
-    from memoryflow.spaces import _bridge_ratio, lambda_map_pointwise
+    from memoryflow.spaces import lambda_map_pointwise
 
     def cut_exp(s, c=4.0):
         s = np.asarray(s, dtype=float)
@@ -234,18 +234,19 @@ def test_bridge_map_matches_direct_sum(exp1):
     # the y points of lambda_identity_residual at tau = 1, built as it does
     n = int(np.ceil((exp1.s_max + 1.0 - 1.0) / h))
     y = 1.0 + np.arange(n + n % 2 + 1) * h
-    # (kernel, tau, whether the rank-one path applies)
+    # (kernel, tau, whether the rank-one path applies): exp1 states its
+    # rate, so every tau takes it; the others state none
     cases = [(exp1, exp1.grid, True),
              (exp1, exp1.grid[:300] + 0.3 * h, True),     # a fraction of a cell off
              (exp1, np.array([0.7]), True),
              (exp1, y, True),
-             (exp1, 1.5 * exp1.grid[:300], False),         # spacing 1.5 h
-             (exp1, np.array([0.25, 0.75, 1.25]), False),
+             (exp1, 1.5 * exp1.grid[:300], True),          # spacing 1.5 h
+             (exp1, np.array([0.25, 0.75, 1.25]), True),
              (cut, cut.grid, False), (flat, flat.grid, False), (jump, jump.grid, False)]
     for kernel, tau, structured in cases:
         eta = random_smooth_history(kernel, np.array([1.0, 4.0, 9.0]),
                                     np.random.default_rng(11))
-        assert (_bridge_ratio(eta, kernel, tau) is not None) == structured
+        assert (kernel.rate is not None) == structured
         got = lambda_map_pointwise(eta, kernel, tau)
         want = direct_bridge(eta, kernel, tau)
         np.testing.assert_allclose(got, want, rtol=1e-12,
@@ -260,6 +261,19 @@ def test_bridge_map_matches_direct_sum(exp1):
     # the sides, not the residual, sets the tolerance
     assert lambda_identity_residual(eta, exp1, 1.0) == pytest.approx(
         want, abs=1e-13 * np.abs(lhs).max())
+
+
+def test_bridge_map_off_the_field_spacing_is_rank_one(monkeypatch):
+    # tau spaced 1.5 h: -mu'(tau + s) is still geometric in s for every tau,
+    # so the map evaluates the column -mu'(tau + s_0), not a tau x s matrix
+    from memoryflow.spaces import lambda_map_pointwise
+    kernel = make_exponential_kernel(1.0)
+    eta = random_smooth_history(kernel, np.array([1.0, 4.0]), np.random.default_rng(13))
+    tau = 1.5 * kernel.grid[:300]
+    calls = record_kernel_calls(kernel, monkeypatch)
+    lambda_map_pointwise(eta, kernel, tau)
+    assert sum(np.prod(shape) for shape in calls["mu_prime"]) <= tau.size
+    assert calls["mu"] == []
 
 
 def test_lambda_identity_zero(exp1):
@@ -379,17 +393,6 @@ def test_translate_fractional_shift(exp1):
 
 # -- persistence ---------------------------------------------------------------
 
-def test_field_csv_roundtrip(tmp_path, exp1):
-    rng = np.random.default_rng(41)
-    eta = random_smooth_history(exp1, np.array([1.0, 4.0]), rng)
-    p = tmp_path / "eta.csv"
-    save_field_csv(eta, p, kernel_id=exp1.kernel_id)
-    back = load_field_csv(p, exp1)
-    assert isinstance(back, HistoryField)
-    assert np.array_equal(back.values, eta.values)
-    assert np.allclose(back.weights, eta.weights)
-
-
 def test_csv_writers_format_every_value_as_17g(tmp_path, exp1):
     # the shared row writer gives the bytes of formatting value by value
     rows = np.array([[-0.0, 1e-300, 0.1, 3.0], [3.0, 0.1, 1e-300, -0.0]])
@@ -403,10 +406,6 @@ def test_csv_writers_format_every_value_as_17g(tmp_path, exp1):
     assert body(tmp_path / "cloud.csv", 1) == lines
     write_csv(tmp_path / "rows.csv", ["a", "b", "c", "d"], [tuple(r) for r in rows])
     assert body(tmp_path / "rows.csv", 1) == lines
-    lam = np.array([1.0, 4.0, 9.0])
-    field = HistoryField(rows[:, 0], rows[:, 1:], np.ones(2), lam, 0.1)
-    save_field_csv(field, tmp_path / "field.csv")
-    assert body(tmp_path / "field.csv", 3) == lines
     lam = np.array([1.0])
     traj = Trajectory(times=rows[:, 0], u_snaps=rows[:, 1:2], v_snaps=rows[:, 2:3],
                       force_snaps=None,

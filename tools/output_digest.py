@@ -17,7 +17,7 @@ The commands run in-process on the package source beside this file
   with a tabulated kernel, whose table and JSON files the script writes
   into `inputs/` of its temporary directory; these runs step one at a
   time, and `compare` maps the history to the state by the dense bridge
-  product, not the rank-one one;
+  product, not the rank-one one, since a broken line states no decay rate;
 - `simulate` of two members of a J = 64 cubic model, also written into
   `inputs/`, where f's collocation transform, not call overhead, is most
   of a step;
@@ -25,7 +25,11 @@ The commands run in-process on the package source beside this file
   model with an exponential kernel of delta = 8, also written into
   `inputs/`: its window is 2880 steps at dt = 1e-3 and the runs go to
   t_end = 4, so the block path reaches the step where one matrix takes
-  over for every step past the window.
+  over for every step past the window;
+- `simulate` in the state framework with `--cloud-every` of a J = 4 cubic
+  model on an exponential kernel of delta = 1 at dt = 3e-3, also written
+  into `inputs/`, where ds/dt = 10/3 is not an integer: the read-backs are
+  rank one at every dt.
 
 Each line is `<sha256>  <path>`, sorted by path, so two trees compare by
 `diff`; the files under `inputs/` are not listed.  summary.txt is hashed
@@ -79,6 +83,16 @@ PAST = {
                              "initial": {"random_ball": {"radius": 1.0, "space": "H1"}}},
 }
 
+# a cubic J = 4 model on exp1 at a dt that does not divide the kernel's ds
+FRACTIONAL = {
+    "frac.kernel.json": {"family": "exponential", "delta": 1.0},
+    "frac_model.json": {"J": 4, "f": "cubic", "g": [0.5, 0.0, 0.3, -0.2],
+                        "kernel": "frac.kernel.json"},
+    "frac_experiment.json": {"model": "frac_model.json", "dt": 0.003, "t_end": 3.0,
+                             "ensemble": 2, "seed": 6,
+                             "initial": {"random_ball": {"radius": 1.0, "space": "H1"}}},
+}
+
 
 def commands(out):
     """(name, argv, allowed exit codes) in run order; paths under `out`."""
@@ -129,6 +143,10 @@ def commands(out):
     runs.append(("compare_past_window", ["compare", "--config", past,
                                          "--out", os.path.join(out, "compare_past_window")],
                  (0,)))
+    runs.append(("simulate_state_fractional_step",
+                 ["simulate", "--config", os.path.join(out, "inputs", "frac_experiment.json"),
+                  "--framework", "state", "--cloud-every", "0.3",
+                  "--out", os.path.join(out, "simulate_state_fractional_step")], (0,)))
     return runs
 
 
@@ -144,7 +162,7 @@ def digest(path):
 def run_all(out):
     inputs = os.path.join(out, "inputs")
     os.makedirs(inputs)
-    for name, content in {**TABULATED, **WIDE, **PAST}.items():
+    for name, content in {**TABULATED, **WIDE, **PAST, **FRACTIONAL}.items():
         with open(os.path.join(inputs, name), "w") as fh:
             fh.write(content if isinstance(content, str) else json.dumps(content))
     for name, argv, allowed in commands(out):
