@@ -16,13 +16,13 @@ An ensemble is a batch axis: `integrate_ensemble` steps all members together
 as rows of member-major arrays, and each row is bitwise equal to the same
 member integrated alone.
 
-A step keeps w = (u, v) as one (2, E, J) array and its four RK4 stages in
-one (4, 3, E, J) buffer of (u_i, v_i, a_i) rows, so each stage update and
-the final combination is one numpy expression over both halves (`_rk4`).
-The corrector reuses the predictor's stage 1, its u-stages 2-3 and f there,
-so a step evaluates f five times, not eight.  Every element goes through
-the operations of the textbook predictor-corrector scheme in its order, so
-the results are its bits.
+The scheme is written once, in `_rk4`, on a (4, 3, ...) stage buffer; the
+corrector reuses the predictor's stage 1, its u-stages 2-3 and f there, so
+a step evaluates f five times, not eight.  `_integrate_steps` steps on
+per-mode coefficients that `_stage_coefficients` takes from `_rk4` once per
+run: a step is two force calls, five f calls and six stacked dots.  Its
+results match the textbook predictor-corrector scheme to roundoff (the tests
+hold them to 1e-12 of the largest value).
 
 Linear runs (f = None) with one (J,) forcing, whose window sum is
 recursive, as it is for every kernel that states its decay rate (the
@@ -31,8 +31,7 @@ up to 4 BLOCK steps per Python pass (`_integrate_blocks`): a step is then a
 fixed small matrix per mode, one stacked matmul, and the stores and the
 blow-up guard run once per pass.
 Its results match the step-by-step path to roundoff.  Every other run,
-(E, J) forcing rows included, steps one at a time through `_rk4` and
-`MemoryForce`, and has the textbook scheme's bits.
+(E, J) forcing rows included, steps one at a time.
 """
 
 import math
@@ -75,13 +74,10 @@ class ModelOperators:
     g: np.ndarray
     f: object = None
 
-    def __post_init__(self):
-        self._neg_lambdas = -self.lambdas
-
     def accel(self, u, F, fu=None, out=None):
         """-lambdas*u - F - fu + g, given fu = f(u), or None when f is; into
         `out` if given, with the same bits either way."""
-        a = np.subtract(np.multiply(self._neg_lambdas, u, out=out), F, out=out)
+        a = np.subtract(np.multiply(-self.lambdas, u, out=out), F, out=out)
         if fu is not None:
             a = np.subtract(a, fu, out=out)
         return np.add(a, self.g, out=out)
@@ -336,7 +332,7 @@ def _stages(u, v, shape):
     return S
 
 
-def _rk4(ops, S, dt, F0, F1, shared=None, out=None):
+def _rk4(ops, S, dt, F0, F1, shared=None):
     """One RK4 pass for w = (u, v), w' = (v, a), with the memory force linear
     in time across the step.
 
@@ -347,7 +343,7 @@ def _rk4(ops, S, dt, F0, F1, shared=None, out=None):
     the predictor's f values at stages 1-3 as `shared` is a corrector: it
     keeps S[0] and S[1, :2] as the predictor left them, recomputes from a2
     on and evaluates f once, at stage 4.  Returns w + dt/6 (k1 + 2 k2 +
-    2 k3 + k4), into `out` if given, and the f values at stages 1-3.
+    2 k3 + k4) and the f values at stages 1-3.
     """
     f = ops.f if ops.f is not None else (lambda u: None)
     w, u, k = S[0, :2], S[:, 0], S[:, 1:]
@@ -367,8 +363,7 @@ def _rk4(ops, S, dt, F0, F1, shared=None, out=None):
     ops.accel(u[2], Fm, f3, out=S[2, 2])
     np.add(w, dt * k[2], out=S[3, :2])
     ops.accel(u[3], F1, f(u[3]), out=S[3, 2])
-    wn = np.add(w, (dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]), out=out)
-    return wn, (f1, f2, f3)
+    return w + (dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]), (f1, f2, f3)
 
 
 def _step_map(mf, lam, g, s):
@@ -524,10 +519,7 @@ def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end, *, window=None):
     n_steps = int(round(t_end / dt))
     window = kernel.s_max if window is None else window
 
-    U = np.empty((len(z0s), n_steps + 1, lam.size))
-    V = np.empty_like(U)
-    X = np.empty_like(U)
-    F = np.empty_like(U)
+    U, V, X, F = (np.empty((len(z0s), n_steps + 1, lam.size)) for _ in range(4))
     U[:, 0] = [z0.u.coeffs for z0 in z0s]
     V[:, 0] = [z0.v.coeffs for z0 in z0s]
     X[:, 0] = lam * (U if framework == "history" else V)[:, 0]
@@ -545,26 +537,48 @@ def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end, *, window=None):
         for e, z0 in enumerate(z0s)]
 
 
-def _integrate_steps(mf, ops, lam, U, V, X, F):
-    """Fill U, V, X and F one predictor-corrector step at a time.
+def _stage_coefficients(lam, dt):
+    """(J, 10, m) coefficients on a step's slots z = (u, v, F0, g, f1, f2, f3,
+    f4p, F1, f4c) of the predictor's u-stages 2-4 and (u, v), then the
+    corrector's u-stage 4 and (u, v): `_rk4` on the unit rows of z, its f
+    recording each argument and returning the next f slot.  They read z[:5]
+    .. z[:10], slots filled earlier in the step, and are 0.0 past them."""
+    u, v, F0, g, f1, f2, f3, f4p, F1, f4c = np.eye(10)[:, :, None] * np.ones(lam.size)
+    args, values = [], iter([f1, f2, f3, f4p, f4c])
+    ops = ModelOperators(lam, g, lambda x: args.append(x.copy()) or next(values))
+    S = _stages(u, v, u.shape)
+    wp, shared = _rk4(ops, S, dt, F0, F0)
+    wn, _ = _rk4(ops, S, dt, F0, F1, shared)
+    return [np.stack(c, axis=-1).transpose(1, 0, 2)
+            for c in (args[1:2], args[2:3], args[3:4], wp, args[4:], wn)]
 
-    The state w = (u, v) of all members is one (2, E, J) array, which the
-    corrector advances in place.  The predictor stores the row of X that
-    force(n+1) reads; the corrector's w is stored once into U and V and
-    overwrites that row, and the blow-up guard checks it in one call.
-    """
-    n_steps, dt = U.shape[1] - 1, mf.dt
-    S = _stages(U[:, 0], V[:, 0], U[:, 0].shape)
-    w = S[0, :2]
-    k = 0 if mf.framework == "history" else 1
+
+def _integrate_steps(mf, ops, lam, U, V, X, F):
+    """Fill U, V, X and F one predictor-corrector step at a time, on the slots
+    of `_stage_coefficients` in one (E, J, 10) array, filled in slot order.
+    Each u-stage and pass result is one stacked 1 x k dot of z[:k] per member
+    and mode, so a batch row has the bits of its member run alone; with
+    f = None the f slots stay 0.0."""
+    n_steps, dt, f = U.shape[1] - 1, mf.dt, ops.f
+    Z = np.zeros((U.shape[0], lam.size, 10))
+    Z[..., 0], Z[..., 1], Z[..., 3] = U[:, 0], V[:, 0], ops.g
+    s2, s3, s4, pred, s4c, corr = [(Z[:, :, None, :k], np.ascontiguousarray(c[:, :k]))
+                                   for k, c in zip(range(5, 11), _stage_coefficients(lam, dt))]
+    stages = () if f is None else ((5, s2), (6, s3), (7, s4))
+    src = 0 if mf.framework == "history" else 1
     for n in range(n_steps):
-        F0 = mf.force(n, X)
-        wp, shared = _rk4(ops, S, dt, F0, F0)            # predictor: force frozen
-        np.multiply(lam, wp[k], out=X[:, n + 1])
-        # corrector: force linear in t
-        _rk4(ops, S, dt, F0, mf.force(n + 1, X), shared, w)
-        U[:, n + 1], V[:, n + 1] = w
-        np.multiply(lam, w[k], out=X[:, n + 1])
+        Z[..., 2] = F0 = mf.force(n, X)
+        if f is not None:
+            Z[..., 4] = f(U[:, n])
+        for k, (zk, c) in stages:             # f at the u-stage that reads z[:k]
+            Z[..., k] = f(np.matmul(zk, c)[..., 0, 0])
+        np.multiply(lam, np.matmul(*pred)[..., 0, src], out=X[:, n + 1])
+        Z[..., 8] = mf.force(n + 1, X)
+        if f is not None:
+            Z[..., 9] = f(np.matmul(*s4c)[..., 0, 0])
+        Z[..., :2] = w = np.matmul(*corr)[..., 0, :]
+        U[:, n + 1], V[:, n + 1] = w[..., 0], w[..., 1]
+        np.multiply(lam, w[..., src], out=X[:, n + 1])
         F[:, n] = F0
         # the negated comparison also catches NaN, which compares false
         if not np.abs(w).max() <= BLOWUP_GUARD:

@@ -95,6 +95,12 @@ class _GridField:
 class HistoryField(_GridField):
     """Past-history variable eta(s) with node weights mu(s)*ds."""
 
+    def __init__(self, nodes, values, weights, lambdas, ds):
+        super().__init__(nodes, values, weights, lambdas, ds)
+        s, ds = self.nodes, self.ds     # the rank-one bridge map reads s_j = s_0 + j ds
+        if np.any(np.abs(s - (np.arange(s.size) + s[:1] / ds) * ds) > GRID_EQ_TOL):
+            raise ValueError("history field nodes must be s_0 + j*ds")
+
     @classmethod
     def zeros(cls, kernel, lambdas):
         nodes = kernel.grid

@@ -204,7 +204,9 @@ def textbook_predictor_corrector(z0s, model, kernel, framework, dt, t_end):
 
 
 def test_stepper_matches_textbook_predictor_corrector(exp1):
-    # sharing the predictor's f at u-stages 1-3 moves no bit
+    # the stepper shares the predictor's f at u-stages 1-3 and forms each
+    # stage from per-mode coefficients, so it matches the textbook scheme to
+    # roundoff, at the block path's 1e-12 bound
     model = make_model(8, f="cubic", g=[0.5, 0, 0.3, 0, 0, 0, 0, -0.2])
     ops = assemble(model, exp1)
     lam = model.lambdas
@@ -219,8 +221,9 @@ def test_stepper_matches_textbook_predictor_corrector(exp1):
         trajs = integrate_ensemble(z0s, ops, exp1, framework, 2e-3, 0.4)
         U, V = textbook_predictor_corrector(z0s, model, exp1, framework, 2e-3, 0.4)
         for e, traj in enumerate(trajs):
-            assert np.array_equal(traj.u_snaps, U[e])
-            assert np.array_equal(traj.v_snaps, V[e])
+            for got, want in ((traj.u_snaps, U[e]), (traj.v_snaps, V[e])):
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-12 * np.abs(want).max())
 
 
 def test_stepper_matches_textbook_with_forcing_rows(exp1):
@@ -241,8 +244,9 @@ def test_stepper_matches_textbook_with_forcing_rows(exp1):
         trajs = integrate_ensemble(z0s, ops, exp1, framework, 2e-3, 0.4)
         U, V = textbook_predictor_corrector(z0s, model, exp1, framework, 2e-3, 0.4)
         for e, traj in enumerate(trajs):
-            assert np.array_equal(traj.u_snaps, U[e])
-            assert np.array_equal(traj.v_snaps, V[e])
+            for got, want in ((traj.u_snaps, U[e]), (traj.v_snaps, V[e])):
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-12 * np.abs(want).max())
 
 
 TRIANGLE = make_tabulated_kernel([0.0, 1.0], [6.0, 0.0], theta=1.0, delta_decay=1.0)
@@ -278,8 +282,9 @@ def test_linear_stepper_matches_textbook_predictor_corrector(exp1, kernel, dt,
         trajs = integrate_ensemble(z0s, ops, kernel, framework, dt, t_end)
         U, V = textbook_predictor_corrector(z0s, model, kernel, framework, dt, t_end)
         for e, traj in enumerate(trajs):
-            assert np.array_equal(traj.u_snaps, U[e])
-            assert np.array_equal(traj.v_snaps, V[e])
+            for got, want in ((traj.u_snaps, U[e]), (traj.v_snaps, V[e])):
+                np.testing.assert_allclose(got, want, rtol=0,
+                                           atol=1e-12 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("framework", ["history", "state"])
@@ -316,6 +321,91 @@ def test_stepper_evaluates_f_five_times_per_step(exp1):
     integrate_ensemble(z0s, ops, exp1, "history", 1e-2, 0.5)
     assert len(calls) == 5 * 50
     assert set(calls) == {(3, 4)}
+
+
+# -- the stepper's per-mode stage coefficients -----------------------------------
+# slots z = (u, v, F0, g, f1, f2, f3, f4p, F1, f4c); the coefficients come in
+# step order and read the prefixes z[:k] for these k
+PREFIXES = (5, 6, 7, 8, 9, 10)
+
+
+@pytest.mark.parametrize("dt", [2e-3, 5e-2])
+def test_stage_coefficients_reproduce_rk4(dt):
+    # on random slot values, the coefficients give _rk4's u-stages 2-4 of
+    # both passes and both passes' (u, v)
+    lam = np.arange(1, 7, dtype=float) ** 2
+    z = np.random.default_rng(13).normal(size=(3, lam.size, 10))
+    args, values = [], iter(z[..., [4, 5, 6, 7, 9]].transpose(2, 0, 1))
+
+    def f(x):
+        args.append(x.copy())
+        return next(values)
+
+    ops = ModelOperators(lam, z[..., 3], f)
+    S = evolution._stages(z[..., 0], z[..., 1], z[..., 0].shape)
+    wp, shared = evolution._rk4(ops, S, dt, z[..., 2], z[..., 2])
+    wn, _ = evolution._rk4(ops, S, dt, z[..., 2], z[..., 8], shared)
+    assert np.array_equal(args[0], z[..., 0])
+    wants = [args[1][..., None], args[2][..., None], args[3][..., None],
+             np.stack(wp, axis=-1), args[4][..., None], np.stack(wn, axis=-1)]
+    coefs = evolution._stage_coefficients(lam, dt)
+    for k, c, want in zip(PREFIXES, coefs, wants):
+        got = np.matmul(z[:, :, None, :k], c[:, :k])[..., 0, :]
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
+def test_stage_coefficients_vanish_past_their_prefix():
+    # a stage reads only slots filled before it in the same step, so no
+    # value of the step before, NaN or inf included, reaches it
+    lam = np.array([1.0, 4.0, 1e4])
+    coefs = evolution._stage_coefficients(lam, 2e-3)
+    assert [c.shape for c in coefs] == [(3, 10, 1)] * 3 + [(3, 10, 2), (3, 10, 1),
+                                                            (3, 10, 2)]
+    for k, c in zip(PREFIXES, coefs):
+        assert np.all(c[:, k:] == 0.0)
+    # the corrector's u-stage 4 does not read the predictor's f4p
+    assert np.all(coefs[4][:, 7] == 0.0)
+
+
+def forcing_rows_runs(exp1):
+    """cubic_minus_linear with (E, J) forcing rows and one member with
+    nonzero initial memory, as (model, (framework, z0s) pairs)."""
+    model = make_model(6, f="cubic_minus_linear", beta=0.5)
+    model.g = np.random.default_rng(14).uniform(-0.5, 0.5, (3, 6))
+    lam = model.lambdas
+    z0s = [draw_random_state(model, exp1, 2.0, "H1", np.random.default_rng([15, e]))
+           for e in range(3)]
+    z0s[1].memory = HistoryField.from_profile(
+        exp1, lam, lambda s: 0.1 * np.exp(-s) * np.ones(lam.size))
+    state = [ExtendedVector(z.u.copy(), z.v.copy(), lambda_map(z.memory, exp1))
+             for z in z0s]
+    return model, (("history", z0s), ("state", state))
+
+
+def test_stepwise_batch_rows_match_solo_runs_with_forcing_rows(exp1):
+    model, runs = forcing_rows_runs(exp1)
+    rows = model.g
+    for framework, z0s in runs:
+        model.g = rows
+        batch = integrate_ensemble(z0s, assemble(model, exp1), exp1, framework, 2e-3, 0.6)
+        for e, (z0, traj) in enumerate(zip(z0s, batch)):
+            model.g = rows[e:e + 1]
+            solo = integrate(z0, assemble(model, exp1), exp1, framework, 2e-3, 0.6)
+            for name in ("u_snaps", "v_snaps", "force_snaps"):
+                assert np.array_equal(getattr(traj, name), getattr(solo, name))
+
+
+def test_stepwise_prefix_property_for_a_cubic_run(exp1):
+    # runs to T and 2T inside the kernel-cutoff window
+    model, runs = forcing_rows_runs(exp1)
+    ops = assemble(model, exp1)
+    for framework, z0s in runs:
+        short, long = (integrate_ensemble(z0s, ops, exp1, framework, 2e-3, t)
+                       for t in (0.4, 0.8))
+        for s, l in zip(short, long):
+            for name in ("u_snaps", "v_snaps", "force_snaps"):
+                assert np.array_equal(getattr(s, name),
+                                      getattr(l, name)[:s.n_steps + 1])
 
 
 # -- blocked memory-force window -------------------------------------------------

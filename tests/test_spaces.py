@@ -276,6 +276,24 @@ def test_bridge_map_off_the_field_spacing_is_rank_one(monkeypatch):
     assert calls["mu"] == []
 
 
+def test_history_field_off_its_spacing_is_refused(exp1):
+    # nodes at spacing 0.02 with ds = 0.01 would take the rank-one bridge
+    # map with the wrong ratio: 0.599 against the direct sum's 0.303
+    from memoryflow.spaces import lambda_map_pointwise
+    lam = np.array([1.0])
+    nodes = 0.02 * (np.arange(500) + 0.5)
+    weights = np.asarray(exp1.mu(nodes)) * 0.02
+    with pytest.raises(ValueError, match="s_0 \\+ j\\*ds"):
+        HistoryField(nodes, np.ones((500, 1)), weights, lam, 0.01)
+    # with ds = 0.02 the same nodes are accepted and mapped as the direct
+    # sum, near int_0^10 e^-(0.5 + s) ds = e^-0.5
+    eta = HistoryField(nodes, np.ones((500, 1)), weights, lam, 0.02)
+    tau = np.array([0.5])
+    want = direct_bridge(eta, exp1, tau)
+    assert want[0, 0] == pytest.approx(math.exp(-0.5), rel=1e-4)
+    np.testing.assert_allclose(lambda_map_pointwise(eta, exp1, tau), want, rtol=1e-12)
+
+
 def test_lambda_identity_zero(exp1):
     eta = HistoryField.zeros(exp1, scalar_lambdas())
     assert lambda_identity_residual(eta, exp1, 1.0) == 0.0

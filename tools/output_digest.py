@@ -1,9 +1,11 @@
 """Print a sha256 of every output file the shipped CLI commands write on configs/.
 
-Usage:  python tools/output_digest.py
+Usage:  python tools/output_digest.py [--keep DIR]
+        python tools/output_digest.py --compare A B
 
 The commands run in-process on the package source beside this file
-(`../src`), into a temporary directory:
+(`../src`), into a temporary directory, or into DIR with `--keep`, which
+must be new or empty:
 
 - `kernel check` on each kernel file in configs/ (its report is saved as
   a text file);
@@ -36,13 +38,20 @@ Each line is `<sha256>  <path>`, sorted by path, so two trees compare by
 without its `generated` timestamp line, which is the only part of an output
 that differs between reruns.  A command that exits nonzero, other than a
 failing `kernel check`, stops the script with status 1.
+
+`--compare A B` runs nothing: for two DIRs kept by `--keep` (say, of two
+trees), it prints one line per file whose hash differs, with the largest
+|change| of its numbers relative to the largest |number| in A's file, and
+names the files present on one side only.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -150,13 +159,51 @@ def commands(out):
     return runs
 
 
-def digest(path):
+def content(path):
+    """A file's bytes, less summary.txt's `generated` timestamp line."""
     with open(path, "rb") as fh:
         data = fh.read()
     if os.path.basename(path) == "summary.txt":
         data = b"".join(line for line in data.splitlines(keepends=True)
                         if not line.lstrip().startswith(b'"generated":'))
-    return hashlib.sha256(data).hexdigest()
+    return data
+
+
+def digest(path):
+    return hashlib.sha256(content(path)).hexdigest()
+
+
+def numbers(path):
+    """The tokens of a file that read as floats, between separators."""
+    out = []
+    for token in re.split(rb"[\s,;:=\[\]{}()\"']+", content(path)):
+        try:
+            out.append(float(token))
+        except ValueError:
+            pass
+    return out
+
+
+def compare(a, b):
+    """Lines naming each output that differs between kept DIRs a and b."""
+    in_a, in_b = ({os.path.relpath(os.path.join(root, name), top)
+                   for root, _, names in os.walk(top) if root != os.path.join(top, "inputs")
+                   for name in names} for top in (a, b))
+    lines = ["only in %s: %s" % (a, rel) for rel in sorted(in_a - in_b)]
+    lines += ["only in %s: %s" % (b, rel) for rel in sorted(in_b - in_a)]
+    for rel in sorted(in_a & in_b):
+        pa, pb = os.path.join(a, rel), os.path.join(b, rel)
+        if digest(pa) == digest(pb):
+            continue
+        x, y = numbers(pa), numbers(pb)
+        if len(x) != len(y):
+            lines.append("%s  numbers differ in count (%d, %d)" % (rel, len(x), len(y)))
+            continue
+        scale = max(map(abs, x), default=0.0)
+        delta = max((abs(p - q) for p, q in zip(x, y)), default=0.0)
+        lines.append("%s  max |change| %.3g of max |value| %.6g (%.2g relative)"
+                     % (rel, delta, scale, delta / scale if scale else float("inf")))
+    return lines
 
 
 def run_all(out):
@@ -189,7 +236,26 @@ def run_all(out):
             yield os.path.relpath(path, out), digest(path)
 
 
+def print_digest(out):
+    for rel, sha in sorted(run_all(out)):
+        print("%s  %s" % (sha, rel))
+
+
 if __name__ == "__main__":
-    with tempfile.TemporaryDirectory() as out:
-        for rel, sha in sorted(run_all(out)):
-            print("%s  %s" % (sha, rel))
+    parser = argparse.ArgumentParser(description="Hash the CLI outputs on configs/.")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--keep", metavar="DIR",
+                       help="write the outputs to DIR, new or empty, and keep them")
+    group.add_argument("--compare", nargs=2, metavar=("A", "B"),
+                       help="compare two DIRs written by --keep")
+    args = parser.parse_args()
+    if args.compare:
+        print("\n".join(compare(*args.compare)))
+    elif args.keep:
+        if os.path.isdir(args.keep) and os.listdir(args.keep):
+            sys.exit("%s is not empty" % args.keep)
+        os.makedirs(args.keep, exist_ok=True)
+        print_digest(args.keep)
+    else:
+        with tempfile.TemporaryDirectory() as out:
+            print_digest(out)
