@@ -83,7 +83,7 @@ class ExperimentConfig:
             except json.JSONDecodeError as exc:
                 raise ValueError("parse error in %s at line %d: %s"
                                  % (path, exc.lineno, exc.msg)) from exc
-        rel = lambda p: p if p is None else path_beside(path, p)
+        rel = lambda name, p: path_beside(path, p, "config field %r" % name)
         if raw.get("model") is None:
             raise ValueError("config field 'model' is required")
 
@@ -105,7 +105,7 @@ class ExperimentConfig:
         ensemble = checked("ensemble", raw.get("ensemble", 1), _bounded(int, 1))
         initial = raw.get("initial", "zero")
         if isinstance(initial, dict) and "file" in initial:
-            initial = {"file": rel(initial["file"])}
+            initial = {"file": rel("initial.file", initial["file"])}
             initial["row"] = _initial_row(initial["file"])
         if isinstance(initial, dict) and "random_ball" in initial:
             ball = initial["random_ball"]
@@ -119,12 +119,12 @@ class ExperimentConfig:
             initial = {"random_ball": {"space": space, "radius": checked(
                 "initial.random_ball.radius", ball.get("radius"), _bounded(float, 0.0))}}
         return cls(
-            kernel_path=rel(raw.get("kernel")),
-            model_path=rel(raw.get("model")),
+            kernel_path=None if raw.get("kernel") is None else rel("kernel", raw["kernel"]),
+            model_path=rel("model", raw["model"]),
             framework=framework, dt=dt, t_end=t_end, ensemble=ensemble,
             seed=checked("seed", raw.get("seed", 0), _bounded(int, 0)),
             initial=initial,
-            out_dir=rel(raw.get("out", ".")))
+            out_dir=rel("out", raw.get("out", ".")))
 
 
 def _initial_row(path):
@@ -152,7 +152,7 @@ def load_experiment(cfg):
     if kpath is None:
         if kernel_from_model is None:
             raise ValueError("neither the config nor the model names a kernel")
-        kpath = path_beside(cfg.model_path, kernel_from_model)
+        kpath = path_beside(cfg.model_path, kernel_from_model, "model field 'kernel'")
     kernel = load_kernel_file(kpath)
     return model, kernel
 

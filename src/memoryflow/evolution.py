@@ -16,22 +16,21 @@ An ensemble is a batch axis: `integrate_ensemble` steps all members together
 as rows of member-major arrays, and each row is bitwise equal to the same
 member integrated alone.
 
-The scheme is written once, in `_rk4`, on a (4, 3, ...) stage buffer; the
-corrector reuses the predictor's stage 1, its u-stages 2-3 and f there, so
-a step evaluates f five times, not eight.  `_integrate_steps` steps on
-per-mode coefficients that `_stage_coefficients` takes from `_rk4` once per
-run: a step is two force calls, five f calls and six stacked dots.  Its
-results match the textbook predictor-corrector scheme to roundoff (the tests
-hold them to 1e-12 of the largest value).
+The scheme is written once, in `_rk4`; the corrector reuses the
+predictor's f at stages 1-3, so a step evaluates f five times, not eight.
+`_stage_coefficients` runs it once per run on unit rows, and every run
+steps on its per-mode coefficients: `_integrate_steps` in two force calls,
+five f calls and six stacked dots, the block path on matrices `_step_map`
+composes from them.  Results match the textbook predictor-corrector scheme
+to roundoff (the tests hold them to 1e-12 of the largest value).
 
 Linear runs (f = None) with one (J,) forcing, whose window sum is
 recursive, as it is for every kernel that states its decay rate (the
 exponential family), and whose window spans more than BLOCK steps, advance
 up to 4 BLOCK steps per Python pass (`_integrate_blocks`): a step is then a
 fixed small matrix per mode, one stacked matmul, and the stores and the
-blow-up guard run once per pass.
-Its results match the step-by-step path to roundoff.  Every other run,
-(E, J) forcing rows included, steps one at a time.
+blow-up guard run once per pass.  Every other run, (E, J) forcing rows
+included, steps one at a time.
 """
 
 import math
@@ -74,13 +73,12 @@ class ModelOperators:
     g: np.ndarray
     f: object = None
 
-    def accel(self, u, F, fu=None, out=None):
-        """-lambdas*u - F - fu + g, given fu = f(u), or None when f is; into
-        `out` if given, with the same bits either way."""
-        a = np.subtract(np.multiply(-self.lambdas, u, out=out), F, out=out)
+    def accel(self, u, F, fu=None):
+        """-lambdas*u - F - fu + g, given fu = f(u), or None when f is."""
+        a = -self.lambdas * u - F
         if fu is not None:
-            a = np.subtract(a, fu, out=out)
-        return np.add(a, self.g, out=out)
+            a = a - fu
+        return a + self.g
 
 
 @dataclass
@@ -325,90 +323,98 @@ class MemoryForce:
         return self.state_force(n, X)
 
 
-def _stages(u, v, shape):
-    """A stage buffer for `_rk4` on rows of `shape`, holding w = (u, v)."""
-    S = np.empty((4, 3) + shape)
-    S[0, 0], S[0, 1] = u, v
-    return S
-
-
-def _rk4(ops, S, dt, F0, F1, shared=None):
+def _rk4(ops, u, v, dt, F0, F1, shared=None):
     """One RK4 pass for w = (u, v), w' = (v, a), with the memory force linear
-    in time across the step.
-
-    S is a (4, 3, ...) stage buffer whose S[i] holds (u_i, v_i, a_i), so
-    the slope of stage i is the view S[i, 1:]; S[0, :2] holds w on entry.
-    Stage 1 and the u-stages 2-3 read w and F0 only, so they are the same
-    in the predictor pass (F1 = F0) and the corrector pass.  A pass given
-    the predictor's f values at stages 1-3 as `shared` is a corrector: it
-    keeps S[0] and S[1, :2] as the predictor left them, recomputes from a2
-    on and evaluates f once, at stage 4.  Returns w + dt/6 (k1 + 2 k2 +
-    2 k3 + k4) and the f values at stages 1-3.
+    in time across the step; returns w + dt/6 (k1 + 2 k2 + 2 k3 + k4) and f
+    at stages 1-3.  Stage 1 and the u-stages 2-3 read w and F0 only, so they
+    are the same in the predictor pass (F1 = F0) and the corrector pass,
+    which takes f there from the predictor's `shared` and evaluates f once,
+    at stage 4.
     """
-    f = ops.f if ops.f is not None else (lambda u: None)
-    w, u, k = S[0, :2], S[:, 0], S[:, 1:]
-    h = 0.5 * dt
-    Fm = 0.5 * (F0 + F1)
-    if shared is None:
-        f1 = f(u[0])
-        ops.accel(u[0], F0, f1, out=S[0, 2])
-        np.add(w, h * k[0], out=S[1, :2])
-        f2 = f(u[1])
-    else:
-        f1, f2, f3 = shared
-    ops.accel(u[1], Fm, f2, out=S[1, 2])
-    np.add(w, h * k[1], out=S[2, :2])
-    if shared is None:
-        f3 = f(u[2])
-    ops.accel(u[2], Fm, f3, out=S[2, 2])
-    np.add(w, dt * k[2], out=S[3, :2])
-    ops.accel(u[3], F1, f(u[3]), out=S[3, 2])
-    return w + (dt / 6.0) * (k[0] + 2.0 * k[1] + 2.0 * k[2] + k[3]), (f1, f2, f3)
+    f = ops.f if shared is None else (lambda x, fs=iter(shared): next(fs))
+    h, Fm = 0.5 * dt, 0.5 * (F0 + F1)
+    f1 = f(u)
+    a1 = ops.accel(u, F0, f1)
+    u2, v2 = u + h * v, v + h * a1
+    f2 = f(u2)
+    a2 = ops.accel(u2, Fm, f2)
+    u3, v3 = u + h * v2, v + h * a2
+    f3 = f(u3)
+    a3 = ops.accel(u3, Fm, f3)
+    u4, v4 = u + dt * v3, v + dt * a3
+    a4 = ops.accel(u4, F1, ops.f(u4))
+    return (u + (dt / 6.0) * (v + 2.0 * v2 + 2.0 * v3 + v4),
+            v + (dt / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)), (f1, f2, f3)
 
 
-def _step_map(mf, lam, g, s):
+_PAIRS = np.triu_indices(5, 1)     # (i, j) of the monomials s_i s_j, i < j
+
+
+def _monomials(s):
+    """Rows (1, s_i, s_i s_j for (i, j) in _PAIRS) of rows s of scalars."""
+    i, j = _PAIRS
+    return np.concatenate([np.ones((len(s), 1)), s, s[:, i] * s[:, j]], axis=1)
+
+
+def _step_map(mf, lam, g):
     """One predictor-corrector step of an f = None run as per-mode matrices.
 
     The step is the row z = (u, v, p, h, F, x0, x1, xt, m0, m1, 1) at n
     times an (11, 5) matrix per mode, which gives (u, v, p, h) at n+1 and
-    F = F(n).  Here p = X[n-1] and h is the carry of `MemoryForce._carry`
-    of mf, with X the run's memory source; the F slot is not read.  The
-    inputs x0 = X[n-m], x1 = X[n+1-m1], xt = X[n-top] and the
-    initial-memory terms m0, m1 at n and n+1 are final before n.  The
-    matrix depends on n only through the scalars s = (a[n], b[n], a[n+1],
-    b[n+1], leave [n >= top]), where (a, b) is (gain, edge) in the history
-    framework and (dt k(0)/2, edge) in the state framework, both 0 at n = 0.
-    For s of shape (5, K) it returns (K, J, 11, 5), from `_rk4` run on the
-    11 unit rows of z, with g, which must be one (J,) forcing, on the
-    constant row.
+    F = F(n).  Here p = X[n-1] (read in the history framework only) and h
+    is the carry of `MemoryForce._carry` of mf, with X the run's memory
+    source; the F slot is not read.  The inputs x0 = X[n-m], x1 =
+    X[n+1-m1], xt = X[n-top] and the initial-memory terms m0, m1 at n and
+    n+1 are final before n.  The matrix depends on n only through the
+    scalars s = (a[n], b[n], a[n+1], b[n+1], leave [n >= top]), where (a, b)
+    is (gain, edge) in the history framework and (dt k(0)/2, edge) in the
+    state framework, both 0 at n = 0.
+
+    This returns its (16, J, 11, 5) coefficients on the `_monomials` of s,
+    with g, which must be one (J,) forcing, on the constant row.  Quantities
+    are carried as (16, J, 11) coefficients, so times s_k shifts rows, and a
+    pass applies the (u, v) columns of `_stage_coefficients` to the slots u,
+    v, F0, g and F1.  A scalar multiplies only terms of degree <= 1 that
+    lack it, so no square arises.
     """
-    a0, b0, a1, b1, lv = np.asarray(s, dtype=float)[:, :, None, None]
-    u, v, p, h, _, x0, x1, xt, m0, m1, one = np.eye(11)[:, :, None] * np.ones(lam.size)
-    ops, dt, q = ModelOperators(lam, one * g), mf.dt, mf._q
+    (i, j), J = _PAIRS, lam.size
+    # to[k]: the rows of s_k times the rows (1, s_0, .., s_4); the row s_k
+    # of what it multiplies is 0.0 and goes to row 0, 0.0 after a shift
+    to = np.column_stack([1 + np.arange(5), np.zeros((5, 5), dtype=int)])
+    to[i, 1 + j] = to[j, 1 + i] = 6 + np.arange(i.size)
+
+    def times(k, x):
+        out = np.zeros_like(x)
+        out[to[k]] = x[:6]
+        return out
+
+    def unit(k, c=1.0):
+        x = np.zeros((16, J, 11))
+        x[0, :, k] = c
+        return x
+
+    # c[:, k] times the quantity in slot k of `_stage_coefficients`
+    rk4_pass = lambda c, *xs: sum(c[:, k, None] * x for k, x in zip((0, 1, 2, 3, 8), xs))
+
+    u, v, p, h, _, x0, x1, xt, m0, m1 = map(unit, range(10))
+    one = unit(10, g)
+    _, _, _, pred, _, corr = _stage_coefficients(lam, mf.dt)
+    lam = lam[:, None]                  # per mode, on the (16, J, 11) rows
+    # Xn = X[n], and Xp is X[n+1] of the predictor
     if mf.framework == "history":
-        Pn = lam * u
-        F0 = h + m0 + a0 * (Pn - p) + b0 * (Pn - x0)
-        S = _stages(u, v, F0.shape)
-        (up, _), shared = _rk4(ops, S, dt, F0, F0)
-        h1 = q * (h + a0 * (Pn - p)) - lv * (Pn - xt)
-        F1 = h1 + m1 + a1 * (lam * up - Pn) + b1 * (lam * up - x1)
-        p1 = Pn
+        Xn = lam * u
+        F0 = h + m0 + times(0, Xn - p) + times(1, Xn - x0)
+        Xp = lam * rk4_pass(pred[..., 0], u, v, F0, one)
+        h1 = mf._q * (h + times(0, Xn - p)) - times(4, Xn - xt)
+        F1 = h1 + m1 + times(2, Xp - Xn) + times(3, Xp - x1)
     else:
-        F0 = h + m0 + a0 * lam * v + b0 * x0
-        S = _stages(u, v, F0.shape)
-        (_, vp), shared = _rk4(ops, S, dt, F0, F0)
-        h1 = q * h + mf._c * lam * v - lv * xt
-        F1 = h1 + m1 + a1 * lam * vp + b1 * x1
-        p1 = 0.0 * p
-    (un, vn), _ = _rk4(ops, S, dt, F0, F1, shared)
-    return np.moveaxis(np.stack(np.broadcast_arrays(un, vn, p1, h1, F0), axis=-1), -2, 1)
-
-
-def _monomials(s, pairs):
-    """Rows (1, s_i, s_i s_j for (i, j) in pairs) of rows s; a step map is
-    linear in them."""
-    i, j = pairs
-    return np.concatenate([np.ones((len(s), 1)), s, s[:, i] * s[:, j]], axis=1)
+        Xn = lam * v
+        F0 = h + m0 + times(0, Xn) + times(1, x0)
+        Xp = lam * rk4_pass(pred[..., 1], u, v, F0, one)
+        h1 = mf._q * h + mf._c * Xn - times(4, xt)
+        F1 = h1 + m1 + times(2, Xp) + times(3, x1)
+    un, vn = (rk4_pass(corr[..., c], u, v, F0, one, F1) for c in (0, 1))
+    return np.stack([un, vn, Xn, h1, F0], axis=-1)
 
 
 def _block_path(ops, mf):
@@ -425,16 +431,15 @@ def _integrate_blocks(mf, ops, lam, U, V, X, F):
     Steps run in passes of P = min(top, 4 BLOCK) from n = 0; P depends on
     the window only, so a run to T is the prefix of a run to 2T.  The
     matrix of `_step_map` is a polynomial of degree 2 in its five scalars,
-    so a pass's matrices are one product with monomial coefficients fitted
-    once, into one (P, J, 11, 5) buffer, and one matrix serves every step
-    from the first multiple of BLOCK past top.  The inputs read rows before
-    the pass (P <= top), so a step is one stacked matmul on views made once;
-    the stores and the blow-up guard run once per pass, and the guard
-    reports the first bad row, as the stepwise loop does.
+    so a pass's matrices are one product with its monomial coefficients,
+    composed once, into one (P, J, 11, 5) buffer, and one matrix serves
+    every step from the first multiple of BLOCK past top.  The inputs read
+    rows before the pass (P <= top), so a step is one stacked matmul on
+    views made once; the stores and the blow-up guard run once per pass,
+    and the guard reports the first bad row, as the stepwise loop does.
     """
     E, n_steps, J = U.shape[0], U.shape[1] - 1, lam.size
-    dt = mf.dt
-    top = mf._top
+    dt, top = mf.dt, mf._top
     P, on = min(top, 4 * BLOCK), (top // BLOCK + 1) * BLOCK
     # the scalars of the step from n = 0..n_steps; at n_steps only the F
     # column is used, which does not read a[n+1] or b[n+1]
@@ -444,26 +449,18 @@ def _integrate_blocks(mf, ops, lam, U, V, X, F):
         else np.where(n > 0, 0.5 * dt * mf.k_dt[0], 0.0)
     up = np.minimum(n + 1, n_steps)
     scalars = np.column_stack([a, b, a[up], b[up], np.where(n >= top, mf._leave, 0.0)])
-    # the monomial coefficients, from the map at 0, e_i and e_i + e_j, are
-    # exactly 0 in this order of differences where the map does not read
-    # the scalars, so the F column at n_steps does not see a[n+1], b[n+1]
-    i, j = pairs = np.triu_indices(5, 1)
-    eye = np.eye(5)
-    f = _step_map(mf, lam, ops.g, np.vstack([np.zeros(5), eye, eye[i] + eye[j]]).T)
-    f = f.reshape(len(f), -1)
-    coef = np.concatenate([f[:1], f[1:6] - f[0], f[6:] - f[1 + j] - (f[1 + i] - f[0])])
-    steady = (_monomials(scalars[[min(top + 1, n_steps)]], pairs) @ coef).reshape(J, 11, 5)
+    coef = _step_map(mf, lam, ops.g).reshape(16, -1)
+    steady = (_monomials(scalars[[min(top + 1, n_steps)]]) @ coef).reshape(J, 11, 5)
 
     M = np.empty((P, J, 11, 5))                # the step matrices of a pass
     z = np.zeros((P + 1, E, J, 1, 11))         # the rows of `_step_map`, per step
-    z[0, :, :, 0, 0] = U[:, 0]
-    z[0, :, :, 0, 1] = V[:, 0]
+    z[0, :, :, 0, 0], z[0, :, :, 0, 1] = U[:, 0], V[:, 0]
     z[..., 10] = 1.0
     steps = [(z[l], M[l], z[l + 1, ..., :5]) for l in range(P)]
     for n0 in range(0, n_steps + 1, P):
         ns = n0 + np.arange(P)
         if n0 < on:
-            np.matmul(_monomials(scalars[np.minimum(ns, n_steps)], pairs), coef,
+            np.matmul(_monomials(scalars[np.minimum(ns, n_steps)]), coef,
                       out=M.reshape(P, -1))
             M[on - n0:] = steady               # empty unless `on` falls in the pass
         elif n0 < on + P:
@@ -545,10 +542,9 @@ def _stage_coefficients(lam, dt):
     .. z[:10], slots filled earlier in the step, and are 0.0 past them."""
     u, v, F0, g, f1, f2, f3, f4p, F1, f4c = np.eye(10)[:, :, None] * np.ones(lam.size)
     args, values = [], iter([f1, f2, f3, f4p, f4c])
-    ops = ModelOperators(lam, g, lambda x: args.append(x.copy()) or next(values))
-    S = _stages(u, v, u.shape)
-    wp, shared = _rk4(ops, S, dt, F0, F0)
-    wn, _ = _rk4(ops, S, dt, F0, F1, shared)
+    ops = ModelOperators(lam, g, lambda x: args.append(x) or next(values))
+    wp, shared = _rk4(ops, u, v, dt, F0, F0)
+    wn, _ = _rk4(ops, u, v, dt, F0, F1, shared)
     return [np.stack(c, axis=-1).transpose(1, 0, 2)
             for c in (args[1:2], args[2:3], args[3:4], wp, args[4:], wn)]
 

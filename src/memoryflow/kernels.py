@@ -525,8 +525,11 @@ def admissibility_report(kernel):
 # kernel definition files
 # ---------------------------------------------------------------------------
 
-def path_beside(path, name):
-    """`name` resolved against the directory of the file `path`; absolute names pass."""
+def path_beside(path, name, field):
+    """`name` resolved against the directory of the file `path`; absolute names
+    pass.  A name that is not a string raises a ValueError naming `field`."""
+    if not isinstance(name, str):
+        raise ValueError("%s must be a path, not %r in %s" % (field, name, path))
     return os.path.join(os.path.dirname(os.path.abspath(path)), name)
 
 
@@ -541,7 +544,7 @@ def _read_kernel_table(path, table_path):
     or the line.
     """
     where = "kernel field 'table' (%s) in %s" % (table_path, path)
-    with open(path_beside(path, table_path)) as fh:
+    with open(path_beside(path, table_path, "kernel field 'table'")) as fh:
         lines = [(i, line.strip()) for i, line in enumerate(fh, 1) if line.strip()]
     head = lines[0][1].lstrip("#") if lines else ""
     header = [name.strip() for name in head.split("#")[0].split(",")]

@@ -97,8 +97,8 @@ def make_model(J, f="cubic", beta=0.0, g=None, lambdas=None):
         else np.asarray(lambdas, dtype=float)
     if lam.shape != (J,):
         raise ValueError("J = %r, but %d eigenvalues were given" % (J, lam.size))
-    if np.any(np.diff(lam) < 0) or lam[0] <= 0:
-        raise ValueError("eigenvalues must be positive and nondecreasing")
+    if not (np.all(np.isfinite(lam)) and lam[0] > 0 and np.all(np.diff(lam) >= 0)):
+        raise ValueError("eigenvalues must be finite, positive and nondecreasing")
     if f not in F_SELECTORS:
         raise ValueError("unknown nonlinearity %r" % f)
     if lambdas is not None and f != "zero":
@@ -500,7 +500,8 @@ def load_model_file(path):
     domain = spec.get("domain", "interval_pi")
     lambdas = None
     if isinstance(domain, dict) and "eigenfile" in domain:
-        lambdas = np.loadtxt(path_beside(path, domain["eigenfile"]), ndmin=1)
+        lambdas = np.loadtxt(path_beside(path, domain["eigenfile"],
+                                         "model field 'domain.eigenfile'"), ndmin=1)
     elif domain != "interval_pi":
         raise ValueError("unknown domain %r" % domain)
     f_spec = spec.get("f", "cubic")
@@ -514,7 +515,7 @@ def load_model_file(path):
                          % (", ".join(map(repr, F_SELECTORS)), f_spec, path))
     g = spec.get("g")
     if isinstance(g, str):
-        g = load_g_csv(path_beside(path, g), J)
+        g = load_g_csv(path_beside(path, g, "model field 'g'"), J)
     elif g is not None and not (isinstance(g, list) and len(g) == J
                                 and all(map(finite_number, g))):
         raise ValueError("model field 'g' must be a list of J = %d finite numbers or "

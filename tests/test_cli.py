@@ -354,6 +354,47 @@ def test_model_file_eigenvalues_checked_before_any_work(workdir, capsys, J, f, w
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.parametrize("eigenvalues", ["1\nnan\n9\n", "nan\n4\n9\n", "1\n4\ninf\n"],
+                         ids=["nan", "nan-first", "inf"])
+def test_model_file_nonfinite_eigenvalues_exit_two(workdir, capsys, eigenvalues):
+    # a NaN used to pass the ordering check and end in a blow-up, exit 1
+    (workdir / "eig.txt").write_text(eigenvalues)
+    (workdir / "eig_model.json").write_text(json.dumps({
+        "J": 3, "domain": {"eigenfile": "eig.txt"}, "f": "zero",
+        "kernel": "exp1.kernel.json"}))
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["model"] = "eig_model.json"
+    (workdir / "eig_cfg.json").write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(workdir / "eig_cfg.json")]) == 2
+    assert "eigenvalues must be finite" in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
+@pytest.mark.parametrize("where,field,value", [
+    ("config", "kernel", 3), ("config", "model", ["model.json"]), ("config", "out", 1.5),
+    ("config", "out", None), ("config", "initial.file", 7),
+    ("config", "initial.file", None), ("model", "kernel", {"file": "exp1.kernel.json"}),
+    ("model", "domain.eigenfile", 2)],
+    ids=["config-kernel-number", "config-model-list", "config-out-number",
+         "config-out-null", "config-initial.file-number", "config-initial.file-null",
+         "model-kernel-object", "model-domain.eigenfile-number"])
+def test_path_fields_that_are_not_strings_exit_two(workdir, capsys, where, field, value):
+    # each used to raise a TypeError in path_beside and exit 1 with a traceback
+    cfg = json.loads((workdir / "config.json").read_text())
+    model = json.loads((workdir / "model.json").read_text())
+    node = cfg if where == "config" else model
+    *outer, name = field.split(".")
+    for key in outer:
+        node[key] = node = {}
+    node[name] = value
+    cfg["model"] = cfg["model"] if field == "model" else "bad_model.json"
+    (workdir / "bad_model.json").write_text(json.dumps(model))
+    (workdir / "bad_cfg.json").write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(workdir / "bad_cfg.json")]) == 2
+    assert "%s field '%s' must be a path" % (where, field) in capsys.readouterr().err
+    assert not (workdir / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["simulate", "compare", "energy-report"])
 @pytest.mark.parametrize("row", ["0.1,0.2,0.3", "0.1,nan,0.3,0.4", "0.1,x,0.3,0.4",
                                  "0.1,0.2,0.3,0.4,0.5", ""],

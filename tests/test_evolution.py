@@ -342,9 +342,8 @@ def test_stage_coefficients_reproduce_rk4(dt):
         return next(values)
 
     ops = ModelOperators(lam, z[..., 3], f)
-    S = evolution._stages(z[..., 0], z[..., 1], z[..., 0].shape)
-    wp, shared = evolution._rk4(ops, S, dt, z[..., 2], z[..., 2])
-    wn, _ = evolution._rk4(ops, S, dt, z[..., 2], z[..., 8], shared)
+    wp, shared = evolution._rk4(ops, z[..., 0], z[..., 1], dt, z[..., 2], z[..., 2])
+    wn, _ = evolution._rk4(ops, z[..., 0], z[..., 1], dt, z[..., 2], z[..., 8], shared)
     assert np.array_equal(args[0], z[..., 0])
     wants = [args[1][..., None], args[2][..., None], args[3][..., None],
              np.stack(wp, axis=-1), args[4][..., None], np.stack(wn, axis=-1)]
@@ -599,6 +598,30 @@ def test_block_path_matches_stepwise_at_the_pass_length(exp1, monkeypatch):
                     w = getattr(want, name)
                     np.testing.assert_allclose(getattr(got, name), w, rtol=0,
                                                atol=1e-12 * np.abs(w).max())
+
+
+@pytest.mark.parametrize("delta,t_end", [(8.0, 1.0), (20.0, 2.0)])
+def test_block_path_matches_stepwise_on_stiff_kernels(monkeypatch, delta, t_end):
+    # windows of 2880 and 1152 steps at dt = 1e-3: the gain and edge scalars
+    # span many decades, so step matrices taken from differences of the step
+    # at probe values of the scalars would lose digits to cancellation
+    kernel = make_exponential_kernel(delta)
+    model = make_model(4, f="zero", g=[0.5, 0.0, 0.3, -0.2])
+    ops, lam = assemble(model, kernel), model.lambdas
+    z0s = [draw_random_state(model, kernel, 1.0, "H1", np.random.default_rng([19, e]))
+           for e in range(3)]
+    z0s[1].memory = HistoryField.from_profile(
+        kernel, lam, lambda s: 0.1 * np.sin(s) * np.ones(lam.size))
+    state = [ExtendedVector(z.u.copy(), z.v.copy(), lambda_map(z.memory, kernel))
+             for z in z0s]
+    for framework, zs in (("history", z0s), ("state", state)):
+        fast, slow = block_and_stepwise(monkeypatch, zs, ops, kernel, framework,
+                                        1e-3, t_end)
+        for got, want in zip(fast, slow):
+            for name in ("u_snaps", "v_snaps", "force_snaps"):
+                w = getattr(want, name)
+                np.testing.assert_allclose(getattr(got, name), w, rtol=0,
+                                           atol=1e-12 * np.abs(w).max())
 
 
 def test_block_path_prefix_property_at_one_and_two_passes(exp1):

@@ -42,7 +42,9 @@ failing `kernel check`, stops the script with status 1.
 `--compare A B` runs nothing: for two DIRs kept by `--keep` (say, of two
 trees), it prints one line per file whose hash differs, with the largest
 |change| of its numbers relative to the largest |number| in A's file, and
-names the files present on one side only.
+names the files present on one side only.  It exits 1 when it prints any
+line and 0 when the two DIRs hold the same files with the same hashes, so
+a byte-identity claim is one command's exit status.
 """
 
 import argparse
@@ -250,7 +252,10 @@ if __name__ == "__main__":
                        help="compare two DIRs written by --keep")
     args = parser.parse_args()
     if args.compare:
-        print("\n".join(compare(*args.compare)))
+        lines = compare(*args.compare)
+        for line in lines:
+            print(line)
+        sys.exit(1 if lines else 0)
     elif args.keep:
         if os.path.isdir(args.keep) and os.listdir(args.keep):
             sys.exit("%s is not empty" % args.keep)
