@@ -20,9 +20,10 @@ The scheme is written once, in `_rk4`; the corrector reuses the
 predictor's f at stages 1-3, so a step evaluates f five times, not eight.
 `_stage_coefficients` runs it once per run on unit rows, and every run
 steps on its per-mode coefficients: `_integrate_steps` in two force calls,
-five f calls and six stacked dots, the block path on matrices `_step_map`
-composes from them.  Results match the textbook predictor-corrector scheme
-to roundoff (the tests hold them to 1e-12 of the largest value).
+five f calls and one `np.vecdot` per stage, with its stores and blow-up
+guard once per BLOCK steps, the block path on matrices `_step_map` composes
+from them.  Results match the textbook predictor-corrector scheme to
+roundoff (the tests hold them to 1e-12 of the largest value).
 
 Linear runs (f = None) with one (J,) forcing, whose window sum is
 recursive, as it is for every kernel that states its decay rate (the
@@ -50,7 +51,7 @@ from .spaces import (
 )
 
 BLOWUP_GUARD = 1e8
-BLOCK = 32        # steps whose far-field window sums share one matrix product
+BLOCK = 32        # steps per far-field window product, and per stepwise store and guard
 
 
 class BlowUpError(RuntimeError):
@@ -551,34 +552,54 @@ def _stage_coefficients(lam, dt):
 
 def _integrate_steps(mf, ops, lam, U, V, X, F):
     """Fill U, V, X and F one predictor-corrector step at a time, on the slots
-    of `_stage_coefficients` in one (E, J, 10) array, filled in slot order.
-    Each u-stage and pass result is one stacked 1 x k dot of z[:k] per member
-    and mode, so a batch row has the bits of its member run alone; with
-    f = None the f slots stay 0.0."""
-    n_steps, dt, f = U.shape[1] - 1, mf.dt, ops.f
-    Z = np.zeros((U.shape[0], lam.size, 10))
-    Z[..., 0], Z[..., 1], Z[..., 3] = U[:, 0], V[:, 0], ops.g
-    s2, s3, s4, pred, s4c, corr = [(Z[:, :, None, :k], np.ascontiguousarray(c[:, :k]))
-                                   for k, c in zip(range(5, 11), _stage_coefficients(lam, dt))]
-    stages = () if f is None else ((5, s2), (6, s3), (7, s4))
+    of `_stage_coefficients`, filled in slot order.
+
+    Step n fills row r = n mod BLOCK of a (BLOCK + 1, E, J, 10) slot array,
+    and its corrector writes (u, v) at n+1 into row r+1, which f and the
+    next step read.  Each u-stage and pass result is one `np.vecdot` of a
+    slot prefix with per-mode coefficient rows (the predictor's u or v
+    column only), so a batch row has the bits of its member run alone; with
+    f = None the f slots stay 0.0.  X is written every step, since the
+    force reads it; the U, V and F stores and the blow-up guard run once per
+    BLOCK steps, and the guard reports the first step that left it.
+    """
+    E, n_steps, dt, f = U.shape[0], U.shape[1] - 1, mf.dt, ops.f
     src = 0 if mf.framework == "history" else 1
-    for n in range(n_steps):
-        Z[..., 2] = F0 = mf.force(n, X)
-        if f is not None:
-            Z[..., 4] = f(U[:, n])
-        for k, (zk, c) in stages:             # f at the u-stage that reads z[:k]
-            Z[..., k] = f(np.matmul(zk, c)[..., 0, 0])
-        np.multiply(lam, np.matmul(*pred)[..., 0, src], out=X[:, n + 1])
-        Z[..., 8] = mf.force(n + 1, X)
-        if f is not None:
-            Z[..., 9] = f(np.matmul(*s4c)[..., 0, 0])
-        Z[..., :2] = w = np.matmul(*corr)[..., 0, :]
-        U[:, n + 1], V[:, n + 1] = w[..., 0], w[..., 1]
-        np.multiply(lam, w[..., src], out=X[:, n + 1])
-        F[:, n] = F0
-        # the negated comparison also catches NaN, which compares false
-        if not np.abs(w).max() <= BLOWUP_GUARD:
-            raise BlowUpError(n * dt + dt)
+    s2, s3, s4, pred, s4c, corr = _stage_coefficients(lam, dt)
+    # contiguous (J, k) rows of one column; the corrector's (u, v) as (J, 2, 10)
+    col = lambda c, k, i=0: np.ascontiguousarray(c[:, :k, i])
+    stages = () if f is None else ((5, col(s2, 5)), (6, col(s3, 6)), (7, col(s4, 7)))
+    c_pred, c4c = col(pred, 8, src), col(s4c, 9)
+    c_corr = np.ascontiguousarray(corr.transpose(0, 2, 1))
+    Z = np.zeros((BLOCK + 1, E, lam.size, 10))
+    Z[0, ..., 0], Z[0, ..., 1], Z[..., 3] = U[:, 0], V[:, 0], ops.g
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n0 in range(0, n_steps, BLOCK):
+            L = min(BLOCK, n_steps - n0)
+            for r in range(L):
+                n = n0 + r
+                z, x = Z[r], X[:, n + 1]
+                z[..., 2] = mf.force(n, X)
+                if f is not None:
+                    z[..., 4] = f(z[..., 0])
+                for k, c in stages:           # f at the u-stage that reads z[:k]
+                    z[..., k] = f(np.vecdot(z[..., :k], c))
+                np.vecdot(z[..., :8], c_pred, out=x)
+                x *= lam
+                z[..., 8] = mf.force(n + 1, X)
+                if f is not None:
+                    z[..., 9] = f(np.vecdot(z[..., :9], c4c))
+                w = np.vecdot(z[..., None, :], c_corr, out=Z[r + 1, ..., :2])
+                np.multiply(lam, w[..., src], out=x)
+            new = slice(n0 + 1, n0 + L + 1)
+            U[:, new] = Z[1:L + 1, ..., 0].swapaxes(0, 1)
+            V[:, new] = Z[1:L + 1, ..., 1].swapaxes(0, 1)
+            F[:, n0:n0 + L] = Z[:L, ..., 2].swapaxes(0, 1)
+            # NaN compares false, so it fails the guard too
+            ok = (np.abs(Z[1:L + 1, ..., :2]) <= BLOWUP_GUARD).all(axis=(1, 2, 3))
+            if not ok.all():
+                raise BlowUpError((n0 + int(np.argmin(ok))) * dt + dt)
+            Z[0, ..., :2] = Z[L, ..., :2]
     F[:, n_steps] = mf.force(n_steps, X)
 
 

@@ -44,8 +44,9 @@ class CollocationTransform:
     on modes up to J, so a + b <= 4J < 4J + 2 and the Galerkin projection
     of u^3 is exact for trigonometric polynomials.  M = 2J is not enough:
     it aliases mode 3J onto mode J.  Both transforms act on the last axis
-    as stacked matrix-vector products, so a row of a batch gets the same
-    bits as the same vector transformed alone.
+    as one `np.matvec` each, so a row of a batch gets the same bits as the
+    same vector transformed alone; `to_modal` reads `analysis`, the
+    transpose of `sines` times the weight, made contiguous once.
     """
 
     def __init__(self, n_modes):
@@ -54,13 +55,13 @@ class CollocationTransform:
         j = np.arange(1, n_modes + 1)
         x = math.pi * m / M
         self.sines = math.sqrt(2.0 / math.pi) * np.sin(np.outer(x, j))
-        self.quad_w = math.pi / M
+        self.analysis = np.ascontiguousarray((math.pi / M) * self.sines.T)
 
     def to_physical(self, u):
-        return np.matmul(self.sines, u[..., None])[..., 0]
+        return np.matvec(self.sines, u)
 
     def to_modal(self, phys):
-        return self.quad_w * np.matmul(self.sines.T, phys[..., None])[..., 0]
+        return np.matvec(self.analysis, phys)
 
 
 @dataclass
@@ -483,6 +484,29 @@ def load_g_csv(path, J):
     return g
 
 
+def _read_eigenfile(path, eig_path):
+    """The eigenvalues in `domain.eigenfile` of the model file `path`.
+
+    Numbers are separated by whitespace or newlines, '#' starts a comment
+    and blank lines are skipped.  A cell that is not a number, or a file
+    that holds none, raises a ValueError naming the field, the file and the
+    line.
+    """
+    where = "model field 'domain.eigenfile' (%s) in %s" % (eig_path, path)
+    values = []
+    with open(path_beside(path, eig_path, "model field 'domain.eigenfile'")) as fh:
+        for i, line in enumerate(fh, 1):
+            for cell in line.split("#")[0].split():
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    raise ValueError("%s: line %d holds %r, which is not a number"
+                                     % (where, i, cell)) from None
+    if not values:
+        raise ValueError("%s: the file holds no eigenvalues" % where)
+    return np.array(values)
+
+
 def load_model_file(path):
     """Model config: {J, domain, f, g, kernel}; returns (model, kernel_path).
 
@@ -500,8 +524,7 @@ def load_model_file(path):
     domain = spec.get("domain", "interval_pi")
     lambdas = None
     if isinstance(domain, dict) and "eigenfile" in domain:
-        lambdas = np.loadtxt(path_beside(path, domain["eigenfile"],
-                                         "model field 'domain.eigenfile'"), ndmin=1)
+        lambdas = _read_eigenfile(path, domain["eigenfile"])
     elif domain != "interval_pi":
         raise ValueError("unknown domain %r" % domain)
     f_spec = spec.get("f", "cubic")

@@ -370,6 +370,28 @@ def test_model_file_nonfinite_eigenvalues_exit_two(workdir, capsys, eigenvalues)
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.parametrize("eigenvalues,words", [
+    ("1\nx\n", ["line 2", "'x'"]), ("", ["holds no eigenvalues"])],
+    ids=["not-a-number", "empty"])
+def test_model_file_eigenfile_errors_name_the_file(workdir, capsys, recwarn,
+                                                   eigenvalues, words):
+    # a bare np.loadtxt named neither the field nor the file, counted rows
+    # from 0, and warned on an empty file
+    (workdir / "eig.txt").write_text(eigenvalues)
+    (workdir / "eig_model.json").write_text(json.dumps({
+        "J": 2, "domain": {"eigenfile": "eig.txt"}, "f": "zero",
+        "kernel": "exp1.kernel.json"}))
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["model"] = "eig_model.json"
+    (workdir / "eig_cfg.json").write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(workdir / "eig_cfg.json")]) == 2
+    err = capsys.readouterr().err
+    assert all(word in err for word in
+               ["model field 'domain.eigenfile'", "eig.txt", "eig_model.json"] + words)
+    assert not recwarn.list
+    assert not (workdir / "out").exists()
+
+
 @pytest.mark.parametrize("where,field,value", [
     ("config", "kernel", 3), ("config", "model", ["model.json"]), ("config", "out", 1.5),
     ("config", "out", None), ("config", "initial.file", 7),

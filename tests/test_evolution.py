@@ -121,9 +121,10 @@ def test_framework_mismatch_rejected(exp1):
 def test_integrate_ensemble_matches_solo_runs(exp1):
     # batch rows are bitwise equal to the same members integrated one by one,
     # including a member whose nonzero initial memory only it pays for; the
-    # f = "zero" model runs a block at a time under the exp1 cutoff window
-    for f in ("cubic", "zero"):
-        model = make_model(8, f=f, g=[0.5, 0, 0.3, 0, 0, 0, 0, 0])
+    # f = "zero" model runs a block at a time under the exp1 cutoff window;
+    # at J = 128 the cubic's vecdot and matvec calls carry most of a step
+    for J, f in ((8, "cubic"), (8, "zero"), (128, "cubic")):
+        model = make_model(J, f=f, g=np.r_[0.5, 0, 0.3, np.zeros(J - 3)])
         ops = assemble(model, exp1)
         lam = model.lambdas
         z0s = [draw_random_state(model, exp1, 1.0, "H1", np.random.default_rng([5, e]))
@@ -287,21 +288,34 @@ def test_linear_stepper_matches_textbook_predictor_corrector(exp1, kernel, dt,
                                            atol=1e-12 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("framework", ["history", "state"])
-def test_blowup_guard_checks_v_on_the_generic_path(exp1, monkeypatch, framework):
+@pytest.mark.parametrize("framework,first_bad", [
+    pytest.param(framework, n, id=framework if n == 55 else "%s-step%d" % (framework, n))
+    for framework in ("history", "state")
+    for n in (55, evolution.BLOCK - 1, evolution.BLOCK, evolution.BLOCK + 1)])
+def test_blowup_guard_checks_v_on_the_generic_path(exp1, monkeypatch, framework,
+                                                    first_bad):
     # member 1 has u = g (1 - cos t), v = g sin t, less the memory's damping:
-    # v leaves the guard near t = pi/6, while u stays below it until pi/3
+    # v leaves the guard near t = 0.551 (pi/6 undamped), while u stays below
+    # it until pi/3.  With dt = 0.56 / (first_bad + 1) the step first_bad is
+    # the first whose end is past the guard; the stepper checks the guard
+    # once per BLOCK steps, so first_bad = BLOCK - 1, BLOCK, BLOCK + 1 put it
+    # at the end of the first block, at the start and inside the second
     t_blow = 0.56
+    dt = t_blow / (first_bad + 1)
     lam = np.array([1.0])
     ops = ModelOperators(lam, np.array([[0.0], [2e8]]), f=np.zeros_like)
     field = HistoryField if framework == "history" else StateField
     z0s = [ExtendedVector(ModalVector.zeros(lam), ModalVector.zeros(lam),
                           field.zeros(exp1, lam)) for _ in range(2)]
-    with pytest.raises(BlowUpError) as exc:
-        integrate_ensemble(z0s, ops, exp1, framework, 1e-2, 5.0)
-    assert exc.value.t == pytest.approx(t_blow, rel=1e-12)
+    with warnings.catch_warnings(record=True) as caught, \
+            pytest.raises(BlowUpError) as exc:
+        warnings.simplefilter("always")
+        integrate_ensemble(z0s, ops, exp1, framework, dt, 5.0)
+    assert exc.value.t == pytest.approx((first_bad + 1) * dt, rel=1e-12)
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     monkeypatch.setattr(evolution, "BLOWUP_GUARD", 2 * evolution.BLOWUP_GUARD)
-    trajs = integrate_ensemble(z0s, ops, exp1, framework, 1e-2, t_blow)
+    trajs = integrate_ensemble(z0s, ops, exp1, framework, dt, t_blow)
+    assert trajs[1].n_steps == first_bad + 1
     u, v = trajs[1].u_snaps, trajs[1].v_snaps
     assert np.abs(v[:-1]).max() <= 1e8 < np.abs(v[-1]).max()
     assert np.abs(u).max() <= 0.5e8
