@@ -190,14 +190,13 @@ def save_cloud_csv(cloud, path):
 
 
 def load_cloud_csv(path):
-    meta = {}
+    """A cloud saved by save_cloud_csv; a header item without '=' raises."""
     with open(path) as fh:
         first = fh.readline()
-        if first.startswith("#"):
-            meta = dict(item.split("=", 1) for item in first.lstrip("# ").split())
-            pts = np.loadtxt(fh, delimiter=",", ndmin=2)
-        else:
-            fh.seek(0)
-            pts = np.loadtxt(fh, delimiter=",", ndmin=2)
-    return PointCloud(pts, label=meta.get("label", ""),
+    items = first.lstrip("# ").split() if first.startswith("#") else []
+    if not all("=" in item for item in items):
+        raise ValueError("line 1 of %s: a cloud header holds key=value pairs after '#', "
+                         "not %r" % (path, first.strip()))
+    meta = dict(item.split("=", 1) for item in items)
+    return PointCloud(np.loadtxt(path, delimiter=",", ndmin=2), label=meta.get("label", ""),
                       norm=meta.get("norm", "H0"))

@@ -466,19 +466,30 @@ def hypothesis_probe_suite(model, kernel, radii, *, t_end=30.0, dt=2e-3,
 def load_g_csv(path, J):
     """Forcing from a CSV with `mode, coeff` columns; unlisted modes are 0.
 
-    Each mode is an integer in 1..J listed at most once, and each coeff is
-    finite; a row that breaks this raises a ValueError naming the file and
-    the row.
+    '#' starts a comment.  Each mode is an integer in 1..J listed at most
+    once, and each coeff is finite; a header without both columns, or a
+    row that breaks this or has more or fewer cells than the header, raises
+    a ValueError naming model field 'g', the file and the row.
     """
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    g = np.zeros(J)
-    seen = set()
-    for row, (m, c) in enumerate(zip(np.atleast_1d(data["mode"]),
-                                     np.atleast_1d(data["coeff"])), 1):
-        if not (1 <= m <= J and m == int(m)) or m in seen or not math.isfinite(c):
-            raise ValueError("data row %d of %s: mode must be an integer in 1..%d "
-                             "listed once and coeff a finite number, not %g,%g"
-                             % (row, path, J, m, c))
+    with open(path) as fh:
+        lines = [line.strip() for line in fh if line.strip()] or ["(an empty file)"]
+    header = [name.strip() for name in lines[0].lstrip("#").split("#")[0].split(",")]
+    if "mode" not in header or "coeff" not in header:
+        raise ValueError("model field 'g': the header row of %s must name the columns "
+                         "mode and coeff, not %r" % (path, lines[0]))
+    g, seen = np.zeros(J), set()
+    rows = filter(None, (line.split("#")[0].strip() for line in lines[1:]))
+    for row, line in enumerate(rows, 1):
+        cells = dict(zip(header, line.split(",")))
+        try:
+            m, c = float(cells["mode"]), float(cells["coeff"])
+        except (KeyError, ValueError):
+            m = c = math.nan
+        if line.count(",") != len(header) - 1 or not (1 <= m <= J and m == int(m)) \
+                or m in seen or not math.isfinite(c):
+            raise ValueError("model field 'g': row %d of %s must hold %d cells, mode an "
+                             "integer in 1..%d listed once and coeff a finite number, "
+                             "not %r" % (row, path, len(header), J, line))
         seen.add(m)
         g[int(m) - 1] = c
     return g

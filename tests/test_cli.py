@@ -1,10 +1,12 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
 from memoryflow import cli
+from memoryflow.attractors import load_cloud_csv
 from memoryflow.cli import ExperimentConfig, main
 from memoryflow.kernels import KernelError, KernelFileError, load_kernel_file
 from memoryflow.viscoelastic import load_model_file
@@ -461,8 +463,13 @@ def test_model_file_fields_checked_before_any_work(workdir, capsys, command, fie
     assert not (workdir / "out").exists()
 
 
-def test_g_csv_bad_row_checked_before_any_work(workdir, capsys):
-    (workdir / "g.csv").write_text("mode,coeff\n1,0.5\n3,0.2\n")
+@pytest.mark.parametrize("text,where", [
+    ("mode,coeff\n1,0.5\n3,0.2\n", "row 2"), ("", "the header row"),
+    ("mode,value\n1,0.5\n", "the header row"), ("mode,coeff\n1,0.5,7\n", "row 1")],
+    ids=["above-J", "empty", "no-coeff", "extra-cell"])
+def test_g_csv_bad_row_checked_before_any_work(workdir, capsys, text, where):
+    # an empty file used to exit 1 with an IndexError traceback
+    (workdir / "g.csv").write_text(text)
     (workdir / "g_model.json").write_text(json.dumps({
         "J": 2, "f": "zero", "g": "g.csv", "kernel": "exp1.kernel.json"}))
     cfg = json.loads((workdir / "config.json").read_text())
@@ -470,7 +477,7 @@ def test_g_csv_bad_row_checked_before_any_work(workdir, capsys):
     (workdir / "g_cfg.json").write_text(json.dumps(cfg))
     assert main(["simulate", "--config", str(workdir / "g_cfg.json")]) == 2
     err = capsys.readouterr().err
-    assert "row 2" in err and str(workdir / "g.csv") in err
+    assert "model field 'g': %s of %s" % (where, workdir / "g.csv") in err
     assert not (workdir / "out").exists()
 
 
@@ -622,6 +629,25 @@ def test_data_files_resolve_against_their_file(tmp_path, monkeypatch, capsys):
     # zero data driven by g = 0.5 on mode 1 only
     data = np.loadtxt(cfg_dir / "out" / "traj_0.csv", delimiter=",", skiprows=1)
     assert data[-1, 1] > 0.0 and np.all(data[:, 2] == 0.0)
+
+
+def test_attract_bad_cloud_header_exits_two(tmp_path, capsys):
+    # a '#' header without key=value pairs used to exit 2 with "dictionary
+    # update sequence element #0 has length 1; 2 is required"
+    bundle, surrogate = tmp_path / "bundle", tmp_path / "surrogate"
+    bundle.mkdir(), surrogate.mkdir()
+    for t in range(5):
+        (bundle / ("cloud_t%.6f.csv" % t)).write_text("# label=t norm=H0\n1,2\n")
+    bad = surrogate / "cloud.csv"
+    bad.write_text("# surrogate cloud\n0,0\n")
+    with pytest.raises(ValueError, match=re.escape("line 1 of %s" % bad)):
+        load_cloud_csv(str(bad))
+    rc = main(["attract", "--bundle", str(bundle), "--surrogate", str(surrogate),
+               "--out", str(tmp_path / "report.csv")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "line 1 of %s" % bad in err and "key=value" in err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_simulate_state_clouds_then_attract(workdir, tmp_path, capsys):

@@ -276,3 +276,55 @@ def test_tabulated_exponential_close_to_analytic():
     assert ker.first_moment == pytest.approx(1.0, abs=1e-12)
     ratio = float(ker.mu(1.0)) / float(ker.mu(2.0))
     assert ratio == pytest.approx(math.e, rel=1e-4)
+
+
+# kernel, piece edges (where mu or mu' may break), delta of an exponential
+PIECEWISE = {
+    "exp1": (lambda: make_exponential_kernel(1.0), [], 1.0),
+    "exp3": (lambda: make_exponential_kernel(3.0), [], 3.0),
+    "flatzone": (make_flatzone_kernel, [1.0, 2.0], None),
+    "jump2": (lambda: make_jump_exponential_kernel(1.5, [(2.0, 0.3), (0.8, 0.4)]),
+              [0.8, 2.0], None),
+    "tabulated": (lambda: make_tabulated_kernel([0.5, 1.0, 2.0, 3.0], [4.0, 2.0, 1.0, 0.5],
+                                                theta=math.e, delta_decay=1.0 / 3.0,
+                                                normalize=True),
+                  [0.5, 1.0, 2.0, 3.0], None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PIECEWISE))
+def test_piecewise_families_against_quadrature(name):
+    # each family is a piece table: its closed forms against quad, finite
+    # differences and the left limits at its jumps
+    build, edges, delta = PIECEWISE[name]
+    ker = build()
+    mu = lambda y: float(ker.mu(y))
+    for s in (0.0, 0.3, 0.8, 1.5, 2.5, 4.0):
+        if s >= ker.s_max:
+            continue
+        inside = [e for e in edges if s < e < ker.s_max]
+        oracle, err = quad(mu, s, ker.s_max, points=inside or None, limit=200,
+                           epsabs=1e-13, epsrel=1e-12)
+        assert err < 1e-11
+        assert float(ker.k(s)) == pytest.approx(oracle, rel=1e-9, abs=1e-9)
+    assert ker.first_moment == pytest.approx(1.0, abs=1e-12)
+    moment, _ = quad(lambda y: y * mu(y), 0.0, ker.s_max, limit=200, epsabs=1e-13,
+                     points=[e for e in edges if e < ker.s_max] or None)
+    assert moment == pytest.approx(1.0, abs=1e-8)
+    s = np.linspace(0.05, min(ker.s_max, 6.0) - 0.05, 300)
+    s = s[np.all(np.abs(s[:, None] - np.array(edges + [0.0])) > 1e-3, axis=1)]
+    h = 1e-6
+    central = (ker.mu(s + h) - ker.mu(s - h)) / (2 * h)
+    assert np.allclose(ker.mu_prime(s), central, rtol=1e-6, atol=1e-8)
+    assert len(ker.jumps) == (2 if name == "jump2" else 0)
+    for s_n, amp in ker.jumps:
+        left = float(ker.mu(np.nextafter(s_n, 0.0)))
+        assert amp == pytest.approx(left - mu(s_n), rel=1e-12)
+    assert ker.rate == delta
+    if name == "tabulated":
+        # the last sample's value holds at s_end itself, and zero past it
+        scale = mu(0.5) / 4.0
+        assert mu(0.2) == mu(0.5)
+        assert mu(3.0) == pytest.approx(0.5 * scale, rel=1e-15)
+        assert mu(np.nextafter(3.0, 4.0)) == 0.0
+        assert float(ker.mu_prime(3.0)) == 0.0

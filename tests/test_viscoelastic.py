@@ -491,13 +491,27 @@ def test_model_file_roundtrip(tmp_path):
     assert kpath == "unused.json"
 
 
-@pytest.mark.parametrize("rows,bad", [("1,0.5\n3,0.2", 2), ("0,1.0", 1),
-                                      ("1,0.5\n1,0.7", 2), ("1.5,0.2", 1),
-                                      ("2,nan", 1), ("1,0.5\n2,inf", 2), ("x,1", 1)],
-                         ids=["above-J", "zero", "repeat", "fraction", "nan", "inf", "text"])
-def test_g_csv_refuses_bad_rows(tmp_path, rows, bad):
-    # modes are integers in 1..J listed once, coeffs finite; J = 2
+@pytest.mark.parametrize("text,where", [
+    ("mode,coeff\n1,0.5\n3,0.2\n", "row 2"), ("mode,coeff\n0,1.0\n", "row 1"),
+    ("mode,coeff\n1,0.5\n1,0.7\n", "row 2"), ("mode,coeff\n1.5,0.2\n", "row 1"),
+    ("mode,coeff\n2,nan\n", "row 1"), ("mode,coeff\n1,0.5\n2,inf\n", "row 2"),
+    ("mode,coeff\nx,1\n", "row 1"), ("", "the header row"),
+    ("mode,value\n1,0.5\n", "the header row"), ("mode,coeff\n1,0.5,7\n", "row 1"),
+    ("mode,coeff\n# a comment\n\n1,0.5\n2\n", "row 2")],
+    ids=["above-J", "zero", "repeat", "fraction", "nan", "inf", "text", "empty",
+         "no-coeff", "extra-cell", "short-row"])
+def test_g_csv_refuses_bad_rows(tmp_path, text, where):
+    # modes are integers in 1..J listed once, coeffs finite; J = 2.  An
+    # empty file used to raise an IndexError, and a header without coeff or
+    # a row with a cell too many a numpy error naming neither g nor the row
     g_path = tmp_path / "g.csv"
-    g_path.write_text("mode,coeff\n%s\n" % rows)
-    with pytest.raises(ValueError, match=re.escape("row %d of %s" % (bad, g_path))):
+    g_path.write_text(text)
+    with pytest.raises(ValueError, match=re.escape("model field 'g': %s of %s"
+                                                   % (where, g_path))):
         load_g_csv(str(g_path), 2)
+
+
+def test_g_csv_reads_comments_and_a_commented_header(tmp_path):
+    g_path = tmp_path / "g.csv"
+    g_path.write_text("# coeff,mode\n\n0.5,2  # the second mode\n# 7,1\n")
+    assert np.array_equal(load_g_csv(str(g_path), 3), [0.0, 0.5, 0.0])

@@ -7,8 +7,9 @@ The commands run in-process on the package source beside this file
 (`../src`), into a temporary directory, or into DIR with `--keep`, which
 must be new or empty:
 
-- `kernel check` on each kernel file in configs/ (its report is saved as
-  a text file);
+- `kernel check` on each kernel file in configs/, and on an exponential
+  kernel file with two jumps, written into `inputs/` of its temporary
+  directory (each report is saved as a text file);
 - `simulate` in the history and in the state framework, each with
   `--cloud-every 2`, so the read-backs of both frameworks at many times
   are hashed;
@@ -16,10 +17,10 @@ must be new or empty:
   `--sigma 0.5 --samples 20` on the cubic one), `lk-split` and `hypotheses`;
 - `attract` of the state run's clouds against its last cloud;
 - `simulate` in both frameworks and `compare` on a small f = "zero" model
-  with a tabulated kernel, whose table and JSON files the script writes
-  into `inputs/` of its temporary directory; these runs step one at a
-  time, and `compare` maps the history to the state by the dense bridge
-  product, not the rank-one one, since a broken line states no decay rate;
+  with a tabulated kernel, whose table and JSON files the script also
+  writes into `inputs/`; these runs step one at a time, and `compare` maps
+  the history to the state by the dense bridge product, not the rank-one
+  one, since a broken line states no decay rate;
 - `simulate` of two members of a J = 64 cubic model, also written into
   `inputs/`, where f's collocation transform, not call overhead, is most
   of a step;
@@ -64,6 +65,9 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 
 from memoryflow.cli import main  # noqa: E402
 
+# an exponential kernel with two downward jumps, for `kernel check`
+JUMP = {"jump.kernel.json": {"family": "exponential", "delta": 1.0,
+                             "jumps": [[1.0, 0.5], [2.5, 0.3]]}}
 # a linear J = 4 model on a broken-line kernel, whose window sum is not a
 # recursion; file name -> contents
 TABULATED = {
@@ -114,6 +118,9 @@ def commands(out):
              ["kernel", "check", cfg(name), "--nec", "1", "1", "--dafermos", "1",
               "--flatness"], (0, 1))
             for name in sorted(os.listdir(CONFIGS)) if name.endswith(".kernel.json")]
+    runs.append(("kernel_check_jump",
+                 ["kernel", "check", os.path.join(out, "inputs", "jump.kernel.json"),
+                  "--nec", "1", "1", "--dafermos", "1", "--flatness"], (0, 1)))
     runs += [
         ("simulate_history", ["simulate", "--config", cubic, "--framework", "history",
                               "--cloud-every", "2",
@@ -211,7 +218,7 @@ def compare(a, b):
 def run_all(out):
     inputs = os.path.join(out, "inputs")
     os.makedirs(inputs)
-    for name, content in {**TABULATED, **WIDE, **PAST, **FRACTIONAL}.items():
+    for name, content in {**JUMP, **TABULATED, **WIDE, **PAST, **FRACTIONAL}.items():
         with open(os.path.join(inputs, name), "w") as fh:
             fh.write(content if isinstance(content, str) else json.dumps(content))
     for name, argv, allowed in commands(out):
