@@ -128,21 +128,22 @@ class ExperimentConfig:
 
 
 def _initial_row(path):
-    """The first data row of an initial-data file, after its header line;
-    every value must be a finite number."""
+    """The first data row of an initial-data file, below its header, the
+    first line that is not blank; '#' starts a comment and blank lines are
+    skipped.  Every value must be a finite number."""
     try:
         with open(path) as fh:
-            fh.readline()
-            line = fh.readline()
+            lines = [line.strip() for line in fh if line.strip()]
     except OSError as exc:
         raise ValueError("config field 'initial.file': %s" % exc) from None
+    line = next(filter(None, (line.split("#")[0].strip() for line in lines[1:])), "")
     try:
         row = np.array([float(x) for x in line.split(",")])
     except ValueError:
         row = np.array([math.nan])
     if not np.all(np.isfinite(row)):
         raise ValueError("config field 'initial.file': the first data row of %s must "
-                         "be finite numbers, not %r" % (path, line.strip()))
+                         "be finite numbers, not %r" % (path, line))
     return row
 
 

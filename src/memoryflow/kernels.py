@@ -8,10 +8,12 @@ delta_decay) asserting the exponential-domination inequality
 
     mu(t + s) <= theta * exp(-delta * t) * mu(s)   for all t, s > 0,
 
-which is checked on a grid at construction time.  The built-in families
-(exponential, flat-zone, jump-exponential, tabulated) state their pieces,
-each geometric or linear, and their jumps; one constructor derives mu, mu',
-k and the first moment from them in closed form.
+which is checked on a grid at construction time.  A kernel is its table
+of pieces, each geometric or linear, and of stated drops: `MemoryKernel`
+takes that table, the only way to build a kernel, and derives mu, mu', k,
+the first moment and the decay rate from it in closed form.  The built-in
+families (exponential, flat-zone, jump-exponential, tabulated) each state
+their table.
 """
 
 import json
@@ -52,67 +54,131 @@ def _reciprocal(m):
 
 
 class MemoryKernel:
-    """Nonincreasing summable kernel with decay certificate and jump list.
+    """A kernel stated by its pieces, with a decay certificate.
 
-    Evaluators must be vectorized over numpy arrays.  `jumps` is an ordered
-    list of (s_n, mu_n) with mu_n = mu(s_n-) - mu(s_n) > 0.  `k_exact` and
-    `first_moment_exact` bypass grid quadrature for the derived kernel and
-    the unit-moment check; the built-in families supply both from their
-    pieces.  `rate`, which a kernel of one geometric piece on [0, inf) (the
-    exponential family) states, is the exact decay rate of mu, mu' and, below
-    s_max, k: mu(s + t) = mu(s) exp(-rate t) for s, t >= 0.  The memory
-    force, the state read-back and the bridge map take their fast paths on
-    it; kernels that state no rate take the dense ones.
+    Piece i holds on [a_i, a_(i+1)), from a_0 = 0, the last one up to
+    `end`, past which mu is 0.  The columns c, r and beta give one number
+    per piece, or one for all; with x = s - a_i a piece is geometric,
+    c*exp(-r*x) with r > 0 and beta = 0, or linear, c + beta*x with r = 0.
+    Only a geometric piece may reach to infinity.  `jumps` lists the stated
+    drops (s_n, mu(s_n-) - mu(s_n)).  With `normalize`, c, beta and the
+    drops are scaled to unit first moment before anything is derived from
+    them, so the public a, c, r, beta, end and jumps rebuild the same
+    kernel with normalize=False.
+
+    mu, mu', k and the first moment are closed forms in the pieces, and so
+    is `rate`.  The grid of step ds ends at s_max: by default `end`, or for
+    a kernel without end the first grid point with
+    theta*exp(-delta_decay*s_max) < TAIL_FLOOR.  Construction runs
+    `admissibility_report` and raises a KernelError on any failure.
     """
 
-    def __init__(self, mu, mu_prime, *, theta, delta_decay, s_max,
-                 ds=DEFAULT_DS, jumps=(), kernel_id="custom",
-                 k_exact=None, first_moment_exact=None, rate=None,
-                 rtol=ANALYTIC_RTOL, validate=True):
+    def __init__(self, a, c, r, beta, *, end=math.inf, jumps=(), normalize=True,
+                 theta, delta_decay, s_max=None, ds=DEFAULT_DS, kernel_id="custom",
+                 rtol=ANALYTIC_RTOL):
         if theta < 1:
             raise KernelError("theta must be >= 1")
         if delta_decay <= 0:
             raise KernelError("delta_decay must be positive")
-        if s_max <= 0 or ds <= 0:
+        if ds <= 0 or (s_max is not None and s_max <= 0):
             raise KernelError("s_max and ds must be positive")
-        self.mu = mu
-        self.mu_prime = mu_prime
-        self.theta = float(theta)
-        self.delta_decay = float(delta_decay)
-        self.s_max = float(s_max)
-        self.ds = float(ds)
-        self.jumps = [(float(s), float(a)) for s, a in jumps]
-        self.kernel_id = kernel_id
-        self._k_exact = k_exact
-        self._first_moment_exact = first_moment_exact
-        self.rate = rate
-        self.rtol = rtol
+        a, c, r, beta = np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1)
+                                              for v in (a, c, r, beta)))
+        end = float(end)
+        geo = r > 0
+        if a.ndim != 1 or a[0] != 0 or np.any(np.diff(a) <= 0) \
+                or not (end >= a[-1] and end > 0):
+            raise KernelError("piece starts must rise strictly from 0, and end past 0 "
+                              "at or after the last")
+        if np.any(r < 0) or np.any(beta[geo] != 0) or (math.isinf(end) and not geo[-1]):
+            raise KernelError("each piece must be geometric (r > 0, beta = 0) or "
+                              "linear (r = 0), and only a geometric one may reach "
+                              "infinity")
+        h = np.append(a[1:], end) - a
+        r_geo = np.where(geo, r, 1.0)
+        eh = np.exp(-r * h)                  # 0 on an infinite piece, 1 on a linear one
+        hx = np.where(np.isfinite(h), h, 0.0)
+        hl = np.where(geo, 0.0, hx)          # width of a linear piece
+
+        def integrals(c, beta):
+            # the k coefficient c/r of a geometric piece, the c of a linear
+            # one, and the integrals of mu and of s*mu over each piece
+            g = np.where(geo, c, 0.0) / r_geo
+            cl = np.where(geo, 0.0, c)
+            mass = g * (1.0 - eh) + hl * (cl + beta * hl / 2.0)
+            moment = a * mass + g * (1.0 - (1.0 + r * hx) * eh) / r_geo \
+                + hl * hl * (cl / 2.0 + beta * hl / 3.0)
+            return g, cl, mass, moment
+
+        jumps = [(float(s_n), float(amp)) for s_n, amp in jumps]
+        if normalize:
+            scale = 1.0 / integrals(c, beta)[3].sum()
+            c, beta = c * scale, beta * scale
+            jumps = [(s_n, amp * scale) for s_n, amp in jumps]
+        self.a, self.c, self.r, self.beta, self.end, self.jumps = a, c, r, beta, end, jumps
+        self._g, self._cl, mass, moment = integrals(c, beta)
+        self._eh, self._hl = eh, hl
+        self._beyond = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # mass past each piece
+        self.first_moment = float(moment.sum())
+        if s_max is None:    # grid-aligned, with theta*exp(-delta*s_max) < TAIL_FLOOR
+            s_max = math.ceil(math.log(theta / TAIL_FLOOR) / delta_decay / ds) * ds \
+                if math.isinf(end) else end
+        self.theta, self.delta_decay = float(theta), float(delta_decay)
+        self.s_max, self.ds = float(s_max), float(ds)
+        self.kernel_id, self.rtol = kernel_id, rtol
 
         n = int(round(self.s_max / self.ds))
         self.grid = (np.arange(n) + 0.5) * self.ds   # midpoint nodes, never 0
-        self.mu_grid = _as_array(self.mu(self.grid))
+        self.mu_grid = self.mu(self.grid)
         if not np.all(np.isfinite(self.mu_grid)) or np.any(self.mu_grid < 0):
             raise KernelError("mu must be finite and nonnegative on the grid")
         self.nu_grid = _reciprocal(self.mu_grid)
         self._cum_mass = np.cumsum(self.mu_grid) * self.ds
 
-        if validate:
-            report = admissibility_report(self)
-            if not report.admissible:
-                raise KernelError(
-                    "inadmissible kernel %r: %s" % (kernel_id, "; ".join(report.failures)))
+        report = admissibility_report(self)
+        if not report.admissible:
+            raise KernelError(
+                "inadmissible kernel %r: %s" % (kernel_id, "; ".join(report.failures)))
 
-    # -- derived evaluators -------------------------------------------------
+    # -- closed forms in the pieces -----------------------------------------
+
+    def _locate(self, s):
+        """s as an array, and the index of the piece holding each point."""
+        s = _as_array(s)
+        return s, 0 if self.a.size == 1 else \
+            np.maximum(np.searchsorted(self.a, s, side="right") - 1, 0)
+
+    # mu and mu' put the temporary array first in each product, so that
+    # numpy computes it in place: check_nec's pair grids, the largest arrays
+    # a kernel build makes, then take no more memory than three of them
+    def mu(self, s):
+        s, i = self._locate(s)
+        out = np.exp((s - self.a[i]) * -self.r[i]) * self.c[i] + (s - self.a[i]) * self.beta[i]
+        return out if math.isinf(self.end) else np.where(s <= self.end, out, 0.0)
+
+    def mu_prime(self, s):
+        s, i = self._locate(s)
+        out = np.exp((s - self.a[i]) * -self.r[i]) * (-self.r[i] * self.c[i]) + self.beta[i]
+        return out if math.isinf(self.end) else np.where(s <= self.end, out, 0.0)
 
     def k(self, s):
-        """k(s) = integral of mu over [s, s_max]; zero beyond the cutoff."""
+        """k(s) = integral of mu over [s, inf); zero from s_max on."""
         s = _as_array(s)
-        if self._k_exact is not None:
-            return np.where(s >= self.s_max, 0.0, self._k_exact(np.minimum(s, self.s_max)))
-        # fallback: trapezoid on the cached grid
-        total = self._cum_mass[-1]
-        partial = np.interp(s, self.grid, self._cum_mass, left=0.0, right=total)
-        return np.maximum(total - partial, 0.0)
+        t, i = self._locate(np.minimum(s, self.s_max))
+        x = t - self.a[i]
+        g, eh, hl, cl, beta = self._g[i], self._eh[i], self._hl[i], self._cl[i], self.beta[i]
+        inside = g * (np.exp(-self.r[i] * x) - eh) \
+            + (hl - x) * (cl + beta * (hl + x) / 2.0) + self._beyond[i]
+        return np.where(s >= self.s_max, 0.0, inside)
+
+    @property
+    def rate(self):
+        """r of a kernel of one geometric piece on [0, inf), else None: the exact
+        decay rate of mu, mu' and, below s_max, k, on which the memory force,
+        the state read-back and the bridge map take their fast paths."""
+        return float(self.r[0]) if self.a.size == 1 and math.isinf(self.end) else None
+
+    # -- derived quantities -------------------------------------------------
 
     def nu(self, tau):
         """nu = 1/mu, set to zero wherever mu vanishes (finite delay case)."""
@@ -122,12 +188,6 @@ class MemoryKernel:
     def mass(self):
         """Total mass of mu, i.e. k(0)."""
         return float(self.k(0.0))
-
-    @property
-    def first_moment(self):
-        if self._first_moment_exact is not None:
-            return float(self._first_moment_exact)
-        return float(np.sum(self.grid * self.mu_grid) * self.ds)
 
     @property
     def d_const(self):
@@ -156,72 +216,6 @@ class MemoryKernel:
 # built-in families
 # ---------------------------------------------------------------------------
 
-def _piecewise_kernel(a, c, r, beta, *, end=math.inf, jumps=(), normalize=True,
-                      theta, delta_decay, s_max=None, ds=DEFAULT_DS, **kwargs):
-    """A kernel stated by its pieces, with mu, mu', k and the first moment in
-    closed form.
-
-    Piece i holds on [a_i, a_(i+1)), the last one up to `end`, past which
-    mu is 0.  The columns c, r and beta give one number per piece, or one
-    for all; with x = s - a_i a piece is geometric, c*exp(-r*x) with r > 0
-    and beta = 0, or linear, c + beta*x with r = 0.  Only a geometric piece
-    may reach to infinity.  `jumps` lists the stated drops
-    (s_n, mu(s_n-) - mu(s_n)).  With `normalize` the pieces and the drops
-    are scaled to unit first moment.  One geometric piece on [0, inf)
-    states its r as the kernel's decay rate.
-    """
-    a, c, r, beta = np.broadcast_arrays(*(np.asarray(v, dtype=float)
-                                          for v in (a, c, r, beta)))
-    h = np.append(a[1:], end) - a
-    geo = r > 0
-    r_geo = np.where(geo, r, 1.0)
-    eh = np.exp(-r * h)                  # 0 on an infinite piece, 1 on a linear one
-    hx = np.where(np.isfinite(h), h, 0.0)
-    g = np.where(geo, c, 0.0) / r_geo    # k coefficient c/r of a geometric piece
-    cl, hl = (np.where(geo, 0.0, v) for v in (c, hx))   # c and width of a linear piece
-    # integrals of mu and of s*mu over each piece
-    mass = g * (1.0 - eh) + hl * (cl + beta * hl / 2.0)
-    moment = a * mass + g * (1.0 - (1.0 + r * hx) * eh) / r_geo \
-        + hl * hl * (cl / 2.0 + beta * hl / 3.0)
-    if normalize:
-        scale = 1.0 / moment.sum()
-        c, cl, beta, g, mass, moment = (v * scale for v in (c, cl, beta, g, mass, moment))
-        jumps = [(s_n, amp * scale) for s_n, amp in jumps]
-    beyond = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)   # mass past each piece
-    one, unbounded = a.size == 1, math.isinf(end)
-
-    def locate(s):
-        s = _as_array(s)
-        return s, 0 if one else np.maximum(np.searchsorted(a, s, side="right") - 1, 0)
-
-    # mu and mu' put the temporary array first in each product, so that
-    # numpy computes it in place: check_nec's pair grids, the largest arrays
-    # a kernel build makes, then take no more memory than three of them
-    def mu(s):
-        s, i = locate(s)
-        out = np.exp((s - a[i]) * -r[i]) * c[i] + (s - a[i]) * beta[i]
-        return out if unbounded else np.where(s <= end, out, 0.0)
-
-    def mu_prime(s):
-        s, i = locate(s)
-        out = np.exp((s - a[i]) * -r[i]) * (-r[i] * c[i]) + beta[i]
-        return out if unbounded else np.where(s <= end, out, 0.0)
-
-    def k_exact(s):
-        s, i = locate(s)
-        x = s - a[i]
-        return g[i] * (np.exp(-r[i] * x) - eh[i]) \
-            + (hl[i] - x) * (cl[i] + beta[i] * (hl[i] + x) / 2.0) + beyond[i]
-
-    if s_max is None:    # grid-aligned, with theta*exp(-delta*s_max) < TAIL_FLOOR
-        s_max = math.ceil(math.log(theta / TAIL_FLOOR) / delta_decay / ds) * ds \
-            if unbounded else end
-    rate = float(r[0]) if one and geo[0] and a[0] == 0 and unbounded else None
-    return MemoryKernel(mu, mu_prime, theta=theta, delta_decay=delta_decay, s_max=s_max,
-                        ds=ds, jumps=jumps, k_exact=k_exact,
-                        first_moment_exact=float(moment.sum()), rate=rate, **kwargs)
-
-
 def make_exponential_kernel(delta, *, ds=DEFAULT_DS, s_max=None):
     """mu(s) = delta^2 exp(-delta s): unit first moment for every delta.
 
@@ -232,9 +226,8 @@ def make_exponential_kernel(delta, *, ds=DEFAULT_DS, s_max=None):
     if delta <= 0:
         raise KernelError("delta must be positive")
     d = float(delta)
-    return _piecewise_kernel([0.0], d * d, d, 0.0, normalize=False, theta=1.0,
-                             delta_decay=d, s_max=s_max, ds=ds,
-                             kernel_id="exponential(delta=%g)" % d)
+    return MemoryKernel([0.0], d * d, d, 0.0, normalize=False, theta=1.0, delta_decay=d,
+                        s_max=s_max, ds=ds, kernel_id="exponential(delta=%g)" % d)
 
 
 def make_flatzone_kernel(*, ds=DEFAULT_DS, s_max=None):
@@ -246,9 +239,9 @@ def make_flatzone_kernel(*, ds=DEFAULT_DS, s_max=None):
     the region s <= 1, t + s >= 2).
     """
     e1 = math.exp(-1.0)
-    return _piecewise_kernel([0.0, 1.0, 2.0], [1.0, e1, e1], [1.0, 0.0, 1.0], 0.0,
-                             theta=math.e, delta_decay=1.0, s_max=s_max, ds=ds,
-                             kernel_id="flatzone")
+    return MemoryKernel([0.0, 1.0, 2.0], [1.0, e1, e1], [1.0, 0.0, 1.0], 0.0,
+                        theta=math.e, delta_decay=1.0, s_max=s_max, ds=ds,
+                        kernel_id="flatzone")
 
 
 def make_jump_exponential_kernel(delta, jump_spec, *, ds=DEFAULT_DS, s_max=None):
@@ -269,7 +262,7 @@ def make_jump_exponential_kernel(delta, jump_spec, *, ds=DEFAULT_DS, s_max=None)
     s_n, drop = np.array(spec).reshape(-1, 2).T
     a = np.append(0.0, s_n)
     level = np.cumprod(np.append(1.0, 1.0 - drop))
-    return _piecewise_kernel(
+    return MemoryKernel(
         a, level * d * d * np.exp(-d * a), d, 0.0,
         jumps=zip(s_n, level[:-1] * d * d * np.exp(-d * s_n) * drop),
         theta=1.0 / level[-1], delta_decay=d, s_max=s_max, ds=ds,
@@ -290,12 +283,15 @@ def make_tabulated_kernel(s_pts, mu_pts, *, theta, delta_decay,
     mu_pts = np.asarray(mu_pts, dtype=float)
     if s_pts.ndim != 1 or s_pts.size < 2 or np.any(np.diff(s_pts) <= 0):
         raise KernelError("table abscissae must be strictly increasing")
+    if s_pts[0] < 0:
+        raise KernelError("table abscissae start at s = %g, but mu lives on s >= 0"
+                          % s_pts[0])
     if np.any(mu_pts < 0):
         raise KernelError("table values must be nonnegative")
     s_end = float(s_pts[-1])
     if s_pts[0] > 0:
         s_pts, mu_pts = np.append(0.0, s_pts), np.append(mu_pts[0], mu_pts)
-    return _piecewise_kernel(
+    return MemoryKernel(
         s_pts, mu_pts, 0.0, np.append(np.diff(mu_pts) / np.diff(s_pts), 0.0), end=s_end,
         normalize=normalize, theta=theta, delta_decay=delta_decay,
         ds=ds if ds is not None else min(DEFAULT_DS, s_end / 100),
@@ -338,8 +334,8 @@ def check_nec(kernel, theta, delta, grid=None, rtol=None):
     s = grid[pos]
     mu_s = mu_s[pos]
     worst = 0.0
-    # chunk over t to bound the pair matrix
-    for t_block in np.array_split(grid, max(1, grid.size // 256)):
+    # blocks of 64 t rows bound the pair matrices
+    for t_block in (grid[i:i + 64] for i in range(0, grid.size, 64)):
         lhs = _as_array(kernel.mu(t_block[:, None] + s[None, :]))
         ratio = lhs * np.exp(delta * t_block)[:, None] / (theta * mu_s[None, :])
         worst = max(worst, float(ratio.max()))
@@ -433,9 +429,7 @@ def admissibility_report(kernel):
         failures.append("mu is not nonincreasing on the grid")
 
     fm = kernel.first_moment
-    moment_tol = 10 * kernel.rtol if kernel._first_moment_exact is not None \
-        else max(100 * kernel.ds ** 2, TABULATED_RTOL)
-    moment_ok = abs(fm - 1.0) <= moment_tol
+    moment_ok = abs(fm - 1.0) <= 10 * kernel.rtol
     if not moment_ok:
         failures.append("first moment %.6g differs from 1" % fm)
 

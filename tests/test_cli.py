@@ -157,6 +157,16 @@ def test_tabulated_kernel_table_that_parses_stays_a_failed_check(workdir, capsys
     assert "kernel check failed" in capsys.readouterr().err
 
 
+def test_tabulated_kernel_negative_abscissa_is_a_failed_check(workdir, capsys):
+    # it used to fail as "mu must be finite and nonnegative on the grid"
+    (workdir / "t.csv").write_text("s,mu\n-0.25,6\n1,0\n")
+    kernel = workdir / "exp1.kernel.json"
+    kernel.write_text(json.dumps({"family": "tabulated", "table": "t.csv", "theta": 1.0,
+                                  "delta": 1.0, "normalize": True}))
+    assert main(["kernel", "check", str(kernel)]) == 1
+    assert "start at s = -0.25, but mu lives on s >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags", [["--nec", "1", "nan"], ["--dafermos", "nan"]])
 def test_kernel_check_rejects_nan_flags(workdir, flags, capsys):
     # a NaN delta used to pass the domination scan with worst ratio 0
@@ -225,6 +235,18 @@ def test_simulate_initial_from_file(workdir, capsys):
     assert rc == 0
     data = np.loadtxt(workdir / "outf" / "traj_0.csv", delimiter=",",
                       skiprows=1)
+    assert data[0, 1] == 0.25 and data[0, 2] == -0.5
+
+
+def test_initial_file_skips_comments_and_blank_lines(workdir, capsys):
+    # the second physical line used to be taken as the data row
+    (workdir / "init.csv").write_text("u_1,v_1\n# drawn by hand\n\n0.25,-0.5  # u, v\n")
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg.update({"initial": {"file": "init.csv"}, "ensemble": 1})
+    (workdir / "from_file.json").write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(workdir / "from_file.json"),
+                 "--out", str(workdir / "outf")]) == 0
+    data = np.loadtxt(workdir / "outf" / "traj_0.csv", delimiter=",", skiprows=1)
     assert data[0, 1] == 0.25 and data[0, 2] == -0.5
 
 

@@ -901,13 +901,10 @@ def direct_xi(traj, t, kernel):
 def test_reconstruct_xi_matches_direct_sum(exp1):
     triangle = make_tabulated_kernel([0.0, 1.0], [6.0, 0.0], theta=1.0,
                                      delta_decay=1.0)
-    def cut_exp(s, c=4.0):
-        s = np.asarray(s, dtype=float)
-        return c * np.exp(-2.0 * s) * (s <= 1.0)
-
-    # geometric on [0, s_max] and zero past it, where the read-back reaches
-    cut = MemoryKernel(cut_exp, lambda s: cut_exp(s, -8.0), theta=1.0,
-                       delta_decay=2.0, s_max=1.0, kernel_id="cut", validate=False)
+    # e^(-2s) on [0, 1], scaled to unit first moment, and zero past it,
+    # where the read-back reaches
+    cut = MemoryKernel([0.0], 4.0, 2.0, 0.0, end=1.0, theta=1.0, delta_decay=2.0,
+                       kernel_id="cut")
     # exp1 states its rate, so its read-back is separable at every dt,
     # ds/dt = 5 or 10/3; the triangle and the cut exponential state none
     for kernel, dt, separable in ((exp1, 2e-3, True), (triangle, 2e-3, False),

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,11 +164,9 @@ def test_flatness_flatzone(flat):
 
 def test_flatness_constant_kernel():
     # constant on the support: inadmissible for simulation but valid input
-    ker = MemoryKernel(
-        mu=lambda s: np.full_like(np.asarray(s, dtype=float), 0.5),
-        mu_prime=lambda s: np.zeros_like(np.asarray(s, dtype=float)),
-        theta=1.0, delta_decay=1.0, s_max=2.0, kernel_id="constant",
-        validate=False)
+    # one linear piece of slope 0: 0.5 on [0, 2], certified by theta = e^2
+    ker = MemoryKernel([0.0], 0.5, 0.0, 0.0, end=2.0, theta=math.exp(2.0),
+                       delta_decay=1.0, kernel_id="constant")
     assert flatness_rate(ker) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -268,6 +267,38 @@ def test_increasing_table_rejected():
                               theta=1.0, delta_decay=1.0)
 
 
+def test_negative_table_abscissa_rejected():
+    # it used to fail later, as "mu must be finite and nonnegative on the grid"
+    with pytest.raises(KernelError, match=r"start at s = -0\.5, but mu lives on s >= 0"):
+        make_tabulated_kernel([-0.5, 1.0], [2.0, 0.0], theta=1.0, delta_decay=1.0)
+
+
+@pytest.mark.parametrize("pieces,what", [
+    (dict(a=[0.5], c=1.0, r=1.0, beta=0.0), "rise strictly from 0"),
+    (dict(a=[0.0, 1.0, 1.0], c=1.0, r=1.0, beta=0.0), "rise strictly from 0"),
+    (dict(a=[0.0, 2.0], c=1.0, r=0.0, beta=0.0, end=1.0), "at or after the last"),
+    (dict(a=[0.0], c=1.0, r=0.0, beta=0.0), "only a geometric one"),
+    (dict(a=[0.0], c=1.0, r=1.0, beta=-0.1), "geometric"),
+    (dict(a=[0.0], c=1.0, r=-1.0, beta=0.0, end=1.0), "geometric")],
+    ids=["start", "repeat", "end", "linear-to-inf", "geometric-slope", "negative-r"])
+def test_malformed_piece_table_rejected(pieces, what):
+    with pytest.raises(KernelError, match=what):
+        MemoryKernel(**pieces, theta=1.0, delta_decay=1.0)
+
+
+def test_nec_scan_memory():
+    # the t rows are scanned 64 at a time: one 461 x 461 block of pair
+    # temporaries used to take the peak of an exp1 build to 5.3 MB
+    make_exponential_kernel(1.0)
+    tracemalloc.start()
+    try:
+        make_exponential_kernel(1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5e6
+
+
 def test_tabulated_exponential_close_to_analytic():
     s = np.linspace(0, 20, 4001)
     ker = make_tabulated_kernel(s, np.exp(-s), theta=1.05, delta_decay=0.9,
@@ -328,3 +359,24 @@ def test_piecewise_families_against_quadrature(name):
         assert mu(3.0) == pytest.approx(0.5 * scale, rel=1e-15)
         assert mu(np.nextafter(3.0, 4.0)) == 0.0
         assert float(ker.mu_prime(3.0)) == 0.0
+
+
+@pytest.mark.parametrize("name", sorted(PIECEWISE) + ["jump2-delta1", "tabulated-raw"])
+def test_public_pieces_rebuild_the_kernel(name):
+    # the pieces are the kernel: read back with normalize=False, they give
+    # every closed form bit for bit
+    extra = {"jump2-delta1": lambda: make_jump_exponential_kernel(
+                 1.0, [(1.0, 0.5), (2.5, 0.3)]),
+             "tabulated-raw": lambda: make_tabulated_kernel(
+                 [0.0, 1.0], [6.0, 0.0], theta=1.0, delta_decay=1.0)}
+    ker = (extra.get(name) or PIECEWISE[name][0])()
+    again = MemoryKernel(ker.a, ker.c, ker.r, ker.beta, end=ker.end, jumps=ker.jumps,
+                         normalize=False, theta=ker.theta, delta_decay=ker.delta_decay,
+                         s_max=ker.s_max, ds=ker.ds, rtol=ker.rtol)
+    g = ker.grid
+    for got, want in ((again.mu_grid, ker.mu_grid), (again.k(g), ker.k(g)),
+                      (again.mu_prime(g), ker.mu_prime(g))):
+        assert np.array_equal(got, want)
+    assert again.first_moment == ker.first_moment
+    assert again.rate == ker.rate
+    assert again.jumps == ker.jumps

@@ -221,13 +221,10 @@ def test_bridge_map_matches_direct_sum(exp1):
     from memoryflow.kernels import MemoryKernel, make_flatzone_kernel
     from memoryflow.spaces import lambda_map_pointwise
 
-    def cut_exp(s, c=4.0):
-        s = np.asarray(s, dtype=float)
-        return c * np.exp(-2.0 * s) * (s <= 1.0)
-
-    # geometric on [0, s_max] and zero past it, where tau + s reaches
-    cut = MemoryKernel(cut_exp, lambda s: cut_exp(s, -8.0), theta=1.0,
-                       delta_decay=2.0, s_max=1.0, kernel_id="cut", validate=False)
+    # e^(-2s) on [0, 1], scaled to unit first moment, and zero past it,
+    # where tau + s reaches
+    cut = MemoryKernel([0.0], 4.0, 2.0, 0.0, end=1.0, theta=1.0, delta_decay=2.0,
+                       kernel_id="cut")
     flat = make_flatzone_kernel(ds=0.05)
     jump = make_jump_exponential_kernel(1.0, [(1.5, 0.4)], ds=0.05)
     h = exp1.ds

@@ -7,9 +7,11 @@ The commands run in-process on the package source beside this file
 (`../src`), into a temporary directory, or into DIR with `--keep`, which
 must be new or empty:
 
-- `kernel check` on each kernel file in configs/, and on an exponential
+- `kernel check` on each kernel file in configs/, on an exponential
   kernel file with two jumps, written into `inputs/` of its temporary
-  directory (each report is saved as a text file);
+  directory, and on the tabulated kernel file below, so the broken line's
+  closed-form mass, first moment, certificate ratio and flatness are
+  hashed (each report is saved as a text file);
 - `simulate` in the history and in the state framework, each with
   `--cloud-every 2`, so the read-backs of both frameworks at many times
   are hashed;
@@ -118,9 +120,10 @@ def commands(out):
              ["kernel", "check", cfg(name), "--nec", "1", "1", "--dafermos", "1",
               "--flatness"], (0, 1))
             for name in sorted(os.listdir(CONFIGS)) if name.endswith(".kernel.json")]
-    runs.append(("kernel_check_jump",
-                 ["kernel", "check", os.path.join(out, "inputs", "jump.kernel.json"),
-                  "--nec", "1", "1", "--dafermos", "1", "--flatness"], (0, 1)))
+    runs += [("kernel_check_" + name,
+              ["kernel", "check", os.path.join(out, "inputs", name + ".kernel.json"),
+               "--nec", "1", "1", "--dafermos", "1", "--flatness"], (0, 1))
+             for name in ("jump", "tab")]
     runs += [
         ("simulate_history", ["simulate", "--config", cubic, "--framework", "history",
                               "--cloud-every", "2",
