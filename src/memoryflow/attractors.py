@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _read_table
 from .spaces import ExtendedVector, ModalVector, write_rows
 
 FIT_FLOOR = 1e-10           # distances below this are floating-point noise
@@ -189,8 +190,10 @@ def save_cloud_csv(cloud, path):
         write_rows(fh, cloud.points)
 
 
-def load_cloud_csv(path):
-    """A cloud saved by save_cloud_csv; a header item without '=' raises."""
+def load_cloud_csv(path, dim=None):
+    """A cloud saved by save_cloud_csv: a `# key=value ...` line, then a text
+    table without a header whose rows are finite and `dim` wide, or as wide
+    as the first row."""
     with open(path) as fh:
         first = fh.readline()
     items = first.lstrip("# ").split() if first.startswith("#") else []
@@ -198,5 +201,10 @@ def load_cloud_csv(path):
         raise ValueError("line 1 of %s: a cloud header holds key=value pairs after '#', "
                          "not %r" % (path, first.strip()))
     meta = dict(item.split("=", 1) for item in items)
-    return PointCloud(np.loadtxt(path, delimiter=",", ndmin=2), label=meta.get("label", ""),
+    _, lines, rows = _read_table(path, "cloud file", header=False, finite=True)
+    for i, row in zip(lines, rows):
+        if row.size != (dim or rows[0].size):
+            raise ValueError("cloud file: line %d of %s has %d cells, not %d"
+                             % (i, path, row.size, dim or rows[0].size))
+    return PointCloud(np.array(rows), label=meta.get("label", ""),
                       norm=meta.get("norm", "H0"))

@@ -34,6 +34,8 @@ from .evolution import (
 from .kernels import (
     KernelError,
     KernelFileError,
+    _read_json_object,
+    _read_table,
     admissibility_report,
     check_dafermos,
     check_nec,
@@ -77,12 +79,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path):
-        with open(path) as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValueError("parse error in %s at line %d: %s"
-                                 % (path, exc.lineno, exc.msg)) from exc
+        raw = _read_json_object(path)
         rel = lambda name, p: path_beside(path, p, "config field %r" % name)
         if raw.get("model") is None:
             raise ValueError("config field 'model' is required")
@@ -128,23 +125,10 @@ class ExperimentConfig:
 
 
 def _initial_row(path):
-    """The first data row of an initial-data file, below its header, the
-    first line that is not blank; '#' starts a comment and blank lines are
-    skipped.  Every value must be a finite number."""
-    try:
-        with open(path) as fh:
-            lines = [line.strip() for line in fh if line.strip()]
-    except OSError as exc:
-        raise ValueError("config field 'initial.file': %s" % exc) from None
-    line = next(filter(None, (line.split("#")[0].strip() for line in lines[1:])), "")
-    try:
-        row = np.array([float(x) for x in line.split(",")])
-    except ValueError:
-        row = np.array([math.nan])
-    if not np.all(np.isfinite(row)):
-        raise ValueError("config field 'initial.file': the first data row of %s must "
-                         "be finite numbers, not %r" % (path, line))
-    return row
+    """The first row of an initial-data file, a text table with a header and
+    finite cells; empty if it has none."""
+    _, _, rows = _read_table(path, "config field 'initial.file'", finite=True)
+    return rows[0] if rows else np.zeros(0)
 
 
 def load_experiment(cfg):
@@ -437,7 +421,8 @@ def cmd_attract(args):
     for name in sorted(os.listdir(args.surrogate)):
         if not name.endswith(".csv"):
             continue
-        c = load_cloud_csv(os.path.join(args.surrogate, name))
+        c = load_cloud_csv(os.path.join(args.surrogate, name),
+                           None if surrogate is None else surrogate.dim)
         surrogate = c if surrogate is None else \
             type(c)(np.vstack([surrogate.points, c.points]), c.label, c.norm)
     if surrogate is None:
@@ -448,7 +433,7 @@ def cmd_attract(args):
         if not (name.startswith("cloud_t") and name.endswith(".csv")):
             continue
         t = float(name[len("cloud_t"):-len(".csv")])
-        cloud = load_cloud_csv(os.path.join(args.bundle, name))
+        cloud = load_cloud_csv(os.path.join(args.bundle, name), surrogate.dim)
         rows.append((t, hausdorff_semidist(cloud, surrogate)))
     if len(rows) < 5:
         print("need at least 5 bundle clouds", file=sys.stderr)

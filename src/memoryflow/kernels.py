@@ -128,6 +128,9 @@ class MemoryKernel:
         self.kernel_id, self.rtol = kernel_id, rtol
 
         n = int(round(self.s_max / self.ds))
+        if n < 1:
+            raise KernelError("s_max = %g must exceed ds/2 = %g, or the quadrature grid "
+                              "is empty" % (self.s_max, self.ds / 2))
         self.grid = (np.arange(n) + 0.5) * self.ds   # midpoint nodes, never 0
         self.mu_grid = self.mu(self.grid)
         if not np.all(np.isfinite(self.mu_grid)) or np.any(self.mu_grid < 0):
@@ -466,40 +469,72 @@ def path_beside(path, name, field):
     return os.path.join(os.path.dirname(os.path.abspath(path)), name)
 
 
-def _read_kernel_table(path, table_path):
-    """The s and mu columns of the CSV table of the kernel file `path`.
-
-    The first line that is not blank names the columns, after an optional
-    '#'; below it '#' starts a comment and blank lines are skipped.  A
-    missing s or mu column, a row whose number of cells is not the
-    header's, or an s or mu cell that is not a number raises a
-    KernelFileError naming the kernel file, its table field and the column
-    or the line.
-    """
-    where = "kernel field 'table' (%s) in %s" % (table_path, path)
-    with open(path_beside(path, table_path, "kernel field 'table'")) as fh:
-        lines = [(i, line.strip()) for i, line in enumerate(fh, 1) if line.strip()]
-    head = lines[0][1].lstrip("#") if lines else ""
-    header = [name.strip() for name in head.split("#")[0].split(",")]
-    cols = []
-    for name in ("s", "mu"):
-        if name not in header:
-            raise KernelFileError("%s: the table has no %r column" % (where, name))
-        cols.append(header.index(name))
-    rows = []
-    for i, line in lines[1:]:
-        cells = line.split("#")[0].split(",")
-        if cells == [""]:
-            continue
-        if len(cells) != len(header):
-            raise KernelFileError("%s: line %d of the table has %d cells, not %d"
-                                  % (where, i, len(cells), len(header)))
+def _read_json_object(path, error=ValueError):
+    """The object in the JSON file `path`; a parse error or a top-level value
+    that is not an object raises `error` naming the file."""
+    with open(path) as fh:
         try:
-            rows.append([float(cells[c]) for c in cols])
+            spec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise error("parse error in %s at line %d: %s"
+                        % (path, exc.lineno, exc.msg)) from exc
+    if not isinstance(spec, dict):
+        raise error("the top level of %s must be a JSON object, not %s"
+                    % (path, type(spec).__name__))
+    return spec
+
+
+def _read_table(path, field, *, header=True, sep=",", finite=False, error=ValueError):
+    """A numeric text table: its column names (None without a `header`), the
+    1-based line of each row, and the rows as arrays.
+
+    '#' starts a comment and blank lines are skipped.  With `header` the
+    first line that is not blank names the columns, after an optional '#',
+    and every row must have that many cells.  Cells are split at `sep`
+    (None: whitespace) and must be numbers, and finite ones with `finite`.
+    An error raises `error` naming `field`, the file and the line.
+    """
+    try:
+        with open(path) as fh:
+            lines = [(i, line) for i, line in enumerate(fh, 1) if line.strip()]
+    except OSError as exc:
+        raise error("%s: %s" % (field, exc)) from None
+    names = None
+    if header:
+        head = lines.pop(0)[1].strip().lstrip("#") if lines else ""
+        names = [name.strip() for name in head.split("#")[0].split(sep)]
+    line_nos, rows = [], []
+    for i, line in lines:
+        text = line.split("#")[0].strip()
+        if not text:
+            continue
+        cells = text.split(sep)
+        if names is not None and len(cells) != len(names):
+            raise error("%s: line %d of %s has %d cells, not %d"
+                        % (field, i, path, len(cells), len(names)))
+        try:
+            rows.append(np.array(cells, dtype=float))
+            bad = finite and not np.all(np.isfinite(rows[-1]))
         except ValueError:
-            raise KernelFileError("%s: line %d of the table has an s or mu cell that "
-                                  "is not a number: %r" % (where, i, line)) from None
-    return np.array(rows, dtype=float).reshape(-1, 2).T
+            bad = True
+        if bad:
+            raise error("%s: line %d of %s holds a cell that is not a %snumber: %r"
+                        % (field, i, path, "finite " if finite else "", text))
+        line_nos.append(i)
+    return names, line_nos, rows
+
+
+def _read_kernel_table(path, table_path):
+    """The s and mu columns of the table of the kernel file `path`; a missing
+    column raises a KernelFileError naming the kernel file and its field."""
+    where = "kernel field 'table' (%s) in %s" % (table_path, path)
+    names, _, rows = _read_table(path_beside(path, table_path, "kernel field 'table'"),
+                                 where, error=KernelFileError)
+    for name in ("s", "mu"):
+        if name not in names:
+            raise KernelFileError("%s: the table has no %r column" % (where, name))
+    table = np.array(rows).reshape(-1, len(names))
+    return table[:, [names.index("s"), names.index("mu")]].T
 
 
 def load_kernel_file(path):
@@ -510,12 +545,7 @@ def load_kernel_file(path):
     this file), normalize (bool), ds, s_max.  A malformed file raises a
     KernelFileError naming the field.
     """
-    with open(path) as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise KernelFileError("parse error in %s at line %d: %s"
-                                  % (path, exc.lineno, exc.msg)) from exc
+    spec = _read_json_object(path, KernelFileError)
 
     def positive(name, default=None, required=False):
         # a finite number > 0, or the default when the field is absent

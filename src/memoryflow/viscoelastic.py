@@ -9,7 +9,6 @@ cubic back onto J modes is exact (see `CollocationTransform`).
 """
 
 import functools
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -24,6 +23,8 @@ from .evolution import (
 )
 from .kernels import (
     KernelError,
+    _read_json_object,
+    _read_table,
     finite_number,
     flatness_rate,
     path_beside,
@@ -464,58 +465,35 @@ def hypothesis_probe_suite(model, kernel, radii, *, t_end=30.0, dt=2e-3,
 # ---------------------------------------------------------------------------
 
 def load_g_csv(path, J):
-    """Forcing from a CSV with `mode, coeff` columns; unlisted modes are 0.
-
-    '#' starts a comment.  Each mode is an integer in 1..J listed at most
-    once, and each coeff is finite; a header without both columns, or a
-    row that breaks this or has more or fewer cells than the header, raises
-    a ValueError naming model field 'g', the file and the row.
-    """
-    with open(path) as fh:
-        lines = [line.strip() for line in fh if line.strip()] or ["(an empty file)"]
-    header = [name.strip() for name in lines[0].lstrip("#").split("#")[0].split(",")]
-    if "mode" not in header or "coeff" not in header:
+    """Forcing from a text table with `mode, coeff` columns and finite cells;
+    unlisted modes are 0.  A header without both columns, or a mode that is
+    not an integer in 1..J listed once, raises a ValueError naming model
+    field 'g', the file and the line."""
+    names, lines, rows = _read_table(path, "model field 'g'", finite=True)
+    if "mode" not in names or "coeff" not in names:
         raise ValueError("model field 'g': the header row of %s must name the columns "
-                         "mode and coeff, not %r" % (path, lines[0]))
+                         "mode and coeff, not %r" % (path, names))
     g, seen = np.zeros(J), set()
-    rows = filter(None, (line.split("#")[0].strip() for line in lines[1:]))
-    for row, line in enumerate(rows, 1):
-        cells = dict(zip(header, line.split(",")))
-        try:
-            m, c = float(cells["mode"]), float(cells["coeff"])
-        except (KeyError, ValueError):
-            m = c = math.nan
-        if line.count(",") != len(header) - 1 or not (1 <= m <= J and m == int(m)) \
-                or m in seen or not math.isfinite(c):
-            raise ValueError("model field 'g': row %d of %s must hold %d cells, mode an "
-                             "integer in 1..%d listed once and coeff a finite number, "
-                             "not %r" % (row, path, len(header), J, line))
+    for i, row in zip(lines, rows):
+        m = row[names.index("mode")]
+        if not (1 <= m <= J and m == int(m)) or m in seen:
+            raise ValueError("model field 'g': line %d of %s must hold a mode that is an "
+                             "integer in 1..%d listed once, not %r" % (i, path, J, float(m)))
         seen.add(m)
-        g[int(m) - 1] = c
+        g[int(m) - 1] = row[names.index("coeff")]
     return g
 
 
 def _read_eigenfile(path, eig_path):
-    """The eigenvalues in `domain.eigenfile` of the model file `path`.
-
-    Numbers are separated by whitespace or newlines, '#' starts a comment
-    and blank lines are skipped.  A cell that is not a number, or a file
-    that holds none, raises a ValueError naming the field, the file and the
-    line.
-    """
+    """The eigenvalues in `domain.eigenfile` of the model file `path`, a text
+    table of whitespace-separated cells without a header; a file that holds
+    none raises a ValueError naming the field and the file."""
     where = "model field 'domain.eigenfile' (%s) in %s" % (eig_path, path)
-    values = []
-    with open(path_beside(path, eig_path, "model field 'domain.eigenfile'")) as fh:
-        for i, line in enumerate(fh, 1):
-            for cell in line.split("#")[0].split():
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    raise ValueError("%s: line %d holds %r, which is not a number"
-                                     % (where, i, cell)) from None
-    if not values:
+    _, _, rows = _read_table(path_beside(path, eig_path, "model field 'domain.eigenfile'"),
+                             where, header=False, sep=None)
+    if not rows:
         raise ValueError("%s: the file holds no eigenvalues" % where)
-    return np.array(values)
+    return np.concatenate(rows)
 
 
 def load_model_file(path):
@@ -524,12 +502,7 @@ def load_model_file(path):
     Its data files are read relative to it; the kernel path is returned as
     written.  A malformed J, f or g raises a ValueError naming the field.
     """
-    with open(path) as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError("parse error in %s at line %d: %s"
-                             % (path, exc.lineno, exc.msg)) from exc
+    spec = _read_json_object(path)
     J = spec.get("J")
     _check_modes(J)
     domain = spec.get("domain", "interval_pi")

@@ -8,8 +8,13 @@ import pytest
 from memoryflow import cli
 from memoryflow.attractors import load_cloud_csv
 from memoryflow.cli import ExperimentConfig, main
-from memoryflow.kernels import KernelError, KernelFileError, load_kernel_file
-from memoryflow.viscoelastic import load_model_file
+from memoryflow.kernels import (
+    KernelError,
+    KernelFileError,
+    _read_kernel_table,
+    load_kernel_file,
+)
+from memoryflow.viscoelastic import _read_eigenfile, load_g_csv, load_model_file
 
 
 @pytest.fixture()
@@ -165,6 +170,30 @@ def test_tabulated_kernel_negative_abscissa_is_a_failed_check(workdir, capsys):
                                   "delta": 1.0, "normalize": True}))
     assert main(["kernel", "check", str(kernel)]) == 1
     assert "start at s = -0.25, but mu lives on s >= 0" in capsys.readouterr().err
+
+
+def test_kernel_check_empty_grid_is_a_failed_check(workdir, capsys):
+    # s_max below ds/2 used to pass every check on an empty grid, exit 0
+    kernel = workdir / "exp1.kernel.json"
+    kernel.write_text(json.dumps({"family": "exponential", "delta": 1.0, "s_max": 0.004}))
+    assert main(["kernel", "check", str(kernel)]) == 1
+    err = capsys.readouterr().err
+    assert "kernel check failed" in err and "quadrature grid is empty" in err
+
+
+@pytest.mark.parametrize("name", ["exp1.kernel.json", "model.json", "config.json"],
+                         ids=["kernel", "model", "experiment"])
+def test_json_file_that_is_not_an_object_exits_two(workdir, capsys, name):
+    # a top-level list used to exit 1 with an AttributeError traceback
+    (workdir / name).write_text("[1, 2]")
+    argvs = [["simulate", "--config", str(workdir / "config.json")]]
+    if name == "exp1.kernel.json":
+        argvs.append(["kernel", "check", str(workdir / name)])
+    for argv in argvs:
+        assert main(argv) == 2
+        assert "the top level of %s must be a JSON object, not list" % (workdir / name) \
+            in capsys.readouterr().err
+    assert not (workdir / "out").exists()
 
 
 @pytest.mark.parametrize("flags", [["--nec", "1", "nan"], ["--dafermos", "nan"]])
@@ -486,8 +515,8 @@ def test_model_file_fields_checked_before_any_work(workdir, capsys, command, fie
 
 
 @pytest.mark.parametrize("text,where", [
-    ("mode,coeff\n1,0.5\n3,0.2\n", "row 2"), ("", "the header row"),
-    ("mode,value\n1,0.5\n", "the header row"), ("mode,coeff\n1,0.5,7\n", "row 1")],
+    ("mode,coeff\n1,0.5\n3,0.2\n", "line 3"), ("", "the header row"),
+    ("mode,value\n1,0.5\n", "the header row"), ("mode,coeff\n1,0.5,7\n", "line 2")],
     ids=["above-J", "empty", "no-coeff", "extra-cell"])
 def test_g_csv_bad_row_checked_before_any_work(workdir, capsys, text, where):
     # an empty file used to exit 1 with an IndexError traceback
@@ -670,6 +699,64 @@ def test_attract_bad_cloud_header_exits_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 1 of %s" % bad in err and "key=value" in err
     assert not (tmp_path / "report.csv").exists()
+
+
+@pytest.mark.parametrize("where,text,line", [
+    ("bundle", "# label=t norm=H0\n1,2\nnan,2\n", 3),
+    ("bundle", "# label=t norm=H0\n1,2,3\n", 2),
+    ("surrogate", "# label=s norm=H0\n0,0,0\n", 2)],
+    ids=["nan", "bundle-width", "surrogate-width"])
+def test_attract_bad_cloud_values_exit_two(tmp_path, capsys, where, text, line):
+    # a NaN used to give distance 0 and exit 0, a bundle cloud of another
+    # width to exit 2 with a bare "dimension mismatch", and surrogate clouds
+    # of two widths with numpy's vstack message
+    bundle, surrogate = tmp_path / "bundle", tmp_path / "surrogate"
+    bundle.mkdir(), surrogate.mkdir()
+    for t in range(6):
+        (bundle / ("cloud_t%.6f.csv" % t)).write_text("# label=t norm=H0\n%d,2\n" % t)
+    (surrogate / "a.csv").write_text("# label=s norm=H0\n0,0\n")
+    bad = bundle / "cloud_t2.000000.csv" if where == "bundle" else surrogate / "b.csv"
+    bad.write_text(text)
+    assert main(["attract", "--bundle", str(bundle), "--surrogate", str(surrogate),
+                 "--out", str(tmp_path / "report.csv")]) == 2
+    assert "cloud file: line %d of %s" % (line, bad) in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
+# the five readers of text tables: file name, the lines above the rows, the
+# cell separator, the field their errors name in directory d, the call that
+# reads the file p in d, and the numbers it reads from the rows 1 0.5, 2 -0.25
+TABLE_READERS = [
+    ("g.csv", "mode,coeff\n", ",", lambda d: "model field 'g'",
+     lambda d, p: load_g_csv(str(p), 2), [0.5, -0.25]),
+    ("t.csv", "s,mu\n", ",", lambda d: "kernel field 'table' (t.csv) in %s" % (d / "k.json"),
+     lambda d, p: np.array(_read_kernel_table(str(d / "k.json"), "t.csv")),
+     [[1.0, 2.0], [0.5, -0.25]]),
+    ("eig.txt", "", " ",
+     lambda d: "model field 'domain.eigenfile' (eig.txt) in %s" % (d / "m.json"),
+     lambda d, p: _read_eigenfile(str(d / "m.json"), "eig.txt"), [1.0, 0.5, 2.0, -0.25]),
+    ("init.csv", "u_1,v_1\n", ",", lambda d: "config field 'initial.file'",
+     lambda d, p: cli._initial_row(str(p)), [1.0, 0.5]),
+    ("cloud.csv", "# label=c norm=H0\n", ",", lambda d: "cloud file",
+     lambda d, p: load_cloud_csv(str(p)).points, [[1.0, 0.5], [2.0, -0.25]])]
+
+
+@pytest.mark.parametrize("name,head,sep,field,read,numbers", TABLE_READERS,
+                         ids=["g", "kernel-table", "eigenfile", "initial", "cloud"])
+def test_table_readers_share_one_grammar(tmp_path, name, head, sep, field, read, numbers):
+    path = tmp_path / name
+    first, second = sep.join(["1", "0.5"]), sep.join(["2", "-0.25"])
+    path.write_text(head + first + "\n" + second + "\n")
+    assert np.array_equal(read(tmp_path, path), numbers)
+    path.write_text(head + "# a comment\n\n%s  # a trailing comment\n%s\n" % (first, second))
+    assert np.array_equal(read(tmp_path, path), numbers)
+    # the bad row is on physical line 4 below the head; the eigenfile has no
+    # header and rows of any length, so a short row is no error there
+    where = "%s: line %d of %s" % (field(tmp_path), head.count("\n") + 4, path)
+    for bad in [sep.join(["2", "x"])] + (["2"] if head else []):
+        path.write_text(head + "# a comment\n\n%s\n%s\n" % (first, bad))
+        with pytest.raises(ValueError, match=re.escape(where)):
+            read(tmp_path, path)
 
 
 def test_simulate_state_clouds_then_attract(workdir, tmp_path, capsys):

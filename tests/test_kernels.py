@@ -279,8 +279,11 @@ def test_negative_table_abscissa_rejected():
     (dict(a=[0.0, 2.0], c=1.0, r=0.0, beta=0.0, end=1.0), "at or after the last"),
     (dict(a=[0.0], c=1.0, r=0.0, beta=0.0), "only a geometric one"),
     (dict(a=[0.0], c=1.0, r=1.0, beta=-0.1), "geometric"),
-    (dict(a=[0.0], c=1.0, r=-1.0, beta=0.0, end=1.0), "geometric")],
-    ids=["start", "repeat", "end", "linear-to-inf", "geometric-slope", "negative-r"])
+    (dict(a=[0.0], c=1.0, r=-1.0, beta=0.0, end=1.0), "geometric"),
+    (dict(a=[0.0], c=1.0, r=1.0, beta=0.0, s_max=0.004),
+     r"s_max = 0\.004 must exceed ds/2 = 0\.005, or the quadrature grid is empty")],
+    ids=["start", "repeat", "end", "linear-to-inf", "geometric-slope", "negative-r",
+         "empty-grid"])
 def test_malformed_piece_table_rejected(pieces, what):
     with pytest.raises(KernelError, match=what):
         MemoryKernel(**pieces, theta=1.0, delta_decay=1.0)

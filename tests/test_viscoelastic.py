@@ -492,12 +492,12 @@ def test_model_file_roundtrip(tmp_path):
 
 
 @pytest.mark.parametrize("text,where", [
-    ("mode,coeff\n1,0.5\n3,0.2\n", "row 2"), ("mode,coeff\n0,1.0\n", "row 1"),
-    ("mode,coeff\n1,0.5\n1,0.7\n", "row 2"), ("mode,coeff\n1.5,0.2\n", "row 1"),
-    ("mode,coeff\n2,nan\n", "row 1"), ("mode,coeff\n1,0.5\n2,inf\n", "row 2"),
-    ("mode,coeff\nx,1\n", "row 1"), ("", "the header row"),
-    ("mode,value\n1,0.5\n", "the header row"), ("mode,coeff\n1,0.5,7\n", "row 1"),
-    ("mode,coeff\n# a comment\n\n1,0.5\n2\n", "row 2")],
+    ("mode,coeff\n1,0.5\n3,0.2\n", "line 3"), ("mode,coeff\n0,1.0\n", "line 2"),
+    ("mode,coeff\n1,0.5\n1,0.7\n", "line 3"), ("mode,coeff\n1.5,0.2\n", "line 2"),
+    ("mode,coeff\n2,nan\n", "line 2"), ("mode,coeff\n1,0.5\n2,inf\n", "line 3"),
+    ("mode,coeff\nx,1\n", "line 2"), ("", "the header row"),
+    ("mode,value\n1,0.5\n", "the header row"), ("mode,coeff\n1,0.5,7\n", "line 2"),
+    ("mode,coeff\n# a comment\n\n1,0.5\n2\n", "line 5")],
     ids=["above-J", "zero", "repeat", "fraction", "nan", "inf", "text", "empty",
          "no-coeff", "extra-cell", "short-row"])
 def test_g_csv_refuses_bad_rows(tmp_path, text, where):

@@ -34,7 +34,12 @@ must be new or empty:
 - `simulate` in the state framework with `--cloud-every` of a J = 4 cubic
   model on an exponential kernel of delta = 1 at dt = 3e-3, also written
   into `inputs/`, where ds/dt = 10/3 is not an integer: the read-backs are
-  rank one at every dt.
+  rank one at every dt;
+- `simulate` of a J = 3, f = "zero" model whose eigenvalues come from an
+  eigenfile, its forcing from a `g.csv`, its kernel from a tabulated table
+  and its start from an initial-data file, all written into `inputs/`
+  with comment and blank lines: with `attract`, which reads clouds, every
+  text-table reader feeds a hashed output.
 
 Each line is `<sha256>  <path>`, sorted by path, so two trees compare by
 `diff`; the files under `inputs/` are not listed.  summary.txt is hashed
@@ -110,6 +115,22 @@ FRACTIONAL = {
                              "initial": {"random_ball": {"radius": 1.0, "space": "H1"}}},
 }
 
+# a linear J = 3 model on given eigenvalues, whose text tables all hold
+# comment and blank lines
+READERS = {
+    "readers_tab.csv": "# s,mu\n\n0,6  # mu(0)\n0.25,3\n# halving\n0.5,1.5\n1,0\n",
+    "readers.kernel.json": {"family": "tabulated", "table": "readers_tab.csv",
+                            "theta": 1.0, "delta": 1.0, "normalize": True},
+    "readers_eig.txt": "# not the interval's j^2\n1.5 2.25\n\n4  # the third\n",
+    "readers_g.csv": "mode,coeff\n# mode 2 is unforced\n\n1,0.5  # the first\n3,-0.25\n",
+    "readers_init.csv": "u_1,u_2,u_3,v_1,v_2,v_3\n# by hand\n\n0.5,0,-0.25,0,0.125,0  # u, v\n",
+    "readers_model.json": {"J": 3, "domain": {"eigenfile": "readers_eig.txt"}, "f": "zero",
+                           "g": "readers_g.csv", "kernel": "readers.kernel.json"},
+    "readers_experiment.json": {"model": "readers_model.json", "dt": 0.005, "t_end": 1.0,
+                                "ensemble": 1, "seed": 7,
+                                "initial": {"file": "readers_init.csv"}},
+}
+
 
 def commands(out):
     """(name, argv, allowed exit codes) in run order; paths under `out`."""
@@ -168,6 +189,9 @@ def commands(out):
                  ["simulate", "--config", os.path.join(out, "inputs", "frac_experiment.json"),
                   "--framework", "state", "--cloud-every", "0.3",
                   "--out", os.path.join(out, "simulate_state_fractional_step")], (0,)))
+    runs.append(("simulate_readers",
+                 ["simulate", "--config", os.path.join(out, "inputs", "readers_experiment.json"),
+                  "--out", os.path.join(out, "simulate_readers")], (0,)))
     return runs
 
 
@@ -221,7 +245,8 @@ def compare(a, b):
 def run_all(out):
     inputs = os.path.join(out, "inputs")
     os.makedirs(inputs)
-    for name, content in {**JUMP, **TABULATED, **WIDE, **PAST, **FRACTIONAL}.items():
+    for name, content in {**JUMP, **TABULATED, **WIDE, **PAST, **FRACTIONAL,
+                          **READERS}.items():
         with open(os.path.join(inputs, name), "w") as fh:
             fh.write(content if isinstance(content, str) else json.dumps(content))
     for name, argv, allowed in commands(out):
