@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _read_table
-from .spaces import ExtendedVector, ModalVector, write_rows
+from .spaces import ExtendedVector, ModalVector, save_rows
 
 FIT_FLOOR = 1e-10           # distances below this are floating-point noise
 FIT_SKIP_FRACTION = 0.2     # leading transient excluded from rate fits
@@ -18,7 +18,10 @@ FIT_SKIP_FRACTION = 0.2     # leading transient excluded from rate fits
 
 @dataclass
 class PointCloud:
-    """Finite set of flattened states with the norm convention recorded."""
+    """Finite set of flattened states with the norm convention recorded.
+
+    A point with a NaN or infinite coordinate is refused, since it would
+    drop out of every max and min over the cloud."""
     points: np.ndarray
     label: str = ""
     norm: str = "H0"
@@ -28,6 +31,8 @@ class PointCloud:
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
         if self.points.size == 0:
             raise ValueError("cloud must be nonempty")
+        if not np.all(np.isfinite(self.points)):
+            raise ValueError("cloud points must be finite")
 
     @property
     def dim(self):
@@ -185,9 +190,7 @@ def box_counting_dim(cloud, r_range=None):
 
 
 def save_cloud_csv(cloud, path):
-    with open(path, "w") as fh:
-        fh.write("# label=%s norm=%s\n" % (cloud.label, cloud.norm))
-        write_rows(fh, cloud.points)
+    save_rows(path, "# label=%s norm=%s" % (cloud.label, cloud.norm), cloud.points)
 
 
 def load_cloud_csv(path, dim=None):
@@ -202,6 +205,8 @@ def load_cloud_csv(path, dim=None):
                          "not %r" % (path, first.strip()))
     meta = dict(item.split("=", 1) for item in items)
     _, lines, rows = _read_table(path, "cloud file", header=False, finite=True)
+    if not rows:
+        raise ValueError("cloud file: %s holds no points" % path)
     for i, row in zip(lines, rows):
         if row.size != (dim or rows[0].size):
             raise ValueError("cloud file: line %d of %s has %d cells, not %d"

@@ -50,7 +50,7 @@ from .spaces import (
     StateField,
     lambda_map,
     norm_H,
-    write_rows,
+    save_rows,
 )
 from .viscoelastic import (
     assemble,
@@ -176,9 +176,7 @@ def write_summary(out_dir, payload):
 
 
 def write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        write_rows(fh, rows)
+    save_rows(path, ",".join(header), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -432,8 +430,15 @@ def cmd_attract(args):
     for name in bundle_files:
         if not (name.startswith("cloud_t") and name.endswith(".csv")):
             continue
-        t = float(name[len("cloud_t"):-len(".csv")])
-        cloud = load_cloud_csv(os.path.join(args.bundle, name), surrogate.dim)
+        path = os.path.join(args.bundle, name)
+        try:
+            t = float(name[len("cloud_t"):-len(".csv")])
+        except ValueError:
+            t = math.nan
+        if not math.isfinite(t):
+            raise ValueError("bundle file %s: the name must be cloud_t<finite time>.csv"
+                             % path)
+        cloud = load_cloud_csv(path, surrogate.dim)
         rows.append((t, hausdorff_semidist(cloud, surrogate)))
     if len(rows) < 5:
         print("need at least 5 bundle clouds", file=sys.stderr)

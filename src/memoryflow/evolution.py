@@ -47,7 +47,7 @@ from .spaces import (
     StateField,
     lambda_map,
     norm_H,
-    write_rows,
+    save_rows,
 )
 
 BLOWUP_GUARD = 1e8
@@ -90,7 +90,7 @@ class Trajectory:
     v_snaps: np.ndarray
     force_snaps: np.ndarray        # memory force as used at each snapshot
     initial_memory: object
-    window: float
+    window: float                  # the kernel's s_max, where the memory window ends
     framework: str                 # "history" | "state"
     dt: float
     kernel_id: str
@@ -133,7 +133,8 @@ class MemoryForce:
                               + k(t) [P(t) - P(0)] + int mu(t+s) eta0(s) ds,
     with P the primitive of the memory source.  State framework:
     F(t) = int_t^inf xi0 + int_0^t k(s) a(t-s) ds.  Convolutions use the
-    trapezoid rule on the snapshot spacing and honor the truncation window.
+    trapezoid rule on the snapshot spacing over the window s <= s_max, the
+    kernel's support cutoff: W = s_max/dt nodes, fewer while n_max is less.
 
     The part of the force at step n that reads only rows < n (the window
     sum and the initial-memory term) is computed once per n: rows < n are
@@ -141,20 +142,19 @@ class MemoryForce:
     step n-1, and the second call, as F0 of step n, reuses it.
 
     When the kernel states its decay rate, the window weights are geometric
-    with ratio q = exp(-rate dt) on nodes 1..W-1 (in the state framework
-    while those nodes lie inside s_max, past which k is 0.0), and the window
-    sum is a one-term recursion, O(J) per step (see `_carry`); other kernels
-    take blocked Toeplitz products, O(W J) per step (see `_window`).  Both
-    read the history framework's P as differences, so a constant P gives
-    exactly 0.0.  Either way force(n) may be asked for at any n, in any
-    order.
+    with ratio q = exp(-rate dt) on nodes 1..W-1, which lie below s_max, so
+    k is geometric there too, and the window sum is a one-term recursion,
+    O(J) per step (see `_carry`); other kernels take blocked Toeplitz
+    products, O(W J) per step (see `_window`).  Both read the history
+    framework's P as differences, so a constant P gives exactly 0.0.
+    Either way force(n) may be asked for at any n, in any order.
     """
 
-    def __init__(self, kernel, framework, dt, n_max, window):
+    def __init__(self, kernel, framework, dt, n_max):
         self.kernel = kernel
         self.framework = framework
         self.dt = dt
-        w_full = max(1, int(round(window / dt)))
+        w_full = max(1, int(round(kernel.s_max / dt)))
         self.w_nodes = W = min(n_max, w_full)
         s = np.arange(n_max + 1) * dt
         self.k_dt = np.asarray(kernel.k(s), dtype=float)
@@ -166,19 +166,17 @@ class MemoryForce:
             w = self.k_dt
         self._w = w
         self._n = self._n0 = self._h = None
-        # the path comes from the whole window, nodes 1..w_full-1, past n_max
-        # if need be, so a longer run takes the same path (prefix property)
-        rate = kernel.rate
-        self._q = q = None if rate is None or (
-            framework == "state" and (w_full - 1) * dt >= kernel.s_max) \
-            else math.exp(-rate * dt)
+        self._q = q = None if kernel.rate is None else math.exp(-kernel.rate * dt)
         if q is not None:
+            # the recursion spans the whole window, nodes 1..w_full-1, past
+            # n_max if need be, so a longer run takes the same steps (prefix
+            # property)
             self._top = top = w_full - 1
             self._c = c = dt * w[1]
             self._leave = c * q ** top
             # trapezoid end correction -w_m/2, or +w_W/2 at the full window,
             # where the recursion stops at node W-1; node W's weight comes
-            # from the table (k is 0.0 there at the default window)
+            # from the table (k is 0.0 there when s_max is a multiple of dt)
             self._edge = -0.5 * dt * w[:W + 1]
             if W == w_full:
                 self._edge[W] *= -1.0
@@ -418,6 +416,21 @@ def _step_map(mf, lam, g):
     return np.stack([un, vn, Xn, h1, F0], axis=-1)
 
 
+def _store(U, V, F, n0, uv, forces, dt):
+    """Store a pass from step n0: uv, (L, E, J, 2), as (u, v) at steps
+    n0+1..n0+L and forces, (K, E, J), as F at steps n0..n0+K-1; then raise
+    BlowUpError at the end of the first step whose (u, v) left the guard.
+    NaN compares false, so it fails the guard too."""
+    new = slice(n0 + 1, n0 + 1 + len(uv))
+    U[:, new] = uv[..., 0].swapaxes(0, 1)
+    V[:, new] = uv[..., 1].swapaxes(0, 1)
+    F[:, n0:n0 + len(forces)] = forces.swapaxes(0, 1)
+    ok = ((np.abs(U[:, new]) <= BLOWUP_GUARD)
+          & (np.abs(V[:, new]) <= BLOWUP_GUARD)).all(axis=(0, 2))
+    if not ok.all():
+        raise BlowUpError((n0 + int(np.argmin(ok))) * dt + dt)
+
+
 def _block_path(ops, mf):
     """Whether a run takes `_integrate_blocks`: f = None, one (J,) forcing and
     a recursive window of top >= BLOCK nodes, fixed by the whole window, not
@@ -436,8 +449,8 @@ def _integrate_blocks(mf, ops, lam, U, V, X, F):
     composed once, into one (P, J, 11, 5) buffer, and one matrix serves
     every step from the first multiple of BLOCK past top.  The inputs read
     rows before the pass (P <= top), so a step is one stacked matmul on
-    views made once; the stores and the blow-up guard run once per pass,
-    and the guard reports the first bad row, as the stepwise loop does.
+    views made once; the stores and the blow-up guard (`_store`) run once
+    per pass.
     """
     E, n_steps, J = U.shape[0], U.shape[1] - 1, lam.size
     dt, top = mf.dt, mf._top
@@ -482,27 +495,20 @@ def _integrate_blocks(mf, ops, lam, U, V, X, F):
         with np.errstate(over="ignore", invalid="ignore"):
             for zl, Ml, out in steps[:last]:
                 np.matmul(zl, Ml, out=out)
+            _store(U, V, F, n0, z[1:L + 1, :, :, 0, :2], z[1:last + 1, :, :, 0, 4], dt)
             new = slice(n0 + 1, n0 + L + 1)
-            U[:, new] = z[1:L + 1, :, :, 0, 0].swapaxes(0, 1)
-            V[:, new] = z[1:L + 1, :, :, 0, 1].swapaxes(0, 1)
-            F[:, n0:n0 + last] = z[1:last + 1, :, :, 0, 4].swapaxes(0, 1)
             X[:, new] = lam * (U if mf.framework == "history" else V)[:, new]
-            ok = ((np.abs(U[:, new]) <= BLOWUP_GUARD)
-                  & (np.abs(V[:, new]) <= BLOWUP_GUARD)).all(axis=(0, 2))
-        if not ok.all():
-            bad = n0 + int(np.argmin(ok))          # the step whose end left the guard
-            raise BlowUpError(bad * dt + dt)
         z[0] = z[L]
 
 
-def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end, *, window=None):
+def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end):
     """Advance all members of z0s together to t_end; one trajectory each.
 
     Members are rows of member-major (E, n+1, J) arrays and each trajectory
     holds contiguous views of its row, which is bitwise equal to the member
     integrated alone.  Every z0.memory must match the framework (history
-    field or state field).  The truncation window defaults to the kernel
-    support cutoff, which the decay certificate makes safe to 1e-10.
+    field or state field).  The memory window ends at the kernel's support
+    cutoff s_max, which the decay certificate makes safe to 1e-10.
     """
     if framework not in ("history", "state"):
         raise ValueError("framework must be 'history' or 'state'")
@@ -515,14 +521,13 @@ def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end, *, window=None):
         raise ValueError("need 0 < dt <= t_end")
     lam = np.asarray(ops.lambdas, dtype=float)
     n_steps = int(round(t_end / dt))
-    window = kernel.s_max if window is None else window
 
     U, V, X, F = (np.empty((len(z0s), n_steps + 1, lam.size)) for _ in range(4))
     U[:, 0] = [z0.u.coeffs for z0 in z0s]
     V[:, 0] = [z0.v.coeffs for z0 in z0s]
     X[:, 0] = lam * (U if framework == "history" else V)[:, 0]
 
-    mf = MemoryForce(kernel, framework, dt, n_steps, window)
+    mf = MemoryForce(kernel, framework, dt, n_steps)
     mf.set_initial_memory([z0.memory for z0 in z0s])
     advance = _integrate_blocks if _block_path(ops, mf) else _integrate_steps
     advance(mf, ops, lam, U, V, X, F)
@@ -530,7 +535,7 @@ def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end, *, window=None):
     times = np.arange(n_steps + 1) * dt
     return [Trajectory(
         times=times, u_snaps=U[e], v_snaps=V[e], force_snaps=F[e],
-        initial_memory=z0.memory.copy(), window=window, framework=framework,
+        initial_memory=z0.memory.copy(), window=kernel.s_max, framework=framework,
         dt=dt, kernel_id=kernel.kernel_id, lambdas=lam)
         for e, z0 in enumerate(z0s)]
 
@@ -560,8 +565,8 @@ def _integrate_steps(mf, ops, lam, U, V, X, F):
     slot prefix with per-mode coefficient rows (the predictor's u or v
     column only), so a batch row has the bits of its member run alone; with
     f = None the f slots stay 0.0.  X is written every step, since the
-    force reads it; the U, V and F stores and the blow-up guard run once per
-    BLOCK steps, and the guard reports the first step that left it.
+    force reads it; the U, V and F stores and the blow-up guard (`_store`)
+    run once per BLOCK steps.
     """
     E, n_steps, dt, f = U.shape[0], U.shape[1] - 1, mf.dt, ops.f
     src = 0 if mf.framework == "history" else 1
@@ -591,22 +596,14 @@ def _integrate_steps(mf, ops, lam, U, V, X, F):
                     z[..., 9] = f(np.vecdot(z[..., :9], c4c))
                 w = np.vecdot(z[..., None, :], c_corr, out=Z[r + 1, ..., :2])
                 np.multiply(lam, w[..., src], out=x)
-            new = slice(n0 + 1, n0 + L + 1)
-            U[:, new] = Z[1:L + 1, ..., 0].swapaxes(0, 1)
-            V[:, new] = Z[1:L + 1, ..., 1].swapaxes(0, 1)
-            F[:, n0:n0 + L] = Z[:L, ..., 2].swapaxes(0, 1)
-            # NaN compares false, so it fails the guard too
-            ok = (np.abs(Z[1:L + 1, ..., :2]) <= BLOWUP_GUARD).all(axis=(1, 2, 3))
-            if not ok.all():
-                raise BlowUpError((n0 + int(np.argmin(ok))) * dt + dt)
+            _store(U, V, F, n0, Z[1:L + 1, ..., :2], Z[:L, ..., 2], dt)
             Z[0, ..., :2] = Z[L, ..., :2]
     F[:, n_steps] = mf.force(n_steps, X)
 
 
-def integrate(z0, ops, kernel, framework, dt, t_end, *, window=None):
+def integrate(z0, ops, kernel, framework, dt, t_end):
     """Advance the coupled system from z0 to t_end; a batch of one member."""
-    return integrate_ensemble([z0], ops, kernel, framework, dt, t_end,
-                              window=window)[0]
+    return integrate_ensemble([z0], ops, kernel, framework, dt, t_end)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -753,9 +750,8 @@ def save_trajectory_csv(traj, path):
     J = traj.lambdas.size
     cols = ["time"] + ["u_%d" % (j + 1) for j in range(J)] \
         + ["v_%d" % (j + 1) for j in range(J)]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        write_rows(fh, traj.times, traj.u_snaps, traj.v_snaps)
+    save_rows(path, ",".join(cols), np.column_stack([traj.times, traj.u_snaps,
+                                                     traj.v_snaps]))
 
 
 def trajectory_metadata(traj, extra=None):

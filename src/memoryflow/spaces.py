@@ -17,7 +17,6 @@ logger = logging.getLogger(__name__)
 
 GRID_EQ_TOL = 1e-12
 STATE_TAIL_DROP = 1e-12     # relative weighted mass below which tail nodes are zeroed
-CSV_CHUNK = 4096            # values formatted per write
 
 
 class ModalVector:
@@ -235,15 +234,16 @@ def h_functional(eta, eta_prime=None):
 # the history -> state bridge
 # ---------------------------------------------------------------------------
 
-def lambda_map(eta, kernel, tau_nodes=None):
-    """Map a history field to the state field it induces.
+def lambda_map(eta, kernel):
+    """Map a history field to the state field it induces, on the kernel grid.
 
     (L eta)(tau) = -int mu'(tau + s) eta(s) ds + sum over jumps s_n > tau
-    of mu_n * eta(s_n - tau), with eta linearly interpolated off-grid.
+    of mu_n * eta(s_n - tau), with eta linearly interpolated off-grid; see
+    `lambda_map_pointwise` for other tau.
     """
-    tau = kernel.grid if tau_nodes is None else _as_array(tau_nodes)
+    tau = kernel.grid
     return StateField(tau, lambda_map_pointwise(eta, kernel, tau),
-                      kernel.nu(tau) * eta.ds, eta.lambdas, eta.ds)
+                      kernel.nu_grid * eta.ds, eta.lambdas, eta.ds)
 
 
 def lambda_map_pointwise(eta, kernel, tau):
@@ -341,19 +341,8 @@ def right_translate(eta, t):
 # snapshot persistence
 # ---------------------------------------------------------------------------
 
-def write_rows(fh, *columns):
-    """Write CSV lines, one per row of the columns set side by side.
-
-    Each column is an (n,) or (n, k) array, and every value is formatted
-    "%.17g".  Rows go out in blocks of about CSV_CHUNK values, one write
-    per block.  A single format string for a whole line is faster still,
-    but on rows thousands of values wide (state clouds) it raised the peak
-    RSS of a run by about 2 MB.
-    """
-    cols = [np.asarray(c, dtype=float) for c in columns]
-    cols = [c[:, None] if c.ndim == 1 else c for c in cols]
-    step = max(1, CSV_CHUNK // sum(c.shape[1] for c in cols))
-    for lo in range(0, cols[0].shape[0], step):
-        rows = np.hstack([c[lo:lo + step] for c in cols]).tolist()
-        fh.write("".join([",".join(["%.17g" % x for x in row]) + "\n"
-                          for row in rows]))
+def save_rows(path, header, rows):
+    """Write the line `header`, then one line per row of the 2-D `rows`, its
+    values comma-separated and formatted "%.17g", which reads back to the
+    same float."""
+    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")

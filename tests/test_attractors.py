@@ -62,6 +62,20 @@ def test_hausdorff_matches_brute_force_exactly():
         assert got == brute_force_semidist(a, b)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_cloud_refuses_non_finite_points(bad):
+    # max(worst, nan) keeps worst, so a NaN point used to give distance 0.0
+    with pytest.raises(ValueError, match="finite"):
+        hausdorff_semidist(PointCloud([[bad, 5.0], [3.0, 4.0]]), PointCloud([[0.0, 0.0]]))
+
+
+def test_invariance_residual_refuses_a_non_finite_image():
+    cloud = PointCloud([[0.3, -0.4], [1.0, 2.0]])
+    stepper = lambda pts, t: np.where(pts > 1.5, math.nan, pts)
+    with pytest.raises(ValueError, match="finite"):
+        invariance_residual(cloud, stepper, 1.0)
+
+
 def test_hausdorff_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension"):
         hausdorff_semidist(PointCloud([[0.0, 1.0]]), PointCloud([[0.0]]))

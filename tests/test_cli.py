@@ -723,6 +723,29 @@ def test_attract_bad_cloud_values_exit_two(tmp_path, capsys, where, text, line):
     assert not (tmp_path / "report.csv").exists()
 
 
+@pytest.mark.parametrize("where,name,text,message", [
+    ("surrogate", "b.csv", "# label=s norm=H0\n", "cloud file: %s holds no points"),
+    ("bundle", "cloud_t2.000000.csv", "# label=t norm=H0\n", "cloud file: %s holds no points"),
+    ("bundle", "cloud_tX.csv", "# label=t norm=H0\n1,2\n", "bundle file %s: the name"),
+    ("bundle", "cloud_tnan.csv", "# label=t norm=H0\n1,2\n", "bundle file %s: the name")],
+    ids=["surrogate-empty", "bundle-empty", "bundle-name", "bundle-nan-time"])
+def test_attract_errors_name_the_file(tmp_path, capsys, where, name, text, message):
+    # a cloud of its header line alone used to exit 2 with "cloud must be
+    # nonempty", and a bundle file cloud_tX.csv with "could not convert
+    # string to float: 'X'"; neither named the file
+    bundle, surrogate = tmp_path / "bundle", tmp_path / "surrogate"
+    bundle.mkdir(), surrogate.mkdir()
+    for t in range(6):
+        (bundle / ("cloud_t%.6f.csv" % t)).write_text("# label=t norm=H0\n%d,2\n" % t)
+    (surrogate / "a.csv").write_text("# label=s norm=H0\n0,0\n")
+    bad = (bundle if where == "bundle" else surrogate) / name
+    bad.write_text(text)
+    assert main(["attract", "--bundle", str(bundle), "--surrogate", str(surrogate),
+                 "--out", str(tmp_path / "report.csv")]) == 2
+    assert "error: " + message % bad in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
 # the five readers of text tables: file name, the lines above the rows, the
 # cell separator, the field their errors name in directory d, the call that
 # reads the file p in d, and the numbers it reads from the rows 1 0.5, 2 -0.25

@@ -142,23 +142,24 @@ def test_integrate_ensemble_matches_solo_runs(exp1):
                     assert np.array_equal(getattr(traj, name), getattr(solo, name))
 
 
-def test_affine_stepper_matches_generic_rk4(exp1):
+def test_affine_stepper_matches_generic_rk4():
     # assemble gives f = "zero" as f = None; the same model with an f that
-    # returns zeros steps one at a time.  window=0.5 at dt=2e-3 is 250
+    # returns zeros steps one at a time.  A cutoff of 0.5 at dt=2e-3 is 250
     # nodes, so f = None runs a block at a time here, and this pins the
     # block path to the stepwise RK4
+    kernel = exp1_cut(0.5)
     model = make_model(8, f="zero", g=[0.5, 0, 0.3, 0, 0, 0, 0, -0.2])
-    ops = assemble(model, exp1)
+    ops = assemble(model, kernel)
     assert ops.f is None
     plain = ModelOperators(ops.lambdas, ops.g, f=np.zeros_like)
     lam = model.lambdas
-    z0 = draw_random_state(model, exp1, 1.0, "H1", np.random.default_rng(8))
+    z0 = draw_random_state(model, kernel, 1.0, "H1", np.random.default_rng(8))
     z0.memory = HistoryField.from_profile(
-        exp1, lam, lambda s: 0.1 * np.sin(s) * np.ones(lam.size))
-    z0_s = ExtendedVector(z0.u.copy(), z0.v.copy(), lambda_map(z0.memory, exp1))
+        kernel, lam, lambda s: 0.1 * np.sin(s) * np.ones(lam.size))
+    z0_s = ExtendedVector(z0.u.copy(), z0.v.copy(), lambda_map(z0.memory, kernel))
     for framework, z in (("history", z0), ("state", z0_s)):
-        fast = integrate(z, ops, exp1, framework, 2e-3, 1.2, window=0.5)
-        slow = integrate(z, plain, exp1, framework, 2e-3, 1.2, window=0.5)
+        fast = integrate(z, ops, kernel, framework, 2e-3, 1.2)
+        slow = integrate(z, plain, kernel, framework, 2e-3, 1.2)
         for name in ("u_snaps", "v_snaps", "force_snaps"):
             want = getattr(slow, name)
             np.testing.assert_allclose(getattr(fast, name), want, rtol=0,
@@ -189,7 +190,7 @@ def textbook_predictor_corrector(z0s, model, kernel, framework, dt, t_end):
     V[:, 0] = [z.v.coeffs for z in z0s]
     # the memory source: lambdas*u (history) or lambdas*v (state)
     source = U if framework == "history" else V
-    mf = MemoryForce(kernel, framework, dt, n_steps, kernel.s_max)
+    mf = MemoryForce(kernel, framework, dt, n_steps)
     mf.set_initial_memory([z.memory for z in z0s])
 
     def advance(n, F0, F1):
@@ -250,7 +251,18 @@ def test_stepper_matches_textbook_with_forcing_rows(exp1):
                                            atol=1e-12 * np.abs(want).max())
 
 
-TRIANGLE = make_tabulated_kernel([0.0, 1.0], [6.0, 0.0], theta=1.0, delta_decay=1.0)
+def exp1_cut(s_max):
+    """exp1 with its support cutoff, and so its memory window, at s_max."""
+    return make_exponential_kernel(1.0, s_max=s_max)
+
+
+def triangle(end):
+    """The broken line from 6/end^2 at 0 to 0 at end <= 1: unit first moment."""
+    return make_tabulated_kernel([0.0, end], [6.0 / end ** 2, 0.0], theta=1.0,
+                                 delta_decay=1.0)
+
+
+TRIANGLE = triangle(1.0)
 EXP50 = make_exponential_kernel(50.0)
 
 
@@ -422,41 +434,38 @@ def test_stepwise_prefix_property_for_a_cubic_run(exp1):
 
 
 # -- blocked memory-force window -------------------------------------------------
-# window=0.5 at dt=2e-3 gives W=250 nodes, not a multiple of BLOCK, and the
-# runs go well past W + 2*BLOCK steps, where every window is full
+# a cutoff of 0.5 at dt=2e-3 gives W=250 nodes, not a multiple of BLOCK, and
+# the runs go well past W + 2*BLOCK steps, where every window is full
 
 WIN, WIN_DT, WIN_STEPS = 0.5, 2e-3, 600
 
 
-def test_memory_force_window_matches_direct_sum(exp1):
+def test_memory_force_window_matches_direct_sum():
     from memoryflow.evolution import BLOCK, MemoryForce
     assert (WIN_STEPS > round(WIN / WIN_DT) + 2 * BLOCK
             and round(WIN / WIN_DT) % BLOCK != 0)
     lam = np.arange(1, 5, dtype=float) ** 2
     X = np.random.default_rng(3).normal(size=(3, WIN_STEPS + 1, lam.size))
-    # exponential kernels state their rate and take the recursion, the
-    # triangle the blocked products; each also with a window of 10 nodes,
-    # shorter than one block.  (kernel, window, frameworks on the recursion)
-    triangle = make_tabulated_kernel([0.0, 1.0], [6.0, 0.0], theta=1.0,
-                                     delta_decay=1.0)
+    # exponential kernels state their rate and take the recursion, triangles
+    # the blocked products; each with a cutoff of 250 nodes, of 10 nodes,
+    # shorter than one block, and of 0.201, between nodes 100 and 101, where
+    # the weight at node W = 100, k or the triangle's mu, is not 0.0
     both = ("history", "state")
-    cases = [(kernel, window, both if kernel is exp1 else ())
-             for kernel in (exp1, triangle) for window in (WIN, 10 * WIN_DT)]
-    # a window at the kernel cutoff (235 nodes), where k is 0.0 at node W
+    cases = [(make(cut), both if make is exp1_cut else ())
+             for make in (exp1_cut, triangle) for cut in (WIN, 10 * WIN_DT, 0.201)]
+    # the exp50 cutoff (235 nodes), where k is 0.0 at node W
     short = make_exponential_kernel(50.0)
-    cases.append((short, short.s_max, both))
-    # a window past the cutoff (353 nodes): k is 0.0 on its last nodes, so
-    # the state framework takes the blocked products; mu is not cut
-    cases.append((short, 1.5 * short.s_max, ("history",)))
-    for kernel, window, recursive in cases:
+    cases.append((short, both))
+    for kernel, recursive in cases:
         zero = [HistoryField.zeros(kernel, lam)] * 3
         for framework, direct in (("history", direct_history_force),
                                   ("state", direct_state_force)):
-            mf = MemoryForce(kernel, framework, WIN_DT, WIN_STEPS, window)
+            mf = MemoryForce(kernel, framework, WIN_DT, WIN_STEPS)
             assert (mf._q is not None) == (framework in recursive)
             if kernel is short:
-                assert mf.k_dt[mf.w_nodes] == 0.0
-                assert (mf.k_dt[mf.w_nodes - 1] > 0.0) == (window == short.s_max)
+                assert mf.k_dt[mf.w_nodes] == 0.0 < mf.k_dt[mf.w_nodes - 1]
+            if kernel.s_max == 0.201:
+                assert mf.w_nodes == 100 and mf._w[mf.w_nodes] > 0.0
             mf.set_initial_memory(zero)
             # roundoff scales with the weights: mu integrates to k(0)
             atol = 1e-14 * max(1.0, kernel.mass)
@@ -481,9 +490,9 @@ def test_history_force_exactly_zero_on_constant_trajectory(exp1):
     P = np.empty((2, WIN_STEPS + 1, lam.size))
     P[:] = [[0.7, -1.3, 2.9]]
     P[1] *= 1e3
-    for window in (WIN, exp1.s_max):
-        mf = MemoryForce(exp1, "history", WIN_DT, WIN_STEPS, window)
-        mf.set_initial_memory([HistoryField.zeros(exp1, lam)] * 2)
+    for kernel in (exp1_cut(WIN), exp1):
+        mf = MemoryForce(kernel, "history", WIN_DT, WIN_STEPS)
+        mf.set_initial_memory([HistoryField.zeros(kernel, lam)] * 2)
         for n in range(WIN_STEPS + 1):
             assert np.all(mf.history_force(n, P) == 0.0)
 
@@ -498,7 +507,7 @@ def test_state_initial_memory_vanishes_past_support(exp1):
     a = np.random.default_rng(4).normal(size=(1, n_past + 1, lam.size))
 
     def force(mem, n):
-        mf = MemoryForce(exp1, "state", dt, n_past, exp1.s_max)
+        mf = MemoryForce(exp1, "state", dt, n_past)
         mf.set_initial_memory([mem])
         return mf.state_force(n, a)
 
@@ -508,41 +517,42 @@ def test_state_initial_memory_vanishes_past_support(exp1):
     assert not np.allclose(force(xi0, 1), force(zero, 1))
 
 
-def window_runs(exp1, f):
+def window_runs(kernel, f):
     model = make_model(8, f=f, g=[0.5, 0, 0.3, 0, 0, 0, 0, 0])
-    ops = assemble(model, exp1)
+    ops = assemble(model, kernel)
     lam = model.lambdas
-    z0s = [draw_random_state(model, exp1, 1.0, "H1", np.random.default_rng([6, e]))
+    z0s = [draw_random_state(model, kernel, 1.0, "H1", np.random.default_rng([6, e]))
            for e in range(3)]
     z0s[1].memory = HistoryField.from_profile(
-        exp1, lam, lambda s: 0.1 * np.sin(s) * np.ones(lam.size))
-    state = [ExtendedVector(z.u.copy(), z.v.copy(), lambda_map(z.memory, exp1))
+        kernel, lam, lambda s: 0.1 * np.sin(s) * np.ones(lam.size))
+    state = [ExtendedVector(z.u.copy(), z.v.copy(), lambda_map(z.memory, kernel))
              for z in z0s]
     return ops, (("history", z0s), ("state", state))
 
 
-def test_prefix_property_past_the_window(exp1):
+def test_prefix_property_past_the_window():
     t_end = WIN_STEPS * WIN_DT
+    kernel = exp1_cut(WIN)
     for f in ("cubic", "zero"):
-        ops, runs = window_runs(exp1, f)
+        ops, runs = window_runs(kernel, f)
         for framework, z0s in runs:
             z0 = z0s[1]
-            short = integrate(z0, ops, exp1, framework, WIN_DT, t_end, window=WIN)
-            long = integrate(z0, ops, exp1, framework, WIN_DT, 2 * t_end, window=WIN)
+            short = integrate(z0, ops, kernel, framework, WIN_DT, t_end)
+            long = integrate(z0, ops, kernel, framework, WIN_DT, 2 * t_end)
             n = short.n_steps + 1
             for name in ("u_snaps", "v_snaps", "force_snaps"):
                 assert np.array_equal(getattr(short, name), getattr(long, name)[:n])
 
 
-def test_integrate_ensemble_matches_solo_runs_past_the_window(exp1):
+def test_integrate_ensemble_matches_solo_runs_past_the_window():
     t_end = WIN_STEPS * WIN_DT
+    kernel = exp1_cut(WIN)
     for f in ("cubic", "zero"):
-        ops, runs = window_runs(exp1, f)
+        ops, runs = window_runs(kernel, f)
         for framework, z0s in runs:
-            batch = integrate_ensemble(z0s, ops, exp1, framework, WIN_DT, t_end,
-                                       window=WIN)
+            batch = integrate_ensemble(z0s, ops, kernel, framework, WIN_DT, t_end)
             for z0, traj in zip(z0s, batch):
-                solo = integrate(z0, ops, exp1, framework, WIN_DT, t_end, window=WIN)
+                solo = integrate(z0, ops, kernel, framework, WIN_DT, t_end)
                 for name in ("u_snaps", "v_snaps", "force_snaps"):
                     assert np.array_equal(getattr(traj, name), getattr(solo, name))
 
@@ -560,15 +570,16 @@ def block_and_stepwise(monkeypatch, *args, **kwargs):
 
 def test_block_path_matches_stepwise(exp1, monkeypatch):
     # 3 members, one with nonzero initial memory; runs of 165, 512 = 16
-    # BLOCK and 565 steps, windows of 33 and 250 nodes (shorter than the
-    # run) and of the kernel cutoff, 11515 nodes (longer)
-    ops, runs = window_runs(exp1, "zero")
-    cases = [(0.33, None), (1.13, WIN), (1.024, WIN),
-             (1.13, (evolution.BLOCK + 1) * WIN_DT)]
-    for framework, z0s in runs:
-        for t_end, window in cases:
-            fast, slow = block_and_stepwise(monkeypatch, z0s, ops, exp1, framework,
-                                            WIN_DT, t_end, window=window)
+    # BLOCK and 565 steps, cutoffs of 33, 100 (0.201, between nodes) and 250
+    # nodes (shorter than the run) and of exp1, 11515 nodes (longer)
+    win = exp1_cut(WIN)
+    cases = [(0.33, exp1), (1.13, win), (1.024, win),
+             (1.13, exp1_cut((evolution.BLOCK + 1) * WIN_DT)), (1.13, exp1_cut(0.201))]
+    for t_end, kernel in cases:
+        ops, runs = window_runs(kernel, "zero")
+        for framework, z0s in runs:
+            fast, slow = block_and_stepwise(monkeypatch, z0s, ops, kernel, framework,
+                                            WIN_DT, t_end)
             for got, want in zip(fast, slow):
                 for name in ("u_snaps", "v_snaps", "force_snaps"):
                     w = getattr(want, name)
@@ -589,24 +600,25 @@ def test_block_path_prefix_property_inside_the_window(exp1):
                                       getattr(long, name)[:n_steps + 1])
 
 
-def pass_length(kernel, window):
+def pass_length(kernel):
     """The window's top = W - 1 and the steps per pass of `_integrate_blocks`."""
-    top = evolution.MemoryForce(kernel, "history", WIN_DT, 10 ** 5, window)._top
+    top = evolution.MemoryForce(kernel, "history", WIN_DT, 10 ** 5)._top
     return top, min(top, 4 * evolution.BLOCK)
 
 
-def test_block_path_matches_stepwise_at_the_pass_length(exp1, monkeypatch):
+def test_block_path_matches_stepwise_at_the_pass_length(monkeypatch):
     # top = 100 is between BLOCK and 4 BLOCK, so a pass is top steps and the
     # steady matrix takes over at step 128, inside the second pass; top =
     # 300 is not a multiple of 128, and the steady matrix takes over at step
     # 320, inside the third 128-step pass; both runs go past the window
-    ops, runs = window_runs(exp1, "zero")
-    cases = [(1.13, 101 * WIN_DT, (100, 100)), (1.6, 301 * WIN_DT, (300, 128))]
-    for framework, z0s in runs:
-        for t_end, window, top_and_pass in cases:
-            assert pass_length(exp1, window) == top_and_pass
-            fast, slow = block_and_stepwise(monkeypatch, z0s, ops, exp1, framework,
-                                            WIN_DT, t_end, window=window)
+    cases = [(1.13, exp1_cut(101 * WIN_DT), (100, 100)),
+             (1.6, exp1_cut(301 * WIN_DT), (300, 128))]
+    for t_end, kernel, top_and_pass in cases:
+        assert pass_length(kernel) == top_and_pass
+        ops, runs = window_runs(kernel, "zero")
+        for framework, z0s in runs:
+            fast, slow = block_and_stepwise(monkeypatch, z0s, ops, kernel, framework,
+                                            WIN_DT, t_end)
             for got, want in zip(fast, slow):
                 for name in ("u_snaps", "v_snaps", "force_snaps"):
                     w = getattr(want, name)
@@ -639,15 +651,15 @@ def test_block_path_matches_stepwise_on_stiff_kernels(monkeypatch, delta, t_end)
 
 
 def test_block_path_prefix_property_at_one_and_two_passes(exp1):
-    # runs of P and 2P steps against runs twice as long, for the cutoff
-    # window (P = 128, inside the window) and for top = P = 100 (past it)
-    ops, runs = window_runs(exp1, "zero")
-    for window in (None, 101 * WIN_DT):
-        _, P = pass_length(exp1, exp1.s_max if window is None else window)
+    # runs of P and 2P steps against runs twice as long, for the exp1
+    # cutoff (P = 128, inside the window) and for top = P = 100 (past it)
+    for kernel in (exp1, exp1_cut(101 * WIN_DT)):
+        _, P = pass_length(kernel)
+        ops, runs = window_runs(kernel, "zero")
         for framework, z0s in runs:
             for n_steps in (P, 2 * P):
-                short, long = (integrate(z0s[1], ops, exp1, framework, WIN_DT, k * WIN_DT,
-                                         window=window) for k in (n_steps, 2 * n_steps))
+                short, long = (integrate(z0s[1], ops, kernel, framework, WIN_DT, k * WIN_DT)
+                               for k in (n_steps, 2 * n_steps))
                 for name in ("u_snaps", "v_snaps", "force_snaps"):
                     assert np.array_equal(getattr(short, name),
                                           getattr(long, name)[:n_steps + 1])
@@ -659,7 +671,7 @@ def test_block_path_runs_where_it_applies(exp1, monkeypatch):
     monkeypatch.setattr(evolution, "_integrate_blocks",
                         lambda *args: calls.append(1) or blocks(*args))
 
-    def took_blocks(f, kernel, window, rows=1):
+    def took_blocks(f, kernel, rows=1):
         model = make_model(4, f=f)
         if rows > 1:
             # (E, J) forcing rows, one per member
@@ -667,17 +679,17 @@ def test_block_path_runs_where_it_applies(exp1, monkeypatch):
         z0 = draw_random_state(model, kernel, 1.0, "H1", np.random.default_rng(2))
         calls.clear()
         integrate_ensemble([z0] * rows, assemble(model, kernel), kernel, "history",
-                           WIN_DT, 0.2, window=window)
+                           WIN_DT, 0.2)
         return bool(calls)
 
     # top = window nodes - 1 decides, not the run length of 100 steps
     top_is_block = (evolution.BLOCK + 1) * WIN_DT
-    assert took_blocks("zero", exp1, None)
-    assert took_blocks("zero", exp1, top_is_block)
-    assert not took_blocks("zero", exp1, top_is_block - WIN_DT)
-    assert not took_blocks("zero", TRIANGLE, WIN)
-    assert not took_blocks("cubic", exp1, None)
-    assert not took_blocks("zero", exp1, None, rows=3)
+    assert took_blocks("zero", exp1)
+    assert took_blocks("zero", exp1_cut(top_is_block))
+    assert not took_blocks("zero", exp1_cut(top_is_block - WIN_DT))
+    assert not took_blocks("zero", triangle(WIN))
+    assert not took_blocks("cubic", exp1)
+    assert not took_blocks("zero", exp1, rows=3)
 
 
 @pytest.mark.parametrize("lam2,u0,t_blow", [
@@ -1039,9 +1051,10 @@ def test_window_truncation_bound(exp1):
     ops = linear_ops(lam)
     dt = 5e-3
     full = integrate(z0, ops, exp1, "history", dt, 6.0)
-    cut = integrate(z0, ops, exp1, "history", dt, 6.0, window=4.0)
+    kernel = exp1_cut(4.0)
+    cut = integrate(single_mode_state(kernel)[0], ops, kernel, "history", dt, 6.0)
     gap = np.max(np.abs(full.u_snaps - cut.u_snaps))
-    # truncation error is controlled by theta*exp(-delta*window)
+    # truncation error is controlled by theta*exp(-delta*s_max)
     bound = 50 * exp1.theta * math.exp(-exp1.delta_decay * 4.0)
     assert gap < bound
 

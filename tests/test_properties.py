@@ -252,6 +252,7 @@ def test_bridge_map_does_not_increase_norm(exp1, data, iota):
 
 
 COARSE = make_exponential_kernel(1.0, ds=0.1)      # 231 nodes
+COARSE_CUT = make_exponential_kernel(1.0, ds=0.1, s_max=0.2)   # a 20-step window at dt = 1e-2
 
 
 @PROPERTY
@@ -312,23 +313,23 @@ def test_lk_split_superposition(J, delta, data):
        data=st.data())
 def test_ensemble_rows_equal_solo_runs(E, J, f, framework, full_window, data):
     # cubic runs step one at a time; f = "zero" runs a block at a time
-    # under the cutoff window and steps one at a time under a window of 20
-    # steps; either way a row is bitwise the member run alone
+    # under COARSE's cutoff and steps one at a time under COARSE_CUT's
+    # window of 20 steps; either way a row is bitwise the member run alone
+    kernel = COARSE if full_window else COARSE_CUT
     model = make_model(J, f=f, g=data.draw(modes(J)))
-    ops = assemble(model, COARSE)
+    ops = assemble(model, kernel)
     lam = model.lambdas
     field = HistoryField if framework == "history" else StateField
     z0s = []
     for _ in range(E):
-        mem = field.zeros(COARSE, lam)
+        mem = field.zeros(kernel, lam)
         if data.draw(st.booleans()):
             mem.values[:] = np.outer(np.exp(-mem.nodes), data.draw(modes(J)))
         z0s.append(ExtendedVector(ModalVector(data.draw(modes(J)), lam),
                                   ModalVector(data.draw(modes(J)), lam), mem))
-    window = None if full_window else 0.2
-    batch = integrate_ensemble(z0s, ops, COARSE, framework, 1e-2, 0.3, window=window)
+    batch = integrate_ensemble(z0s, ops, kernel, framework, 1e-2, 0.3)
     for z0, traj in zip(z0s, batch):
-        solo = integrate(z0, ops, COARSE, framework, 1e-2, 0.3, window=window)
+        solo = integrate(z0, ops, kernel, framework, 1e-2, 0.3)
         for name in ("u_snaps", "v_snaps", "force_snaps"):
             assert np.array_equal(getattr(traj, name), getattr(solo, name))
 
@@ -353,9 +354,13 @@ def broken_lines(draw):
 @given(kernel=broken_lines(), dt=st.sampled_from([2e-3, 1e-2]), W=st.integers(1, 80),
        seed=st.integers(0, 2 ** 16), scale=st.sampled_from([1e-3, 1.0, 1e3]))
 def test_tabulated_window_matches_direct_sum(kernel, dt, W, seed, scale):
-    # windows of 1..80 steps, shorter and longer than BLOCK and than the
-    # table, on runs two blocks past the window; a broken line states no
-    # decay rate, so every window takes the blocked products
+    # the broken line rescaled to end at W dt, so windows of 1..80 steps,
+    # shorter and longer than BLOCK, on runs two blocks past the window; a
+    # broken line states no decay rate, so every window takes the blocked
+    # products
+    end = W * dt
+    kernel = make_tabulated_kernel(kernel.a * (end / kernel.end), kernel.c, theta=math.e,
+                                   delta_decay=1.0 / end, normalize=True)
     lam = np.array([1.0, 4.0, 9.0])
     n_max = W + 2 * BLOCK + 8
     X = np.random.default_rng(seed).normal(size=(2, n_max + 1, lam.size))
@@ -364,7 +369,7 @@ def test_tabulated_window_matches_direct_sum(kernel, dt, W, seed, scale):
     atol = 1e-14 * max(1.0, kernel.mass)
     for framework, direct in (("history", direct_history_force),
                               ("state", direct_state_force)):
-        mf = MemoryForce(kernel, framework, dt, n_max, W * dt)
+        mf = MemoryForce(kernel, framework, dt, n_max)
         mf.set_initial_memory([HistoryField.zeros(kernel, lam)] * 2)
         for n in range(n_max + 1):
             want = direct(mf, n, X)
@@ -373,7 +378,7 @@ def test_tabulated_window_matches_direct_sum(kernel, dt, W, seed, scale):
         if framework == "history":
             # a constant trajectory: the blocked products read P - P(0),
             # which is exactly 0.0, so the force is too
-            mf = MemoryForce(kernel, framework, dt, n_max, W * dt)
+            mf = MemoryForce(kernel, framework, dt, n_max)
             mf.set_initial_memory([HistoryField.zeros(kernel, lam)] * 2)
             assert mf._q is None
             F = np.array([mf.history_force(n, P) for n in range(n_max + 1)])

@@ -191,18 +191,19 @@ def test_lambda_map_constant_exponential(exp1):
 
 
 def test_lambda_map_jump_term():
+    from memoryflow.spaces import lambda_map_pointwise
     ker = make_jump_exponential_kernel(1.0, [(1.5, 0.4)], ds=0.005)
     rng = np.random.default_rng(5)
     eta = random_smooth_history(ker, scalar_lambdas(), rng)
     taus = np.array([0.25, 0.75, 1.25])
-    got = lambda_map(eta, ker, tau_nodes=taus)
+    got = lambda_map_pointwise(eta, ker, taus)
     s_n, mu_n = ker.jumps[0]
     for row, tau in enumerate(taus):
         # hand-assembled two-term formula
         smooth = -np.sum(np.asarray(ker.mu_prime(tau + eta.nodes))
                          * eta.values[:, 0]) * eta.ds
         jump = mu_n * np.interp(s_n - tau, eta.nodes, eta.values[:, 0])
-        assert got.values[row, 0] == pytest.approx(smooth + jump, rel=1e-12)
+        assert got[row, 0] == pytest.approx(smooth + jump, rel=1e-12)
 
 
 def direct_bridge(eta, kernel, tau):
