@@ -8,9 +8,9 @@ stored (u, v) snapshots through the explicit representation formulas, so
 the history transport is exact and free of CFL constraints.  The coupled
 scheme is second order overall.
 
-A run fills (E, n+1, J) arrays of u, v, the memory force F and the memory
-source X that F reads (lambdas*u for history, lambdas*v for state).  A
-trajectory keeps u, v and F; read-backs form X's rows from u or v.
+A run fills (E, n+1, J) arrays of u, v and the memory force F, which a
+trajectory keeps; only the stepwise path also stores the memory source X
+that F reads (lambdas*u for history, lambdas*v for state).
 
 An ensemble is a batch axis: `integrate_ensemble` steps all members together
 as rows of member-major arrays, and each row is bitwise equal to the same
@@ -349,8 +349,16 @@ def _rk4(ops, u, v, dt, F0, F1, shared=None):
 _PAIRS = np.triu_indices(5, 1)     # (i, j) of the monomials s_i s_j, i < j
 
 
-def _monomials(s):
-    """Rows (1, s_i, s_i s_j for (i, j) in _PAIRS) of rows s of scalars."""
+def _monomials(mf, ns, n_steps):
+    """Rows (1, s_i, s_i s_j for (i, j) in _PAIRS) of `_step_map`'s scalars s
+    at steps ns of a run of n_steps; s past n_steps, and a[n+1] and b[n+1] at
+    n_steps, which its F column does not read, repeat those at n_steps."""
+    n = np.minimum(ns, n_steps)
+    nn = np.stack([n, np.minimum(n + 1, n_steps)])
+    a = mf._gain[np.minimum(nn, mf._top)] if mf.framework == "history" \
+        else np.where(nn > 0, 0.5 * mf.dt * mf.k_dt[0], 0.0)
+    b = np.where(nn > 0, mf._edge[np.minimum(nn, mf.w_nodes)], 0.0)
+    s = np.column_stack([a[0], b[0], a[1], b[1], np.where(n >= mf._top, mf._leave, 0.0)])
     i, j = _PAIRS
     return np.concatenate([np.ones((len(s), 1)), s, s[:, i] * s[:, j]], axis=1)
 
@@ -418,16 +426,15 @@ def _step_map(mf, lam, g):
 
 def _store(U, V, F, n0, uv, forces, dt):
     """Store a pass from step n0: uv, (L, E, J, 2), as (u, v) at steps
-    n0+1..n0+L and forces, (K, E, J), as F at steps n0..n0+K-1; then raise
-    BlowUpError at the end of the first step whose (u, v) left the guard.
-    NaN compares false, so it fails the guard too."""
+    n0+1..n0+L and forces, (K, E, J), as F at steps n0..n0+K-1; if max |u|
+    or max |v| left the guard (NaN fails it), raise BlowUpError at the end
+    of the first step that did."""
     new = slice(n0 + 1, n0 + 1 + len(uv))
     U[:, new] = uv[..., 0].swapaxes(0, 1)
     V[:, new] = uv[..., 1].swapaxes(0, 1)
     F[:, n0:n0 + len(forces)] = forces.swapaxes(0, 1)
-    ok = ((np.abs(U[:, new]) <= BLOWUP_GUARD)
-          & (np.abs(V[:, new]) <= BLOWUP_GUARD)).all(axis=(0, 2))
-    if not ok.all():
+    if not all(np.abs(A[:, new]).max(initial=0.0) <= BLOWUP_GUARD for A in (U, V)):
+        ok = np.maximum(np.abs(U[:, new]), np.abs(V[:, new])).max(axis=(0, 2)) <= BLOWUP_GUARD
         raise BlowUpError((n0 + int(np.argmin(ok))) * dt + dt)
 
 
@@ -439,50 +446,45 @@ def _block_path(ops, mf):
             and mf._top >= BLOCK)
 
 
-def _integrate_blocks(mf, ops, lam, U, V, X, F):
-    """Fill U, V, X and F of an f = None run with a recursive window.
+def _integrate_blocks(mf, ops, lam, U, V, F):
+    """Fill U, V and F of an f = None run with a recursive window.
 
     Steps run in passes of P = min(top, 4 BLOCK) from n = 0; P depends on
     the window only, so a run to T is the prefix of a run to 2T.  The
-    matrix of `_step_map` is a polynomial of degree 2 in its five scalars,
-    so a pass's matrices are one product with its monomial coefficients,
-    composed once, into one (P, J, 11, 5) buffer, and one matrix serves
-    every step from the first multiple of BLOCK past top.  The inputs read
-    rows before the pass (P <= top), so a step is one stacked matmul on
-    views made once; the stores and the blow-up guard (`_store`) run once
-    per pass.
+    matrix of `_step_map` is quadratic in its five scalars, so a pass's
+    matrices are one product of the live `_monomials` (whose coefficients
+    are not all 0.0) with their coefficients, into one (P, J, 11, 5)
+    buffer; one matrix serves every step from the first multiple of BLOCK
+    past top.  The inputs are slices of U or V times lambdas, rows before
+    the pass (P <= top); a step is one stacked matmul on views made once,
+    and the stores and the blow-up guard (`_store`) run once per pass.
     """
-    E, n_steps, J = U.shape[0], U.shape[1] - 1, lam.size
-    dt, top = mf.dt, mf._top
+    E, n_steps, J, top = U.shape[0], U.shape[1] - 1, lam.size, mf._top
+    src = U if mf.framework == "history" else V
     P, on = min(top, 4 * BLOCK), (top // BLOCK + 1) * BLOCK
-    # the scalars of the step from n = 0..n_steps; at n_steps only the F
-    # column is used, which does not read a[n+1] or b[n+1]
-    n = np.arange(n_steps + 1)
-    b = np.where(n > 0, mf._edge[np.minimum(n, mf.w_nodes)], 0.0)
-    a = mf._gain[np.minimum(n, top)] if mf.framework == "history" \
-        else np.where(n > 0, 0.5 * dt * mf.k_dt[0], 0.0)
-    up = np.minimum(n + 1, n_steps)
-    scalars = np.column_stack([a, b, a[up], b[up], np.where(n >= top, mf._leave, 0.0)])
     coef = _step_map(mf, lam, ops.g).reshape(16, -1)
-    steady = (_monomials(scalars[[min(top + 1, n_steps)]]) @ coef).reshape(J, 11, 5)
-
+    # all 16 monomials: a one-row product's bits can depend on its length
+    steady = (_monomials(mf, np.array([top + 1]), n_steps) @ coef).reshape(J, 11, 5)
+    live = np.flatnonzero(coef.any(axis=1))
+    coef = coef[live]
     M = np.empty((P, J, 11, 5))                # the step matrices of a pass
     z = np.zeros((P + 1, E, J, 1, 11))         # the rows of `_step_map`, per step
     z[0, :, :, 0, 0], z[0, :, :, 0, 1] = U[:, 0], V[:, 0]
     z[..., 10] = 1.0
     steps = [(z[l], M[l], z[l + 1, ..., :5]) for l in range(P)]
     for n0 in range(0, n_steps + 1, P):
-        ns = n0 + np.arange(P)
         if n0 < on:
-            np.matmul(_monomials(scalars[np.minimum(ns, n_steps)]), coef,
+            np.matmul(_monomials(mf, n0 + np.arange(P), n_steps)[:, live], coef,
                       out=M.reshape(P, -1))
             M[on - n0:] = steady               # empty unless `on` falls in the pass
         elif n0 < on + P:
             M[:] = steady
-        for k, rows in enumerate([ns - np.minimum(ns, top + 1),
-                                  ns + 1 - np.minimum(ns + 1, top + 1),
-                                  np.maximum(ns - top, 0)]):
-            z[:P, :, :, 0, 5 + k] = X[:, rows].swapaxes(0, 1)
+        # slot 5 takes x0 = X[max(n - top - 1, 0)], 6 and 7 x1 = xt = X[max(n - top, 0)]
+        for k, lag in ((5, top + 1), (6, top)):
+            x, first = z[:P, :, :, 0, k].swapaxes(0, 1), min(max(lag - n0, 0), P)
+            x[:, :first] = lam * src[:, :1]
+            np.multiply(lam, src[:, n0 + first - lag:n0 + P - lag], out=x[:, first:])
+        z[:P, :, :, 0, 7] = z[:P, :, :, 0, 6]
         # BLOCK + 1 rows at a time bound the (rows, nodes) weights of initial_terms
         for k in range(0, P, BLOCK) if mf._mem0 else ():
             mem = mf.initial_terms(np.arange(n0 + k, n0 + min(k + BLOCK, P) + 1))
@@ -495,18 +497,16 @@ def _integrate_blocks(mf, ops, lam, U, V, X, F):
         with np.errstate(over="ignore", invalid="ignore"):
             for zl, Ml, out in steps[:last]:
                 np.matmul(zl, Ml, out=out)
-            _store(U, V, F, n0, z[1:L + 1, :, :, 0, :2], z[1:last + 1, :, :, 0, 4], dt)
-            new = slice(n0 + 1, n0 + L + 1)
-            X[:, new] = lam * (U if mf.framework == "history" else V)[:, new]
+            _store(U, V, F, n0, z[1:L + 1, :, :, 0, :2], z[1:last + 1, :, :, 0, 4], mf.dt)
         z[0] = z[L]
 
 
 def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end):
     """Advance all members of z0s together to t_end; one trajectory each.
 
-    Members are rows of member-major (E, n+1, J) arrays and each trajectory
-    holds contiguous views of its row, which is bitwise equal to the member
-    integrated alone.  Every z0.memory must match the framework (history
+    Members are rows of member-major (E, n+1, J) arrays of u, v and F, and
+    each trajectory holds contiguous views of its rows, which are bitwise
+    equal to the member integrated alone.  Every z0.memory must match the framework (history
     field or state field).  The memory window ends at the kernel's support
     cutoff s_max, which the decay certificate makes safe to 1e-10.
     """
@@ -522,15 +522,14 @@ def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end):
     lam = np.asarray(ops.lambdas, dtype=float)
     n_steps = int(round(t_end / dt))
 
-    U, V, X, F = (np.empty((len(z0s), n_steps + 1, lam.size)) for _ in range(4))
+    U, V, F = (np.empty((len(z0s), n_steps + 1, lam.size)) for _ in range(3))
     U[:, 0] = [z0.u.coeffs for z0 in z0s]
     V[:, 0] = [z0.v.coeffs for z0 in z0s]
-    X[:, 0] = lam * (U if framework == "history" else V)[:, 0]
 
     mf = MemoryForce(kernel, framework, dt, n_steps)
     mf.set_initial_memory([z0.memory for z0 in z0s])
     advance = _integrate_blocks if _block_path(ops, mf) else _integrate_steps
-    advance(mf, ops, lam, U, V, X, F)
+    advance(mf, ops, lam, U, V, F)
 
     times = np.arange(n_steps + 1) * dt
     return [Trajectory(
@@ -555,21 +554,23 @@ def _stage_coefficients(lam, dt):
             for c in (args[1:2], args[2:3], args[3:4], wp, args[4:], wn)]
 
 
-def _integrate_steps(mf, ops, lam, U, V, X, F):
-    """Fill U, V, X and F one predictor-corrector step at a time, on the slots
-    of `_stage_coefficients`, filled in slot order.
+def _integrate_steps(mf, ops, lam, U, V, F):
+    """Fill U, V and F one predictor-corrector step at a time, on the slots of
+    `_stage_coefficients`, filled in slot order.
 
     Step n fills row r = n mod BLOCK of a (BLOCK + 1, E, J, 10) slot array,
     and its corrector writes (u, v) at n+1 into row r+1, which f and the
     next step read.  Each u-stage and pass result is one `np.vecdot` of a
     slot prefix with per-mode coefficient rows (the predictor's u or v
     column only), so a batch row has the bits of its member run alone; with
-    f = None the f slots stay 0.0.  X is written every step, since the
-    force reads it; the U, V and F stores and the blow-up guard (`_store`)
-    run once per BLOCK steps.
+    f = None the f slots stay 0.0.  The memory source X that the force reads
+    is an (E, n+1, J) array of the run, written every step; the U, V and F
+    stores and the blow-up guard (`_store`) run once per BLOCK steps.
     """
     E, n_steps, dt, f = U.shape[0], U.shape[1] - 1, mf.dt, ops.f
     src = 0 if mf.framework == "history" else 1
+    X = np.empty_like(U)
+    X[:, 0] = lam * (U, V)[src][:, 0]
     s2, s3, s4, pred, s4c, corr = _stage_coefficients(lam, dt)
     # contiguous (J, k) rows of one column; the corrector's (u, v) as (J, 2, 10)
     col = lambda c, k, i=0: np.ascontiguousarray(c[:, :k, i])

@@ -8,13 +8,15 @@ import pytest
 from memoryflow import cli
 from memoryflow.attractors import load_cloud_csv
 from memoryflow.cli import ExperimentConfig, main
+from memoryflow.evolution import integrate_ensemble
 from memoryflow.kernels import (
     KernelError,
     KernelFileError,
     _read_kernel_table,
     load_kernel_file,
 )
-from memoryflow.viscoelastic import _read_eigenfile, load_g_csv, load_model_file
+from memoryflow.spaces import ExtendedVector, lambda_map
+from memoryflow.viscoelastic import _read_eigenfile, assemble, load_g_csv, load_model_file
 
 
 @pytest.fixture()
@@ -306,6 +308,27 @@ def test_compare_matches_oracle(workdir, capsys):
     data = np.loadtxt(workdir / "cmp" / "compare.csv", delimiter=",",
                       skiprows=1)
     assert data.shape[0] == 2
+
+
+def test_compare_gap_is_the_largest_uv_gap_of_the_two_runs(workdir, capsys):
+    # compare takes |du| and |dv| in place of the history rows; its gaps are
+    # still those of the two runs, bit for bit
+    config = str(workdir / "config.json")
+    assert main(["--tol", "1e-5", "compare", "--config", config,
+                 "--out", str(workdir / "cmp")]) == 0
+    cfg = ExperimentConfig.from_file(config)
+    model, kernel = cli.load_experiment(cfg)
+    ops = assemble(model, kernel)
+    z0s = [cli.initial_state(cfg, model, kernel, k) for k in range(cfg.ensemble)]
+    hist = integrate_ensemble(z0s, ops, kernel, "history", cfg.dt, cfg.t_end)
+    z0s = [ExtendedVector(z.u.copy(), z.v.copy(), lambda_map(z.memory, kernel))
+           for z in z0s]
+    state = integrate_ensemble(z0s, ops, kernel, "state", cfg.dt, cfg.t_end)
+    gaps = [max(np.max(np.abs(h.u_snaps - s.u_snaps)), np.max(np.abs(h.v_snaps - s.v_snaps)))
+            for h, s in zip(hist, state)]
+    data = np.loadtxt(workdir / "cmp" / "compare.csv", delimiter=",", skiprows=1)
+    assert list(data[:, 1]) == gaps
+    assert read_summary(workdir / "cmp")["worst_uv_gap"] == max(gaps) > 0.0
 
 
 def test_compare_tolerance_failure(workdir, capsys):

@@ -665,6 +665,23 @@ def test_block_path_prefix_property_at_one_and_two_passes(exp1):
                                           getattr(long, name)[:n_steps + 1])
 
 
+def test_block_path_bits_where_the_window_fills():
+    # top = 300, P = 128: the pass from step 256 holds n = top and top + 1,
+    # where the inputs x1, xt and then x0 leave row 0 for slices of u or v
+    kernel = exp1_cut(301 * WIN_DT)
+    assert pass_length(kernel) == (300, 128)
+    ops, runs = window_runs(kernel, "zero")
+    for framework, z0s in runs:
+        z0s = z0s[:2]               # the second has nonzero initial memory
+        short, long = (integrate_ensemble(z0s, ops, kernel, framework, WIN_DT, k * WIN_DT)
+                       for k in (330, 660))
+        for e, z0 in enumerate(z0s):
+            solo = integrate(z0, ops, kernel, framework, WIN_DT, 660 * WIN_DT)
+            for name in ("u_snaps", "v_snaps", "force_snaps"):
+                assert np.array_equal(getattr(short[e], name), getattr(long[e], name)[:331])
+                assert np.array_equal(getattr(long[e], name), getattr(solo, name))
+
+
 def test_block_path_runs_where_it_applies(exp1, monkeypatch):
     calls = []
     blocks = evolution._integrate_blocks
@@ -959,10 +976,11 @@ def test_readback_at_a_fractional_step_ratio_is_rank_one(monkeypatch):
 
 @pytest.mark.parametrize("framework", ["history", "state"])
 def test_returned_batch_holds_u_v_and_force_only(framework):
-    # a trajectory keeps its (n+1, J) rows of u, v and F, and the run's
-    # memory-source array is freed when it returns: about 3.1 arrays of
-    # (E, n+1, J) with the grid and the initial memory, where u, v, F and
-    # the two stored memory sources were 5.1
+    # a trajectory keeps its (n+1, J) rows of u, v and F: about 3.1 arrays
+    # of (E, n+1, J) with the grid and the initial memory, where u, v, F and
+    # the two stored memory sources were 5.1.  The run takes the block path,
+    # which stores no memory-source array, so it peaks below 3.5 arrays
+    # (u, v, F, a pass's step matrices and the kernel tables)
     kernel = make_exponential_kernel(2.0)
     model = make_model(32, f="zero")
     lam = model.lambdas
@@ -976,11 +994,12 @@ def test_returned_batch_holds_u_v_and_force_only(framework):
     try:
         before = tracemalloc.get_traced_memory()[0]
         trajs = integrate_ensemble(z0s, ops, kernel, framework, dt, n_steps * dt)
-        held = tracemalloc.get_traced_memory()[0] - before
+        held, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
     assert trajs[0].n_steps == n_steps
     assert 3.0 < held / array_bytes < 3.5
+    assert peak / array_bytes < 3.5
 
 
 # -- cross-framework and structural properties -----------------------------------
