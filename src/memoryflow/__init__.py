@@ -10,13 +10,11 @@ from .attractors import (
     box_counting_dim,
     cloud_from_states,
     hausdorff_semidist,
-    invariance_residual,
 )
 from .evolution import (
     BlowUpError,
     ModelOperators,
     Trajectory,
-    holder_growth_probe,
     integrate,
     integrate_ensemble,
     intertwine_residual,
@@ -29,7 +27,6 @@ from .kernels import (
     check_dafermos,
     check_nec,
     flatness_rate,
-    k_from_mu,
     load_kernel_file,
     make_exponential_kernel,
     make_flatzone_kernel,
@@ -44,20 +41,15 @@ from .spaces import (
     ModalVector,
     StateField,
     big_l_map,
-    h_functional,
     lambda_identity_residual,
     lambda_map,
     norm_H,
-    right_translate,
-    tail_function,
 )
 from .viscoelastic import (
     GalerkinModel,
     assemble,
     condition_asso_probe,
-    dissipation_integral_probe,
     energy_sigma,
-    gamma_functional,
     hypothesis_probe_suite,
     lk_split,
     load_model_file,

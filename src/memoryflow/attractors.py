@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import _read_table
-from .spaces import ExtendedVector, ModalVector, save_rows
+from .spaces import save_rows
 
 FIT_FLOOR = 1e-10           # distances below this are floating-point noise
 FIT_SKIP_FRACTION = 0.2     # leading transient excluded from rate fits
@@ -25,7 +25,6 @@ class PointCloud:
     points: np.ndarray
     label: str = ""
     norm: str = "H0"
-    layout: object = None          # optional CloudLayout for unflattening
 
     def __post_init__(self):
         self.points = np.atleast_2d(np.asarray(self.points, dtype=float))
@@ -42,53 +41,24 @@ class PointCloud:
         return self.points.shape[0]
 
 
-@dataclass
-class CloudLayout:
-    """Weights to flatten an extended state into norm-true coordinates."""
-    lambdas: np.ndarray
-    weights: np.ndarray
-    iota: int
-    memory_stride: int = 1
-
-    def flatten(self, z):
-        lam = self.lambdas
-        w_u = lam ** ((self.iota + 1) / 2.0)
-        w_v = lam ** (self.iota / 2.0)
-        blocks = [w_u * z.u.coeffs, w_v * z.v.coeffs]
-        st = self.memory_stride
-        vals = z.memory.values[::st]
-        w_mem = np.sqrt(self.weights[::st] * st)[:, None] \
-            * (lam ** ((self.iota - 1) / 2.0))[None, :]
-        blocks.append((w_mem * vals).ravel())
-        return np.concatenate(blocks)
-
-    def unflatten(self, x, memory_template):
-        lam = self.lambdas
-        J = lam.size
-        u = x[:J] / lam ** ((self.iota + 1) / 2.0)
-        v = x[J:2 * J] / lam ** (self.iota / 2.0)
-        mem = memory_template.copy()
-        st = self.memory_stride
-        w_mem = np.sqrt(self.weights[::st] * st)[:, None] \
-            * (lam ** ((self.iota - 1) / 2.0))[None, :]
-        vals = x[2 * J:].reshape(-1, J)
-        mem.values[:] = 0.0
-        mem.values[::st] = np.where(w_mem > 0, vals / np.where(w_mem > 0, w_mem, 1.0), 0.0)
-        return ExtendedVector(ModalVector(u, lam), ModalVector(v, lam), mem)
-
-
 def cloud_from_states(states, label="", iota=0, memory_stride=1):
     """Flatten extended states into a cloud; distances equal extended norms.
 
-    memory_stride thins the memory block (with weight rescaling) to keep
-    cloud dimensions manageable for large grids.
+    Coordinates are u and v weighted by lambda^((iota+1)/2) and
+    lambda^(iota/2), then the memory rows weighted by the square root of
+    their node weights times lambda^((iota-1)/2).  memory_stride thins the
+    memory block (with weight rescaling) to keep cloud dimensions
+    manageable for large grids.
     """
-    z0 = states[0]
-    mem = z0.memory
-    layout = CloudLayout(lambdas=z0.u.lambdas, weights=mem.weights, iota=iota,
-                         memory_stride=memory_stride)
-    pts = np.stack([layout.flatten(z) for z in states])
-    return PointCloud(pts, label=label, norm="H%d" % iota, layout=layout)
+    lam, st = states[0].u.lambdas, memory_stride
+    w_u = lam ** ((iota + 1) / 2.0)
+    w_v = lam ** (iota / 2.0)
+    w_mem = np.sqrt(states[0].memory.weights[::st] * st)[:, None] \
+        * (lam ** ((iota - 1) / 2.0))[None, :]
+    pts = np.stack([np.concatenate([w_u * z.u.coeffs, w_v * z.v.coeffs,
+                                    (w_mem * z.memory.values[::st]).ravel()])
+                    for z in states])
+    return PointCloud(pts, label=label, norm="H%d" % iota)
 
 
 def hausdorff_semidist(b1, b2):
@@ -141,17 +111,6 @@ def attraction_rate(dist_series):
     r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
     return RateFit(omega=float(-slope), q=float(np.exp(intercept)),
                    r_squared=r2, n_used=int(np.count_nonzero(keep)))
-
-
-def invariance_residual(e_cloud, stepper, t):
-    """Semidistance of the advanced cloud from itself after time t.
-
-    stepper maps a (n, d) array of flattened states to their images; zero
-    residual means positive invariance at the sampling resolution.
-    """
-    advanced = PointCloud(stepper(e_cloud.points, t), label=e_cloud.label,
-                          norm=e_cloud.norm, layout=e_cloud.layout)
-    return hausdorff_semidist(advanced, e_cloud)
 
 
 @dataclass

@@ -175,10 +175,6 @@ def write_summary(out_dir, payload):
     print(text)
 
 
-def write_csv(path, header, rows):
-    save_rows(path, ",".join(header), rows)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -292,8 +288,7 @@ def cmd_compare(args):
                         for h, s in ((u_h, traj_s.u_snaps), (v_h, traj_s.v_snaps))))
         worst = max(worst, gap)
         rows.append((float(k), gap))
-    write_csv(os.path.join(cfg.out_dir, "compare.csv"),
-              ["member", "max_uv_gap"], rows)
+    save_rows(os.path.join(cfg.out_dir, "compare.csv"), "member,max_uv_gap", rows)
     ok = worst <= args.tol
     write_summary(cfg.out_dir, {
         "command": "compare", "worst_uv_gap": worst, "tolerance": args.tol,
@@ -332,14 +327,13 @@ def cmd_energy_report(args):
                              model, kernel)
         gam = es + args.eps * phi
         rows.append((t, e0, es, phi, gam, dissipation_rhs(z, 0.0, kernel, mem_sq)))
-        # phi_control_ratio's |Phi| / ||z||^2_sigma, without a second Phi
+        # the control ratio |Phi| / ||z||^2_sigma, without a second Phi
         norm_sq = norm ** 2
         if norm_sq != 0.0:
             phi_c = max(phi_c, abs(phi) / norm_sq)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    write_csv(os.path.join(cfg.out_dir, "energy.csv"),
-              ["time", "E0", "E_sigma", "Phi", "Gamma", "dissipation_rhs"],
-              rows)
+    save_rows(os.path.join(cfg.out_dir, "energy.csv"),
+              "time,E0,E_sigma,Phi,Gamma,dissipation_rhs", rows)
     gammas = np.array([r[4] for r in rows])
     fit = {}
     if np.all(gammas > 0):
@@ -375,9 +369,8 @@ def cmd_lk_split(args):
         idx = res.d_traj.index_of(t)
         rows.append((t, nl, nk1, res.residual_rel[idx]))
     os.makedirs(cfg.out_dir, exist_ok=True)
-    write_csv(os.path.join(cfg.out_dir, "lk_split.csv"),
-              ["time", "norm_L_H0", "norm_K_H1", "superposition_residual"],
-              rows)
+    save_rows(os.path.join(cfg.out_dir, "lk_split.csv"),
+              "time,norm_L_H0,norm_K_H1,superposition_residual", rows)
     l_fit = attraction_rate(np.column_stack([ts, [r[1] for r in rows]])) \
         if not res.degenerate else None
     write_summary(cfg.out_dir, {
@@ -398,8 +391,7 @@ def cmd_hypotheses(args):
                                  t_end=cfg.t_end, dt=cfg.dt,
                                  ensemble=cfg.ensemble, seed=cfg.seed)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    write_csv(os.path.join(cfg.out_dir, "hypotheses.csv"),
-              ["radius", "plateau_H1", "accel_sup"],
+    save_rows(os.path.join(cfg.out_dir, "hypotheses.csv"), "radius,plateau_H1,accel_sup",
               [(r, rep.plateau_h1[r], rep.accel_sup[r]) for r in rep.radii])
     write_summary(cfg.out_dir, {
         "command": "hypotheses", "radii": list(rep.radii),
@@ -445,7 +437,7 @@ def cmd_attract(args):
     rows.sort()
     out_dir = os.path.dirname(os.path.abspath(args.out))
     os.makedirs(out_dir, exist_ok=True)
-    write_csv(args.out, ["time", "dist"], rows)
+    save_rows(args.out, "time,dist", rows)
     try:
         fit = attraction_rate(np.array(rows))
         summary = {"command": "attract", "omega": fit.omega, "Q": fit.q,

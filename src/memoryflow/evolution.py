@@ -46,7 +46,6 @@ from .spaces import (
     ModalVector,
     StateField,
     lambda_map,
-    norm_H,
     save_rows,
 )
 
@@ -714,33 +713,6 @@ def intertwine_residual(z0, ops, kernel, t_end, dt, *, n_samples=8):
                             + dxi.norm(0) ** 2))
         worst = max(worst, gap)
     return worst
-
-
-@dataclass
-class GrowthFit:
-    rate: float
-    q: float
-    degenerate: bool
-
-
-def holder_growth_probe(z1, z2, ops, kernel, framework, t_end, dt, *,
-                        n_samples=25):
-    """Fit log separation of two trajectories against time.
-
-    Reports the least-squares slope and intercept; separations below the
-    floating-point floor make the probe degenerate.
-    """
-    traj1, traj2 = integrate_ensemble([z1, z2], ops, kernel, framework, dt, t_end)
-    ts = sample_times(t_end, dt, n_samples)
-    seps = np.empty(ts.size)
-    for i, t in enumerate(ts):
-        d = traj1.state_at(t, kernel) - traj2.state_at(t, kernel)
-        seps[i] = norm_H(d, 0)
-    if np.all(seps < 1e-14):
-        return GrowthFit(0.0, 0.0, True)
-    ok = seps > 1e-300
-    coeffs = np.polyfit(ts[ok], np.log(seps[ok]), 1)
-    return GrowthFit(float(coeffs[0]), float(np.exp(coeffs[1])), False)
 
 
 # ---------------------------------------------------------------------------

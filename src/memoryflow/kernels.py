@@ -82,6 +82,11 @@ class MemoryKernel:
             raise KernelError("delta_decay must be positive")
         if ds <= 0 or (s_max is not None and s_max <= 0):
             raise KernelError("s_max and ds must be positive")
+        span = s_max if s_max is not None else end if math.isfinite(end) \
+            else math.log(theta / TAIL_FLOOR) / delta_decay
+        if not math.isfinite(span / ds):
+            raise KernelError("s_max = %g over ds = %g is not a finite number of grid "
+                              "nodes" % (span, ds))
         a, c, r, beta = np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1)
                                               for v in (a, c, r, beta)))
         end = float(end)
@@ -193,13 +198,6 @@ class MemoryKernel:
         return float(self.k(0.0))
 
     @property
-    def d_const(self):
-        """Smallest D on the grid with k(s) <= D*mu(s)."""
-        pos = self.mu_grid > 0
-        ratios = self.k(self.grid[pos]) / self.mu_grid[pos]
-        return float(np.max(ratios))
-
-    @property
     def has_jumps(self):
         return len(self.jumps) > 0
 
@@ -304,15 +302,6 @@ def make_tabulated_kernel(s_pts, mu_pts, *, theta, delta_decay,
 # ---------------------------------------------------------------------------
 # checks and derived operations
 # ---------------------------------------------------------------------------
-
-def k_from_mu(kernel, s):
-    """Tail integral of mu from s to the support cutoff (0 beyond it)."""
-    s = _as_array(s)
-    if np.any(s < 0):
-        raise KernelError("s must be nonnegative")
-    out = kernel.k(s)
-    return float(out) if np.ndim(s) == 0 else out
-
 
 @dataclass
 class NecResult:
@@ -548,10 +537,11 @@ def load_kernel_file(path):
     spec = _read_json_object(path, KernelFileError)
 
     def positive(name, default=None, required=False):
-        # a finite number > 0, or the default when the field is absent
-        value = spec.get(name, default)
-        if value is None and not required:
-            return None
+        # a finite number > 0, or the default when the field is absent (a
+        # present null is refused, not read as absent)
+        if name not in spec and not required:
+            return default
+        value = spec.get(name)
         if not (finite_number(value) and value > 0):
             raise KernelFileError("kernel field %r must be a finite number > 0, not %r "
                                   "in %s" % (name, value, path))

@@ -107,14 +107,6 @@ class HistoryField(_GridField):
         return cls(nodes, np.zeros((nodes.size, lambdas.size)),
                    kernel.mu_grid * kernel.ds, lambdas, kernel.ds)
 
-    @classmethod
-    def from_profile(cls, kernel, lambdas, profile):
-        """Sample profile(s) -> (J,) row (or scalar for J=1) on the grid."""
-        out = cls.zeros(kernel, lambdas)
-        for i, s in enumerate(out.nodes):
-            out.values[i] = profile(s)
-        return out
-
 
 class StateField(_GridField):
     """Minimal-state variable xi(tau) with node weights nu(tau)*dtau.
@@ -183,51 +175,6 @@ def norm_H(z, iota=0):
     return float(np.sqrt(z.u.sigma_norm(iota + 1) ** 2
                          + z.v.sigma_norm(iota) ** 2
                          + z.memory.norm(iota) ** 2))
-
-
-# ---------------------------------------------------------------------------
-# tail function and compactness functional
-# ---------------------------------------------------------------------------
-
-def tail_function(eta, y):
-    """Weighted mass of eta beyond y.
-
-    Quadrature over the nodes at or beyond y, with the node cell straddling
-    y counted by its covered fraction, so the value is the exact integral of
-    the per-cell constant extension of mu(s)*||eta(s)||_{-1}^2.
-    """
-    if y < 1.0:
-        raise ValueError("tail function is defined for y >= 1")
-    lamw = eta.lambdas ** (-1.0)
-    contrib = eta.weights * (eta.values ** 2 @ lamw)
-    cover = np.clip((eta.nodes + 0.5 * eta.ds - y) / eta.ds, 0.0, 1.0)
-    return float(np.sum(cover * contrib))
-
-
-def s_derivative(eta):
-    """Centered finite-difference derivative in s, one-sided at the ends."""
-    vals = np.gradient(eta.values, eta.nodes, axis=0)
-    return type(eta)(eta.nodes, vals, eta.weights, eta.lambdas, eta.ds)
-
-
-def h_functional(eta, eta_prime=None):
-    """||eta'||_{M0}^2 plus the sup over grid nodes y >= 1 of y * tail(y).
-
-    eta_prime defaults to the finite-difference derivative of eta; if given
-    it must live on the same grid.
-    """
-    if eta_prime is None:
-        eta_prime = s_derivative(eta)
-    if eta_prime.nodes.size != eta.nodes.size or \
-            np.max(np.abs(eta_prime.nodes - eta.nodes)) > GRID_EQ_TOL:
-        raise ValueError("grid mismatch")
-    lamw = eta.lambdas ** (-1.0)
-    contrib = eta.weights * (eta.values ** 2 @ lamw)
-    # tails at every node: reverse cumulative sum, half of the node's own cell
-    tails = np.cumsum(contrib[::-1])[::-1] - 0.5 * contrib
-    sel = eta.nodes >= 1.0
-    sup_term = float(np.max(eta.nodes[sel] * tails[sel])) if np.any(sel) else 0.0
-    return eta_prime.norm(0) ** 2 + sup_term
 
 
 # ---------------------------------------------------------------------------
@@ -307,34 +254,6 @@ def big_l_map(z, kernel):
     if not isinstance(z.memory, HistoryField):
         raise ValueError("memory must be a history field")
     return ExtendedVector(z.u.copy(), z.v.copy(), lambda_map(z.memory, kernel))
-
-
-# ---------------------------------------------------------------------------
-# translation semigroup
-# ---------------------------------------------------------------------------
-
-def right_translate(eta, t):
-    """(R(t) eta)(s) = eta(s - t) for s > t, zero otherwise.
-
-    Shifts by whole cells are exact; fractional shifts interpolate linearly.
-    """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return eta.copy()
-    n_cells = t / eta.ds
-    k = int(round(n_cells))
-    vals = np.zeros_like(eta.values)
-    if abs(n_cells - k) < 1e-9:
-        if k < eta.nodes.size:
-            vals[k:] = eta.values[:eta.nodes.size - k]
-    else:
-        pts = eta.nodes - t
-        for j in range(eta.lambdas.size):
-            vals[:, j] = np.interp(pts, eta.nodes, eta.values[:, j],
-                                   left=0.0, right=0.0)
-        vals[eta.nodes <= t] = 0.0
-    return type(eta)(eta.nodes, vals, eta.weights, eta.lambdas, eta.ds)
 
 
 # ---------------------------------------------------------------------------

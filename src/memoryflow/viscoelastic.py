@@ -245,38 +245,6 @@ def phi_functional(z, sigma, nu_small, delta_split, model, kernel):
     return t1 + t2 + t3
 
 
-def phi_control_ratio(z, sigma, nu_small, delta_split, model, kernel):
-    """Observed constant in |Phi| <= C * ||state||^2."""
-    denom = sigma_state_norm(z, sigma) ** 2
-    if denom == 0.0:
-        return 0.0
-    return abs(phi_functional(z, sigma, nu_small, delta_split, model, kernel)) / denom
-
-
-def gamma_functional(z, sigma, eps, nu_small, delta_split, model, kernel):
-    """E_sigma + eps * Phi."""
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    e = energy_sigma(z, sigma, model)
-    if eps == 0.0:
-        return e
-    return e + eps * phi_functional(z, sigma, nu_small, delta_split, model, kernel)
-
-
-def dissipation_integral_probe(traj, eps_level):
-    """sup over windows [tau, t] of int ||u_t|| dy - eps*(t - tau).
-
-    A finite value supports the averaged-dissipation bound; zero for
-    trajectories at rest.
-    """
-    speed = np.sqrt(np.sum(traj.v_snaps ** 2, axis=1))
-    dt = traj.dt
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * (speed[1:] + speed[:-1]) * dt)])
-    drift = cum - eps_level * traj.times
-    running_min = np.minimum.accumulate(drift)
-    return float(np.max(drift - running_min))
-
-
 # ---------------------------------------------------------------------------
 # trajectory difference decomposition
 # ---------------------------------------------------------------------------

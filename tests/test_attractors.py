@@ -9,12 +9,13 @@ from memoryflow.attractors import (
     box_counting_dim,
     cloud_from_states,
     hausdorff_semidist,
-    invariance_residual,
     load_cloud_csv,
     save_cloud_csv,
 )
 from memoryflow.kernels import make_exponential_kernel
 from memoryflow.spaces import ExtendedVector, HistoryField, ModalVector, norm_H
+
+from support import invariance_residual, unflatten
 
 
 def brute_force_semidist(a, b):
@@ -206,7 +207,7 @@ def test_cloud_layout_roundtrip():
     z = ExtendedVector(ModalVector(rng.normal(size=2), lam),
                        ModalVector(rng.normal(size=2), lam), eta)
     cloud = cloud_from_states([z], iota=0)
-    back = cloud.layout.unflatten(cloud.points[0], eta)
+    back = unflatten(cloud.points[0], eta)
     assert np.allclose(back.u.coeffs, z.u.coeffs, atol=1e-12)
     assert np.allclose(back.memory.values, eta.values, atol=1e-10)
 

@@ -71,8 +71,8 @@ def test_kernel_check_inadmissible(tmp_path, capsys):
 
 @pytest.mark.parametrize("field,value", [
     ("delta", math.nan), ("delta", 0.0), ("delta", "2"), ("delta", None),
-    ("ds", math.inf), ("ds", -1e-3), ("s_max", math.nan), ("s_max", 0),
-    ("theta", math.nan), ("theta", -1.0)])
+    ("ds", math.inf), ("ds", -1e-3), ("ds", None), ("s_max", math.nan), ("s_max", 0),
+    ("s_max", None), ("theta", math.nan), ("theta", -1.0)])
 def test_kernel_file_rejects_bad_number(workdir, field, value, capsys):
     # NaN used to fail deep inside the grid set-up, naming no field
     if field == "theta":
@@ -181,6 +181,20 @@ def test_kernel_check_empty_grid_is_a_failed_check(workdir, capsys):
     assert main(["kernel", "check", str(kernel)]) == 1
     err = capsys.readouterr().err
     assert "kernel check failed" in err and "quadrature grid is empty" in err
+
+
+@pytest.mark.parametrize("field,value", [("s_max", 1e308), ("ds", 1e-308)])
+def test_kernel_grid_without_a_finite_node_count(workdir, capsys, field, value):
+    # s_max/ds, or the tail bound over ds, overflowed to inf, and kernel check
+    # and simulate died with an OverflowError traceback
+    kernel = workdir / "exp1.kernel.json"
+    kernel.write_text(json.dumps({"family": "exponential", "delta": 1.0, field: value}))
+    assert main(["kernel", "check", str(kernel)]) == 1
+    err = capsys.readouterr().err
+    assert "kernel check failed" in err and "not a finite number of grid nodes" in err
+    assert main(["simulate", "--config", str(workdir / "config.json"),
+                 "--out", str(workdir / "out")]) == 2
+    assert "not a finite number of grid nodes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", ["exp1.kernel.json", "model.json", "config.json"],
@@ -599,14 +613,15 @@ def test_energy_report(workdir, capsys):
 def test_energy_report_matches_per_sample_functionals(workdir, monkeypatch, sigma):
     from memoryflow import viscoelastic
     from memoryflow.evolution import integrate, sample_times
-    from memoryflow.viscoelastic import (assemble, dissipation_rhs, energy_sigma,
-                                         phi_control_ratio, phi_functional)
+    from memoryflow.spaces import save_rows
+    from memoryflow.viscoelastic import assemble, dissipation_rhs, energy_sigma, phi_functional
+    from support import phi_control_ratio
     (workdir / "model_cubic.json").write_text(json.dumps({
         "J": 3, "f": "cubic", "g": [0.5, 0.0, 0.3], "kernel": "exp1.kernel.json"}))
     cfg = json.loads((workdir / "config.json").read_text())
     cfg["model"] = "model_cubic.json"
     (workdir / "energy.json").write_text(json.dumps(cfg))
-    # counted under both names, so a call through phi_control_ratio counts too
+    # counted under both names, so a call from within viscoelastic counts too
     phi_calls = []
     for module in (cli, viscoelastic):
         monkeypatch.setattr(module, "phi_functional",
@@ -632,8 +647,7 @@ def test_energy_report_matches_per_sample_functionals(workdir, monkeypatch, sigm
         rows.append((t, energy_sigma(z, 0.0, model), es, phi, es + eps * phi,
                      dissipation_rhs(z, 0.0, kernel)))
         phi_c = max(phi_c, phi_control_ratio(z, sigma, nu, split, model, kernel))
-    cli.write_csv(str(workdir / "want.csv"),
-                  ["time", "E0", "E_sigma", "Phi", "Gamma", "dissipation_rhs"], rows)
+    save_rows(str(workdir / "want.csv"), "time,E0,E_sigma,Phi,Gamma,dissipation_rhs", rows)
     assert ((workdir / "en" / "energy.csv").read_bytes()
             == (workdir / "want.csv").read_bytes())
     assert read_summary(workdir / "en")["phi_control_constant"] == phi_c

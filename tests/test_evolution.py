@@ -23,7 +23,6 @@ from memoryflow.evolution import (
     BlowUpError,
     ModelOperators,
     Trajectory,
-    holder_growth_probe,
     integrate,
     integrate_ensemble,
     intertwine_residual,
@@ -33,7 +32,14 @@ from memoryflow.evolution import (
 )
 from memoryflow.viscoelastic import assemble, draw_random_state, f_modal, make_model
 
-from support import direct_history_force, direct_state_force, record_kernel_calls
+from support import (
+    direct_history_force,
+    direct_state_force,
+    history_from_profile,
+    holder_growth_probe,
+    record_kernel_calls,
+    right_translate,
+)
 
 
 @pytest.fixture(scope="module")
@@ -129,7 +135,7 @@ def test_integrate_ensemble_matches_solo_runs(exp1):
         lam = model.lambdas
         z0s = [draw_random_state(model, exp1, 1.0, "H1", np.random.default_rng([5, e]))
                for e in range(4)]
-        z0s[2].memory = HistoryField.from_profile(
+        z0s[2].memory = history_from_profile(
             exp1, lam, lambda s: 0.1 * np.sin(s) * np.ones(lam.size))
         for framework in ("history", "state"):
             if framework == "state":
@@ -154,7 +160,7 @@ def test_affine_stepper_matches_generic_rk4():
     plain = ModelOperators(ops.lambdas, ops.g, f=np.zeros_like)
     lam = model.lambdas
     z0 = draw_random_state(model, kernel, 1.0, "H1", np.random.default_rng(8))
-    z0.memory = HistoryField.from_profile(
+    z0.memory = history_from_profile(
         kernel, lam, lambda s: 0.1 * np.sin(s) * np.ones(lam.size))
     z0_s = ExtendedVector(z0.u.copy(), z0.v.copy(), lambda_map(z0.memory, kernel))
     for framework, z in (("history", z0), ("state", z0_s)):
@@ -214,7 +220,7 @@ def test_stepper_matches_textbook_predictor_corrector(exp1):
     lam = model.lambdas
     z0s = [draw_random_state(model, exp1, 2.0, "H1", np.random.default_rng([9, e]))
            for e in range(2)]
-    z0s[1].memory = HistoryField.from_profile(
+    z0s[1].memory = history_from_profile(
         exp1, lam, lambda s: 0.1 * np.sin(s) * np.ones(lam.size))
     for framework in ("history", "state"):
         if framework == "state":
@@ -237,7 +243,7 @@ def test_stepper_matches_textbook_with_forcing_rows(exp1):
     lam = model.lambdas
     z0s = [draw_random_state(model, exp1, 2.0, "H1", np.random.default_rng([10, e]))
            for e in range(3)]
-    z0s[2].memory = HistoryField.from_profile(
+    z0s[2].memory = history_from_profile(
         exp1, lam, lambda s: 0.1 * np.exp(-s) * np.ones(lam.size))
     for framework in ("history", "state"):
         if framework == "state":
@@ -286,7 +292,7 @@ def test_linear_stepper_matches_textbook_predictor_corrector(exp1, kernel, dt,
     lam = model.lambdas
     z0s = [draw_random_state(model, kernel, 2.0, "H1", np.random.default_rng([12, e]))
            for e in range(rows or 3)]
-    z0s[1].memory = HistoryField.from_profile(
+    z0s[1].memory = history_from_profile(
         kernel, lam, lambda s: 0.1 * np.exp(-s) * np.ones(lam.size))
     for framework in ("history", "state"):
         if framework == "state":
@@ -400,7 +406,7 @@ def forcing_rows_runs(exp1):
     lam = model.lambdas
     z0s = [draw_random_state(model, exp1, 2.0, "H1", np.random.default_rng([15, e]))
            for e in range(3)]
-    z0s[1].memory = HistoryField.from_profile(
+    z0s[1].memory = history_from_profile(
         exp1, lam, lambda s: 0.1 * np.exp(-s) * np.ones(lam.size))
     state = [ExtendedVector(z.u.copy(), z.v.copy(), lambda_map(z.memory, exp1))
              for z in z0s]
@@ -523,7 +529,7 @@ def window_runs(kernel, f):
     lam = model.lambdas
     z0s = [draw_random_state(model, kernel, 1.0, "H1", np.random.default_rng([6, e]))
            for e in range(3)]
-    z0s[1].memory = HistoryField.from_profile(
+    z0s[1].memory = history_from_profile(
         kernel, lam, lambda s: 0.1 * np.sin(s) * np.ones(lam.size))
     state = [ExtendedVector(z.u.copy(), z.v.copy(), lambda_map(z.memory, kernel))
              for z in z0s]
@@ -636,7 +642,7 @@ def test_block_path_matches_stepwise_on_stiff_kernels(monkeypatch, delta, t_end)
     ops, lam = assemble(model, kernel), model.lambdas
     z0s = [draw_random_state(model, kernel, 1.0, "H1", np.random.default_rng([19, e]))
            for e in range(3)]
-    z0s[1].memory = HistoryField.from_profile(
+    z0s[1].memory = history_from_profile(
         kernel, lam, lambda s: 0.1 * np.sin(s) * np.ones(lam.size))
     state = [ExtendedVector(z.u.copy(), z.v.copy(), lambda_map(z.memory, kernel))
              for z in z0s]
@@ -735,7 +741,7 @@ def test_block_path_blow_up_time_matches_stepwise(exp1, monkeypatch, lam2, u0, t
 
 def test_reconstruct_eta_at_zero(exp1):
     lam = np.array([1.0])
-    eta0 = HistoryField.from_profile(exp1, lam, lambda s: math.sin(s))
+    eta0 = history_from_profile(exp1, lam, lambda s: math.sin(s))
     z0 = ExtendedVector(ModalVector(np.array([0.3]), lam),
                         ModalVector.zeros(lam), eta0)
     traj = integrate(z0, linear_ops(lam), exp1, "history", 1e-2, 0.1)
@@ -798,7 +804,6 @@ def test_representation_shift_consistency(exp1):
     t, h = 1.0, 0.2
     eta_t = reconstruct_eta(traj, t, exp1)
     eta_th = reconstruct_eta(traj, t + h, exp1)
-    from memoryflow.spaces import right_translate
     base = right_translate(eta_t, h)
     nodes = base.nodes
     P = lam * traj.u_snaps
@@ -842,7 +847,7 @@ def test_reconstruct_eta_slices_match_masks(initial):
     lam = np.array([1.0, 4.0])
     eta0 = HistoryField.zeros(kernel, lam)
     if initial == "profile":
-        eta0 = HistoryField.from_profile(
+        eta0 = history_from_profile(
             kernel, lam, lambda s: [math.sin(3.0 * s) + 0.5, math.exp(-s)])
     z0 = ExtendedVector(ModalVector(np.array([0.7, -0.3]), lam),
                         ModalVector(np.array([0.2, 0.5]), lam), eta0)
@@ -1020,7 +1025,7 @@ def test_framework_equivalence_with_memory(exp1):
     # nonzero initial history; state run started from its bridge image
     lam = np.array([1.0])
     ops = linear_ops(lam)
-    eta0 = HistoryField.from_profile(exp1, lam, lambda s: 1.0 - math.exp(-s))
+    eta0 = history_from_profile(exp1, lam, lambda s: 1.0 - math.exp(-s))
     z0 = ExtendedVector(ModalVector(np.array([0.5]), lam),
                         ModalVector(np.array([-0.2]), lam), eta0)
     dt = 2e-3

@@ -13,7 +13,6 @@ from memoryflow.kernels import (
     check_dafermos,
     check_nec,
     flatness_rate,
-    k_from_mu,
     make_exponential_kernel,
     make_flatzone_kernel,
     make_jump_exponential_kernel,
@@ -38,7 +37,7 @@ def test_exponential_closed_forms(exp1):
     s = np.array([0.0, 0.5, 1.0, 3.0])
     assert np.allclose(exp1.mu(s), np.exp(-s), rtol=1e-12)
     assert np.allclose(exp1.k(s), np.exp(-s), rtol=1e-12)
-    assert k_from_mu(exp1, 0.0) == pytest.approx(1.0, abs=1e-12)
+    assert exp1.k(0.0) == pytest.approx(1.0, abs=1e-12)
     assert exp1.first_moment == pytest.approx(1.0)
 
 
@@ -66,14 +65,14 @@ def test_rejects_bad_delta():
 
 def test_k_from_mu_tail_is_zero(exp1, flat):
     for ker in (exp1, flat):
-        assert k_from_mu(ker, ker.s_max) == 0.0
-        assert k_from_mu(ker, ker.s_max + 5.0) == 0.0
+        assert ker.k(ker.s_max) == 0.0
+        assert ker.k(ker.s_max + 5.0) == 0.0
 
 
 def test_k_from_mu_monotone(exp1, flat):
     s = np.linspace(0, 5, 200)
     for ker in (exp1, flat):
-        vals = k_from_mu(ker, s)
+        vals = ker.k(s)
         assert np.all(np.diff(vals) <= 1e-15)
 
 
@@ -82,7 +81,7 @@ def test_flatzone_k_against_adaptive_quadrature(flat):
     oracle, err = quad(lambda y: float(flat.mu(y)), 1.0, flat.s_max,
                        points=[2.0], limit=200)
     assert err < 1e-10
-    assert k_from_mu(flat, 1.0) == pytest.approx(oracle, abs=1e-8)
+    assert flat.k(1.0) == pytest.approx(oracle, abs=1e-8)
 
 
 def test_nec_exponential_equality(exp1):
@@ -219,10 +218,14 @@ def test_split_partition_of_mass(flat):
 
 
 def test_d_const(exp1, flat):
-    assert exp1.d_const == pytest.approx(1.0, rel=1e-9)
-    assert flat.d_const >= 1.0
+    # the smallest D on the grid with k(s) <= D*mu(s)
+    def d_const(ker):
+        pos = ker.mu_grid > 0
+        return float(np.max(ker.k(ker.grid[pos]) / ker.mu_grid[pos]))
+    assert d_const(exp1) == pytest.approx(1.0, rel=1e-9)
+    assert d_const(flat) >= 1.0
     g = flat.grid
-    assert np.all(flat.k(g) <= flat.d_const * flat.mu_grid * (1 + 1e-12))
+    assert np.all(flat.k(g) <= d_const(flat) * flat.mu_grid * (1 + 1e-12))
 
 
 def test_nu_and_necnu(exp1, flat):
@@ -281,9 +284,14 @@ def test_negative_table_abscissa_rejected():
     (dict(a=[0.0], c=1.0, r=1.0, beta=-0.1), "geometric"),
     (dict(a=[0.0], c=1.0, r=-1.0, beta=0.0, end=1.0), "geometric"),
     (dict(a=[0.0], c=1.0, r=1.0, beta=0.0, s_max=0.004),
-     r"s_max = 0\.004 must exceed ds/2 = 0\.005, or the quadrature grid is empty")],
+     r"s_max = 0\.004 must exceed ds/2 = 0\.005, or the quadrature grid is empty"),
+    # s_max/ds, or the tail bound over ds, used to raise an OverflowError
+    (dict(a=[0.0], c=1.0, r=1.0, beta=0.0, s_max=1e308),
+     r"s_max = 1e\+308 over ds = 0\.01 is not a finite number of grid nodes"),
+    (dict(a=[0.0], c=1.0, r=1.0, beta=0.0, ds=1e-308),
+     r"s_max = 23\.0259 over ds = 1e-308 is not a finite number of grid nodes")],
     ids=["start", "repeat", "end", "linear-to-inf", "geometric-slope", "negative-r",
-         "empty-grid"])
+         "empty-grid", "s_max-overflow", "ds-overflow"])
 def test_malformed_piece_table_rejected(pieces, what):
     with pytest.raises(KernelError, match=what):
         MemoryKernel(**pieces, theta=1.0, delta_decay=1.0)

@@ -8,17 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from support import direct_history_force, direct_state_force, random_smooth_history
+from support import (
+    direct_history_force,
+    direct_state_force,
+    dissipation_integral_probe,
+    holder_growth_probe,
+    invariance_residual,
+    random_smooth_history,
+    right_translate,
+    unflatten,
+)
 
 from memoryflow.attractors import (
     attraction_rate,
     cloud_from_states,
-    invariance_residual,
 )
 from memoryflow.evolution import (
     BLOCK,
     MemoryForce,
-    holder_growth_probe,
     integrate,
     integrate_ensemble,
     sample_times,
@@ -37,11 +44,9 @@ from memoryflow.spaces import (
     big_l_map,
     lambda_map_pointwise,
     norm_H,
-    right_translate,
 )
 from memoryflow.viscoelastic import (
     assemble,
-    dissipation_integral_probe,
     draw_random_state,
     lk_split,
     make_model,
@@ -120,16 +125,15 @@ def test_invariance_tail_window_study(exp1):
     def stepper(points, t):
         out = np.empty_like(points)
         for i, row in enumerate(points):
-            z = layout.unflatten(row, template)
+            z = unflatten(row, template, memory_stride=4)
             adv = integrate(z, ops, exp1, "history", dt, t)
-            out[i] = layout.flatten(adv.state_at(t, exp1))
+            out[i] = cloud_from_states([adv.state_at(t, exp1)], memory_stride=4).points[0]
         return out
 
     residuals = []
     for t_burn in (10.0, 20.0, 30.0):
         states = [traj.state_at(t_burn + k, exp1) for k in range(8)]
         cloud = cloud_from_states(states, label="tail", memory_stride=4)
-        layout = cloud.layout
         template = states[0].memory
         residuals.append(invariance_residual(cloud, stepper, 2.0))
     assert residuals[0] > residuals[1] > residuals[2]
@@ -157,7 +161,7 @@ def test_compactness_functional_decays_along_run(exp1):
     # reconstructed histories of a decaying linear run have a decaying
     # tail-and-derivative functional; late tail states stay bounded
     from memoryflow.evolution import reconstruct_eta
-    from memoryflow.spaces import h_functional
+    from support import h_functional
     model = make_model(2, f="zero")
     ops = assemble(model, exp1)
     lam = model.lambdas
@@ -175,7 +179,8 @@ def test_compactness_functional_decays_along_run(exp1):
 def test_gamma_equivalence_window(exp1):
     # E_sigma + eps*Phi stays within the quarter-to-quadruple norm window up
     # to a bounded additive constant along a forced nonlinear run
-    from memoryflow.viscoelastic import gamma_functional, sigma_state_norm
+    from memoryflow.viscoelastic import sigma_state_norm
+    from support import gamma_functional
     g = np.zeros(3)
     g[0] = 0.4
     model = make_model(3, f="cubic", g=g)

@@ -5,7 +5,6 @@ import pytest
 from scipy.integrate import quad
 
 from memoryflow.attractors import PointCloud, save_cloud_csv
-from memoryflow.cli import write_csv
 from memoryflow.evolution import Trajectory, save_trajectory_csv
 from memoryflow.kernels import (
     make_exponential_kernel,
@@ -17,16 +16,20 @@ from memoryflow.spaces import (
     ModalVector,
     StateField,
     big_l_map,
-    h_functional,
     lambda_identity_residual,
     lambda_map,
     norm_H,
+    save_rows,
+)
+
+from support import (
+    h_functional,
+    history_from_profile,
+    record_kernel_calls,
     right_translate,
     s_derivative,
     tail_function,
 )
-
-from support import record_kernel_calls
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +149,7 @@ def test_h_functional_constant(exp1):
 
 
 def test_h_functional_linear_profile_oracle(exp1):
-    eta = HistoryField.from_profile(exp1, scalar_lambdas(), lambda s: s)
+    eta = history_from_profile(exp1, scalar_lambdas(), lambda s: s)
     # term 1: derivative is 1, so int mu = 1
     d1, _ = quad(lambda s: math.exp(-s), 0, 50)
     # term 2: sup over y>=1 of y * int_y^inf s^2 e^-s ds on a dense grid
@@ -166,7 +169,7 @@ def test_h_functional_grid_mismatch(exp1):
 
 
 def test_s_derivative_of_linear(exp1):
-    eta = HistoryField.from_profile(exp1, scalar_lambdas(), lambda s: 3.0 * s)
+    eta = history_from_profile(exp1, scalar_lambdas(), lambda s: 3.0 * s)
     d = s_derivative(eta)
     assert np.allclose(d.values, 3.0, atol=1e-9)
 
@@ -396,8 +399,7 @@ def test_translate_decay_bound(exp1):
 
 
 def test_translate_fractional_shift(exp1):
-    eta = HistoryField.from_profile(exp1, scalar_lambdas(),
-                                    lambda s: math.sin(s))
+    eta = history_from_profile(exp1, scalar_lambdas(), lambda s: math.sin(s))
     out = right_translate(eta, 0.3 * exp1.ds)
     # interpolated shift stays close to the exact shifted profile away from
     # the first cell, where the field carries no data to interpolate from
@@ -420,7 +422,7 @@ def test_csv_writers_format_every_value_as_17g(tmp_path, exp1):
 
     save_cloud_csv(PointCloud(rows), tmp_path / "cloud.csv")
     assert body(tmp_path / "cloud.csv", 1) == lines
-    write_csv(tmp_path / "rows.csv", ["a", "b", "c", "d"], [tuple(r) for r in rows])
+    save_rows(tmp_path / "rows.csv", "a,b,c,d", [tuple(r) for r in rows])
     assert body(tmp_path / "rows.csv", 1) == lines
     lam = np.array([1.0])
     traj = Trajectory(times=rows[:, 0], u_snaps=rows[:, 1:2], v_snaps=rows[:, 2:3],

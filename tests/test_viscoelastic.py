@@ -24,21 +24,20 @@ from memoryflow.viscoelastic import (
     CollocationTransform,
     assemble,
     condition_asso_probe,
-    dissipation_integral_probe,
     dissipation_rhs,
     draw_random_state,
     energy_sigma,
     f_modal,
-    gamma_functional,
     hypothesis_probe_suite,
     lk_split,
     load_g_csv,
     load_model_file,
     make_model,
     phi_functional,
-    phi_control_ratio,
     sigma_state_norm,
 )
+
+from support import dissipation_integral_probe, gamma_functional, phi_control_ratio
 
 
 @pytest.fixture(scope="module")
