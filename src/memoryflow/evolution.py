@@ -346,20 +346,29 @@ def _rk4(ops, u, v, dt, F0, F1, shared=None):
 
 
 _PAIRS = np.triu_indices(5, 1)     # (i, j) of the monomials s_i s_j, i < j
+# monomial k of the 16 (1, s_i, s_i s_j for (i, j) in _PAIRS) is the product
+# of columns _FACTORS[:, k] of a scalar row (1, s_0, .., s_4)
+_FACTORS = np.concatenate([[np.zeros(6, dtype=int), np.arange(6)], 1 + np.array(_PAIRS)],
+                          axis=1)
 
 
-def _monomials(mf, ns, n_steps):
-    """Rows (1, s_i, s_i s_j for (i, j) in _PAIRS) of `_step_map`'s scalars s
-    at steps ns of a run of n_steps; s past n_steps, and a[n+1] and b[n+1] at
-    n_steps, which its F column does not read, repeat those at n_steps."""
+def _scalars(mf, ns, n_steps):
+    """Rows (1, s) of `_step_map`'s scalars s at steps ns of a run of n_steps;
+    s past n_steps, and a[n+1] and b[n+1] at n_steps, which its F column
+    does not read, repeat those at n_steps."""
     n = np.minimum(ns, n_steps)
     nn = np.stack([n, np.minimum(n + 1, n_steps)])
     a = mf._gain[np.minimum(nn, mf._top)] if mf.framework == "history" \
         else np.where(nn > 0, 0.5 * mf.dt * mf.k_dt[0], 0.0)
     b = np.where(nn > 0, mf._edge[np.minimum(nn, mf.w_nodes)], 0.0)
-    s = np.column_stack([a[0], b[0], a[1], b[1], np.where(n >= mf._top, mf._leave, 0.0)])
-    i, j = _PAIRS
-    return np.concatenate([np.ones((len(s), 1)), s, s[:, i] * s[:, j]], axis=1)
+    return np.column_stack([np.ones(len(n)), a[0], b[0], a[1], b[1],
+                            np.where(n >= mf._top, mf._leave, 0.0)])
+
+
+def _monomials(s, cols, out=None):
+    """The monomials cols of the 16 on scalar rows s = (1, s_0, .., s_4)."""
+    i, j = _FACTORS[:, cols]
+    return np.multiply(s[:, i], s[:, j], out=out)
 
 
 def _step_map(mf, lam, g):
@@ -454,18 +463,30 @@ def _integrate_blocks(mf, ops, lam, U, V, F):
     matrices are one product of the live `_monomials` (whose coefficients
     are not all 0.0) with their coefficients, into one (P, J, 11, 5)
     buffer; one matrix serves every step from the first multiple of BLOCK
-    past top.  The inputs are slices of U or V times lambdas, rows before
-    the pass (P <= top); a step is one stacked matmul on views made once,
-    and the stores and the blow-up guard (`_store`) run once per pass.
+    past top.  A pass inside the window, past step 0 and short of top and
+    n_steps, reads its scalars as slices of the gain and edge tables.  The
+    inputs are slices of U or V times lambdas, rows before the pass (P <=
+    top), and the lag slots hold lambda X[0] until a pass reaches past top;
+    a step is one stacked matmul on views made once, and the stores and the
+    blow-up guard (`_store`) run once per pass.
     """
     E, n_steps, J, top = U.shape[0], U.shape[1] - 1, lam.size, mf._top
     src = U if mf.framework == "history" else V
     P, on = min(top, 4 * BLOCK), (top // BLOCK + 1) * BLOCK
     coef = _step_map(mf, lam, ops.g).reshape(16, -1)
     # all 16 monomials: a one-row product's bits can depend on its length
-    steady = (_monomials(mf, np.array([top + 1]), n_steps) @ coef).reshape(J, 11, 5)
+    steady = (_monomials(_scalars(mf, np.array([top + 1]), n_steps), np.arange(16))
+              @ coef).reshape(J, 11, 5)
     live = np.flatnonzero(coef.any(axis=1))
     coef = coef[live]
+    # scalar rows (1, a[n], b[n], a[n+1], b[n+1], 0) of a pass inside the
+    # window, from the rows (x[n], x[n+1]) of views of the tables of a and b
+    s, inside = np.zeros((P, 6)), min(top, mf.w_nodes, n_steps)
+    s[:, 0] = 1.0
+    a_pairs = sliding_window_view(mf._gain, 2) if mf.framework == "history" \
+        else np.broadcast_to(0.5 * mf.dt * mf.k_dt[0], (mf.w_nodes, 2))
+    b_pairs = sliding_window_view(mf._edge, 2)
+    mono = np.empty((P, live.size))
     M = np.empty((P, J, 11, 5))                # the step matrices of a pass
     z = np.zeros((P + 1, E, J, 1, 11))         # the rows of `_step_map`, per step
     z[0, :, :, 0, 0], z[0, :, :, 0, 1] = U[:, 0], V[:, 0]
@@ -473,17 +494,24 @@ def _integrate_blocks(mf, ops, lam, U, V, F):
     steps = [(z[l], M[l], z[l + 1, ..., :5]) for l in range(P)]
     for n0 in range(0, n_steps + 1, P):
         if n0 < on:
-            np.matmul(_monomials(mf, n0 + np.arange(P), n_steps)[:, live], coef,
-                      out=M.reshape(P, -1))
-            M[on - n0:] = steady               # empty unless `on` falls in the pass
+            if 0 < n0 and n0 + P <= inside:
+                s[:, 1:4:2], s[:, 2:5:2] = a_pairs[n0:n0 + P], b_pairs[n0:n0 + P]
+                rows = s
+            else:
+                rows = _scalars(mf, n0 + np.arange(P), n_steps)
+            np.matmul(_monomials(rows, live, mono), coef, out=M.reshape(P, -1))
+            if on < n0 + P:
+                M[on - n0:] = steady
         elif n0 < on + P:
             M[:] = steady
-        # slot 5 takes x0 = X[max(n - top - 1, 0)], 6 and 7 x1 = xt = X[max(n - top, 0)]
-        for k, lag in ((5, top + 1), (6, top)):
-            x, first = z[:P, :, :, 0, k].swapaxes(0, 1), min(max(lag - n0, 0), P)
-            x[:, :first] = lam * src[:, :1]
-            np.multiply(lam, src[:, n0 + first - lag:n0 + P - lag], out=x[:, first:])
-        z[:P, :, :, 0, 7] = z[:P, :, :, 0, 6]
+        # slot 5 takes x0 = X[max(n - top - 1, 0)], 6 and 7 x1 = xt = X[max(n - top, 0)]:
+        # lambda X[0] on every row until a pass reaches past top
+        if n0 == 0 or n0 + P - 1 > top:
+            for k, lag in ((5, top + 1), (6, top)):
+                x, first = z[:P, :, :, 0, k].swapaxes(0, 1), min(max(lag - n0, 0), P)
+                x[:, :first] = lam * src[:, :1]
+                np.multiply(lam, src[:, n0 + first - lag:n0 + P - lag], out=x[:, first:])
+            z[:P, :, :, 0, 7] = z[:P, :, :, 0, 6]
         # BLOCK + 1 rows at a time bound the (rows, nodes) weights of initial_terms
         for k in range(0, P, BLOCK) if mf._mem0 else ():
             mem = mf.initial_terms(np.arange(n0 + k, n0 + min(k + BLOCK, P) + 1))
@@ -497,7 +525,7 @@ def _integrate_blocks(mf, ops, lam, U, V, F):
             for zl, Ml, out in steps[:last]:
                 np.matmul(zl, Ml, out=out)
             _store(U, V, F, n0, z[1:L + 1, :, :, 0, :2], z[1:last + 1, :, :, 0, 4], mf.dt)
-        z[0] = z[L]
+        z[0, ..., :5] = z[L, ..., :5]
 
 
 def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end):

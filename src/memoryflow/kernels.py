@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 DEFAULT_DS = 0.01
+MAX_GRID_NODES = 10 ** 7    # a grid's node budget: 80 MB per array of its tables
 TAIL_FLOOR = 1e-10          # s_max chosen so theta*exp(-delta*s_max) < TAIL_FLOOR
 ANALYTIC_RTOL = 1e-9        # inequality tolerance for closed-form kernels
 TABULATED_RTOL = 1e-6       # looser: linear interpolation noise
@@ -87,6 +88,9 @@ class MemoryKernel:
         if not math.isfinite(span / ds):
             raise KernelError("s_max = %g over ds = %g is not a finite number of grid "
                               "nodes" % (span, ds))
+        if span / ds > MAX_GRID_NODES:
+            raise KernelError("s_max = %g over ds = %g is %.3g grid nodes, more than "
+                              "the budget of %d" % (span, ds, span / ds, MAX_GRID_NODES))
         a, c, r, beta = np.broadcast_arrays(*(np.array(v, dtype=float, ndmin=1)
                                               for v in (a, c, r, beta)))
         end = float(end)
@@ -136,6 +140,9 @@ class MemoryKernel:
         if n < 1:
             raise KernelError("s_max = %g must exceed ds/2 = %g, or the quadrature grid "
                               "is empty" % (self.s_max, self.ds / 2))
+        if n < 2:
+            raise KernelError("ds = %g leaves one quadrature node below s_max = %g; "
+                              "the grid needs at least two" % (self.ds, self.s_max))
         self.grid = (np.arange(n) + 0.5) * self.ds   # midpoint nodes, never 0
         self.mu_grid = self.mu(self.grid)
         if not np.all(np.isfinite(self.mu_grid)) or np.any(self.mu_grid < 0):

@@ -277,12 +277,15 @@ def lk_split(z1, z2, model, kernel, t_end, dt):
                       and np.max(np.abs(d0.v.coeffs)) == 0.0
                       and not np.any(d0.memory.values))
 
+    # rows b1, b2, d, l, k: only the bases see f, and d and k are driven by
+    # the difference of the base rows' f at the same stage; for finite f the
+    # product with 0 and +-1 adds only +-0.0 to f1, f2 and f1 - f2, which
+    # keeps their bits, since f_modal's sums never end at -0.0
+    rows = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, -1.0], [0.0, 0.0], [1.0, -1.0]])
+
     def f(u):
-        # rows b1, b2, d, l, k: only the bases see f, and d and k are driven
-        # by the difference r of the base rows' f at the same stage
-        out = np.zeros_like(u)
-        out[:2] = f_modal(model, u[:2])
-        out[2] = out[4] = out[0] - out[1]
+        out = rows @ f_modal(model, u[:2])
+        out[3] = 0.0            # 0.0, not the -0.0 of 0 f1 + 0 f2 where both are negative
         return out
 
     g_rows = np.zeros((5, lam.size))

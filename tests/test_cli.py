@@ -197,6 +197,28 @@ def test_kernel_grid_without_a_finite_node_count(workdir, capsys, field, value):
     assert "not a finite number of grid nodes" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field,value,what", [
+    ("ds", 1e308, "ds = 1e+308 leaves one quadrature node below s_max"),
+    ("ds", 30.0, "ds = 30 leaves one quadrature node below s_max"),
+    ("s_max", 1e15, "s_max = 1e+15 over ds = 0.01 is 1e+17 grid nodes, more than the budget"),
+    ("s_max", 1e20, "s_max = 1e+20 over ds = 0.01 is 1e+22 grid nodes, more than the budget")],
+    ids=["ds-1e308", "ds-30", "s_max-1e15", "s_max-1e20"])
+def test_kernel_grid_of_one_node_or_over_the_budget(workdir, capsys, field, value, what):
+    # a ds past exp1's cutoff of 23.03 left one node and raised s_max to ds:
+    # kernel check passed every line, and at 1e308 simulate died with an
+    # OverflowError traceback; s_max 1e20 raised numpy's "Maximum allowed
+    # size exceeded", which names no field, and 1e15 asked for about 8e17
+    # bytes (test_kernels checks that the refusal allocates nothing)
+    kernel = workdir / "exp1.kernel.json"
+    kernel.write_text(json.dumps({"family": "exponential", "delta": 1.0, field: value}))
+    assert main(["kernel", "check", str(kernel)]) == 1
+    err = capsys.readouterr().err
+    assert "kernel check failed" in err and what in err
+    assert main(["simulate", "--config", str(workdir / "config.json"),
+                 "--out", str(workdir / "out")]) == 2
+    assert what in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", ["exp1.kernel.json", "model.json", "config.json"],
                          ids=["kernel", "model", "experiment"])
 def test_json_file_that_is_not_an_object_exits_two(workdir, capsys, name):

@@ -688,6 +688,60 @@ def test_block_path_bits_where_the_window_fills():
                 assert np.array_equal(getattr(long[e], name), getattr(solo, name))
 
 
+def assert_block_runs(monkeypatch, z0s, ops, kernel, framework, n_steps):
+    """The block path's batch against the stepwise path at 1e-12 and, bitwise,
+    against each member run alone; returns the batch."""
+    fast, slow = block_and_stepwise(monkeypatch, z0s, ops, kernel, framework,
+                                    WIN_DT, n_steps * WIN_DT)
+    for z0, got, want in zip(z0s, fast, slow):
+        solo = integrate(z0, ops, kernel, framework, WIN_DT, n_steps * WIN_DT)
+        for name in ("u_snaps", "v_snaps", "force_snaps"):
+            w = getattr(want, name)
+            np.testing.assert_allclose(getattr(got, name), w, rtol=0,
+                                       atol=1e-12 * np.abs(w).max())
+            assert np.array_equal(getattr(got, name), getattr(solo, name))
+    return fast
+
+
+@pytest.mark.parametrize("top", [254, 255, 256, 257])
+def test_block_path_where_the_lag_slots_refill(monkeypatch, top):
+    # P = 128: the lag slots hold lambda X[0] until a pass reaches past top,
+    # to step top + 1, which is the last step of the pass from 128 (top =
+    # 254), the first of the pass from 256 (255), or one or two steps into
+    # it (256, 257); the pass from 128 reads its scalars as table slices
+    # unless it reaches top (254, 255)
+    kernel = exp1_cut((top + 1) * WIN_DT)
+    assert pass_length(kernel) == (top, 128)
+    ops, runs = window_runs(kernel, "zero")
+    for framework, z0s in runs:
+        long = assert_block_runs(monkeypatch, z0s, ops, kernel, framework, WIN_STEPS)
+        # runs that end before, in and after the first refill pass
+        for n_steps in (top - 1, top + 2, top + 130):
+            short = integrate_ensemble(z0s, ops, kernel, framework, WIN_DT,
+                                       n_steps * WIN_DT)
+            for got, want in zip(short, long):
+                for name in ("u_snaps", "v_snaps", "force_snaps"):
+                    assert np.array_equal(getattr(got, name),
+                                          getattr(want, name)[:n_steps + 1])
+
+
+@pytest.mark.parametrize("n_steps", [255, 256, 257, 383, 384, 385])
+def test_block_path_at_run_ends_inside_the_window(exp1, monkeypatch, n_steps):
+    # k P - 1, k P and k P + 1 steps for P = 128, inside exp1's window of
+    # 11515 nodes: a pass reads its scalars as table slices only when it
+    # ends by n_steps, so the last full pass does at k P and k P + 1 and
+    # does not at k P - 1; runs twice as long extend them bitwise
+    ops, runs = window_runs(exp1, "zero")
+    for framework, z0s in runs:
+        short = assert_block_runs(monkeypatch, z0s, ops, exp1, framework, n_steps)
+        long = integrate_ensemble(z0s, ops, exp1, framework, WIN_DT,
+                                  2 * n_steps * WIN_DT)
+        for got, want in zip(short, long):
+            for name in ("u_snaps", "v_snaps", "force_snaps"):
+                assert np.array_equal(getattr(got, name),
+                                      getattr(want, name)[:n_steps + 1])
+
+
 def test_block_path_runs_where_it_applies(exp1, monkeypatch):
     calls = []
     blocks = evolution._integrate_blocks

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from memoryflow.kernels import (
+    MAX_GRID_NODES,
     KernelError,
     MemoryKernel,
     admissibility_report,
@@ -289,12 +291,37 @@ def test_negative_table_abscissa_rejected():
     (dict(a=[0.0], c=1.0, r=1.0, beta=0.0, s_max=1e308),
      r"s_max = 1e\+308 over ds = 0\.01 is not a finite number of grid nodes"),
     (dict(a=[0.0], c=1.0, r=1.0, beta=0.0, ds=1e-308),
-     r"s_max = 23\.0259 over ds = 1e-308 is not a finite number of grid nodes")],
+     r"s_max = 23\.0259 over ds = 1e-308 is not a finite number of grid nodes"),
+    # one node passed every check, and a ds past the cutoff raised s_max to
+    # ds, where the window overflowed on s_max/dt
+    (dict(a=[0.0], c=1.0, r=1.0, beta=0.0, ds=1e308),
+     r"ds = 1e\+308 leaves one quadrature node below s_max = 1e\+308"),
+    (dict(a=[0.0], c=1.0, r=1.0, beta=0.0, ds=30.0),
+     r"ds = 30 leaves one quadrature node below s_max = 30"),
+    (dict(a=[0.0], c=1.0, r=1.0, beta=0.0, s_max=0.014),
+     r"ds = 0\.01 leaves one quadrature node below s_max = 0\.014")],
     ids=["start", "repeat", "end", "linear-to-inf", "geometric-slope", "negative-r",
-         "empty-grid", "s_max-overflow", "ds-overflow"])
+         "empty-grid", "s_max-overflow", "ds-overflow", "one-node-ds-1e308",
+         "one-node-ds-30", "one-node-s_max"])
 def test_malformed_piece_table_rejected(pieces, what):
     with pytest.raises(KernelError, match=what):
         MemoryKernel(**pieces, theta=1.0, delta_decay=1.0)
+
+
+@pytest.mark.parametrize("s_max", [1e15, 1e20], ids=["1e15", "1e20"])
+def test_grid_over_the_node_budget_allocates_nothing(s_max):
+    # finite but huge node counts: 1e17 nodes would ask for about 8e17
+    # bytes, and 1e22 made np.arange raise "Maximum allowed size exceeded"
+    tracemalloc.start()
+    try:
+        with pytest.raises(KernelError, match=re.escape(
+                "s_max = %g over ds = 0.01 is %g grid nodes, more than the budget of %d"
+                % (s_max, s_max / 0.01, MAX_GRID_NODES))):
+            MemoryKernel([0.0], 1.0, 1.0, 0.0, theta=1.0, delta_decay=1.0, s_max=s_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
 
 
 def test_nec_scan_memory():
