@@ -258,7 +258,7 @@ def cmd_simulate(args):
             save_cloud_csv(cloud, os.path.join(cdir, "cloud_t%.6f.csv" % t))
     # t_end need not be a grid multiple; report the last computed snapshot
     t_final = float(trajs[0].times[-1])
-    final_norms = [norm_H(traj.state_at(t_final, kernel), 0) for traj in trajs]
+    final_norms = [traj.norm_at(t_final, kernel, 0) for traj in trajs]
     write_summary(cfg.out_dir, {
         "command": "simulate", "framework": cfg.framework, "seed": cfg.seed,
         "ensemble": cfg.ensemble, "dt": cfg.dt, "t_end": cfg.t_end,
@@ -364,8 +364,8 @@ def cmd_lk_split(args):
     sep0 = norm_H(z1 - z2, 0)
     rows = []
     for t in ts:
-        nl = norm_H(res.l_traj.state_at(t, kernel), 0)
-        nk1 = norm_H(res.k_traj.state_at(t, kernel), 1)
+        nl = res.l_traj.norm_at(t, kernel, 0)
+        nk1 = res.k_traj.norm_at(t, kernel, 1)
         idx = res.d_traj.index_of(t)
         rows.append((t, nl, nk1, res.residual_rel[idx]))
     os.makedirs(cfg.out_dir, exist_ok=True)

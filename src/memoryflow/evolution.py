@@ -10,7 +10,9 @@ scheme is second order overall.
 
 A run fills (E, n+1, J) arrays of u, v and the memory force F, which a
 trajectory keeps; only the stepwise path also stores the memory source X
-that F reads (lambdas*u for history, lambdas*v for state).
+that F reads (lambdas*u for history, lambdas*v for state).  A run whose
+arrays would hold more than MAX_RUN_VALUES values each is refused before
+any is allocated.
 
 An ensemble is a batch axis: `integrate_ensemble` steps all members together
 as rows of member-major arrays, and each row is bitwise equal to the same
@@ -36,6 +38,7 @@ included, steps one at a time.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -46,10 +49,12 @@ from .spaces import (
     ModalVector,
     StateField,
     lambda_map,
+    norm_H,
     save_rows,
 )
 
 BLOWUP_GUARD = 1e8
+MAX_RUN_VALUES = 10 ** 8   # a run array's budget, (n_steps+1) E J values: 800 MB
 BLOCK = 32        # steps per far-field window product, and per stepwise store and guard
 
 
@@ -115,14 +120,48 @@ class Trajectory:
                               ModalVector(self.v_snaps[idx].copy(), self.lambdas),
                               mem)
 
+    def norm_at(self, t, kernel, iota=0):
+        """norm_H(self.state_at(t, kernel), iota), to roundoff.
 
-def _interp_many(arr, xs):
-    """Vectorized row interpolation at fractional indices (m,) -> (m, J)."""
+        In the history framework the field is built at the nodes s <= t
+        only.  Past t, eta^t is the translated initial history plus P(t) -
+        P(0); with a zero initial history that is one row on every node, and
+        its share of the norm is the sum of the tail's node weights times the
+        row's weighted square, so a norm costs O(n_past J).  Otherwise the
+        tail block is built as `reconstruct_eta` builds it.  A state
+        trajectory returns norm_H(self.state_at(t, kernel), iota).
+        """
+        if self.framework != "history":
+            return norm_H(self.state_at(t, kernel), iota)
+        if iota not in (0, 1):
+            raise ValueError("iota must be 0 or 1")
+        idx = self.index_of(t)
+        lam, nodes, w = self.lambdas, kernel.grid, kernel.mu_grid * kernel.ds
+        n_past = int(np.searchsorted(nodes, t, side="right"))
+        lamw = lam ** (iota - 1)
+        past = _eta_past(self, idx, t, nodes[:n_past])
+        tail_sq = _eta_tail(self, idx, t, nodes[n_past:]) ** 2 @ lamw
+        w_tail = w[n_past:]
+        mem_sq = w[:n_past] @ (past ** 2 @ lamw) \
+            + (w_tail.sum() * tail_sq[0] if tail_sq.size == 1 else w_tail @ tail_sq)
+        u, v = self.u_snaps[idx], self.v_snaps[idx]
+        return float(np.sqrt(lam ** (iota + 1) @ u ** 2 + lam ** iota @ v ** 2 + mem_sq))
+
+    @cached_property
+    def _eta0_live(self):
+        """Whether the initial memory is a history field with a nonzero value."""
+        eta0 = self.initial_memory
+        return isinstance(eta0, HistoryField) and bool(np.any(eta0.values))
+
+
+def _interp_many(arr, xs, scale=1.0):
+    """Vectorized row interpolation at fractional indices (m,) -> (m, J), of
+    the rows scale*arr, each scaled before it is weighted."""
     n = arr.shape[0] - 1
     xs = np.clip(xs, 0.0, float(n))
     i = np.minimum(xs.astype(int), max(n - 1, 0))
     frac = (xs - i)[:, None]
-    return (1.0 - frac) * arr[i] + frac * arr[np.minimum(i + 1, n)]
+    return (1.0 - frac) * (scale * arr[i]) + frac * (scale * arr[np.minimum(i + 1, n)])
 
 
 class MemoryForce:
@@ -548,6 +587,11 @@ def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end):
         raise ValueError("need 0 < dt <= t_end")
     lam = np.asarray(ops.lambdas, dtype=float)
     n_steps = int(round(t_end / dt))
+    if (n_steps + 1) * len(z0s) * lam.size > MAX_RUN_VALUES:
+        raise ValueError("t_end = %g over dt = %g with %d members of J = %d modes is "
+                         "%d values per run array, more than the budget of %d"
+                         % (t_end, dt, len(z0s), lam.size,
+                            (n_steps + 1) * len(z0s) * lam.size, MAX_RUN_VALUES))
 
     U, V, F = (np.empty((len(z0s), n_steps + 1, lam.size)) for _ in range(3))
     U[:, 0] = [z0.u.coeffs for z0 in z0s]
@@ -642,27 +686,40 @@ def reconstruct_eta(traj, t, kernel):
     """History variable at time t, assembled from snapshots.
 
     eta^t(s) = P(t) - P(t-s) for s <= t (P = lambdas*u, the memory-source
-    primitive, interpolated between snapshots) and the right-translated
-    initial history plus P(t) - P(0) beyond.  Grid nodes are positive, so
-    the interpolation reads snapshots 0..idx only.
+    primitive, interpolated between snapshots; `_eta_past`) and the
+    right-translated initial history plus P(t) - P(0) beyond (`_eta_tail`).
+    Grid nodes are positive, so the interpolation reads snapshots 0..idx
+    only.
     """
     idx = traj.index_of(t)
     nodes = kernel.grid
-    eta0 = traj.initial_memory
-    out = HistoryField.zeros(kernel, traj.lambdas)
-    # the grid increases, so the nodes s <= t are a prefix and the updates
-    # below act on views
+    # the grid increases, so the nodes s <= t are a prefix
     n_past = int(np.searchsorted(nodes, t, side="right"))
-    past, future = slice(None, n_past), slice(n_past, None)
-    if isinstance(eta0, HistoryField) and np.any(eta0.values) and n_past < nodes.size:
-        # translated initial history, interpolated onto the evaluation grid
-        pts = nodes[future] - t
-        for j in range(traj.lambdas.size):
-            out.values[future, j] = np.interp(pts, eta0.nodes, eta0.values[:, j],
-                                              left=eta0.values[0, j], right=0.0)
-    P = traj.lambdas * traj.u_snaps[:idx + 1]
-    out.values[past] = P[idx][None, :] - _interp_many(P, (t - nodes[past]) / traj.dt)
-    out.values[future] += (P[idx] - P[0])[None, :]
+    values = np.empty((nodes.size, traj.lambdas.size))
+    values[:n_past] = _eta_past(traj, idx, t, nodes[:n_past])
+    values[n_past:] = _eta_tail(traj, idx, t, nodes[n_past:])
+    return HistoryField(nodes, values, kernel.mu_grid * kernel.ds, traj.lambdas, kernel.ds)
+
+
+def _eta_past(traj, idx, t, nodes):
+    """eta^t at the nodes s <= t: P(t) - P(t - s), from snapshots 0..idx."""
+    lam, u = traj.lambdas, traj.u_snaps[:idx + 1]
+    return (lam * u[idx])[None, :] - _interp_many(u, (t - nodes) / traj.dt, lam)
+
+
+def _eta_tail(traj, idx, t, nodes):
+    """eta^t at the nodes s > t: the initial history at s - t plus P(t) - P(0);
+    one (1, J) row for all nodes when the initial history is zero."""
+    lam, u = traj.lambdas, traj.u_snaps
+    d = lam * u[idx] - lam * u[0]
+    if not traj._eta0_live:
+        return 0.0 + d[None, :]          # a -0.0 of d is stored as 0.0
+    eta0, pts = traj.initial_memory, nodes - t
+    out = np.empty((nodes.size, lam.size))
+    for j in range(lam.size):
+        out[:, j] = np.interp(pts, eta0.nodes, eta0.values[:, j],
+                              left=eta0.values[0, j], right=0.0)
+    out += d
     return out
 
 

@@ -263,5 +263,9 @@ def big_l_map(z, kernel):
 def save_rows(path, header, rows):
     """Write the line `header`, then one line per row of the 2-D `rows`, its
     values comma-separated and formatted "%.17g", which reads back to the
-    same float."""
-    np.savetxt(path, rows, fmt="%.17g", delimiter=",", header=header, comments="")
+    same float: the bytes of np.savetxt with that format."""
+    rows = np.asarray(rows, dtype=float)
+    fmt = ",".join(["%.17g"] * rows.shape[-1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        fh.writelines(fmt % tuple(row.tolist()) for row in rows)

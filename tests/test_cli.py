@@ -405,6 +405,18 @@ def test_config_rejects_bad_field(workdir, field, value):
     assert main(["simulate", "--config", str(workdir / "bad.json")]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "compare", "energy-report", "lk-split"])
+def test_run_over_the_array_budget_exits_2(workdir, command, capsys):
+    # 1e12 steps: refused before any run array is allocated, naming the sizes
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["dt"], cfg["t_end"] = 1e-9, 1e3
+    (workdir / "huge.json").write_text(json.dumps(cfg))
+    assert main([command, "--config", str(workdir / "huge.json"),
+                 "--out", str(workdir / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "t_end = 1000 over dt = 1e-09" in err and "J = 1 modes" in err
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("simulate", "--cloud-stride", "-3"), ("simulate", "--cloud-stride", "0"),
     ("simulate", "--cloud-every", "-0.05"), ("simulate", "--cloud-every", "5"),

@@ -17,6 +17,7 @@ from memoryflow.spaces import (
     ModalVector,
     StateField,
     lambda_map,
+    norm_H,
 )
 from memoryflow import evolution
 from memoryflow.evolution import (
@@ -122,6 +123,23 @@ def test_framework_mismatch_rejected(exp1):
     z0, lam = single_mode_state(exp1)
     with pytest.raises(ValueError, match="framework"):
         integrate(z0, linear_ops(lam), exp1, "state", 1e-2, 1.0)
+
+
+def test_run_arrays_over_the_budget_are_refused(exp1, monkeypatch):
+    # 1e12 steps could never be allocated: the check comes before any array
+    z0, lam = single_mode_state(exp1)
+    with pytest.raises(ValueError, match=r"t_end = 1000 over dt = 1e-09 with 1 "
+                                         r"members of J = 1 modes"):
+        integrate(z0, linear_ops(lam), exp1, "history", 1e-9, 1e3)
+    # the budget bounds (n_steps + 1) E J: 2 members of 3 modes, 100 steps
+    lam = np.array([1.0, 4.0, 9.0])
+    z0s = [ExtendedVector(ModalVector(np.full(3, 0.1 * e), lam), ModalVector.zeros(lam),
+                          HistoryField.zeros(exp1, lam)) for e in (1, 2)]
+    monkeypatch.setattr(evolution, "MAX_RUN_VALUES", 101 * 2 * 3)
+    assert len(integrate_ensemble(z0s, linear_ops(lam), exp1, "history", 1e-2, 1.0)) == 2
+    with pytest.raises(ValueError, match="612 values per run array, more than "
+                                         "the budget of 606"):
+        integrate_ensemble(z0s, linear_ops(lam), exp1, "history", 1e-2, 1.01)
 
 
 def test_integrate_ensemble_matches_solo_runs(exp1):
@@ -913,6 +931,54 @@ def test_reconstruct_eta_slices_match_masks(initial):
     for t in (0.0, on_node, between, 0.5, past_s_max):
         got = reconstruct_eta(traj, t, kernel).values
         assert got.tobytes() == masked_reconstruct_eta(traj, t, kernel).tobytes()
+
+
+@pytest.mark.parametrize("initial", ["zero", "profile"])
+def test_norm_at_matches_norm_of_state_at(initial):
+    # the closed-form tail against the assembled field, at t = 0, inside the
+    # window, on a node and past s_max, for a member of a batch; the kernel
+    # is exp1 cut at s_max = 1 so that t = 1.5 is past it
+    dt = 2.0 ** -6
+    kernel = make_exponential_kernel(1.0, ds=2 * dt, s_max=1.0)
+    model = make_model(3, f="cubic", g=[0.4, 0.0, -0.2])
+    lam = model.lambdas
+    z0s = [draw_random_state(model, kernel, 1.0, "H1", np.random.default_rng([8, e]))
+           for e in range(3)]
+    if initial == "profile":
+        z0s[1].memory = history_from_profile(
+            kernel, lam, lambda s: [math.sin(3.0 * s) + 0.5, math.exp(-s), 0.2])
+    trajs = integrate_ensemble(z0s, assemble(model, kernel), kernel, "history", dt, 1.5)
+    assert kernel.grid[-1] < 1.5
+    for traj in trajs:
+        for t in (0.0, 3 * dt, 4 * dt, 0.5, 1.5):
+            for iota in (0, 1):
+                want = norm_H(traj.state_at(t, kernel), iota)
+                assert traj.norm_at(t, kernel, iota) == pytest.approx(want, rel=1e-13)
+
+
+def test_norm_at_of_a_state_trajectory_is_norm_H_of_state_at(exp1):
+    model = make_model(4, f="cubic")
+    z0 = draw_random_state(model, exp1, 1.0, "H1", np.random.default_rng(3))
+    z0 = ExtendedVector(z0.u, z0.v, lambda_map(z0.memory, exp1))
+    traj = integrate(z0, assemble(model, exp1), exp1, "state", 1e-2, 0.5)
+    for t in (0.0, 0.2, 0.5):
+        for iota in (0, 1):
+            assert traj.norm_at(t, exp1, iota) == norm_H(traj.state_at(t, exp1), iota)
+
+
+@pytest.mark.parametrize("framework", ["history", "state"])
+def test_norm_at_refuses_what_state_at_refuses(exp1, framework):
+    lam = np.array([1.0])
+    mem = (HistoryField if framework == "history" else StateField).zeros(exp1, lam)
+    z0 = ExtendedVector(ModalVector(np.array([0.5]), lam), ModalVector.zeros(lam), mem)
+    traj = integrate(z0, linear_ops(lam), exp1, framework, 1e-2, 0.2)
+    for t in (0.015, -0.01, 0.21):
+        with pytest.raises(ValueError, match="off the time grid"):
+            traj.state_at(t, exp1)
+        with pytest.raises(ValueError, match="off the time grid"):
+            traj.norm_at(t, exp1)
+    with pytest.raises(ValueError, match="iota"):
+        traj.norm_at(0.1, exp1, 2)
 
 
 # -- state reconstruction --------------------------------------------------------

@@ -432,3 +432,21 @@ def test_csv_writers_format_every_value_as_17g(tmp_path, exp1):
     save_trajectory_csv(traj, tmp_path / "traj.csv")
     want = "".join(",".join("%.17g" % float(x) for x in row[:3]) + "\n" for row in rows)
     assert body(tmp_path / "traj.csv", 1) == want
+
+
+@pytest.mark.parametrize("case", ["specials", "one-row", "tuples", "cloud-width"])
+def test_save_rows_writes_the_bytes_of_savetxt(tmp_path, case):
+    # the row writer formats Python floats; np.savetxt, numpy scalars
+    specials = [-0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, 3.0, -12.0,
+                0.1, 2.0 ** 60]
+    rows = {
+        "specials": np.array([specials, specials[::-1]]),
+        "one-row": np.array([specials]),
+        "tuples": [tuple(specials[:4]), (1.0, 2.0, -0.0, 7.0)],
+        "cloud-width": np.random.default_rng(5).normal(size=(2, 2320)) * 1e3,
+    }[case]
+    header = "# label=t=1 norm=H0" if case == "cloud-width" else "a,b,c"
+    save_rows(tmp_path / "got.csv", header, rows)
+    np.savetxt(tmp_path / "want.csv", rows, fmt="%.17g", delimiter=",", header=header,
+               comments="")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
