@@ -111,9 +111,12 @@ class Trajectory:
         return idx
 
     def state_at(self, t, kernel):
+        """(u, v, memory) at the snapshot time t.  A history state's memory
+        holds eta^t as the blocks `_eta_field` builds and forms its values
+        only when they are read."""
         idx = self.index_of(t)
         if self.framework == "history":
-            mem = reconstruct_eta(self, t, kernel)
+            mem = _eta_field(self, idx, t, kernel)
         else:
             mem = reconstruct_xi(self, t, kernel)
         return ExtendedVector(ModalVector(self.u_snaps[idx].copy(), self.lambdas),
@@ -123,12 +126,12 @@ class Trajectory:
     def norm_at(self, t, kernel, iota=0):
         """norm_H(self.state_at(t, kernel), iota), to roundoff.
 
-        In the history framework the field is built at the nodes s <= t
-        only.  Past t, eta^t is the translated initial history plus P(t) -
-        P(0); with a zero initial history that is one row on every node, and
-        its share of the norm is the sum of the tail's node weights times the
-        row's weighted square, so a norm costs O(n_past J).  Otherwise the
-        tail block is built as `reconstruct_eta` builds it.  A state
+        In the history framework the field's rows are built at the nodes
+        s <= t only (`_eta_field`).  Past t, eta^t is the translated initial
+        history plus P(t) - P(0); with a zero initial history that is one
+        row on every node, and its share of the norm is the sum of the
+        tail's node weights times the row's weighted square, so a norm costs
+        O(n_past J).  Otherwise the tail block has a row per node.  A state
         trajectory returns norm_H(self.state_at(t, kernel), iota).
         """
         if self.framework != "history":
@@ -136,11 +139,11 @@ class Trajectory:
         if iota not in (0, 1):
             raise ValueError("iota must be 0 or 1")
         idx = self.index_of(t)
-        lam, nodes, w = self.lambdas, kernel.grid, kernel.mu_grid * kernel.ds
-        n_past = int(np.searchsorted(nodes, t, side="right"))
+        mem = _eta_field(self, idx, t, kernel)
+        lam, w, (past, tail) = self.lambdas, mem.weights, mem.blocks
+        n_past = len(past)
         lamw = lam ** (iota - 1)
-        past = _eta_past(self, idx, t, nodes[:n_past])
-        tail_sq = _eta_tail(self, idx, t, nodes[n_past:]) ** 2 @ lamw
+        tail_sq = tail ** 2 @ lamw
         w_tail = w[n_past:]
         mem_sq = w[:n_past] @ (past ** 2 @ lamw) \
             + (w_tail.sum() * tail_sq[0] if tail_sq.size == 1 else w_tail @ tail_sq)
@@ -162,6 +165,27 @@ def _interp_many(arr, xs, scale=1.0):
     i = np.minimum(xs.astype(int), max(n - 1, 0))
     frac = (xs - i)[:, None]
     return (1.0 - frac) * (scale * arr[i]) + frac * (scale * arr[np.minimum(i + 1, n)])
+
+
+def _interp_columns(x, xp, fp):
+    """np.interp(x, xp, fp[:, j], left=fp[0, j], right=0.0) for every column
+    j of fp, bitwise, with each point's knot and weight found once.
+
+    As in numpy, a point below xp[0] takes the first row, one above xp[-1]
+    takes 0.0, one on a knot takes that knot's row, and any other takes
+    slope (x - xp[j]) + fp[j] with slope = (fp[j+1] - fp[j]) / (xp[j+1] -
+    xp[j]) on its interval [xp[j], xp[j+1]).
+    """
+    j = np.searchsorted(xp, x, side="right") - 1
+    out = np.zeros((x.size, fp.shape[1]))
+    out[j < 0] = fp[0]
+    on = (j >= 0) & (xp[np.maximum(j, 0)] == x)
+    out[on] = fp[j[on]]
+    mid = (j >= 0) & (j < xp.size - 1) & ~on
+    jm = j[mid]
+    slope = (fp[jm + 1] - fp[jm]) / (xp[jm + 1] - xp[jm])[:, None]
+    out[mid] = slope * (x[mid] - xp[jm])[:, None] + fp[jm]
+    return out
 
 
 class MemoryForce:
@@ -683,7 +707,8 @@ def integrate(z0, ops, kernel, framework, dt, t_end):
 # ---------------------------------------------------------------------------
 
 def reconstruct_eta(traj, t, kernel):
-    """History variable at time t, assembled from snapshots.
+    """History variable at time t, assembled from snapshots, as a field with
+    writable values.
 
     eta^t(s) = P(t) - P(t-s) for s <= t (P = lambdas*u, the memory-source
     primitive, interpolated between snapshots; `_eta_past`) and the
@@ -691,14 +716,19 @@ def reconstruct_eta(traj, t, kernel):
     Grid nodes are positive, so the interpolation reads snapshots 0..idx
     only.
     """
-    idx = traj.index_of(t)
+    return _eta_field(traj, traj.index_of(t), t, kernel).copy()
+
+
+def _eta_field(traj, idx, t, kernel):
+    """eta^t on the kernel grid as a field of two blocks: the rows at the
+    nodes s <= t, a prefix since the grid increases, and the tail beyond,
+    one row for all its nodes when the initial history is zero."""
     nodes = kernel.grid
-    # the grid increases, so the nodes s <= t are a prefix
     n_past = int(np.searchsorted(nodes, t, side="right"))
-    values = np.empty((nodes.size, traj.lambdas.size))
-    values[:n_past] = _eta_past(traj, idx, t, nodes[:n_past])
-    values[n_past:] = _eta_tail(traj, idx, t, nodes[n_past:])
-    return HistoryField(nodes, values, kernel.mu_grid * kernel.ds, traj.lambdas, kernel.ds)
+    blocks = (_eta_past(traj, idx, t, nodes[:n_past]),
+              _eta_tail(traj, idx, t, nodes[n_past:]))
+    return HistoryField.from_blocks(nodes, blocks, kernel.mu_grid * kernel.ds,
+                                    traj.lambdas, kernel.ds)
 
 
 def _eta_past(traj, idx, t, nodes):
@@ -714,11 +744,8 @@ def _eta_tail(traj, idx, t, nodes):
     d = lam * u[idx] - lam * u[0]
     if not traj._eta0_live:
         return 0.0 + d[None, :]          # a -0.0 of d is stored as 0.0
-    eta0, pts = traj.initial_memory, nodes - t
-    out = np.empty((nodes.size, lam.size))
-    for j in range(lam.size):
-        out[:, j] = np.interp(pts, eta0.nodes, eta0.values[:, j],
-                              left=eta0.values[0, j], right=0.0)
+    eta0 = traj.initial_memory
+    out = _interp_columns(nodes - t, eta0.nodes, eta0.values)
     out += d
     return out
 
@@ -738,12 +765,8 @@ def reconstruct_xi(traj, t, kernel):
         raise ValueError("trajectory does not carry a state-type initial memory")
     xi0 = traj.initial_memory
     tau = kernel.grid
-    J = traj.lambdas.size
-    vals = np.zeros((tau.size, J))
-    if np.any(xi0.values):
-        for j in range(J):
-            vals[:, j] = np.interp(tau + t, xi0.nodes, xi0.values[:, j],
-                                   left=xi0.values[0, j], right=0.0)
+    vals = _interp_columns(tau + t, xi0.nodes, xi0.values) if np.any(xi0.values) \
+        else np.zeros((tau.size, traj.lambdas.size))
     if idx > 0:
         dt = traj.dt
         a = traj.lambdas * traj.v_snaps[:idx + 1]

@@ -20,6 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -194,6 +195,11 @@ class MemoryKernel:
         return float(self.r[0]) if self.a.size == 1 and math.isinf(self.end) else None
 
     # -- derived quantities -------------------------------------------------
+
+    @cached_property
+    def mu_prime_grid(self):
+        """mu' at the grid nodes, evaluated on first use."""
+        return np.asarray(self.mu_prime(self.grid), dtype=float)
 
     def nu(self, tau):
         """nu = 1/mu, set to zero wherever mu vanishes (finite delay case)."""

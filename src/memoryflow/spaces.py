@@ -55,18 +55,48 @@ class ModalVector:
 
 
 class _GridField:
-    """Shared storage for weighted grid functions of modal vectors."""
+    """Shared storage for weighted grid functions of modal vectors.
+
+    A field holds its (nodes, J) rows in `values`, or, when it comes from
+    `from_blocks`, as `blocks`: a (m, J) block for the first m nodes, then
+    one row per remaining node or one (1, J) row that holds for all of them.
+    Such a field forms `values` on its first read, read-only; `copy()` and
+    the linear operations return fields with ordinary writable values.
+    """
+
+    blocks = None
+    _values = None
 
     def __init__(self, nodes, values, weights, lambdas, ds):
         self.nodes = np.asarray(nodes, dtype=float)
-        self.values = np.asarray(values, dtype=float)
+        self._values = np.asarray(values, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
         self.lambdas = np.asarray(lambdas, dtype=float)
         self.ds = float(ds)
-        if self.values.shape != (self.nodes.size, self.lambdas.size):
+        if self._values.shape != (self.nodes.size, self.lambdas.size):
             raise ValueError("values must be (n_nodes, n_modes)")
         if self.weights.shape != self.nodes.shape:
             raise ValueError("one weight per node")
+
+    @classmethod
+    def from_blocks(cls, nodes, blocks, weights, lambdas, ds):
+        """The field whose rows are `blocks`, (head, tail) as above; the
+        arrays are taken as they are, unchecked."""
+        field = cls.__new__(cls)
+        field.nodes, field.blocks, field.weights, field.lambdas, field.ds = \
+            nodes, blocks, weights, lambdas, float(ds)
+        return field
+
+    @property
+    def values(self):
+        if self._values is None:
+            head, tail = self.blocks
+            values = np.empty((self.nodes.size, self.lambdas.size))
+            values[:len(head)] = head
+            values[len(head):] = tail
+            values.flags.writeable = False
+            self._values = values
+        return self._values
 
     def norm(self, iota=0):
         """Field norm at regularity iota: component weight lambda^(iota-1)."""

@@ -150,13 +150,33 @@ def assemble(model, kernel):
 # energy functionals
 # ---------------------------------------------------------------------------
 
+def _per_node(mem, rows_fn):
+    """rows_fn of a grid field's rows, one value per node, shape (nodes,).
+
+    rows_fn maps a (m, J) block of rows to its (m,) values through
+    `np.vecdot`, which gives a row the same bits whatever rows surround it.
+    A field held as blocks (`Trajectory.state_at`) is reduced block by
+    block, its one-row tail written across the tail's nodes, so it gives
+    the bits of the same field with its values formed, at the cost of its
+    blocks' rows.
+    """
+    if mem.blocks is None:
+        return rows_fn(mem.values)
+    head, tail = mem.blocks
+    out = np.empty(mem.nodes.size)
+    out[:len(head)] = rows_fn(head)
+    out[len(head):] = rows_fn(tail)
+    return out
+
+
 def memory_norms_sq(mem, sigma):
     """Per-node ||eta(s)||^2_{sigma-1} of a grid field, shape (nodes,).
 
     The memory part of the sigma-norm and the dissipation rate both weight
     it; a caller that needs both at one sigma can compute it once.
     """
-    return mem.values ** 2 @ mem.lambdas ** (sigma - 1.0)
+    lamw = mem.lambdas ** (sigma - 1.0)
+    return _per_node(mem, lambda rows: np.vecdot(rows ** 2, lamw))
 
 
 def sigma_state_norm(z, sigma, mem_sq=None):
@@ -194,7 +214,8 @@ def dissipation_rhs(z, sigma, kernel, mem_sq=None):
     `mem_sq` is `memory_norms_sq(z.memory, sigma)` when the caller has it.
     """
     mem = z.memory
-    mup = np.asarray(kernel.mu_prime(mem.nodes), dtype=float)
+    mup = kernel.mu_prime_grid if np.array_equal(mem.nodes, kernel.grid) \
+        else np.asarray(kernel.mu_prime(mem.nodes), dtype=float)
     if mem_sq is None:
         mem_sq = memory_norms_sq(mem, sigma)
     return float(np.sum(mup * mem_sq) * mem.ds)
@@ -236,12 +257,19 @@ def phi_functional(z, sigma, nu_small, delta_split, model, kernel):
         np.ascontiguousarray(mem.nodes, dtype=float).tobytes(), mem.ds)
     lamw = lam ** (sigma - 1.0)
 
-    t1 = -float(np.sum(mu_nu_vals * (mem.values @ (lamw * v)))) * mem.ds
+    lamw_v = lamw * v
+    pairing = _per_node(mem, lambda rows: np.vecdot(rows, lamw_v))
+    t1 = -float(np.sum(mu_nu_vals * pairing)) * mem.ds
 
     t2 = (1.0 - 2.0 * nu_small) * float(np.sum(lam ** sigma * v * u))
 
-    diff = mem.values - (lam * u)[None, :]
-    t3 = float(np.sum(kappa * (np.square(diff, out=diff) @ lamw))) * mem.ds
+    lam_u = lam * u
+
+    def gap_sq(rows):
+        diff = rows - lam_u
+        return np.vecdot(np.square(diff, out=diff), lamw)
+
+    t3 = float(np.sum(kappa * _per_node(mem, gap_sq))) * mem.ds
     return t1 + t2 + t3
 
 
@@ -406,14 +434,14 @@ def hypothesis_probe_suite(model, kernel, radii, *, t_end=30.0, dt=2e-3,
         acc_vals = []
         for e, traj in enumerate(trajs[i * ensemble:(i + 1) * ensemble]):
             ts = traj.times[::max(1, traj.n_steps // 60)]
-            # each tail state is built once; member 0 at the largest radius
-            # also gives the sigma ladder
+            # a tail sample's H1 norm needs no state; member 0 at the largest
+            # radius reads one for the sigma ladder
             probe_sigma = radius == max(radii) and e == 0
             sig_vals = {sigma: [] for sigma in (0.0, 1.0 / 3.0, 1.0)}
             for t in ts[ts >= (2.0 / 3.0) * t_end]:
-                z = traj.state_at(t, kernel)
-                h1_tails.append(norm_H(z, 1))
+                h1_tails.append(traj.norm_at(t, kernel, 1))
                 if probe_sigma:
+                    z = traj.state_at(t, kernel)
                     for sigma, col in sig_vals.items():
                         col.append(sigma_state_norm(z, sigma))
             idxs = np.arange(0, traj.n_steps + 1, max(1, traj.n_steps // 400))

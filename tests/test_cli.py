@@ -688,6 +688,47 @@ def test_energy_report_matches_per_sample_functionals(workdir, monkeypatch, sigm
     assert phi_c > 0.0
 
 
+def test_energy_report_on_a_cut_kernel_matches_functionals_of_reconstruct_eta(workdir):
+    # exp1 cut at s_max = 1 and a run to 1.5, so samples lie on both sides of
+    # s_max; the command's states are blocked, the oracle's fields formed
+    from memoryflow.evolution import integrate, reconstruct_eta, sample_times
+    from memoryflow.spaces import save_rows
+    from memoryflow.viscoelastic import (
+        dissipation_rhs, energy_sigma, phi_functional, sigma_state_norm)
+    dt = 2.0 ** -6
+    (workdir / "cut.kernel.json").write_text(json.dumps(
+        {"family": "exponential", "delta": 1.0, "s_max": 1.0, "ds": 2 * dt}))
+    (workdir / "model_cut.json").write_text(json.dumps({
+        "J": 3, "f": "cubic", "g": [0.5, 0.0, 0.3], "kernel": "cut.kernel.json"}))
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg.update(model="model_cut.json", dt=dt, t_end=1.5)
+    (workdir / "cut.json").write_text(json.dumps(cfg))
+    samples, sigma, eps, nu, split = 12, 0.5, 0.05, 0.1, 0.5
+    rc = main(["energy-report", "--config", str(workdir / "cut.json"),
+               "--out", str(workdir / "en"), "--sigma", str(sigma),
+               "--samples", str(samples)])
+    assert rc == 0
+    config = ExperimentConfig.from_file(str(workdir / "cut.json"))
+    model, kernel = cli.load_experiment(config)
+    z0 = cli.initial_state(config, model, kernel, 0)
+    traj = integrate(z0, assemble(model, kernel), kernel, "history", dt, 1.5)
+    ts = sample_times(1.5, dt, samples)
+    assert kernel.grid[-1] < 1.0 < ts[-1] and ts[0] < kernel.grid[-1]
+    rows, phi_c = [], 0.0
+    for t in ts:
+        z = traj.state_at(t, kernel)
+        z = ExtendedVector(z.u, z.v, reconstruct_eta(traj, t, kernel))
+        es = energy_sigma(z, sigma, model)
+        phi = phi_functional(z, sigma, nu, split, model, kernel)
+        rows.append((t, energy_sigma(z, 0.0, model), es, phi, es + eps * phi,
+                     dissipation_rhs(z, 0.0, kernel)))
+        phi_c = max(phi_c, abs(phi) / sigma_state_norm(z, sigma) ** 2)
+    save_rows(str(workdir / "want.csv"), "time,E0,E_sigma,Phi,Gamma,dissipation_rhs", rows)
+    assert ((workdir / "en" / "energy.csv").read_bytes()
+            == (workdir / "want.csv").read_bytes())
+    assert read_summary(workdir / "en")["phi_control_constant"] == phi_c
+
+
 def test_lk_split_cli(workdir, capsys):
     cfg = json.loads((workdir / "config.json").read_text())
     cfg["t_end"] = 2.0

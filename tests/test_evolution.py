@@ -934,6 +934,53 @@ def test_reconstruct_eta_slices_match_masks(initial):
 
 
 @pytest.mark.parametrize("initial", ["zero", "profile"])
+def test_state_at_values_are_read_only_and_those_of_reconstruct_eta(initial):
+    dt = 2.0 ** -6
+    kernel = make_exponential_kernel(1.0, ds=2 * dt, s_max=1.0)
+    lam = np.array([1.0, 4.0])
+    eta0 = HistoryField.zeros(kernel, lam)
+    if initial == "profile":
+        eta0 = history_from_profile(
+            kernel, lam, lambda s: [math.sin(3.0 * s) + 0.5, math.exp(-s)])
+    z0 = ExtendedVector(ModalVector(np.array([0.7, -0.3]), lam),
+                        ModalVector(np.array([0.2, 0.5]), lam), eta0)
+    traj = integrate(z0, linear_ops(lam), kernel, "history", dt, 1.5)
+    for t in (0.0, 3 * dt, 4 * dt, 0.5, 1.5):
+        mem = traj.state_at(t, kernel).memory
+        want = reconstruct_eta(traj, t, kernel)
+        assert want.values.flags.writeable
+        assert not mem.values.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mem.values[0, 0] = 1.0
+        assert mem.values.tobytes() == want.values.tobytes()
+        for field in (mem.copy(), mem + want, mem - want):
+            assert field.blocks is None and field.values.flags.writeable
+        copy = mem.copy()
+        copy.values[0, 0] += 1.0
+        assert mem.values.tobytes() == want.values.tobytes()
+
+
+def test_interp_columns_is_np_interp_per_column():
+    # knots on the grid, points on knots, between them, before the first
+    # knot (left = the column's first value) and past the last (right = 0.0)
+    rng = np.random.default_rng(17)
+    for trial in range(40):
+        n, J = int(rng.integers(1, 30)), int(rng.integers(1, 6))
+        xp = np.sort(rng.uniform(0.0, 3.0, n)) if trial % 2 else (np.arange(n) + 0.5) * 0.1
+        xp = np.unique(xp)
+        fp = rng.normal(size=(xp.size, J))
+        fp[rng.random(fp.shape) < 0.1] = -0.0
+        x = np.concatenate([xp, rng.uniform(xp[0] - 1.0, xp[-1] + 1.0, 40),
+                            [xp[0] - 0.5, xp[-1] + 0.5, xp[-1]]])
+        got = evolution._interp_columns(x, xp, fp)
+        want = np.empty_like(got)
+        for j in range(J):
+            want[:, j] = np.interp(x, xp, fp[:, j], left=fp[0, j], right=0.0)
+        assert got.tobytes() == want.tobytes()
+        assert np.all(got[x < xp[0]] == fp[0]) and np.all(got[x > xp[-1]] == 0.0)
+
+
+@pytest.mark.parametrize("initial", ["zero", "profile"])
 def test_norm_at_matches_norm_of_state_at(initial):
     # the closed-form tail against the assembled field, at t = 0, inside the
     # window, on a node and past s_max, for a member of a batch; the kernel

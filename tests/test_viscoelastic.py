@@ -19,7 +19,7 @@ from memoryflow.spaces import (
     ModalVector,
     norm_H,
 )
-from memoryflow.evolution import Trajectory, integrate
+from memoryflow.evolution import Trajectory, integrate, integrate_ensemble, reconstruct_eta
 from memoryflow.viscoelastic import (
     CollocationTransform,
     assemble,
@@ -33,11 +33,17 @@ from memoryflow.viscoelastic import (
     load_g_csv,
     load_model_file,
     make_model,
+    memory_norms_sq,
     phi_functional,
     sigma_state_norm,
 )
 
-from support import dissipation_integral_probe, gamma_functional, phi_control_ratio
+from support import (
+    dissipation_integral_probe,
+    gamma_functional,
+    history_from_profile,
+    phi_control_ratio,
+)
 
 
 @pytest.fixture(scope="module")
@@ -337,6 +343,60 @@ def test_phi_control_ratio_bounded(exp1):
             * np.exp(-z.memory.nodes)[:, None]
         ratios.append(phi_control_ratio(z, 0.0, 0.1, 0.5, model, exp1))
     assert max(ratios) < 50.0
+
+
+@pytest.mark.parametrize("initial", ["zero", "profile"])
+def test_functionals_of_a_blocked_state_are_those_of_its_field(initial):
+    # state_at's field, held as a past block and a tail, against the same
+    # eta^t with its values formed by reconstruct_eta: every functional that
+    # reduces over the nodes gives the same bits, at t = 0, on a node,
+    # between nodes and past s_max of exp1 cut at s_max = 1
+    dt = 2.0 ** -6
+    kernel = make_exponential_kernel(1.0, ds=2 * dt, s_max=1.0)
+    model = make_model(3, f="cubic", g=[0.4, 0.0, -0.2])
+    lam = model.lambdas
+    z0s = [draw_random_state(model, kernel, 1.0, "H1", np.random.default_rng([9, e]))
+           for e in range(2)]
+    if initial == "profile":
+        z0s[1].memory = history_from_profile(
+            kernel, lam, lambda s: [math.sin(3.0 * s) + 0.5, math.exp(-s), 0.2])
+    trajs = integrate_ensemble(z0s, assemble(model, kernel), kernel, "history", dt, 1.5)
+    nodes = kernel.grid
+    assert np.any(nodes == 3 * dt) and not np.any(nodes == 4 * dt) and nodes[-1] < 1.5
+    for e, traj in enumerate(trajs):
+        for t in (0.0, 3 * dt, 4 * dt, 0.5, 1.5):
+            z = traj.state_at(t, kernel)
+            head, tail = z.memory.blocks
+            n_tail = nodes.size - len(head)
+            assert len(tail) == (n_tail if initial == "profile" and e == 1 else 1)
+            zr = ExtendedVector(z.u, z.v, reconstruct_eta(traj, t, kernel))
+            assert zr.memory.blocks is None
+            for sigma in (0.0, 1.0 / 3.0, 1.0):
+                assert memory_norms_sq(z.memory, sigma).tobytes() \
+                    == memory_norms_sq(zr.memory, sigma).tobytes()
+                assert sigma_state_norm(z, sigma) == sigma_state_norm(zr, sigma)
+                assert energy_sigma(z, sigma, model) == energy_sigma(zr, sigma, model)
+                assert phi_functional(z, sigma, 0.1, 0.5, model, kernel) \
+                    == phi_functional(zr, sigma, 0.1, 0.5, model, kernel)
+                assert dissipation_rhs(z, sigma, kernel) == dissipation_rhs(zr, sigma, kernel)
+            assert np.isfinite(phi_functional(z, 0.0, 0.1, 0.5, model, kernel))
+            assert sigma_state_norm(z, 0.0) == pytest.approx(norm_H(zr, 0), rel=1e-13)
+
+
+def test_dissipation_rhs_off_the_kernel_grid_evaluates_mu_prime(exp1):
+    # a field on other nodes than the kernel's grid takes mu' at its own nodes
+    lam = np.array([1.0, 4.0])
+    nodes = (np.arange(50) + 0.5) * 0.1
+    rng = np.random.default_rng(5)
+    mem = HistoryField(nodes, rng.normal(size=(50, 2)), np.full(50, 0.1), lam, 0.1)
+    z = ExtendedVector(ModalVector.zeros(lam), ModalVector.zeros(lam), mem)
+    want = float(np.sum(exp1.mu_prime(nodes) * (mem.values ** 2 @ (1.0 / lam))) * 0.1)
+    assert dissipation_rhs(z, 0.0, exp1) == pytest.approx(want, rel=1e-14)
+    on_grid = HistoryField(exp1.grid.copy(), rng.normal(size=(exp1.grid.size, 2)),
+                           exp1.mu_grid * exp1.ds, lam, exp1.ds)
+    z = ExtendedVector(ModalVector.zeros(lam), ModalVector.zeros(lam), on_grid)
+    want = float(np.sum(exp1.mu_prime(exp1.grid) * memory_norms_sq(on_grid, 0.0)) * exp1.ds)
+    assert dissipation_rhs(z, 0.0, exp1) == want
 
 
 def test_gamma_eps_zero_is_energy(exp1):
