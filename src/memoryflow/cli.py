@@ -60,9 +60,7 @@ from .viscoelastic import (
     hypothesis_probe_suite,
     lk_split,
     load_model_file,
-    memory_norms_sq,
     phi_functional,
-    sigma_state_norm,
 )
 
 @dataclass
@@ -94,7 +92,8 @@ class ExperimentConfig:
         dt = checked("dt", raw.get("dt", 1e-3), _bounded(float))
         t_end = checked("t_end", raw.get("t_end", 10.0), _bounded(float))
         if dt <= 0 or t_end < dt:
-            raise ValueError("config needs dt > 0 and t_end >= dt")
+            raise ValueError("config fields 'dt' and 't_end' need dt > 0 and t_end >= dt, "
+                             "not %g and %g in %s" % (dt, t_end, path))
         framework = raw.get("framework", "history")
         if framework not in ("history", "state"):
             raise ValueError("config field 'framework' must be 'history' or "
@@ -104,7 +103,7 @@ class ExperimentConfig:
         if isinstance(initial, dict) and "file" in initial:
             initial = {"file": rel("initial.file", initial["file"])}
             initial["row"] = _initial_row(initial["file"])
-        if isinstance(initial, dict) and "random_ball" in initial:
+        elif isinstance(initial, dict) and "random_ball" in initial:
             ball = initial["random_ball"]
             if not isinstance(ball, dict):
                 raise ValueError("config field 'initial.random_ball' must be an "
@@ -115,6 +114,9 @@ class ExperimentConfig:
                                  "'H0' or 'H1', not %r" % (space,))
             initial = {"random_ball": {"space": space, "radius": checked(
                 "initial.random_ball.radius", ball.get("radius"), _bounded(float, 0.0))}}
+        elif initial != "zero":
+            raise ValueError("config field 'initial' must be \"zero\", {\"random_ball\": "
+                             "{...}} or {\"file\": path}, not %r in %s" % (initial, path))
         return cls(
             kernel_path=None if raw.get("kernel") is None else rel("kernel", raw["kernel"]),
             model_path=rel("model", raw["model"]),
@@ -136,9 +138,16 @@ def load_experiment(cfg):
     kpath = cfg.kernel_path
     if kpath is None:
         if kernel_from_model is None:
-            raise ValueError("neither the config nor the model names a kernel")
+            raise ValueError("neither the config nor model field 'kernel' in %s names a "
+                             "kernel file" % cfg.model_path)
         kpath = path_beside(cfg.model_path, kernel_from_model, "model field 'kernel'")
-    kernel = load_kernel_file(kpath)
+    try:
+        kernel = load_kernel_file(kpath)
+        assemble(model, kernel)   # the model's kernel rules, lk-split's included
+    except KernelFileError:
+        raise
+    except KernelError as exc:
+        raise KernelError("kernel file %s: %s" % (kpath, exc)) from None
     return model, kernel
 
 
@@ -149,20 +158,18 @@ def initial_state(cfg, model, kernel, index):
         else StateField.zeros(kernel, lam)
     if recipe == "zero":
         return ExtendedVector(ModalVector.zeros(lam), ModalVector.zeros(lam), mem)
-    if isinstance(recipe, dict) and "random_ball" in recipe:
+    if "random_ball" in recipe:
         ball = recipe["random_ball"]
         rng = np.random.default_rng([cfg.seed, index])
         return draw_random_state(model, kernel, ball["radius"], ball["space"], rng,
                                  framework=cfg.framework)
-    if isinstance(recipe, dict) and "file" in recipe:
-        data, J = recipe["row"], lam.size
-        if data.size != 2 * J:
-            raise ValueError("config field 'initial.file': the first data row of %s "
-                             "must hold 2J = %d values (u_1..u_J, v_1..v_J), not %d"
-                             % (recipe["file"], 2 * J, data.size))
-        return ExtendedVector(ModalVector(data[:J], lam),
-                              ModalVector(data[J:], lam), mem)
-    raise ValueError("unknown initial-data recipe %r" % recipe)
+    data, J = recipe["row"], lam.size   # {"file": ...}, the last recipe from_file admits
+    if data.size != 2 * J:
+        raise ValueError("config field 'initial.file': the first data row of %s "
+                         "must hold 2J = %d values (u_1..u_J, v_1..v_J), not %d"
+                         % (recipe["file"], 2 * J, data.size))
+    return ExtendedVector(ModalVector(data[:J], lam),
+                          ModalVector(data[J:], lam), mem)
 
 
 def write_summary(out_dir, payload):
@@ -258,7 +265,7 @@ def cmd_simulate(args):
             save_cloud_csv(cloud, os.path.join(cdir, "cloud_t%.6f.csv" % t))
     # t_end need not be a grid multiple; report the last computed snapshot
     t_final = float(trajs[0].times[-1])
-    final_norms = [traj.norm_at(t_final, kernel, 0) for traj in trajs]
+    final_norms = [norm_H(traj.state_at(t_final, kernel), 0) for traj in trajs]
     write_summary(cfg.out_dir, {
         "command": "simulate", "framework": cfg.framework, "seed": cfg.seed,
         "ensemble": cfg.ensemble, "dt": cfg.dt, "t_end": cfg.t_end,
@@ -318,9 +325,9 @@ def cmd_energy_report(args):
         z = traj.state_at(t, kernel)
         # one pass over the history field serves E0's norm and the
         # dissipation rate; the sigma-norm serves E_sigma and the ratio
-        mem_sq = memory_norms_sq(z.memory, 0.0)
-        norm0 = sigma_state_norm(z, 0.0, mem_sq)
-        norm = norm0 if args.sigma == 0.0 else sigma_state_norm(z, args.sigma)
+        mem_sq = z.memory.node_norms_sq(0.0)
+        norm0 = norm_H(z, 0.0, mem_sq)
+        norm = norm0 if args.sigma == 0.0 else norm_H(z, args.sigma)
         e0 = energy_sigma(z, 0.0, model, norm0)
         es = e0 if args.sigma == 0.0 else energy_sigma(z, args.sigma, model, norm)
         phi = phi_functional(z, args.sigma, args.nu_small, args.delta_split,
@@ -364,8 +371,8 @@ def cmd_lk_split(args):
     sep0 = norm_H(z1 - z2, 0)
     rows = []
     for t in ts:
-        nl = res.l_traj.norm_at(t, kernel, 0)
-        nk1 = res.k_traj.norm_at(t, kernel, 1)
+        nl = norm_H(res.l_traj.state_at(t, kernel), 0)
+        nk1 = norm_H(res.k_traj.state_at(t, kernel), 1)
         idx = res.d_traj.index_of(t)
         rows.append((t, nl, nk1, res.residual_rel[idx]))
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -415,7 +422,7 @@ def cmd_attract(args):
         surrogate = c if surrogate is None else \
             type(c)(np.vstack([surrogate.points, c.points]), c.label, c.norm)
     if surrogate is None:
-        print("no surrogate clouds found", file=sys.stderr)
+        print("no surrogate clouds (*.csv) found in %s" % args.surrogate, file=sys.stderr)
         return 2
     rows = []
     for name in bundle_files:
@@ -432,7 +439,7 @@ def cmd_attract(args):
         cloud = load_cloud_csv(path, surrogate.dim)
         rows.append((t, hausdorff_semidist(cloud, surrogate)))
     if len(rows) < 5:
-        print("need at least 5 bundle clouds", file=sys.stderr)
+        print("need at least 5 bundle clouds in %s" % args.bundle, file=sys.stderr)
         return 2
     rows.sort()
     out_dir = os.path.dirname(os.path.abspath(args.out))

@@ -48,7 +48,7 @@ from .spaces import (
     HistoryField,
     ModalVector,
     StateField,
-    lambda_map,
+    big_l_map,
     norm_H,
     save_rows,
 )
@@ -122,33 +122,6 @@ class Trajectory:
         return ExtendedVector(ModalVector(self.u_snaps[idx].copy(), self.lambdas),
                               ModalVector(self.v_snaps[idx].copy(), self.lambdas),
                               mem)
-
-    def norm_at(self, t, kernel, iota=0):
-        """norm_H(self.state_at(t, kernel), iota), to roundoff.
-
-        In the history framework the field's rows are built at the nodes
-        s <= t only (`_eta_field`).  Past t, eta^t is the translated initial
-        history plus P(t) - P(0); with a zero initial history that is one
-        row on every node, and its share of the norm is the sum of the
-        tail's node weights times the row's weighted square, so a norm costs
-        O(n_past J).  Otherwise the tail block has a row per node.  A state
-        trajectory returns norm_H(self.state_at(t, kernel), iota).
-        """
-        if self.framework != "history":
-            return norm_H(self.state_at(t, kernel), iota)
-        if iota not in (0, 1):
-            raise ValueError("iota must be 0 or 1")
-        idx = self.index_of(t)
-        mem = _eta_field(self, idx, t, kernel)
-        lam, w, (past, tail) = self.lambdas, mem.weights, mem.blocks
-        n_past = len(past)
-        lamw = lam ** (iota - 1)
-        tail_sq = tail ** 2 @ lamw
-        w_tail = w[n_past:]
-        mem_sq = w[:n_past] @ (past ** 2 @ lamw) \
-            + (w_tail.sum() * tail_sq[0] if tail_sq.size == 1 else w_tail @ tail_sq)
-        u, v = self.u_snaps[idx], self.v_snaps[idx]
-        return float(np.sqrt(lam ** (iota + 1) @ u ** 2 + lam ** iota @ v ** 2 + mem_sq))
 
     @cached_property
     def _eta0_live(self):
@@ -610,10 +583,10 @@ def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end):
     if dt <= 0 or t_end < dt:
         raise ValueError("need 0 < dt <= t_end")
     lam = np.asarray(ops.lambdas, dtype=float)
-    n_steps = int(round(t_end / dt))
+    n_steps = int(round(t_end / dt)) if math.isfinite(t_end / dt) else math.inf
     if (n_steps + 1) * len(z0s) * lam.size > MAX_RUN_VALUES:
         raise ValueError("t_end = %g over dt = %g with %d members of J = %d modes is "
-                         "%d values per run array, more than the budget of %d"
+                         "%.0f values per run array, more than the budget of %d"
                          % (t_end, dt, len(z0s), lam.size,
                             (n_steps + 1) * len(z0s) * lam.size, MAX_RUN_VALUES))
 
@@ -804,22 +777,11 @@ def intertwine_residual(z0, ops, kernel, t_end, dt, *, n_samples=8):
     in the extended state norm.
     """
     traj_h = integrate(z0, ops, kernel, "history", dt, t_end)
-    xi0 = lambda_map(z0.memory, kernel)
-    z0_s = ExtendedVector(z0.u.copy(), z0.v.copy(), xi0)
-    traj_s = integrate(z0_s, ops, kernel, "state", dt, t_end)
+    traj_s = integrate(big_l_map(z0, kernel), ops, kernel, "state", dt, t_end)
     worst = 0.0
     for t in sample_times(t_end, dt, n_samples):
-        idx = traj_h.index_of(t)
-        du = traj_h.u_snaps[idx] - traj_s.u_snaps[idx]
-        dv = traj_h.v_snaps[idx] - traj_s.v_snaps[idx]
-        eta_t = reconstruct_eta(traj_h, t, kernel)
-        xi_via_l = lambda_map(eta_t, kernel)
-        xi_t = reconstruct_xi(traj_s, t, kernel)
-        dxi = xi_via_l - xi_t
-        lam = traj_h.lambdas
-        gap = float(np.sqrt(np.sum(lam * du ** 2) + np.sum(dv ** 2)
-                            + dxi.norm(0) ** 2))
-        worst = max(worst, gap)
+        gap = big_l_map(traj_h.state_at(t, kernel), kernel) - traj_s.state_at(t, kernel)
+        worst = max(worst, norm_H(gap, 0))
     return worst
 
 

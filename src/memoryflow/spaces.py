@@ -2,8 +2,9 @@
 
 All fields store modal coefficient rows on a uniform midpoint grid.  A
 history field is weighted by mu(s)*ds, a state field by nu(tau)*dtau; the
-component norm at regularity index iota uses the eigenvalue weight
-lambda^(iota-1), matching position space H^(iota+1) x H^iota.
+component norm at regularity index sigma in [0, 1] uses the eigenvalue
+weight lambda^(sigma-1), matching position space H^(sigma+1) x H^sigma.
+The extended norm `norm_H` is computed here only.
 """
 
 import logging
@@ -36,10 +37,6 @@ class ModalVector:
     def zeros(cls, lambdas):
         lambdas = np.asarray(lambdas, dtype=float)
         return cls(np.zeros_like(lambdas), lambdas)
-
-    def sigma_norm(self, sigma):
-        """Weighted l2 norm (sum lambda^sigma a^2)^(1/2)."""
-        return float(np.sqrt(np.sum(self.lambdas ** sigma * self.coeffs ** 2)))
 
     def copy(self):
         return ModalVector(self.coeffs.copy(), self.lambdas)
@@ -98,10 +95,31 @@ class _GridField:
             self._values = values
         return self._values
 
-    def norm(self, iota=0):
-        """Field norm at regularity iota: component weight lambda^(iota-1)."""
-        lamw = self.lambdas ** (iota - 1)
-        return float(np.sqrt(np.sum(self.weights * (self.values ** 2 @ lamw))))
+    def per_node(self, rows_fn):
+        """rows_fn of the field's rows, one value per node, shape (nodes,).
+
+        rows_fn maps a (m, J) block of rows to its (m,) values through
+        `np.vecdot`, which gives a row the same bits whatever rows surround
+        it.  A blocked field is reduced block by block, its one-row tail
+        written across the tail's nodes, so it gives the bits of the same
+        field with its values formed, at the cost of its blocks' rows.
+        """
+        if self.blocks is None:
+            return rows_fn(self.values)
+        head, tail = self.blocks
+        out = np.empty(self.nodes.size)
+        out[:len(head)] = rows_fn(head)
+        out[len(head):] = rows_fn(tail)
+        return out
+
+    def node_norms_sq(self, sigma):
+        """Per-node ||eta(s)||^2_{sigma-1}, shape (nodes,)."""
+        lamw = self.lambdas ** (sigma - 1.0)
+        return self.per_node(lambda rows: np.vecdot(rows ** 2, lamw))
+
+    def norm(self, sigma=0):
+        """Field norm at regularity sigma: component weight lambda^(sigma-1)."""
+        return float(np.sqrt(np.sum(self.weights * self.node_norms_sq(sigma))))
 
     def copy(self):
         return type(self)(self.nodes, self.values.copy(), self.weights,
@@ -150,8 +168,8 @@ class StateField(_GridField):
         self._clamp_tail()
 
     def _clamp_tail(self):
-        lamw = self.lambdas ** (-1.0)
-        contrib = self.weights * (self.values ** 2 @ lamw)
+        """Zero the dropped nodes in a copy, so the caller's array is kept."""
+        contrib = self.weights * self.node_norms_sq(0)
         total = float(np.sum(contrib))
         if total <= 0:
             return
@@ -162,7 +180,8 @@ class StateField(_GridField):
             if dropped > 1e-9:
                 logger.warning("state field tail clamped (%.3g of weighted mass)",
                                dropped)
-            self.values[drop] = 0.0
+            self._values = self.values.copy()
+            self._values[drop] = 0.0
 
     @classmethod
     def zeros(cls, kernel, lambdas):
@@ -198,13 +217,21 @@ class ExtendedVector:
                               self.memory + other.memory)
 
 
-def norm_H(z, iota=0):
-    """Extended norm: ||u||_{iota+1}^2 + ||v||_iota^2 + ||memory||^2."""
-    if iota not in (0, 1):
-        raise ValueError("iota must be 0 or 1")
-    return float(np.sqrt(z.u.sigma_norm(iota + 1) ** 2
-                         + z.v.sigma_norm(iota) ** 2
-                         + z.memory.norm(iota) ** 2))
+def norm_H(z, sigma=0, mem_sq=None):
+    """Extended norm at regularity sigma in [0, 1]:
+    (||u||_{sigma+1}^2 + ||v||_sigma^2 + ||memory||_sigma^2)^(1/2).
+
+    `mem_sq` is `z.memory.node_norms_sq(sigma)` when the caller has it.
+    """
+    if not 0.0 <= sigma <= 1.0:
+        raise ValueError("the regularity sigma must lie in [0, 1], not %r" % (sigma,))
+    lam = z.u.lambdas
+    part_u = np.sum(lam ** (sigma + 1) * z.u.coeffs ** 2)
+    part_v = np.sum(lam ** sigma * z.v.coeffs ** 2)
+    if mem_sq is None:
+        mem_sq = z.memory.node_norms_sq(sigma)
+    part_m = np.sum(z.memory.weights * mem_sq)
+    return float(np.sqrt(part_u + part_v + part_m))
 
 
 # ---------------------------------------------------------------------------

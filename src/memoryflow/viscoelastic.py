@@ -150,74 +150,29 @@ def assemble(model, kernel):
 # energy functionals
 # ---------------------------------------------------------------------------
 
-def _per_node(mem, rows_fn):
-    """rows_fn of a grid field's rows, one value per node, shape (nodes,).
-
-    rows_fn maps a (m, J) block of rows to its (m,) values through
-    `np.vecdot`, which gives a row the same bits whatever rows surround it.
-    A field held as blocks (`Trajectory.state_at`) is reduced block by
-    block, its one-row tail written across the tail's nodes, so it gives
-    the bits of the same field with its values formed, at the cost of its
-    blocks' rows.
-    """
-    if mem.blocks is None:
-        return rows_fn(mem.values)
-    head, tail = mem.blocks
-    out = np.empty(mem.nodes.size)
-    out[:len(head)] = rows_fn(head)
-    out[len(head):] = rows_fn(tail)
-    return out
-
-
-def memory_norms_sq(mem, sigma):
-    """Per-node ||eta(s)||^2_{sigma-1} of a grid field, shape (nodes,).
-
-    The memory part of the sigma-norm and the dissipation rate both weight
-    it; a caller that needs both at one sigma can compute it once.
-    """
-    lamw = mem.lambdas ** (sigma - 1.0)
-    return _per_node(mem, lambda rows: np.vecdot(rows ** 2, lamw))
-
-
-def sigma_state_norm(z, sigma, mem_sq=None):
-    """Extended norm at real regularity index sigma in [0, 1].
-
-    `mem_sq` is `memory_norms_sq(z.memory, sigma)` when the caller has it.
-    """
-    lam = z.u.lambdas
-    part_u = np.sum(lam ** (sigma + 1) * z.u.coeffs ** 2)
-    part_v = np.sum(lam ** sigma * z.v.coeffs ** 2)
-    if mem_sq is None:
-        mem_sq = memory_norms_sq(z.memory, sigma)
-    part_m = np.sum(z.memory.weights * mem_sq)
-    return float(np.sqrt(part_u + part_v + part_m))
-
-
 def energy_sigma(z, sigma, model, norm=None):
     """E_sigma: squared norms plus twice the pairing of f(u) - g with A^sigma u.
 
-    `norm` is `sigma_state_norm(z, sigma)` when the caller has it.
+    `norm` is `norm_H(z, sigma)` when the caller has it.
     """
-    if not 0.0 <= sigma <= 1.0:
-        raise ValueError("sigma must lie in [0, 1]")
     lam = model.lambdas
     u = z.u.coeffs
     pairing = float(np.sum((f_modal(model, u) - model.g) * lam ** sigma * u))
     if norm is None:
-        norm = sigma_state_norm(z, sigma)
+        norm = norm_H(z, sigma)
     return norm ** 2 + 2.0 * pairing
 
 
 def dissipation_rhs(z, sigma, kernel, mem_sq=None):
     """Grid value of int mu'(s) ||eta(s)||^2_{sigma-1} ds (nonpositive).
 
-    `mem_sq` is `memory_norms_sq(z.memory, sigma)` when the caller has it.
+    `mem_sq` is `z.memory.node_norms_sq(sigma)` when the caller has it.
     """
     mem = z.memory
     mup = kernel.mu_prime_grid if np.array_equal(mem.nodes, kernel.grid) \
         else np.asarray(kernel.mu_prime(mem.nodes), dtype=float)
     if mem_sq is None:
-        mem_sq = memory_norms_sq(mem, sigma)
+        mem_sq = mem.node_norms_sq(sigma)
     return float(np.sum(mup * mem_sq) * mem.ds)
 
 
@@ -258,7 +213,7 @@ def phi_functional(z, sigma, nu_small, delta_split, model, kernel):
     lamw = lam ** (sigma - 1.0)
 
     lamw_v = lamw * v
-    pairing = _per_node(mem, lambda rows: np.vecdot(rows, lamw_v))
+    pairing = mem.per_node(lambda rows: np.vecdot(rows, lamw_v))
     t1 = -float(np.sum(mu_nu_vals * pairing)) * mem.ds
 
     t2 = (1.0 - 2.0 * nu_small) * float(np.sum(lam ** sigma * v * u))
@@ -269,7 +224,7 @@ def phi_functional(z, sigma, nu_small, delta_split, model, kernel):
         diff = rows - lam_u
         return np.vecdot(np.square(diff, out=diff), lamw)
 
-    t3 = float(np.sum(kappa * _per_node(mem, gap_sq))) * mem.ds
+    t3 = float(np.sum(kappa * mem.per_node(gap_sq))) * mem.ds
     return t1 + t2 + t3
 
 
@@ -349,8 +304,8 @@ class ConditionProbeReport:
 def condition_asso_probe(traj, kernel, n_samples=60):
     """sup over time of the extended norm of (x(t), psi^t).
 
-    psi^t(s) = A u(t) - A u((t-s)+) is assembled from stored snapshots; its
-    component norm is ||u(t) - u((t-s)+)||_1.
+    psi^t(s) = A u(t) - A u((t-s)+) is assembled from stored snapshots as a
+    history field, whose component norm is ||u(t) - u((t-s)+)||_1.
     """
     lam = traj.lambdas
     nodes = kernel.grid
@@ -360,12 +315,10 @@ def condition_asso_probe(traj, kernel, n_samples=60):
     series = np.empty(ts.size)
     for i, t in enumerate(ts):
         idx = traj.index_of(t)
-        u_t = traj.u_snaps[idx]
-        past = _interp_many(traj.u_snaps, np.maximum(t - nodes, 0.0) / traj.dt)
-        diff = u_t[None, :] - past
-        psi_sq = float(np.sum(wts * (diff ** 2 @ lam)))
-        x_sq = float(np.sum(lam * u_t ** 2) + np.sum(traj.v_snaps[idx] ** 2))
-        series[i] = math.sqrt(x_sq + psi_sq)
+        u, v = ModalVector(traj.u_snaps[idx], lam), ModalVector(traj.v_snaps[idx], lam)
+        past = _interp_many(traj.u_snaps, np.maximum(t - nodes, 0.0) / traj.dt, lam)
+        psi = HistoryField(nodes, lam * u.coeffs - past, wts, lam, kernel.ds)
+        series[i] = norm_H(ExtendedVector(u, v, psi), 0)
     return ConditionProbeReport(float(np.max(series)), ts, series)
 
 
@@ -434,16 +387,15 @@ def hypothesis_probe_suite(model, kernel, radii, *, t_end=30.0, dt=2e-3,
         acc_vals = []
         for e, traj in enumerate(trajs[i * ensemble:(i + 1) * ensemble]):
             ts = traj.times[::max(1, traj.n_steps // 60)]
-            # a tail sample's H1 norm needs no state; member 0 at the largest
-            # radius reads one for the sigma ladder
+            # member 0 at the largest radius also climbs the sigma ladder
             probe_sigma = radius == max(radii) and e == 0
             sig_vals = {sigma: [] for sigma in (0.0, 1.0 / 3.0, 1.0)}
             for t in ts[ts >= (2.0 / 3.0) * t_end]:
-                h1_tails.append(traj.norm_at(t, kernel, 1))
+                z = traj.state_at(t, kernel)
+                h1_tails.append(norm_H(z, 1))
                 if probe_sigma:
-                    z = traj.state_at(t, kernel)
                     for sigma, col in sig_vals.items():
-                        col.append(sigma_state_norm(z, sigma))
+                        col.append(norm_H(z, sigma))
             idxs = np.arange(0, traj.n_steps + 1, max(1, traj.n_steps // 400))
             u = traj.u_snaps[idxs]
             acc = ops.accel(u, traj.force_snaps[idxs], f_modal(model, u))
@@ -499,7 +451,8 @@ def load_model_file(path):
     """Model config: {J, domain, f, g, kernel}; returns (model, kernel_path).
 
     Its data files are read relative to it; the kernel path is returned as
-    written.  A malformed J, f or g raises a ValueError naming the field.
+    written.  A malformed J, domain, f or g raises a ValueError naming the
+    field, and one that `make_model` refuses, naming the file.
     """
     spec = _read_json_object(path)
     J = spec.get("J")
@@ -509,7 +462,8 @@ def load_model_file(path):
     if isinstance(domain, dict) and "eigenfile" in domain:
         lambdas = _read_eigenfile(path, domain["eigenfile"])
     elif domain != "interval_pi":
-        raise ValueError("unknown domain %r" % domain)
+        raise ValueError("model field 'domain' must be \"interval_pi\" or {\"eigenfile\": "
+                         "path}, not %r in %s" % (domain, path))
     f_spec = spec.get("f", "cubic")
     beta = 0.0
     if isinstance(f_spec, dict) and list(f_spec) == ["cubic_minus_linear"] \
@@ -526,5 +480,8 @@ def load_model_file(path):
                                 and all(map(finite_number, g))):
         raise ValueError("model field 'g' must be a list of J = %d finite numbers or "
                          "the path of a mode,coeff CSV, not %r in %s" % (J, g, path))
-    model = make_model(J, f=f_spec, beta=beta, g=g, lambdas=lambdas)
+    try:
+        model = make_model(J, f=f_spec, beta=beta, g=g, lambdas=lambdas)
+    except ValueError as exc:
+        raise ValueError("model file %s: %s" % (path, exc)) from None
     return model, spec.get("kernel")

@@ -9,7 +9,7 @@ import numpy as np
 from memoryflow.attractors import PointCloud, hausdorff_semidist
 from memoryflow.evolution import integrate_ensemble, sample_times
 from memoryflow.spaces import GRID_EQ_TOL, ExtendedVector, HistoryField, ModalVector, norm_H
-from memoryflow.viscoelastic import energy_sigma, phi_functional, sigma_state_norm
+from memoryflow.viscoelastic import energy_sigma, phi_functional
 
 
 def random_smooth_history(kernel, lambdas, rng, n_terms=3):
@@ -172,7 +172,7 @@ def holder_growth_probe(z1, z2, ops, kernel, framework, t_end, dt, *,
 
 def phi_control_ratio(z, sigma, nu_small, delta_split, model, kernel):
     """Observed constant in |Phi| <= C * ||state||^2."""
-    denom = sigma_state_norm(z, sigma) ** 2
+    denom = norm_H(z, sigma) ** 2
     if denom == 0.0:
         return 0.0
     return abs(phi_functional(z, sigma, nu_small, delta_split, model, kernel)) / denom

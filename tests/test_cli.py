@@ -15,7 +15,7 @@ from memoryflow.kernels import (
     _read_kernel_table,
     load_kernel_file,
 )
-from memoryflow.spaces import ExtendedVector, lambda_map
+from memoryflow.spaces import ExtendedVector, lambda_map, norm_H
 from memoryflow.viscoelastic import _read_eigenfile, assemble, load_g_csv, load_model_file
 
 
@@ -693,8 +693,7 @@ def test_energy_report_on_a_cut_kernel_matches_functionals_of_reconstruct_eta(wo
     # s_max; the command's states are blocked, the oracle's fields formed
     from memoryflow.evolution import integrate, reconstruct_eta, sample_times
     from memoryflow.spaces import save_rows
-    from memoryflow.viscoelastic import (
-        dissipation_rhs, energy_sigma, phi_functional, sigma_state_norm)
+    from memoryflow.viscoelastic import dissipation_rhs, energy_sigma, phi_functional
     dt = 2.0 ** -6
     (workdir / "cut.kernel.json").write_text(json.dumps(
         {"family": "exponential", "delta": 1.0, "s_max": 1.0, "ds": 2 * dt}))
@@ -722,7 +721,7 @@ def test_energy_report_on_a_cut_kernel_matches_functionals_of_reconstruct_eta(wo
         phi = phi_functional(z, sigma, nu, split, model, kernel)
         rows.append((t, energy_sigma(z, 0.0, model), es, phi, es + eps * phi,
                      dissipation_rhs(z, 0.0, kernel)))
-        phi_c = max(phi_c, abs(phi) / sigma_state_norm(z, sigma) ** 2)
+        phi_c = max(phi_c, abs(phi) / norm_H(z, sigma) ** 2)
     save_rows(str(workdir / "want.csv"), "time,E0,E_sigma,Phi,Gamma,dissipation_rhs", rows)
     assert ((workdir / "en" / "energy.csv").read_bytes()
             == (workdir / "want.csv").read_bytes())
@@ -963,6 +962,25 @@ def test_simulate_cubic_minus_linear(workdir, beta, expect, capsys):
     a = np.loadtxt(workdir / "cml" / "traj_0.csv", delimiter=",", skiprows=1)
     b = np.loadtxt(workdir / "cubic" / "traj_0.csv", delimiter=",", skiprows=1)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("command", ["simulate", "lk-split", "hypotheses", "energy-report"])
+def test_every_run_command_refuses_a_jump_kernel_naming_its_file(workdir, capsys, command):
+    # lk-split used to run on a kernel the model refuses, and the refusal
+    # named no file
+    kernel = workdir / "jump.kernel.json"
+    kernel.write_text(json.dumps({"family": "exponential", "delta": 1.0,
+                                  "jumps": [[1.0, 0.5]]}))
+    (workdir / "model_jump.json").write_text(json.dumps({
+        "J": 1, "f": "zero", "kernel": "jump.kernel.json"}))
+    cfg = json.loads((workdir / "config.json").read_text())
+    cfg["model"] = "model_jump.json"
+    (workdir / "jump.json").write_text(json.dumps(cfg))
+    assert main([command, "--config", str(workdir / "jump.json"),
+                 "--out", str(workdir / "jump")]) == 2
+    assert "kernel file %s: viscoelastic model requires a jump-free kernel" % kernel \
+        in capsys.readouterr().err
+    assert not (workdir / "jump").exists()
 
 
 def test_kernel_file_with_jumps(workdir, capsys):

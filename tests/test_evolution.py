@@ -981,10 +981,10 @@ def test_interp_columns_is_np_interp_per_column():
 
 
 @pytest.mark.parametrize("initial", ["zero", "profile"])
-def test_norm_at_matches_norm_of_state_at(initial):
-    # the closed-form tail against the assembled field, at t = 0, inside the
-    # window, on a node and past s_max, for a member of a batch; the kernel
-    # is exp1 cut at s_max = 1 so that t = 1.5 is past it
+def test_norm_of_a_blocked_state_is_that_of_reconstruct_eta(initial):
+    # state_at's blocked field against reconstruct_eta's formed one, at t = 0,
+    # inside the window, on a node and past s_max, for a member of a batch;
+    # the kernel is exp1 cut at s_max = 1 so that t = 1.5 is past it
     dt = 2.0 ** -6
     kernel = make_exponential_kernel(1.0, ds=2 * dt, s_max=1.0)
     model = make_model(3, f="cubic", g=[0.4, 0.0, -0.2])
@@ -998,23 +998,34 @@ def test_norm_at_matches_norm_of_state_at(initial):
     assert kernel.grid[-1] < 1.5
     for traj in trajs:
         for t in (0.0, 3 * dt, 4 * dt, 0.5, 1.5):
-            for iota in (0, 1):
-                want = norm_H(traj.state_at(t, kernel), iota)
-                assert traj.norm_at(t, kernel, iota) == pytest.approx(want, rel=1e-13)
+            z = traj.state_at(t, kernel)
+            assert z.memory.blocks is not None
+            zr = ExtendedVector(z.u, z.v, reconstruct_eta(traj, t, kernel))
+            for sigma in (0.0, 1.0 / 3.0, 1.0):
+                assert norm_H(z, sigma) == norm_H(zr, sigma)
 
 
-def test_norm_at_of_a_state_trajectory_is_norm_H_of_state_at(exp1):
+def test_norm_of_a_state_trajectory_state_reads_its_snapshots_and_xi(exp1):
     model = make_model(4, f="cubic")
+    lam = model.lambdas
     z0 = draw_random_state(model, exp1, 1.0, "H1", np.random.default_rng(3))
     z0 = ExtendedVector(z0.u, z0.v, lambda_map(z0.memory, exp1))
     traj = integrate(z0, assemble(model, exp1), exp1, "state", 1e-2, 0.5)
     for t in (0.0, 0.2, 0.5):
-        for iota in (0, 1):
-            assert traj.norm_at(t, exp1, iota) == norm_H(traj.state_at(t, exp1), iota)
+        idx = traj.index_of(t)
+        u, v = traj.u_snaps[idx], traj.v_snaps[idx]
+        xi = reconstruct_xi(traj, t, exp1)
+        zr = ExtendedVector(ModalVector(u, lam), ModalVector(v, lam), xi)
+        for sigma in (0.0, 1.0 / 3.0, 1.0):
+            got = norm_H(traj.state_at(t, exp1), sigma)
+            assert got == norm_H(zr, sigma)
+            want = (np.sum(lam ** (sigma + 1) * u ** 2) + np.sum(lam ** sigma * v ** 2)
+                    + np.sum(xi.weights * (xi.values ** 2 @ lam ** (sigma - 1))))
+            assert got ** 2 == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("framework", ["history", "state"])
-def test_norm_at_refuses_what_state_at_refuses(exp1, framework):
+def test_state_at_refuses_off_grid_times_and_its_norm_a_sigma_past_one(exp1, framework):
     lam = np.array([1.0])
     mem = (HistoryField if framework == "history" else StateField).zeros(exp1, lam)
     z0 = ExtendedVector(ModalVector(np.array([0.5]), lam), ModalVector.zeros(lam), mem)
@@ -1022,10 +1033,8 @@ def test_norm_at_refuses_what_state_at_refuses(exp1, framework):
     for t in (0.015, -0.01, 0.21):
         with pytest.raises(ValueError, match="off the time grid"):
             traj.state_at(t, exp1)
-        with pytest.raises(ValueError, match="off the time grid"):
-            traj.norm_at(t, exp1)
-    with pytest.raises(ValueError, match="iota"):
-        traj.norm_at(0.1, exp1, 2)
+    with pytest.raises(ValueError, match="sigma"):
+        norm_H(traj.state_at(0.1, exp1), 2)
 
 
 # -- state reconstruction --------------------------------------------------------

@@ -179,7 +179,6 @@ def test_compactness_functional_decays_along_run(exp1):
 def test_gamma_equivalence_window(exp1):
     # E_sigma + eps*Phi stays within the quarter-to-quadruple norm window up
     # to a bounded additive constant along a forced nonlinear run
-    from memoryflow.viscoelastic import sigma_state_norm
     from support import gamma_functional
     g = np.zeros(3)
     g[0] = 0.4
@@ -191,7 +190,7 @@ def test_gamma_equivalence_window(exp1):
     for t in np.arange(1.0, 15.0, 1.0):
         z = traj.state_at(t, exp1)
         gam = gamma_functional(z, 0.0, 0.05, 0.1, 0.5, model, exp1)
-        nsq = sigma_state_norm(z, 0.0) ** 2
+        nsq = norm_H(z, 0.0) ** 2
         worst = max(worst, 0.25 * nsq - gam, gam - 4.0 * nsq)
     assert worst < 5.0
 

@@ -14,6 +14,7 @@ from memoryflow.spaces import (
     ExtendedVector,
     HistoryField,
     ModalVector,
+    STATE_TAIL_DROP,
     StateField,
     big_l_map,
     lambda_identity_residual,
@@ -97,6 +98,30 @@ def test_norm_componentwise(exp1):
                         * lam[None, :] ** (iota - 1) * z.memory.values ** 2)
         assert norm_H(z, iota) ** 2 == pytest.approx(part_u + part_v + part_m,
                                                      rel=1e-12)
+
+
+@pytest.mark.parametrize("sigma", [-0.1, 2, math.nan])
+def test_norm_H_refuses_a_sigma_outside_zero_one(exp1, sigma):
+    lam = np.array([1.0, 4.0])
+    z = ExtendedVector(ModalVector(np.array([1.0, 0.5]), lam), ModalVector.zeros(lam),
+                       HistoryField.zeros(exp1, lam))
+    with pytest.raises(ValueError, match=r"sigma must lie in \[0, 1\]"):
+        norm_H(z, sigma)
+
+
+def test_state_field_clamps_a_copy_and_keeps_the_callers_array(exp1):
+    # xi = exp(-3 tau) against nu = exp(tau): the far tail's weighted mass is
+    # below STATE_TAIL_DROP, so those nodes are zeroed in the field only
+    lam = np.array([1.0, 4.0])
+    vals = np.repeat(np.exp(-3.0 * exp1.grid)[:, None], 2, axis=1)
+    before = vals.copy()
+    xi = StateField(exp1.grid, vals, exp1.nu_grid * exp1.ds, lam, exp1.ds)
+    assert vals.tobytes() == before.tobytes()
+    contrib = xi.weights * (before ** 2 @ (1.0 / lam))
+    drop = np.cumsum(contrib[::-1])[::-1] / np.sum(contrib) < STATE_TAIL_DROP
+    assert 0 < np.count_nonzero(drop) < drop.size
+    assert np.all(xi.values[drop] == 0.0)
+    assert xi.values[~drop].tobytes() == before[~drop].tobytes()
 
 
 def test_mismatched_dimensions(exp1):

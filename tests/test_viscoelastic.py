@@ -33,9 +33,7 @@ from memoryflow.viscoelastic import (
     load_g_csv,
     load_model_file,
     make_model,
-    memory_norms_sq,
     phi_functional,
-    sigma_state_norm,
 )
 
 from support import (
@@ -225,7 +223,7 @@ def test_energy_componentwise_linear(exp1):
     z.memory.values[:] = rng.normal(size=z.memory.values.shape) \
         * np.exp(-z.memory.nodes)[:, None]
     for sigma in (0.0, 0.5, 1.0):
-        expect = sigma_state_norm(z, sigma) ** 2
+        expect = norm_H(z, sigma) ** 2
         assert energy_sigma(z, sigma, model) == pytest.approx(expect, rel=1e-13)
 
 
@@ -372,15 +370,15 @@ def test_functionals_of_a_blocked_state_are_those_of_its_field(initial):
             zr = ExtendedVector(z.u, z.v, reconstruct_eta(traj, t, kernel))
             assert zr.memory.blocks is None
             for sigma in (0.0, 1.0 / 3.0, 1.0):
-                assert memory_norms_sq(z.memory, sigma).tobytes() \
-                    == memory_norms_sq(zr.memory, sigma).tobytes()
-                assert sigma_state_norm(z, sigma) == sigma_state_norm(zr, sigma)
+                assert z.memory.node_norms_sq(sigma).tobytes() \
+                    == zr.memory.node_norms_sq(sigma).tobytes()
+                assert norm_H(z, sigma) == norm_H(zr, sigma)
                 assert energy_sigma(z, sigma, model) == energy_sigma(zr, sigma, model)
                 assert phi_functional(z, sigma, 0.1, 0.5, model, kernel) \
                     == phi_functional(zr, sigma, 0.1, 0.5, model, kernel)
                 assert dissipation_rhs(z, sigma, kernel) == dissipation_rhs(zr, sigma, kernel)
             assert np.isfinite(phi_functional(z, 0.0, 0.1, 0.5, model, kernel))
-            assert sigma_state_norm(z, 0.0) == pytest.approx(norm_H(zr, 0), rel=1e-13)
+            assert norm_H(z, 0.0) == pytest.approx(norm_H(zr, 0), rel=1e-13)
 
 
 def test_dissipation_rhs_off_the_kernel_grid_evaluates_mu_prime(exp1):
@@ -395,7 +393,7 @@ def test_dissipation_rhs_off_the_kernel_grid_evaluates_mu_prime(exp1):
     on_grid = HistoryField(exp1.grid.copy(), rng.normal(size=(exp1.grid.size, 2)),
                            exp1.mu_grid * exp1.ds, lam, exp1.ds)
     z = ExtendedVector(ModalVector.zeros(lam), ModalVector.zeros(lam), on_grid)
-    want = float(np.sum(exp1.mu_prime(exp1.grid) * memory_norms_sq(on_grid, 0.0)) * exp1.ds)
+    want = float(np.sum(exp1.mu_prime(exp1.grid) * on_grid.node_norms_sq(0.0)) * exp1.ds)
     assert dissipation_rhs(z, 0.0, exp1) == want
 
 
