@@ -8,12 +8,12 @@ delta_decay) asserting the exponential-domination inequality
 
     mu(t + s) <= theta * exp(-delta * t) * mu(s)   for all t, s > 0,
 
-which is checked on a grid at construction time.  A kernel is its table
-of pieces, each geometric or linear, and of stated drops: `MemoryKernel`
-takes that table, the only way to build a kernel, and derives mu, mu', k,
-the first moment and the decay rate from it in closed form.  The built-in
-families (exponential, flat-zone, jump-exponential, tabulated) each state
-their table.
+checked exactly at construction time.  A kernel is its table of pieces,
+each geometric or linear, and of stated drops: `MemoryKernel` takes that
+table, the only way to build a kernel, and derives from it mu, mu', k, the
+first moment and the decay rate in closed form, and the admissibility
+facts exactly.  The built-in families (exponential, flat-zone,
+jump-exponential, tabulated) each state their table.
 """
 
 import json
@@ -127,7 +127,8 @@ class MemoryKernel:
             jumps = [(s_n, amp * scale) for s_n, amp in jumps]
         self.a, self.c, self.r, self.beta, self.end, self.jumps = a, c, r, beta, end, jumps
         self._g, self._cl, mass, moment = integrals(c, beta)
-        self._eh, self._hl = eh, hl
+        self._h, self._eh, self._hl = h, eh, hl
+        self._v = c * eh + beta * hl        # each piece's value at its right end
         self._beyond = np.append(np.cumsum(mass[:0:-1])[::-1], 0.0)  # mass past each piece
         self.first_moment = float(moment.sum())
         if s_max is None:    # grid-aligned, with theta*exp(-delta*s_max) < TAIL_FLOOR
@@ -164,9 +165,6 @@ class MemoryKernel:
         return s, 0 if self.a.size == 1 else \
             np.maximum(np.searchsorted(self.a, s, side="right") - 1, 0)
 
-    # mu and mu' put the temporary array first in each product, so that
-    # numpy computes it in place: check_nec's pair grids, the largest arrays
-    # a kernel build makes, then take no more memory than three of them
     def mu(self, s):
         s, i = self._locate(s)
         out = np.exp((s - self.a[i]) * -self.r[i]) * self.c[i] + (s - self.a[i]) * self.beta[i]
@@ -213,14 +211,6 @@ class MemoryKernel:
     @property
     def has_jumps(self):
         return len(self.jumps) > 0
-
-    def check_grid(self):
-        """Strided copy of the quadrature grid, about 400 nodes, avoiding jumps."""
-        stride = max(1, len(self.grid) // 400)
-        g = self.grid[::stride]
-        for s_n, _ in self.jumps:
-            g = g[np.abs(g - s_n) > 1e-9]
-        return g
 
     def __repr__(self):
         return "MemoryKernel(%s)" % self.kernel_id
@@ -322,52 +312,58 @@ class NecResult:
     worst_ratio: float
 
 
-def check_nec(kernel, theta, delta, grid=None, rtol=None):
-    """Grid scan of mu(t+s) <= theta*exp(-delta t)*mu(s)*(1+tol).
+def check_nec(kernel, theta, delta, rtol=None):
+    """Exact check of mu(t+s) <= theta*exp(-delta t)*mu(s) for all t, s >= 0.
 
-    Both t and s range over the grid; pairs with mu(s) = 0 are skipped.
-    Returns the pass flag and the worst ratio mu(t+s)*e^{delta t}/(theta mu(s)).
+    phi(x) = log mu(x) + delta*x must never rise by more than log theta
+    going right.  phi is affine on a geometric piece, concave on a linear
+    one, and steps down at the breaks of a nonincreasing table, so the worst
+    s is a piece's start, and one sweep from the right reads each piece's
+    ends and a linear piece's stationary point.  Each rise is a sum of
+    slope*width and log ratios, so none is inf - inf.  Returns the pass flag
+    and the worst ratio sup mu(t+s)*e^(delta t)/(theta mu(s)); rtol (the
+    kernel's by default) allows for roundoff.
     """
     if theta < 1:
         raise KernelError("theta must be >= 1")
-    grid = kernel.check_grid() if grid is None else _as_array(grid)
     rtol = kernel.rtol if rtol is None else rtol
-    mu_s = _as_array(kernel.mu(grid))
-    pos = mu_s > 0
-    if not np.any(pos):
-        return NecResult(True, 0.0)
-    s = grid[pos]
-    mu_s = mu_s[pos]
-    worst = 0.0
-    # blocks of 64 t rows bound the pair matrices
-    for t_block in (grid[i:i + 64] for i in range(0, grid.size, 64)):
-        lhs = _as_array(kernel.mu(t_block[:, None] + s[None, :]))
-        ratio = lhs * np.exp(delta * t_block)[:, None] / (theta * mu_s[None, :])
-        worst = max(worst, float(ratio.max()))
-    return NecResult(worst <= 1.0 + rtol, worst)
+    a, c, r, beta, h, ends = (v.tolist() for v in (kernel.a, kernel.c, kernel.r,
+                                                   kernel.beta, kernel._h, kernel._v))
+    worst, j = -math.inf, None    # top: sup of phi right of a_j, less phi(a_j)
+    for i in np.flatnonzero(kernel.c > 0)[::-1].tolist():    # the pieces with mass
+        if r[i] > 0:              # affine; a flat piece of infinite width gains 0
+            rise = max(0.0, (delta - r[i]) * h[i]) if delta != r[i] else 0.0
+        else:                     # concave: its end, and its stationary point x
+            rise = max(0.0, math.log(ends[i]) - math.log(c[i]) + delta * h[i]) \
+                if ends[i] > 0 else 0.0
+            x = -c[i] / beta[i] - 1.0 / delta if beta[i] < 0 < delta else 0.0
+            if 0.0 < x < h[i]:
+                rise = max(rise, math.log(-beta[i]) - math.log(delta) - math.log(c[i])
+                           + delta * x)
+        top = rise if j is None else \
+            max(rise, top + delta * (a[j] - a[i]) + math.log(c[j]) - math.log(c[i]))
+        worst, j = max(worst, top), i
+    excess = worst - math.log(theta)
+    ratio = math.exp(excess) if excess < 709.78 else math.inf   # e^709.78 ~ max float
+    return NecResult(ratio <= 1.0 + rtol, ratio)
 
 
 def check_dafermos(kernel, delta):
-    """Pointwise check of mu'(s) + delta*mu(s) <= 0 on the check grid."""
+    """Exact check of mu' + delta*mu <= 0: r >= delta on each geometric piece
+    with mass, and at both ends of each linear one, where it is affine."""
     if delta <= 0:
         raise KernelError("delta must be positive")
-    grid = kernel.check_grid()
-    vals = _as_array(kernel.mu_prime(grid)) + delta * _as_array(kernel.mu(grid))
-    tol = kernel.rtol * delta * np.maximum(_as_array(kernel.mu(grid)), 1.0)
-    return bool(np.all(vals <= tol))
+    geo = kernel.r > 0
+    with np.errstate(over="ignore"):      # an overflow to inf is a fair failure
+        lhs = np.maximum(kernel.c, kernel._v) * delta + kernel.beta
+    return bool(np.all(np.where(geo, (kernel.r >= delta) | (kernel.c <= 0), lhs <= 0)))
 
 
 def flatness_rate(kernel):
-    """mu-mass of the flat set {mu' = 0, mu > 0}, normalized by k(0)."""
-    g = kernel.grid
-    mu = kernel.mu_grid
-    mup = _as_array(kernel.mu_prime(g))
-    flat = (np.abs(mup) <= kernel.rtol * kernel.delta_decay * np.maximum(mu, 1e-300)) & (mu > 0)
-    plateau_mass = float(np.sum(mu[flat]) * kernel.ds)
+    """mu-mass of the flat pieces (linear, beta = 0, c > 0) over k(0), exactly."""
+    flat = (kernel.r == 0) & (kernel.beta == 0) & (kernel.c > 0)
     k0 = kernel.mass
-    if k0 <= 0:
-        return 0.0
-    return min(plateau_mass / k0, 1.0)
+    return float(np.sum(kernel.c[flat] * kernel._hl[flat]) / k0) if k0 > 0 else 0.0
 
 
 def truncated_kernel(kernel, nu_small):
@@ -427,11 +423,14 @@ class KernelReport:
 def admissibility_report(kernel):
     """Run the construction-time invariants and collect failures."""
     failures = []
-    mu = kernel.mu_grid
-    tol = kernel.rtol * np.maximum(mu[:-1], 1.0)
-    monotone = bool(np.all(mu[1:] <= mu[:-1] + tol))     # a downward jump passes
+    # no linear piece rises, and no break steps up past the roundoff of the
+    # value at the end of the piece before it
+    v = kernel._v[:-1]
+    up = kernel.c[1:] - v > kernel.rtol * (np.abs(v) + np.abs(kernel.beta * kernel._hl)[:-1])
+    monotone = not (np.any(kernel.beta > 0) or np.any(up))
     if not monotone:
-        failures.append("mu is not nonincreasing on the grid")
+        failures.append("mu is not nonincreasing: a linear piece rises or a break "
+                        "steps up")
 
     fm = kernel.first_moment
     moment_ok = abs(fm - 1.0) <= 10 * kernel.rtol

@@ -5,9 +5,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from hypothesis import strategies as st
 
 from memoryflow.attractors import PointCloud, hausdorff_semidist
 from memoryflow.evolution import integrate_ensemble, sample_times
+from memoryflow.kernels import MemoryKernel
 from memoryflow.spaces import GRID_EQ_TOL, ExtendedVector, HistoryField, ModalVector, norm_H
 from memoryflow.viscoelastic import energy_sigma, phi_functional
 
@@ -62,6 +64,76 @@ def record_kernel_calls(kernel, monkeypatch):
         monkeypatch.setattr(kernel, name,
                             lambda s, f=f, shapes=shapes: shapes.append(np.shape(s)) or f(s))
     return calls
+
+
+# -- kernels ---------------------------------------------------------------------
+
+@st.composite
+def piece_tables(draw):
+    """An admissible kernel of 1-4 pieces, normalized to unit first moment.
+
+    Each piece is geometric or linear (sometimes flat, and a last one
+    sometimes falling to 0), and each break is continuous or steps down; a
+    geometric last piece may reach infinity.  phi = log mu + delta*s then
+    rises only on the linear pieces, by at most delta times their width, so
+    delta = the smallest geometric rate (1 with none) and theta = e^(delta L),
+    for L the linear pieces' total width, certify it.
+    """
+    n = draw(st.integers(1, 4))
+    h = np.array(draw(st.lists(st.floats(0.2, 2.0), min_size=n, max_size=n)))
+    geo = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    a = np.concatenate([[0.0], np.cumsum(h[:-1])])
+    c, r, beta, jumps = np.empty(n), np.zeros(n), np.zeros(n), []
+    level = 1.0
+    for i in range(n):
+        c[i] = level
+        if geo[i]:
+            r[i] = draw(st.floats(0.2, 3.0))
+            level *= math.exp(-r[i] * h[i])
+        else:
+            q = draw(st.just(1.0) | st.floats(0.0 if i == n - 1 else 0.05, 1.0))
+            beta[i] = (q - 1.0) * level / h[i]
+            level *= q
+        drop = draw(st.just(0.0) | st.floats(0.05, 0.9)) if i < n - 1 else 0.0
+        if drop > 0:
+            jumps.append((a[i + 1], level * drop))
+            level *= 1.0 - drop
+    end = math.inf if geo[-1] and draw(st.booleans()) else a[-1] + h[-1]
+    delta = min((r[i] for i in range(n) if geo[i]), default=1.0)
+    theta = math.exp(delta * sum(h[i] for i in range(n) if not geo[i])) * (1 + 1e-9)
+    return MemoryKernel(a, c, r, beta, end=end, jumps=jumps, theta=theta,
+                        delta_decay=delta, kernel_id="piece_table")
+
+
+def oracle_points(kernel, n=300):
+    """Points for the grid oracles: n even ones up to 5 past the last break
+    (or to the end), each break, and a point just short of each piece's end."""
+    stop = min(kernel.end, kernel.a[-1] + 5.0)
+    ends = np.append(kernel.a[1:], stop)
+    near = ends - 1e-9 * (ends - kernel.a)
+    return np.unique(np.concatenate([np.linspace(0.0, stop, n), kernel.a, near]))
+
+
+def nec_pair_scan(kernel, theta, delta, points):
+    """Worst mu(x)*e^(delta (x - s))/(theta mu(s)) over the pairs s <= x of
+    `points` with mu(s) > 0: the grid scan the exact certificate replaced."""
+    mu = kernel.mu(points)
+    s, mu_s = points[mu > 0], mu[mu > 0]
+    t = points[None, :] - s[:, None]
+    ratio = mu[None, :] * np.exp(delta * np.maximum(t, 0.0)) / (theta * mu_s[:, None])
+    return float(np.max(np.where(t >= 0, ratio, 0.0), initial=0.0))
+
+
+def dafermos_scan(kernel, delta, points):
+    """Whether mu' + delta*mu <= 0 at every point, to roundoff."""
+    mu, mup = kernel.mu(points), kernel.mu_prime(points)
+    return bool(np.all(mup + delta * mu <= 1e-12 * (np.abs(mup) + delta * mu)))
+
+
+def flat_mass_scan(kernel):
+    """Grid midpoint sum of mu over the nodes where mu' = 0 and mu > 0, over k(0)."""
+    flat = (kernel.mu_prime_grid == 0) & (kernel.mu_grid > 0)
+    return float(np.sum(kernel.mu_grid[flat]) * kernel.ds / kernel.mass)
 
 
 # -- history fields --------------------------------------------------------------

@@ -69,6 +69,36 @@ def test_kernel_check_inadmissible(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+def write_broken_line_kernel(workdir, delta):
+    (workdir / "t.csv").write_text("s,mu\n0,6\n0.25,3\n0.5,1.5\n1,0\n")
+    (workdir / "tab.kernel.json").write_text(json.dumps({
+        "family": "tabulated", "table": "t.csv", "theta": 1, "delta": delta,
+        "normalize": True}))
+    return workdir / "tab.kernel.json"
+
+
+def test_kernel_check_refuses_a_certificate_whose_exponential_overflows(workdir, capsys):
+    # it passed with "worst ratio 0": the grid scan's exp(delta t)
+    # overflowed, and the NaN it made past the support dropped those pairs
+    assert main(["kernel", "check", str(write_broken_line_kernel(workdir, 1e6))]) == 1
+    assert "decay certificate (theta=1, delta=1e+06) fails: worst ratio inf" \
+        in capsys.readouterr().err
+
+
+def test_run_command_names_the_certificate_of_a_kernel_with_a_large_delta(workdir, capsys):
+    # flatness_rate's threshold scaled with delta, so at 1e30 the broken
+    # line read as flat everywhere and the run refused it for flat zones
+    kernel = write_broken_line_kernel(workdir, 1e30)
+    (workdir / "model.json").write_text(json.dumps({
+        "J": 1, "f": "zero", "kernel": "tab.kernel.json"}))
+    assert main(["simulate", "--config", str(workdir / "config.json"),
+                 "--out", str(workdir / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "kernel file %s: inadmissible kernel" % kernel in err
+    assert "decay certificate (theta=1, delta=1e+30) fails" in err
+    assert "flat zones" not in err
+
+
 @pytest.mark.parametrize("field,value", [
     ("delta", math.nan), ("delta", 0.0), ("delta", "2"), ("delta", None),
     ("ds", math.inf), ("ds", -1e-3), ("ds", None), ("s_max", math.nan), ("s_max", 0),

@@ -4,8 +4,19 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+
+from support import (
+    dafermos_scan,
+    flat_mass_scan,
+    nec_pair_scan,
+    oracle_points,
+    piece_tables,
+    record_kernel_calls,
+)
 
 from memoryflow.kernels import (
     MAX_GRID_NODES,
@@ -103,7 +114,7 @@ def test_nec_flatzone(flat):
     res = check_nec(flat, math.e, 1.0)
     assert res.passed
     # equality is attained on a whole region
-    assert res.worst_ratio == pytest.approx(1.0, abs=1e-9)
+    assert res.worst_ratio == pytest.approx(1.0, abs=1e-12)
 
 
 def test_nec_flatzone_exhaustive_oracle(flat):
@@ -122,9 +133,78 @@ def test_nec_flatzone_exhaustive_oracle(flat):
                 if ratio > 1.0 + 1e-9:
                     ok = False
         assert ok == expect
-        res = check_nec(flat, theta, 1.0, grid=grid)
+        # the exact sup covers every pair of the scan
+        res = check_nec(flat, theta, 1.0)
         assert res.passed == expect
-        assert res.worst_ratio == pytest.approx(worst, rel=1e-12)
+        assert res.worst_ratio >= worst * (1 - 1e-12)
+
+
+def broken_line(delta=1.0):
+    # mu through (0, 6), (0.25, 3), (0.5, 1.5), (1, 0), to unit first moment
+    return make_tabulated_kernel([0.0, 0.25, 0.5, 1.0], [6.0, 3.0, 1.5, 0.0], theta=1.0,
+                                 delta_decay=delta, normalize=True)
+
+
+def test_nec_refuses_a_certificate_whose_exponential_overflows():
+    # the grid scan's exp(delta t) overflowed, inf * 0 past the support made
+    # NaN, and max() dropped those blocks: delta = 1e6 passed, worst ratio 0
+    assert check_nec(broken_line(), 1.0, 10.0).worst_ratio > 1.0
+    res = check_nec(broken_line(), 1.0, 1e6)
+    assert not res.passed and res.worst_ratio == math.inf
+    with pytest.raises(KernelError, match=r"decay certificate \(theta=1, delta=1e\+06\) "
+                                          r"fails: worst ratio inf"):
+        broken_line(1e6)
+
+
+@pytest.mark.parametrize("delta", [1e6, 1e30, 1e308])
+@pytest.mark.parametrize("theta", [1.0, 1e308])
+def test_nec_near_the_float_range_warns_of_nothing_and_fails(exp1, delta, theta):
+    # RuntimeWarnings are errors in this suite
+    for ker in (exp1, broken_line()):
+        res = check_nec(ker, theta, delta)
+        assert not res.passed and res.worst_ratio == math.inf
+
+
+def test_nec_exact_values(exp1):
+    # phi = log mu + delta*s is flat on exp1 at delta = 1 and on the broken
+    # line falls at delta = 1, so the sup sits at t -> 0: ratio 1 / theta
+    assert check_nec(exp1, 1.0, 1.0).worst_ratio == 1.0
+    assert check_nec(broken_line(), 2.0, 1.0).worst_ratio == 0.5
+    # exp1 at delta = 0.5: phi falls, with no rise anywhere
+    assert check_nec(exp1, 1.0, 0.5).worst_ratio == 1.0
+    # at delta = 10, phi rises from s = 0 to the stationary point of the
+    # last segment, where mu = 1.5 - 3x (before scaling) meets 3/mu = delta:
+    # x = 0.4, mu = 0.3, at s = 0.9
+    want = 0.3 / 6.0 * math.exp(10.0 * 0.9)
+    assert check_nec(broken_line(), 1.0, 10.0).worst_ratio == pytest.approx(want, rel=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(kernel=piece_tables(), theta=st.floats(1.0, 5.0), delta=st.floats(0.05, 3.0))
+def test_exact_checks_bound_their_grid_oracles(kernel, theta, delta):
+    # the exact sup covers every pair the scan sees, so a scan that fails
+    # makes the exact check fail; the pointwise and flatness facts are
+    # read at the same points as the scans read them
+    pts = oracle_points(kernel)
+    exact = check_nec(kernel, theta, delta)
+    scan = nec_pair_scan(kernel, theta, delta, pts)
+    assert exact.worst_ratio >= scan * (1 - 1e-12)
+    assert scan <= 1 + kernel.rtol or not exact.passed
+    assert check_nec(kernel, kernel.theta, kernel.delta_decay).passed
+    assert check_dafermos(kernel, delta) == dafermos_scan(kernel, delta, pts)
+    flat_c = np.sum(kernel.c[(kernel.r == 0) & (kernel.beta == 0)])
+    assert flatness_rate(kernel) == pytest.approx(
+        flat_mass_scan(kernel), abs=kernel.ds * flat_c / kernel.mass + 1e-12)
+
+
+def test_exact_checks_evaluate_mu_at_no_pair_grid(exp1, monkeypatch):
+    # the grid scan evaluated mu at about 400 x 400 pairs per check
+    calls = record_kernel_calls(exp1, monkeypatch)
+    check_nec(exp1, 1.0, 1.0)
+    check_dafermos(exp1, 1.0)
+    flatness_rate(exp1)
+    points = sum(math.prod(shape) for shape in calls["mu"] + calls["mu_prime"])
+    assert points <= exp1.a.size + exp1.grid.size
 
 
 def test_nec_compact_support():
@@ -264,6 +344,12 @@ def test_admissibility_report_fields(exp1):
     assert rep.admissible
     assert rep.nec_ok and rep.monotone and rep.moment_ok
     assert rep.mass == pytest.approx(1.0, abs=1e-10)
+
+
+def test_a_break_that_steps_up_is_refused():
+    # exp(-s) on [0, 1), then 0.5 exp(-(s - 1)): a step up from e^-1 at s = 1
+    with pytest.raises(KernelError, match="mu is not nonincreasing"):
+        MemoryKernel([0.0, 1.0], [1.0, 0.5], 1.0, 0.0, theta=10.0, delta_decay=1.0)
 
 
 def test_increasing_table_rejected():
