@@ -36,7 +36,6 @@ from .kernels import (
     KernelFileError,
     _read_json_object,
     _read_table,
-    admissibility_report,
     check_dafermos,
     check_nec,
     flatness_rate,
@@ -189,22 +188,21 @@ def write_summary(out_dir, payload):
 def cmd_kernel(args):
     try:
         kernel = load_kernel_file(args.file)
-        report = admissibility_report(kernel)
     except KernelFileError:
         raise                 # a malformed file exits 2, as every config error
     except KernelError as exc:
         print("kernel check failed: %s" % exc, file=sys.stderr)
         return 1
+    # construction refuses an inadmissible kernel, so each of its checks passed
     rows = [
-        ("kernel", report.kernel_id),
-        ("mass k(0)", "%.10g" % report.mass),
-        ("first moment", "%.10g" % report.first_moment),
-        ("monotone", "pass" if report.monotone else "FAIL"),
-        ("unit moment", "pass" if report.moment_ok else "FAIL"),
-        ("jump list", "pass" if report.jumps_ok else "FAIL"),
-        ("decay certificate (theta=%g, delta=%g)" % (report.theta, report.delta_decay),
-         "pass (worst ratio %.8g)" % report.nec_worst if report.nec_ok
-         else "FAIL (worst ratio %.8g)" % report.nec_worst),
+        ("kernel", kernel.kernel_id),
+        ("mass k(0)", "%.10g" % kernel.mass),
+        ("first moment", "%.10g" % kernel.first_moment),
+        ("monotone", "pass"),
+        ("unit moment", "pass"),
+        ("jump list", "pass"),
+        ("decay certificate (theta=%g, delta=%g)" % (kernel.theta, kernel.delta_decay),
+         "pass (worst ratio %.8g)" % kernel.nec_worst),
     ]
     if args.nec:
         theta, delta = args.nec
@@ -221,7 +219,7 @@ def cmd_kernel(args):
     width = max(len(r[0]) for r in rows)
     for name, val in rows:
         print("%-*s  %s" % (width, name, val))
-    return 0 if report.admissible else 1
+    return 0
 
 
 def _load_config(args):

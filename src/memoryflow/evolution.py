@@ -191,12 +191,10 @@ class MemoryForce:
         self.dt = dt
         w_full = max(1, int(round(kernel.s_max / dt)))
         self.w_nodes = W = min(n_max, w_full)
-        s = np.arange(n_max + 1) * dt
+        s = np.arange(W + 1) * dt           # every reader stays in the window
         self.k_dt = np.asarray(kernel.k(s), dtype=float)
         if framework == "history":
-            mu = np.asarray(kernel.mu(s), dtype=float)
-            mu[0] = 0.0 if not np.isfinite(mu[0]) else mu[0]
-            self.mu_dt = w = mu
+            self.mu_dt = w = mu = np.asarray(kernel.mu(s), dtype=float)
         else:
             w = self.k_dt
         self._w = w

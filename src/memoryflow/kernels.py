@@ -1,4 +1,4 @@
-"""Memory kernels: construction, admissibility checks, derived quantities.
+"""Memory kernels: construction, admissibility, checks, derived quantities.
 
 A memory kernel is a nonincreasing summable weight mu on (0, inf) with unit
 first moment.  From it we derive k(s) = integral of mu over [s, inf), the
@@ -6,20 +6,22 @@ convolution kernel actually seen by the equation, and nu = 1/mu, the weight
 of the minimal-state space.  Kernels carry a decay certificate (theta,
 delta_decay) asserting the exponential-domination inequality
 
-    mu(t + s) <= theta * exp(-delta * t) * mu(s)   for all t, s > 0,
+    mu(t + s) <= theta * exp(-delta * t) * mu(s)   for all t, s > 0.
 
-checked exactly at construction time.  A kernel is its table of pieces,
-each geometric or linear, and of stated drops: `MemoryKernel` takes that
-table, the only way to build a kernel, and derives from it mu, mu', k, the
-first moment and the decay rate in closed form, and the admissibility
-facts exactly.  The built-in families (exponential, flat-zone,
+A kernel is its table of pieces, each geometric or linear, and of stated
+drops: `MemoryKernel` takes that table, the only way to build a kernel,
+and derives from it mu, mu', k, the first moment and the decay rate in
+closed form.  Admissibility (mu nonincreasing, unit first moment, a
+well-formed jump list and this certificate) is decided exactly, once, when
+a kernel is built, so a kernel that exists is admissible; it keeps the
+certificate's worst ratio.  The built-in families (exponential, flat-zone,
 jump-exponential, tabulated) each state their table.
 """
 
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -71,8 +73,12 @@ class MemoryKernel:
     mu, mu', k and the first moment are closed forms in the pieces, and so
     is `rate`.  The grid of step ds ends at s_max: by default `end`, or for
     a kernel without end the first grid point with
-    theta*exp(-delta_decay*s_max) < TAIL_FLOOR.  Construction runs
-    `admissibility_report` and raises a KernelError on any failure.
+    theta*exp(-delta_decay*s_max) < TAIL_FLOOR.
+
+    Admissibility is decided here, once: mu is nonincreasing, its first
+    moment is 1, its jumps rise with positive drops, and the certificate
+    holds, or a KernelError names every failure.  A built kernel keeps the
+    certificate's worst ratio as `nec_worst`.
     """
 
     def __init__(self, a, c, r, beta, *, end=math.inf, jumps=(), normalize=True,
@@ -152,10 +158,26 @@ class MemoryKernel:
         self.nu_grid = _reciprocal(self.mu_grid)
         self._cum_mass = np.cumsum(self.mu_grid) * self.ds
 
-        report = admissibility_report(self)
-        if not report.admissible:
-            raise KernelError(
-                "inadmissible kernel %r: %s" % (kernel_id, "; ".join(report.failures)))
+        failures = []
+        # no linear piece rises, and no break steps up past the roundoff of the
+        # value at the end of the piece before it
+        v = self._v[:-1]
+        up = c[1:] - v > rtol * (np.abs(v) + np.abs(beta * hl)[:-1])
+        if np.any(beta > 0) or np.any(up):
+            failures.append("mu is not nonincreasing: a linear piece rises or a break "
+                            "steps up")
+        if not abs(self.first_moment - 1.0) <= 10 * rtol:
+            failures.append("first moment %.6g differs from 1" % self.first_moment)
+        last = [0.0] + [s_n for s_n, _ in jumps[:-1]]
+        if any(amp <= 0 or s_n <= prev for (s_n, amp), prev in zip(jumps, last)):
+            failures.append("jump list must have increasing points, positive amplitudes")
+        nec = check_nec(self, self.theta, self.delta_decay)
+        self.nec_worst = nec.worst_ratio
+        if not nec.passed:
+            failures.append("decay certificate (theta=%g, delta=%g) fails: worst ratio %.6g"
+                            % (self.theta, self.delta_decay, nec.worst_ratio))
+        if failures:
+            raise KernelError("inadmissible kernel %r: %s" % (kernel_id, "; ".join(failures)))
 
     # -- closed forms in the pieces -----------------------------------------
 
@@ -322,10 +344,13 @@ def check_nec(kernel, theta, delta, rtol=None):
     ends and a linear piece's stationary point.  Each rise is a sum of
     slope*width and log ratios, so none is inf - inf.  Returns the pass flag
     and the worst ratio sup mu(t+s)*e^(delta t)/(theta mu(s)); rtol (the
-    kernel's by default) allows for roundoff.
+    kernel's by default) allows for roundoff.  A delta <= 0 states no decay
+    and raises a KernelError.
     """
     if theta < 1:
         raise KernelError("theta must be >= 1")
+    if not delta > 0:
+        raise KernelError("delta must be positive")
     rtol = kernel.rtol if rtol is None else rtol
     a, c, r, beta, h, ends = (v.tolist() for v in (kernel.a, kernel.c, kernel.r,
                                                    kernel.beta, kernel._h, kernel._v))
@@ -336,7 +361,7 @@ def check_nec(kernel, theta, delta, rtol=None):
         else:                     # concave: its end, and its stationary point x
             rise = max(0.0, math.log(ends[i]) - math.log(c[i]) + delta * h[i]) \
                 if ends[i] > 0 else 0.0
-            x = -c[i] / beta[i] - 1.0 / delta if beta[i] < 0 < delta else 0.0
+            x = -c[i] / beta[i] - 1.0 / delta if beta[i] < 0 else 0.0
             if 0.0 < x < h[i]:
                 rise = max(rise, math.log(-beta[i]) - math.log(delta) - math.log(c[i])
                            + delta * x)
@@ -395,67 +420,6 @@ def split_sets(kernel, delta_split, grid=None):
     vals = _as_array(kernel.mu_prime(grid)) + delta_split * _as_array(kernel.mu(grid))
     p_mask = vals > 0
     return p_mask, ~p_mask
-
-
-# ---------------------------------------------------------------------------
-# admissibility
-# ---------------------------------------------------------------------------
-
-@dataclass
-class KernelReport:
-    kernel_id: str
-    mass: float
-    first_moment: float
-    monotone: bool
-    moment_ok: bool
-    jumps_ok: bool
-    nec_ok: bool
-    nec_worst: float
-    theta: float
-    delta_decay: float
-    failures: list = field(default_factory=list)
-
-    @property
-    def admissible(self):
-        return not self.failures
-
-
-def admissibility_report(kernel):
-    """Run the construction-time invariants and collect failures."""
-    failures = []
-    # no linear piece rises, and no break steps up past the roundoff of the
-    # value at the end of the piece before it
-    v = kernel._v[:-1]
-    up = kernel.c[1:] - v > kernel.rtol * (np.abs(v) + np.abs(kernel.beta * kernel._hl)[:-1])
-    monotone = not (np.any(kernel.beta > 0) or np.any(up))
-    if not monotone:
-        failures.append("mu is not nonincreasing: a linear piece rises or a break "
-                        "steps up")
-
-    fm = kernel.first_moment
-    moment_ok = abs(fm - 1.0) <= 10 * kernel.rtol
-    if not moment_ok:
-        failures.append("first moment %.6g differs from 1" % fm)
-
-    jumps_ok = True
-    last = 0.0
-    for s_n, a_n in kernel.jumps:
-        if a_n <= 0 or s_n <= last:
-            jumps_ok = False
-        last = s_n
-    if not jumps_ok:
-        failures.append("jump list must have increasing points, positive amplitudes")
-
-    nec = check_nec(kernel, kernel.theta, kernel.delta_decay)
-    if not nec.passed:
-        failures.append("decay certificate (theta=%g, delta=%g) fails: worst ratio %.6g"
-                        % (kernel.theta, kernel.delta_decay, nec.worst_ratio))
-
-    return KernelReport(
-        kernel_id=kernel.kernel_id, mass=kernel.mass, first_moment=fm,
-        monotone=monotone, moment_ok=moment_ok,
-        jumps_ok=jumps_ok, nec_ok=nec.passed, nec_worst=nec.worst_ratio,
-        theta=kernel.theta, delta_decay=kernel.delta_decay, failures=failures)
 
 
 # ---------------------------------------------------------------------------

@@ -273,6 +273,16 @@ def test_kernel_check_rejects_nan_flags(workdir, flags, capsys):
     assert flags[0] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("delta", ["0", "-1"])
+def test_kernel_check_refuses_nec_without_decay(workdir, delta, capsys):
+    # it printed "domination (theta=1, delta=0) pass" and exited 0
+    assert main(["kernel", "check", str(workdir / "exp1.kernel.json"),
+                 "--nec", "1", delta]) == 2
+    captured = capsys.readouterr()
+    assert "delta must be positive" in captured.err
+    assert "domination" not in captured.out
+
+
 def test_simulate_zero_data(workdir, capsys):
     cfg = json.loads((workdir / "config.json").read_text())
     cfg["initial"] = "zero"

@@ -521,6 +521,15 @@ def test_history_force_exactly_zero_on_constant_trajectory(exp1):
             assert np.all(mf.history_force(n, P) == 0.0)
 
 
+def test_memory_force_samples_the_kernel_on_its_window_only(exp1, monkeypatch):
+    # every weight read lies in nodes 0..W, however long the run
+    from memoryflow.evolution import MemoryForce
+    calls = record_kernel_calls(exp1, monkeypatch)
+    mf = MemoryForce(exp1, "history", 0.01, 5000)
+    assert mf.w_nodes == 2303
+    assert sum(math.prod(shape) for shape in calls["mu"]) <= mf.w_nodes + 1
+
+
 def test_state_initial_memory_vanishes_past_support(exp1):
     from memoryflow.evolution import MemoryForce
     lam = np.array([1.0, 4.0])

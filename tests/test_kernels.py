@@ -22,7 +22,6 @@ from memoryflow.kernels import (
     MAX_GRID_NODES,
     KernelError,
     MemoryKernel,
-    admissibility_report,
     check_dafermos,
     check_nec,
     flatness_rate,
@@ -156,6 +155,13 @@ def test_nec_refuses_a_certificate_whose_exponential_overflows():
         broken_line(1e6)
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0])
+def test_nec_refuses_a_delta_that_states_no_decay(exp1, delta):
+    # with delta <= 0 it passed on exp1, as mu(t + s) <= mu(s) holds
+    with pytest.raises(KernelError, match="delta must be positive"):
+        check_nec(exp1, 1.0, delta)
+
+
 @pytest.mark.parametrize("delta", [1e6, 1e30, 1e308])
 @pytest.mark.parametrize("theta", [1.0, 1e308])
 def test_nec_near_the_float_range_warns_of_nothing_and_fails(exp1, delta, theta):
@@ -190,7 +196,8 @@ def test_exact_checks_bound_their_grid_oracles(kernel, theta, delta):
     scan = nec_pair_scan(kernel, theta, delta, pts)
     assert exact.worst_ratio >= scan * (1 - 1e-12)
     assert scan <= 1 + kernel.rtol or not exact.passed
-    assert check_nec(kernel, kernel.theta, kernel.delta_decay).passed
+    own = check_nec(kernel, kernel.theta, kernel.delta_decay)
+    assert own.passed and kernel.nec_worst == own.worst_ratio
     assert check_dafermos(kernel, delta) == dafermos_scan(kernel, delta, pts)
     flat_c = np.sum(kernel.c[(kernel.r == 0) & (kernel.beta == 0)])
     assert flatness_rate(kernel) == pytest.approx(
@@ -340,10 +347,9 @@ def test_jump_kernel_structure():
 
 
 def test_admissibility_report_fields(exp1):
-    rep = admissibility_report(exp1)
-    assert rep.admissible
-    assert rep.nec_ok and rep.monotone and rep.moment_ok
-    assert rep.mass == pytest.approx(1.0, abs=1e-10)
+    # a built kernel is admissible and keeps its certificate's worst ratio
+    assert exp1.nec_worst == 1.0
+    assert exp1.mass == pytest.approx(1.0, abs=1e-10)
 
 
 def test_a_break_that_steps_up_is_refused():

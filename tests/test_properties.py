@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,6 +14,7 @@ from support import (
     dissipation_integral_probe,
     holder_growth_probe,
     invariance_residual,
+    piece_tables,
     random_smooth_history,
     right_translate,
     unflatten,
@@ -31,6 +32,7 @@ from memoryflow.evolution import (
     sample_times,
 )
 from memoryflow.kernels import (
+    MemoryKernel,
     make_exponential_kernel,
     make_flatzone_kernel,
     make_tabulated_kernel,
@@ -387,3 +389,36 @@ def test_tabulated_window_matches_direct_sum(kernel, dt, W, seed, scale):
             assert mf._q is None
             F = np.array([mf.history_force(n, P) for n in range(n_max + 1)])
             assert np.all(F == 0.0)
+
+
+# a falling line, a step down at s = 1 and a geometric piece to infinity,
+# whose window of 240 steps at dt = 0.1 the run stops short of
+LINE_THEN_TAIL = MemoryKernel([0.0, 1.0], [1.0, 0.5], [0.0, 1.0], [-0.3, 0.0],
+                              jumps=[(1.0, 0.2)], theta=math.e * (1 + 1e-9),
+                              delta_decay=1.0, kernel_id="line_then_tail")
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(kernel=piece_tables(), dt=st.sampled_from([0.05, 0.1]), seed=st.integers(0, 2 ** 16))
+@example(kernel=LINE_THEN_TAIL, dt=0.1, seed=5)
+def test_memory_force_on_piece_tables_matches_direct_sum(kernel, dt, seed):
+    # mixed tables of geometric and linear pieces with stepped breaks, in
+    # both frameworks; a run of 100 steps outlasts the window of each drawn
+    # table that ends before 100 dt, and stops inside that of LINE_THEN_TAIL
+    lam = np.array([1.0, 4.0, 9.0])
+    n_max = 100
+    X = np.random.default_rng(seed).normal(size=(2, n_max + 1, lam.size))
+    P = np.empty_like(X)
+    P[:] = X[:, :1]
+    atol = 1e-14 * max(1.0, kernel.mass)
+    for framework, direct in (("history", direct_history_force),
+                              ("state", direct_state_force)):
+        mf = MemoryForce(kernel, framework, dt, n_max)
+        mf.set_initial_memory([HistoryField.zeros(kernel, lam)] * 2)
+        for n in range(n_max + 1):
+            np.testing.assert_allclose(mf.force(n, X), direct(mf, n, X),
+                                       rtol=1e-12, atol=atol)
+    mf = MemoryForce(kernel, "history", dt, n_max)
+    mf.set_initial_memory([HistoryField.zeros(kernel, lam)] * 2)
+    F = np.array([mf.history_force(n, P) for n in range(n_max + 1)])
+    assert np.all(F == 0.0)
