@@ -27,6 +27,7 @@ from .evolution import (
     BlowUpError,
     integrate,
     integrate_ensemble,
+    run_steps,
     sample_times,
     save_trajectory_csv,
     trajectory_metadata,
@@ -240,6 +241,7 @@ def cmd_simulate(args):
                          "not %g" % (cfg.dt, cfg.t_end, args.cloud_every))
     model, kernel = load_experiment(cfg)
     ops = assemble(model, kernel)
+    run_steps(cfg.dt, cfg.t_end, cfg.ensemble, model.lambdas.size)
     z0s = [initial_state(cfg, model, kernel, k) for k in range(cfg.ensemble)]
     os.makedirs(cfg.out_dir, exist_ok=True)
     trajs = integrate_ensemble(z0s, ops, kernel, cfg.framework, cfg.dt, cfg.t_end)
@@ -277,20 +279,18 @@ def cmd_compare(args):
     model, kernel = load_experiment(cfg)
     ops = assemble(model, kernel)
     cfg.framework = "history"
+    run_steps(cfg.dt, cfg.t_end, cfg.ensemble, model.lambdas.size)
     z0s = [initial_state(cfg, model, kernel, k) for k in range(cfg.ensemble)]
     os.makedirs(cfg.out_dir, exist_ok=True)
-    # keep only (u, v) of the history run, so its other arrays are freed
-    # before the state run allocates its own
-    uv_h = [(traj.u_snaps, traj.v_snaps) for traj in
-            integrate_ensemble(z0s, ops, kernel, "history", cfg.dt, cfg.t_end)]
+    trajs_h = integrate_ensemble(z0s, ops, kernel, "history", cfg.dt, cfg.t_end)
     z0s = [ExtendedVector(z0.u.copy(), z0.v.copy(), lambda_map(z0.memory, kernel))
            for z0 in z0s]
     trajs_s = integrate_ensemble(z0s, ops, kernel, "state", cfg.dt, cfg.t_end)
     worst, rows = 0.0, []
-    for k, ((u_h, v_h), traj_s) in enumerate(zip(uv_h, trajs_s)):
+    for k, (h_run, s_run) in enumerate(zip(trajs_h, trajs_s)):
         # nothing reads the history rows again, so |du| and |dv| overwrite them
-        gap = float(max(np.abs(np.subtract(h, s, out=h), out=h).max()
-                        for h, s in ((u_h, traj_s.u_snaps), (v_h, traj_s.v_snaps))))
+        gap = float(max(np.abs(np.subtract(h, s, out=h), out=h).max() for h, s in
+                        ((h_run.u_snaps, s_run.u_snaps), (h_run.v_snaps, s_run.v_snaps))))
         worst = max(worst, gap)
         rows.append((float(k), gap))
     save_rows(os.path.join(cfg.out_dir, "compare.csv"), "member,max_uv_gap", rows)

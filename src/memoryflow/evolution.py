@@ -8,11 +8,11 @@ stored (u, v) snapshots through the explicit representation formulas, so
 the history transport is exact and free of CFL constraints.  The coupled
 scheme is second order overall.
 
-A run fills (E, n+1, J) arrays of u, v and the memory force F, which a
-trajectory keeps; only the stepwise path also stores the memory source X
-that F reads (lambdas*u for history, lambdas*v for state).  A run whose
-arrays would hold more than MAX_RUN_VALUES values each is refused before
-any is allocated.
+A run fills (E, n+1, J) arrays of u and v, which a trajectory keeps;
+only the stepwise path also stores the memory source X that the force
+reads (lambdas*u for history, lambdas*v for state).  A run whose arrays
+would hold more than MAX_RUN_VALUES values each is refused before any is
+allocated (`run_steps`).
 
 An ensemble is a batch axis: `integrate_ensemble` steps all members together
 as rows of member-major arrays, and each row is bitwise equal to the same
@@ -88,11 +88,10 @@ class ModelOperators:
 
 @dataclass
 class Trajectory:
-    """Uniformly spaced snapshots of u, v and the memory force."""
+    """Uniformly spaced snapshots of u and v."""
     times: np.ndarray
     u_snaps: np.ndarray            # (n+1, J)
     v_snaps: np.ndarray
-    force_snaps: np.ndarray        # memory force as used at each snapshot
     initial_memory: object
     window: float                  # the kernel's s_max, where the memory window ends
     framework: str                 # "history" | "state"
@@ -386,13 +385,10 @@ _FACTORS = np.concatenate([[np.zeros(6, dtype=int), np.arange(6)], 1 + np.array(
                           axis=1)
 
 
-def _scalars(mf, ns, n_steps):
-    """Rows (1, s) of `_step_map`'s scalars s at steps ns of a run of n_steps;
-    s past n_steps, and a[n+1] and b[n+1] at n_steps, which its F column
-    does not read, repeat those at n_steps."""
-    n = np.minimum(ns, n_steps)
-    nn = np.stack([n, np.minimum(n + 1, n_steps)])
-    a = mf._gain[np.minimum(nn, mf._top)] if mf.framework == "history" \
+def _scalars(mf, n):
+    """Rows (1, s) of `_step_map`'s scalars s at steps n, past a run's end too."""
+    nn = np.stack([n, n + 1])
+    a = mf._gain[np.minimum(nn, mf._gain.size - 1)] if mf.framework == "history" \
         else np.where(nn > 0, 0.5 * mf.dt * mf.k_dt[0], 0.0)
     b = np.where(nn > 0, mf._edge[np.minimum(nn, mf.w_nodes)], 0.0)
     return np.column_stack([np.ones(len(n)), a[0], b[0], a[1], b[1],
@@ -408,20 +404,20 @@ def _monomials(s, cols, out=None):
 def _step_map(mf, lam, g):
     """One predictor-corrector step of an f = None run as per-mode matrices.
 
-    The step is the row z = (u, v, p, h, F, x0, x1, xt, m0, m1, 1) at n
-    times an (11, 5) matrix per mode, which gives (u, v, p, h) at n+1 and
-    F = F(n).  Here p = X[n-1] (read in the history framework only) and h
-    is the carry of `MemoryForce._carry` of mf, with X the run's memory
-    source; the F slot is not read.  The inputs x0 = X[n-m], x1 =
-    X[n+1-m1], xt = X[n-top] and the initial-memory terms m0, m1 at n and
-    n+1 are final before n.  The matrix depends on n only through the
-    scalars s = (a[n], b[n], a[n+1], b[n+1], leave [n >= top]), where (a, b)
-    is (gain, edge) in the history framework and (dt k(0)/2, edge) in the
-    state framework, both 0 at n = 0.
+    The step is the row z = (u, v, p, h, x0, x1, m0, m1, 1) at n times a
+    (9, 4) matrix per mode, which gives (u, v, p, h) at n+1.  Here p =
+    X[n-1] (read in the history framework only) and h is the carry of
+    `MemoryForce._carry` of mf, with X the run's memory source.  The inputs
+    x0 = X[n-m], x1 = X[n+1-m1], which is also the row X[n-top] that leaves
+    the carry, and the initial-memory terms m0, m1 at n and n+1 are final
+    before n.  The matrix depends on n only through the scalars s = (a[n],
+    b[n], a[n+1], b[n+1], leave [n >= top]), where (a, b) is (gain, edge) in
+    the history framework and (dt k(0)/2, edge) in the state framework,
+    both 0 at n = 0.
 
-    This returns its (16, J, 11, 5) coefficients on the `_monomials` of s,
+    This returns its (16, J, 9, 4) coefficients on the `_monomials` of s,
     with g, which must be one (J,) forcing, on the constant row.  Quantities
-    are carried as (16, J, 11) coefficients, so times s_k shifts rows, and a
+    are carried as (16, J, 9) coefficients, so times s_k shifts rows, and a
     pass applies the (u, v) columns of `_stage_coefficients` to the slots u,
     v, F0, g and F1.  A scalar multiplies only terms of degree <= 1 that
     lack it, so no square arises.
@@ -438,43 +434,41 @@ def _step_map(mf, lam, g):
         return out
 
     def unit(k, c=1.0):
-        x = np.zeros((16, J, 11))
+        x = np.zeros((16, J, 9))
         x[0, :, k] = c
         return x
 
     # c[:, k] times the quantity in slot k of `_stage_coefficients`
     rk4_pass = lambda c, *xs: sum(c[:, k, None] * x for k, x in zip((0, 1, 2, 3, 8), xs))
 
-    u, v, p, h, _, x0, x1, xt, m0, m1 = map(unit, range(10))
-    one = unit(10, g)
+    u, v, p, h, x0, x1, m0, m1 = map(unit, range(8))
+    one = unit(8, g)
     _, _, _, pred, _, corr = _stage_coefficients(lam, mf.dt)
-    lam = lam[:, None]                  # per mode, on the (16, J, 11) rows
+    lam = lam[:, None]                  # per mode, on the (16, J, 9) rows
     # Xn = X[n], and Xp is X[n+1] of the predictor
     if mf.framework == "history":
         Xn = lam * u
         F0 = h + m0 + times(0, Xn - p) + times(1, Xn - x0)
         Xp = lam * rk4_pass(pred[..., 0], u, v, F0, one)
-        h1 = mf._q * (h + times(0, Xn - p)) - times(4, Xn - xt)
+        h1 = mf._q * (h + times(0, Xn - p)) - times(4, Xn - x1)
         F1 = h1 + m1 + times(2, Xp - Xn) + times(3, Xp - x1)
     else:
         Xn = lam * v
         F0 = h + m0 + times(0, Xn) + times(1, x0)
         Xp = lam * rk4_pass(pred[..., 1], u, v, F0, one)
-        h1 = mf._q * h + mf._c * Xn - times(4, xt)
+        h1 = mf._q * h + mf._c * Xn - times(4, x1)
         F1 = h1 + m1 + times(2, Xp) + times(3, x1)
     un, vn = (rk4_pass(corr[..., c], u, v, F0, one, F1) for c in (0, 1))
-    return np.stack([un, vn, Xn, h1, F0], axis=-1)
+    return np.stack([un, vn, Xn, h1], axis=-1)
 
 
-def _store(U, V, F, n0, uv, forces, dt):
+def _store(U, V, n0, uv, dt):
     """Store a pass from step n0: uv, (L, E, J, 2), as (u, v) at steps
-    n0+1..n0+L and forces, (K, E, J), as F at steps n0..n0+K-1; if max |u|
-    or max |v| left the guard (NaN fails it), raise BlowUpError at the end
-    of the first step that did."""
+    n0+1..n0+L; if max |u| or max |v| left the guard (NaN fails it), raise
+    BlowUpError at the end of the first step that did."""
     new = slice(n0 + 1, n0 + 1 + len(uv))
     U[:, new] = uv[..., 0].swapaxes(0, 1)
     V[:, new] = uv[..., 1].swapaxes(0, 1)
-    F[:, n0:n0 + len(forces)] = forces.swapaxes(0, 1)
     if not all(np.abs(A[:, new]).max(initial=0.0) <= BLOWUP_GUARD for A in (U, V)):
         ok = np.maximum(np.abs(U[:, new]), np.abs(V[:, new])).max(axis=(0, 2)) <= BLOWUP_GUARD
         raise BlowUpError((n0 + int(np.argmin(ok))) * dt + dt)
@@ -488,14 +482,14 @@ def _block_path(ops, mf):
             and mf._top >= BLOCK)
 
 
-def _integrate_blocks(mf, ops, lam, U, V, F):
-    """Fill U, V and F of an f = None run with a recursive window.
+def _integrate_blocks(mf, ops, lam, U, V):
+    """Fill U and V of an f = None run with a recursive window.
 
     Steps run in passes of P = min(top, 4 BLOCK) from n = 0; P depends on
     the window only, so a run to T is the prefix of a run to 2T.  The
     matrix of `_step_map` is quadratic in its five scalars, so a pass's
     matrices are one product of the live `_monomials` (whose coefficients
-    are not all 0.0) with their coefficients, into one (P, J, 11, 5)
+    are not all 0.0) with their coefficients, into one (P, J, 9, 4)
     buffer; one matrix serves every step from the first multiple of BLOCK
     past top.  A pass inside the window, past step 0 and short of top and
     n_steps, reads its scalars as slices of the gain and edge tables.  The
@@ -509,8 +503,8 @@ def _integrate_blocks(mf, ops, lam, U, V, F):
     P, on = min(top, 4 * BLOCK), (top // BLOCK + 1) * BLOCK
     coef = _step_map(mf, lam, ops.g).reshape(16, -1)
     # all 16 monomials: a one-row product's bits can depend on its length
-    steady = (_monomials(_scalars(mf, np.array([top + 1]), n_steps), np.arange(16))
-              @ coef).reshape(J, 11, 5)
+    steady = (_monomials(_scalars(mf, np.array([top + 1])), np.arange(16))
+              @ coef).reshape(J, 9, 4)
     live = np.flatnonzero(coef.any(axis=1))
     coef = coef[live]
     # scalar rows (1, a[n], b[n], a[n+1], b[n+1], 0) of a pass inside the
@@ -521,51 +515,60 @@ def _integrate_blocks(mf, ops, lam, U, V, F):
         else np.broadcast_to(0.5 * mf.dt * mf.k_dt[0], (mf.w_nodes, 2))
     b_pairs = sliding_window_view(mf._edge, 2)
     mono = np.empty((P, live.size))
-    M = np.empty((P, J, 11, 5))                # the step matrices of a pass
-    z = np.zeros((P + 1, E, J, 1, 11))         # the rows of `_step_map`, per step
+    M = np.empty((P, J, 9, 4))                 # the step matrices of a pass
+    z = np.zeros((P + 1, E, J, 1, 9))          # the rows of `_step_map`, per step
     z[0, :, :, 0, 0], z[0, :, :, 0, 1] = U[:, 0], V[:, 0]
-    z[..., 10] = 1.0
-    steps = [(z[l], M[l], z[l + 1, ..., :5]) for l in range(P)]
-    for n0 in range(0, n_steps + 1, P):
+    z[..., 8] = 1.0
+    steps = [(z[l], M[l], z[l + 1, ..., :4]) for l in range(P)]
+    for n0 in range(0, n_steps, P):
         if n0 < on:
             if 0 < n0 and n0 + P <= inside:
                 s[:, 1:4:2], s[:, 2:5:2] = a_pairs[n0:n0 + P], b_pairs[n0:n0 + P]
                 rows = s
             else:
-                rows = _scalars(mf, n0 + np.arange(P), n_steps)
+                rows = _scalars(mf, n0 + np.arange(P))
             np.matmul(_monomials(rows, live, mono), coef, out=M.reshape(P, -1))
             if on < n0 + P:
                 M[on - n0:] = steady
         elif n0 < on + P:
             M[:] = steady
-        # slot 5 takes x0 = X[max(n - top - 1, 0)], 6 and 7 x1 = xt = X[max(n - top, 0)]:
+        # slot 4 takes x0 = X[max(n - top - 1, 0)], 5 x1 = X[max(n - top, 0)]:
         # lambda X[0] on every row until a pass reaches past top
         if n0 == 0 or n0 + P - 1 > top:
-            for k, lag in ((5, top + 1), (6, top)):
+            for k, lag in ((4, top + 1), (5, top)):
                 x, first = z[:P, :, :, 0, k].swapaxes(0, 1), min(max(lag - n0, 0), P)
                 x[:, :first] = lam * src[:, :1]
                 np.multiply(lam, src[:, n0 + first - lag:n0 + P - lag], out=x[:, first:])
-            z[:P, :, :, 0, 7] = z[:P, :, :, 0, 6]
         # BLOCK + 1 rows at a time bound the (rows, nodes) weights of initial_terms
         for k in range(0, P, BLOCK) if mf._mem0 else ():
             mem = mf.initial_terms(np.arange(n0 + k, n0 + min(k + BLOCK, P) + 1))
-            z[k:k + len(mem) - 1, :, :, 0, 8] = mem[:-1]
-            z[k:k + len(mem) - 1, :, :, 0, 9] = mem[1:]
+            z[k:k + len(mem) - 1, :, :, 0, 6] = mem[:-1]
+            z[k:k + len(mem) - 1, :, :, 0, 7] = mem[1:]
         L = min(P, n_steps - n0)
-        # the last pass takes one more row, whose F slot is the force at
-        # n_steps, from the same matrix row as at every step
-        last = L + 1 if n0 + P > n_steps else L
         with np.errstate(over="ignore", invalid="ignore"):
-            for zl, Ml, out in steps[:last]:
+            for zl, Ml, out in steps[:L]:
                 np.matmul(zl, Ml, out=out)
-            _store(U, V, F, n0, z[1:L + 1, :, :, 0, :2], z[1:last + 1, :, :, 0, 4], mf.dt)
-        z[0, ..., :5] = z[L, ..., :5]
+            _store(U, V, n0, z[1:L + 1, :, :, 0, :2], mf.dt)
+        z[0, ..., :4] = z[L, ..., :4]
+
+
+def run_steps(dt, t_end, members, J):
+    """Steps to t_end; ValueError unless 0 < dt <= t_end and a run array fits the budget."""
+    if dt <= 0 or t_end < dt:
+        raise ValueError("need 0 < dt <= t_end")
+    n_steps = int(round(t_end / dt)) if math.isfinite(t_end / dt) else math.inf
+    if (n_steps + 1) * members * J > MAX_RUN_VALUES:
+        raise ValueError("t_end = %g over dt = %g with %d members of J = %d modes is "
+                         "%.0f values per run array, more than the budget of %d"
+                         % (t_end, dt, members, J, (n_steps + 1) * members * J,
+                            MAX_RUN_VALUES))
+    return n_steps
 
 
 def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end):
     """Advance all members of z0s together to t_end; one trajectory each.
 
-    Members are rows of member-major (E, n+1, J) arrays of u, v and F, and
+    Members are rows of member-major (E, n+1, J) arrays of u and v, and
     each trajectory holds contiguous views of its rows, which are bitwise
     equal to the member integrated alone.  Every z0.memory must match the framework (history
     field or state field).  The memory window ends at the kernel's support
@@ -578,28 +581,21 @@ def integrate_ensemble(z0s, ops, kernel, framework, dt, t_end):
     want = HistoryField if framework == "history" else StateField
     if not all(isinstance(z0.memory, want) for z0 in z0s):
         raise ValueError("initial memory does not match framework %r" % framework)
-    if dt <= 0 or t_end < dt:
-        raise ValueError("need 0 < dt <= t_end")
     lam = np.asarray(ops.lambdas, dtype=float)
-    n_steps = int(round(t_end / dt)) if math.isfinite(t_end / dt) else math.inf
-    if (n_steps + 1) * len(z0s) * lam.size > MAX_RUN_VALUES:
-        raise ValueError("t_end = %g over dt = %g with %d members of J = %d modes is "
-                         "%.0f values per run array, more than the budget of %d"
-                         % (t_end, dt, len(z0s), lam.size,
-                            (n_steps + 1) * len(z0s) * lam.size, MAX_RUN_VALUES))
+    n_steps = run_steps(dt, t_end, len(z0s), lam.size)
 
-    U, V, F = (np.empty((len(z0s), n_steps + 1, lam.size)) for _ in range(3))
+    U, V = (np.empty((len(z0s), n_steps + 1, lam.size)) for _ in range(2))
     U[:, 0] = [z0.u.coeffs for z0 in z0s]
     V[:, 0] = [z0.v.coeffs for z0 in z0s]
 
     mf = MemoryForce(kernel, framework, dt, n_steps)
     mf.set_initial_memory([z0.memory for z0 in z0s])
     advance = _integrate_blocks if _block_path(ops, mf) else _integrate_steps
-    advance(mf, ops, lam, U, V, F)
+    advance(mf, ops, lam, U, V)
 
     times = np.arange(n_steps + 1) * dt
     return [Trajectory(
-        times=times, u_snaps=U[e], v_snaps=V[e], force_snaps=F[e],
+        times=times, u_snaps=U[e], v_snaps=V[e],
         initial_memory=z0.memory.copy(), window=kernel.s_max, framework=framework,
         dt=dt, kernel_id=kernel.kernel_id, lambdas=lam)
         for e, z0 in enumerate(z0s)]
@@ -620,8 +616,8 @@ def _stage_coefficients(lam, dt):
             for c in (args[1:2], args[2:3], args[3:4], wp, args[4:], wn)]
 
 
-def _integrate_steps(mf, ops, lam, U, V, F):
-    """Fill U, V and F one predictor-corrector step at a time, on the slots of
+def _integrate_steps(mf, ops, lam, U, V):
+    """Fill U and V one predictor-corrector step at a time, on the slots of
     `_stage_coefficients`, filled in slot order.
 
     Step n fills row r = n mod BLOCK of a (BLOCK + 1, E, J, 10) slot array,
@@ -630,7 +626,7 @@ def _integrate_steps(mf, ops, lam, U, V, F):
     slot prefix with per-mode coefficient rows (the predictor's u or v
     column only), so a batch row has the bits of its member run alone; with
     f = None the f slots stay 0.0.  The memory source X that the force reads
-    is an (E, n+1, J) array of the run, written every step; the U, V and F
+    is an (E, n+1, J) array of the run, written every step; the U and V
     stores and the blow-up guard (`_store`) run once per BLOCK steps.
     """
     E, n_steps, dt, f = U.shape[0], U.shape[1] - 1, mf.dt, ops.f
@@ -663,9 +659,8 @@ def _integrate_steps(mf, ops, lam, U, V, F):
                     z[..., 9] = f(np.vecdot(z[..., :9], c4c))
                 w = np.vecdot(z[..., None, :], c_corr, out=Z[r + 1, ..., :2])
                 np.multiply(lam, w[..., src], out=x)
-            _store(U, V, F, n0, Z[1:L + 1, ..., :2], Z[:L, ..., 2], dt)
+            _store(U, V, n0, Z[1:L + 1, ..., :2], dt)
             Z[0, ..., :2] = Z[L, ..., :2]
-    F[:, n_steps] = mf.force(n_steps, X)
 
 
 def integrate(z0, ops, kernel, framework, dt, t_end):

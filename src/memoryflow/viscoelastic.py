@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .evolution import (
+    MemoryForce,
     ModelOperators,
     Trajectory,
     _interp_many,
     integrate_ensemble,
+    run_steps,
 )
 from .kernels import (
     KernelError,
@@ -375,16 +377,20 @@ def hypothesis_probe_suite(model, kernel, radii, *, t_end=30.0, dt=2e-3,
         gap = max(gap, abs(lhs - rhs))
 
     # all radii x members step as the rows of one batch
+    n_steps = run_steps(dt, t_end, len(radii) * ensemble, lam.size)
     z0s = [draw_random_state(model, kernel, radius, "H1",
                              np.random.default_rng([seed, int(radius * 1000), e]))
            for radius in radii for e in range(ensemble)]
     trajs = integrate_ensemble(z0s, ops, kernel, "history", dt, t_end)
-    plateau_h1 = {}
-    accel_sup = {}
-    sigma_plateaus = {}
+    idxs = np.arange(0, n_steps + 1, max(1, n_steps // 400))
+    mf = MemoryForce(kernel, "history", dt, n_steps)
+    mf.set_initial_memory([traj.initial_memory for traj in trajs])
+    P = np.stack([traj.u_snaps for traj in trajs])
+    P *= lam                                # lambdas*u in place: one run array, not two
+    forces = np.array([mf.force(n, P) for n in idxs])  # the force at idxs, (samples, E, J)
+    plateau_h1, accel_sup, sigma_plateaus = {}, {}, {}
     for i, radius in enumerate(radii):
-        h1_tails = []
-        acc_vals = []
+        h1_tails, acc_vals = [], []
         for e, traj in enumerate(trajs[i * ensemble:(i + 1) * ensemble]):
             ts = traj.times[::max(1, traj.n_steps // 60)]
             # member 0 at the largest radius also climbs the sigma ladder
@@ -396,9 +402,8 @@ def hypothesis_probe_suite(model, kernel, radii, *, t_end=30.0, dt=2e-3,
                 if probe_sigma:
                     for sigma, col in sig_vals.items():
                         col.append(norm_H(z, sigma))
-            idxs = np.arange(0, traj.n_steps + 1, max(1, traj.n_steps // 400))
             u = traj.u_snaps[idxs]
-            acc = ops.accel(u, traj.force_snaps[idxs], f_modal(model, u))
+            acc = ops.accel(u, forces[:, i * ensemble + e], f_modal(model, u))
             acc_vals.append(float(np.max(np.sqrt(np.sum(acc ** 2, axis=1)))))
             if probe_sigma:
                 sigma_plateaus = {sigma: float(np.median(col))

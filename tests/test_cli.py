@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from memoryflow import cli
+from memoryflow import cli, evolution, viscoelastic
 from memoryflow.attractors import load_cloud_csv
 from memoryflow.cli import ExperimentConfig, main
 from memoryflow.evolution import integrate_ensemble
@@ -455,6 +455,29 @@ def test_run_over_the_array_budget_exits_2(workdir, command, capsys):
                  "--out", str(workdir / "out")]) == 2
     err = capsys.readouterr().err
     assert "t_end = 1000 over dt = 1e-09" in err and "J = 1 modes" in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "compare", "hypotheses"])
+def test_run_budget_is_checked_before_any_member_is_built(workdir, command, capsys,
+                                                          monkeypatch):
+    # 2 members (hypotheses: 2 radii x 2) of J = 1 over 200 steps hold 201
+    # values each per run array; one value less is refused with no member built
+    members = 4 if command == "hypotheses" else 2
+    built = []
+    for module, name in ((cli, "initial_state"), (viscoelastic, "draw_random_state")):
+        build = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *a, build=build, **k: built.append(1) or build(*a, **k))
+    argv = [command, "--config", str(workdir / "config.json"),
+            "--out", str(workdir / "out")] + ["--radii", "1", "2"] * (command == "hypotheses")
+    monkeypatch.setattr(evolution, "MAX_RUN_VALUES", 201 * members - 1)
+    assert main(argv) == 2
+    assert ("%d values per run array, more than the budget of %d"
+            % (201 * members, 201 * members - 1)) in capsys.readouterr().err
+    assert built == []
+    monkeypatch.setattr(evolution, "MAX_RUN_VALUES", 201 * members)
+    assert main(argv) == 0
+    assert len(built) == members
 
 
 @pytest.mark.parametrize("command,flag,value", [

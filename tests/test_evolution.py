@@ -162,7 +162,7 @@ def test_integrate_ensemble_matches_solo_runs(exp1):
             batch = integrate_ensemble(z0s, ops, exp1, framework, 2e-3, 0.6)
             for z0, traj in zip(z0s, batch):
                 solo = integrate(z0, ops, exp1, framework, 2e-3, 0.6)
-                for name in ("u_snaps", "v_snaps", "force_snaps"):
+                for name in ("u_snaps", "v_snaps"):
                     assert np.array_equal(getattr(traj, name), getattr(solo, name))
 
 
@@ -184,7 +184,7 @@ def test_affine_stepper_matches_generic_rk4():
     for framework, z in (("history", z0), ("state", z0_s)):
         fast = integrate(z, ops, kernel, framework, 2e-3, 1.2)
         slow = integrate(z, plain, kernel, framework, 2e-3, 1.2)
-        for name in ("u_snaps", "v_snaps", "force_snaps"):
+        for name in ("u_snaps", "v_snaps"):
             want = getattr(slow, name)
             np.testing.assert_allclose(getattr(fast, name), want, rtol=0,
                                        atol=1e-12 * np.abs(want).max())
@@ -416,6 +416,18 @@ def test_stage_coefficients_vanish_past_their_prefix():
     assert np.all(coefs[4][:, 7] == 0.0)
 
 
+@pytest.mark.parametrize("framework", ["history", "state"])
+def test_step_map_reads_every_slot_of_its_row(exp1, framework):
+    # the block row (u, v, p, h, x0, x1, m0, m1, 1) holds each input once and
+    # every slot feeds a step, but p = X[n-1], which only the history force reads
+    lam = np.array([1.0, 4.0, 9.0])
+    mf = evolution.MemoryForce(exp1, framework, 1e-2, 5000)
+    coef = evolution._step_map(mf, lam, np.array([0.5, 0.0, -0.3]))
+    assert coef.shape == (16, 3, 9, 4)
+    read = np.any(coef != 0.0, axis=(0, 1, 3))
+    assert list(read) == [framework == "history" or k != 2 for k in range(9)]
+
+
 def forcing_rows_runs(exp1):
     """cubic_minus_linear with (E, J) forcing rows and one member with
     nonzero initial memory, as (model, (framework, z0s) pairs)."""
@@ -440,7 +452,7 @@ def test_stepwise_batch_rows_match_solo_runs_with_forcing_rows(exp1):
         for e, (z0, traj) in enumerate(zip(z0s, batch)):
             model.g = rows[e:e + 1]
             solo = integrate(z0, assemble(model, exp1), exp1, framework, 2e-3, 0.6)
-            for name in ("u_snaps", "v_snaps", "force_snaps"):
+            for name in ("u_snaps", "v_snaps"):
                 assert np.array_equal(getattr(traj, name), getattr(solo, name))
 
 
@@ -452,7 +464,7 @@ def test_stepwise_prefix_property_for_a_cubic_run(exp1):
         short, long = (integrate_ensemble(z0s, ops, exp1, framework, 2e-3, t)
                        for t in (0.4, 0.8))
         for s, l in zip(short, long):
-            for name in ("u_snaps", "v_snaps", "force_snaps"):
+            for name in ("u_snaps", "v_snaps"):
                 assert np.array_equal(getattr(s, name),
                                       getattr(l, name)[:s.n_steps + 1])
 
@@ -573,7 +585,7 @@ def test_prefix_property_past_the_window():
             short = integrate(z0, ops, kernel, framework, WIN_DT, t_end)
             long = integrate(z0, ops, kernel, framework, WIN_DT, 2 * t_end)
             n = short.n_steps + 1
-            for name in ("u_snaps", "v_snaps", "force_snaps"):
+            for name in ("u_snaps", "v_snaps"):
                 assert np.array_equal(getattr(short, name), getattr(long, name)[:n])
 
 
@@ -586,7 +598,7 @@ def test_integrate_ensemble_matches_solo_runs_past_the_window():
             batch = integrate_ensemble(z0s, ops, kernel, framework, WIN_DT, t_end)
             for z0, traj in zip(z0s, batch):
                 solo = integrate(z0, ops, kernel, framework, WIN_DT, t_end)
-                for name in ("u_snaps", "v_snaps", "force_snaps"):
+                for name in ("u_snaps", "v_snaps"):
                     assert np.array_equal(getattr(traj, name), getattr(solo, name))
 
 
@@ -614,7 +626,7 @@ def test_block_path_matches_stepwise(exp1, monkeypatch):
             fast, slow = block_and_stepwise(monkeypatch, z0s, ops, kernel, framework,
                                             WIN_DT, t_end)
             for got, want in zip(fast, slow):
-                for name in ("u_snaps", "v_snaps", "force_snaps"):
+                for name in ("u_snaps", "v_snaps"):
                     w = getattr(want, name)
                     np.testing.assert_allclose(getattr(got, name), w, rtol=0,
                                                atol=1e-12 * np.abs(w).max())
@@ -628,7 +640,7 @@ def test_block_path_prefix_property_inside_the_window(exp1):
         for n_steps in (160, 165):
             short = integrate(z0s[1], ops, exp1, framework, WIN_DT, n_steps * WIN_DT)
             long = integrate(z0s[1], ops, exp1, framework, WIN_DT, 2 * n_steps * WIN_DT)
-            for name in ("u_snaps", "v_snaps", "force_snaps"):
+            for name in ("u_snaps", "v_snaps"):
                 assert np.array_equal(getattr(short, name),
                                       getattr(long, name)[:n_steps + 1])
 
@@ -653,7 +665,7 @@ def test_block_path_matches_stepwise_at_the_pass_length(monkeypatch):
             fast, slow = block_and_stepwise(monkeypatch, z0s, ops, kernel, framework,
                                             WIN_DT, t_end)
             for got, want in zip(fast, slow):
-                for name in ("u_snaps", "v_snaps", "force_snaps"):
+                for name in ("u_snaps", "v_snaps"):
                     w = getattr(want, name)
                     np.testing.assert_allclose(getattr(got, name), w, rtol=0,
                                                atol=1e-12 * np.abs(w).max())
@@ -677,7 +689,7 @@ def test_block_path_matches_stepwise_on_stiff_kernels(monkeypatch, delta, t_end)
         fast, slow = block_and_stepwise(monkeypatch, zs, ops, kernel, framework,
                                         1e-3, t_end)
         for got, want in zip(fast, slow):
-            for name in ("u_snaps", "v_snaps", "force_snaps"):
+            for name in ("u_snaps", "v_snaps"):
                 w = getattr(want, name)
                 np.testing.assert_allclose(getattr(got, name), w, rtol=0,
                                            atol=1e-12 * np.abs(w).max())
@@ -693,7 +705,7 @@ def test_block_path_prefix_property_at_one_and_two_passes(exp1):
             for n_steps in (P, 2 * P):
                 short, long = (integrate(z0s[1], ops, kernel, framework, WIN_DT, k * WIN_DT)
                                for k in (n_steps, 2 * n_steps))
-                for name in ("u_snaps", "v_snaps", "force_snaps"):
+                for name in ("u_snaps", "v_snaps"):
                     assert np.array_equal(getattr(short, name),
                                           getattr(long, name)[:n_steps + 1])
 
@@ -710,7 +722,7 @@ def test_block_path_bits_where_the_window_fills():
                        for k in (330, 660))
         for e, z0 in enumerate(z0s):
             solo = integrate(z0, ops, kernel, framework, WIN_DT, 660 * WIN_DT)
-            for name in ("u_snaps", "v_snaps", "force_snaps"):
+            for name in ("u_snaps", "v_snaps"):
                 assert np.array_equal(getattr(short[e], name), getattr(long[e], name)[:331])
                 assert np.array_equal(getattr(long[e], name), getattr(solo, name))
 
@@ -722,7 +734,7 @@ def assert_block_runs(monkeypatch, z0s, ops, kernel, framework, n_steps):
                                     WIN_DT, n_steps * WIN_DT)
     for z0, got, want in zip(z0s, fast, slow):
         solo = integrate(z0, ops, kernel, framework, WIN_DT, n_steps * WIN_DT)
-        for name in ("u_snaps", "v_snaps", "force_snaps"):
+        for name in ("u_snaps", "v_snaps"):
             w = getattr(want, name)
             np.testing.assert_allclose(getattr(got, name), w, rtol=0,
                                        atol=1e-12 * np.abs(w).max())
@@ -747,7 +759,7 @@ def test_block_path_where_the_lag_slots_refill(monkeypatch, top):
             short = integrate_ensemble(z0s, ops, kernel, framework, WIN_DT,
                                        n_steps * WIN_DT)
             for got, want in zip(short, long):
-                for name in ("u_snaps", "v_snaps", "force_snaps"):
+                for name in ("u_snaps", "v_snaps"):
                     assert np.array_equal(getattr(got, name),
                                           getattr(want, name)[:n_steps + 1])
 
@@ -764,7 +776,7 @@ def test_block_path_at_run_ends_inside_the_window(exp1, monkeypatch, n_steps):
         long = integrate_ensemble(z0s, ops, exp1, framework, WIN_DT,
                                   2 * n_steps * WIN_DT)
         for got, want in zip(short, long):
-            for name in ("u_snaps", "v_snaps", "force_snaps"):
+            for name in ("u_snaps", "v_snaps"):
                 assert np.array_equal(getattr(got, name),
                                       getattr(want, name)[:n_steps + 1])
 
@@ -838,7 +850,6 @@ def test_reconstruct_eta_constant_trajectory(exp1):
     u = np.tile([0.7, -0.2], (n + 1, 1))
     traj = Trajectory(
         times=np.arange(n + 1) * 0.01, u_snaps=u, v_snaps=np.zeros_like(u),
-        force_snaps=np.zeros_like(u),
         initial_memory=HistoryField.zeros(exp1, lam), window=exp1.s_max,
         framework="history", dt=0.01, kernel_id=exp1.kernel_id, lambdas=lam)
     eta = reconstruct_eta(traj, 0.2, exp1)
@@ -1071,7 +1082,7 @@ def test_reconstruct_xi_pure_shift(exp1):
     traj = Trajectory(
         times=np.arange(n + 1) * dt,
         u_snaps=np.zeros((n + 1, 1)), v_snaps=np.zeros((n + 1, 1)),
-        force_snaps=np.zeros((n + 1, 1)), initial_memory=xi0,
+        initial_memory=xi0,
         window=exp1.s_max, framework="state", dt=dt,
         kernel_id=exp1.kernel_id, lambdas=lam)
     t = 0.3
@@ -1165,12 +1176,12 @@ def test_readback_at_a_fractional_step_ratio_is_rank_one(monkeypatch):
 
 
 @pytest.mark.parametrize("framework", ["history", "state"])
-def test_returned_batch_holds_u_v_and_force_only(framework):
-    # a trajectory keeps its (n+1, J) rows of u, v and F: about 3.1 arrays
-    # of (E, n+1, J) with the grid and the initial memory, where u, v, F and
-    # the two stored memory sources were 5.1.  The run takes the block path,
-    # which stores no memory-source array, so it peaks below 3.5 arrays
-    # (u, v, F, a pass's step matrices and the kernel tables)
+def test_returned_batch_holds_u_v_only(framework):
+    # a trajectory keeps its (n+1, J) rows of u and v: about 2.1 arrays of
+    # (E, n+1, J) with the grid and the initial memory, where u, v and the
+    # memory force F were 3.1.  The run takes the block path, which stores
+    # no memory-source array, so it peaks below 2.5 arrays (u, v, a pass's
+    # step matrices and the kernel tables)
     kernel = make_exponential_kernel(2.0)
     model = make_model(32, f="zero")
     lam = model.lambdas
@@ -1188,8 +1199,8 @@ def test_returned_batch_holds_u_v_and_force_only(framework):
     finally:
         tracemalloc.stop()
     assert trajs[0].n_steps == n_steps
-    assert 3.0 < held / array_bytes < 3.5
-    assert peak / array_bytes < 3.5
+    assert 2.0 < held / array_bytes < 2.5
+    assert peak / array_bytes < 2.5
 
 
 # -- cross-framework and structural properties -----------------------------------

@@ -19,7 +19,14 @@ from memoryflow.spaces import (
     ModalVector,
     norm_H,
 )
-from memoryflow.evolution import Trajectory, integrate, integrate_ensemble, reconstruct_eta
+from memoryflow import viscoelastic
+from memoryflow.evolution import (
+    MemoryForce,
+    Trajectory,
+    integrate,
+    integrate_ensemble,
+    reconstruct_eta,
+)
 from memoryflow.viscoelastic import (
     CollocationTransform,
     assemble,
@@ -37,6 +44,7 @@ from memoryflow.viscoelastic import (
 )
 
 from support import (
+    direct_history_force,
     dissipation_integral_probe,
     gamma_functional,
     history_from_profile,
@@ -518,7 +526,7 @@ def test_condition_probe_one_snapshot(exp1):
     lam = np.array([1.0, 4.0])
     u, v = np.array([[0.3, -0.1]]), np.array([[0.2, 0.5]])
     traj = Trajectory(
-        times=np.array([0.0]), u_snaps=u, v_snaps=v, force_snaps=np.zeros((1, 2)),
+        times=np.array([0.0]), u_snaps=u, v_snaps=v,
         initial_memory=HistoryField.zeros(exp1, lam), window=exp1.s_max,
         framework="history", dt=1e-2, kernel_id=exp1.kernel_id, lambdas=lam)
     rep = condition_asso_probe(traj, exp1)
@@ -533,6 +541,32 @@ def test_hypothesis_probe_identity_and_decay(exp1):
     assert rep.identity_gap < 1e-14
     # g = 0 linear: plateau is decay toward zero
     assert rep.plateau_h1[1.0] < 0.05
+
+
+def test_hypothesis_accel_sup_matches_a_direct_evaluation(exp1, monkeypatch):
+    # the force behind accel_sup, read back from the run's u, is the direct
+    # trapezoid sum at every sampled step (the members start with no memory)
+    model = make_model(3, f="cubic", g=[0.5, 0.0, -0.3])
+    lam, dt, trajs = model.lambdas, 5e-3, []
+
+    def keep(*args):
+        trajs.extend(integrate_ensemble(*args))
+        return trajs
+    monkeypatch.setattr(viscoelastic, "integrate_ensemble", keep)
+    rep = hypothesis_probe_suite(model, exp1, (1.0, 2.0), t_end=0.6, dt=dt,
+                                 ensemble=2, seed=3)
+    n_steps = trajs[0].n_steps
+    idxs = np.arange(0, n_steps + 1, max(1, n_steps // 400))
+    mf = MemoryForce(exp1, "history", dt, n_steps)
+    P = lam * np.stack([traj.u_snaps for traj in trajs])
+    for i, radius in enumerate(rep.radii):
+        want = 0.0
+        for k in (2 * i, 2 * i + 1):
+            u = trajs[k].u_snaps[idxs]
+            F = np.array([direct_history_force(mf, n, P)[k] for n in idxs])
+            acc = -lam * u - F - f_modal(model, u) + model.g
+            want = max(want, float(np.max(np.linalg.norm(acc, axis=1))))
+        assert rep.accel_sup[radius] == pytest.approx(want, rel=1e-12)
 
 
 def test_model_file_roundtrip(tmp_path):

@@ -16,7 +16,10 @@ must be new or empty:
   `--cloud-every 2`, so the read-backs of both frameworks at many times
   are hashed;
 - `compare`, `energy-report` (on the single-mode config, and at
-  `--sigma 0.5 --samples 20` on the cubic one), `lk-split` and `hypotheses`;
+  `--sigma 0.5 --samples 20` on the cubic one), `lk-split` and `hypotheses`
+  (on the cubic config, and on the single-mode one, whose f = "zero" run
+  takes the block path, so the memory force it reads back from u is
+  hashed on both paths);
 - `attract` of the state run's clouds against its last cloud;
 - `simulate` in both frameworks and `compare` on a small f = "zero" model
   with a tabulated kernel, whose table and JSON files the script also
@@ -162,6 +165,9 @@ def commands(out):
                       "--out", os.path.join(out, "lk_split")], (0,)),
         ("hypotheses", ["hypotheses", "--config", cubic, "--radii", "1", "2", "4",
                         "--out", os.path.join(out, "hypotheses")], (0,)),
+        ("hypotheses_single_mode",
+         ["hypotheses", "--config", single, "--radii", "1", "2", "4",
+          "--out", os.path.join(out, "hypotheses_single_mode")], (0,)),
         ("attract", ["attract", "--bundle", os.path.join(state, "clouds"),
                      "--surrogate", os.path.join(out, "surrogate"),
                      "--out", os.path.join(out, "attract", "attract.csv")], (0,)),
