@@ -182,6 +182,14 @@ class MemoryForce:
     products, O(W J) per step (see `_window`).  Both read the history
     framework's P as differences, so a constant P gives exactly 0.0.
     Either way force(n) may be asked for at any n, in any order.
+
+    The recursion's per-step scalars are one table, which the force, the
+    carry and every pass of `_integrate_blocks` read.  Row n holds a[n],
+    the weight of X[n] (history: of P[n] - P[n-1]), b[n], the trapezoid
+    end weight of X[n-m], and leave [n >= top], that of the row leaving the
+    window.  Step n reads row min(n, W), since a and b are constant from
+    top and from W on, and W <= top + 1; copies of row W follow it, as many
+    as a pass reads before its steady matrix takes over.
     """
 
     def __init__(self, kernel, framework, dt, n_max):
@@ -205,18 +213,21 @@ class MemoryForce:
             # property)
             self._top = top = w_full - 1
             self._c = c = dt * w[1]
-            self._leave = c * q ** top
-            # trapezoid end correction -w_m/2, or +w_W/2 at the full window,
-            # where the recursion stops at node W-1; node W's weight comes
-            # from the table (k is 0.0 there when s_max is a multiple of dt)
-            self._edge = -0.5 * dt * w[:W + 1]
+            # the table's a is c sum_{i<=min(n,top)} q^(i-1) (history) or dt
+            # k(0)/2 (state); b is -dt w_n/2, or +dt w_W/2 at the full window,
+            # where the recursion stops at node W-1 (k is 0.0 there when s_max
+            # is a multiple of dt), plus k(t) (history); a = b = 0.0 at n = 0
+            n, b = np.arange(W + 1), -0.5 * dt * w[:W + 1]
             if W == w_full:
-                self._edge[W] *= -1.0
+                b[W] *= -1.0
             if framework == "history":
-                self._edge += self.k_dt[:W + 1]
-                # gain[M] = c * sum_{i=1..M} q^(i-1), the weight of P(t) - P(t-dt)
-                self._gain = c * np.concatenate(
-                    [[0.0], np.cumsum(q ** np.arange(min(top, W)))])
+                b += self.k_dt[:W + 1]
+                a = c * np.cumsum(np.append(0.0, q ** np.arange(W)) * (n <= top))
+            else:
+                a = np.full(W + 1, 0.5 * dt * self.k_dt[0])
+            a[0] = b[0] = 0.0
+            self._table = np.pad(np.column_stack([a, b, np.where(n >= top, c * q ** top, 0.0)]),
+                                 ((0, 5 * BLOCK), (0, 0)), mode="edge")
             return
         if framework == "history":
             # dt-free trapezoid weight of P(t) itself, sum_{i=1..m} mu_i - mu_m/2
@@ -294,19 +305,19 @@ class MemoryForce:
         """
         if self._h is None or n < self._k:
             self._k, self._h = 0, np.zeros((X.shape[0], X.shape[2]))
-        q, leave, top = self._q, self._leave, self._top
+        q, top, W, t = self._q, self._top, self.w_nodes, self._table
         h = self._h
         for k in range(self._k, n):
             if self.framework == "history":
                 if k > 0:
-                    h = h + self._gain[min(k, top)] * (X[:, k] - X[:, k - 1])
+                    h = h + t[min(k, W), 0] * (X[:, k] - X[:, k - 1])
                 h = q * h
                 if k >= top:
-                    h -= leave * (X[:, k] - X[:, k - top])
+                    h -= t[min(k, W), 2] * (X[:, k] - X[:, k - top])
             else:
                 h = q * h + self._c * X[:, k]
                 if k >= top:
-                    h -= leave * X[:, k - top]
+                    h -= t[min(k, W), 2] * X[:, k - top]
         self._k, self._h = n, h
         return h
 
@@ -326,8 +337,8 @@ class MemoryForce:
             return out
         if n == 0:
             return self._past.copy()
-        out = self._past + self._gain[min(n, self._top)] * (P[:, n] - P[:, n - 1])
-        out += self._edge[m] * (P[:, n] - P[:, n - m])
+        out = self._past + self._table[m, 0] * (P[:, n] - P[:, n - 1])
+        out += self._table[m, 1] * (P[:, n] - P[:, n - m])
         return out
 
     def state_force(self, n, a):
@@ -340,7 +351,7 @@ class MemoryForce:
             else:
                 past = self._carry(n, a).copy()
                 if m > 0:
-                    past += self._edge[m] * a[:, n - m]
+                    past += self._table[m, 1] * a[:, n - m]
             if self._mem0:
                 past += self.initial_terms(np.array([n]))[0]
             self._n, self._past = n, past
@@ -385,14 +396,11 @@ _FACTORS = np.concatenate([[np.zeros(6, dtype=int), np.arange(6)], 1 + np.array(
                           axis=1)
 
 
-def _scalars(mf, n):
-    """Rows (1, s) of `_step_map`'s scalars s at steps n, past a run's end too."""
-    nn = np.stack([n, n + 1])
-    a = mf._gain[np.minimum(nn, mf._gain.size - 1)] if mf.framework == "history" \
-        else np.where(nn > 0, 0.5 * mf.dt * mf.k_dt[0], 0.0)
-    b = np.where(nn > 0, mf._edge[np.minimum(nn, mf.w_nodes)], 0.0)
-    return np.column_stack([np.ones(len(n)), a[0], b[0], a[1], b[1],
-                            np.where(n >= mf._top, mf._leave, 0.0)])
+def _scalars(mf, n0, P):
+    """Rows (1, a[n], b[n], a[n+1], b[n+1], leave[n]) of `_step_map`'s
+    scalars at n = n0..n0+P-1, from one slice of mf's step table."""
+    t = mf._table[n0:n0 + P + 1]
+    return np.column_stack([np.ones(P), t[:-1, :2], t[1:, :2], t[:-1, 2]])
 
 
 def _monomials(s, cols, out=None):
@@ -411,9 +419,7 @@ def _step_map(mf, lam, g):
     x0 = X[n-m], x1 = X[n+1-m1], which is also the row X[n-top] that leaves
     the carry, and the initial-memory terms m0, m1 at n and n+1 are final
     before n.  The matrix depends on n only through the scalars s = (a[n],
-    b[n], a[n+1], b[n+1], leave [n >= top]), where (a, b) is (gain, edge) in
-    the history framework and (dt k(0)/2, edge) in the state framework,
-    both 0 at n = 0.
+    b[n], a[n+1], b[n+1], leave[n]), rows of mf's step table (`_scalars`).
 
     This returns its (16, J, 9, 4) coefficients on the `_monomials` of s,
     with g, which must be one (J,) forcing, on the constant row.  Quantities
@@ -490,30 +496,24 @@ def _integrate_blocks(mf, ops, lam, U, V):
     matrix of `_step_map` is quadratic in its five scalars, so a pass's
     matrices are one product of the live `_monomials` (whose coefficients
     are not all 0.0) with their coefficients, into one (P, J, 9, 4)
-    buffer; one matrix serves every step from the first multiple of BLOCK
-    past top.  A pass inside the window, past step 0 and short of top and
-    n_steps, reads its scalars as slices of the gain and edge tables.  The
-    inputs are slices of U or V times lambdas, rows before the pass (P <=
-    top), and the lag slots hold lambda X[0] until a pass reaches past top;
-    a step is one stacked matmul on views made once, and the stores and the
-    blow-up guard (`_store`) run once per pass.
+    buffer; one matrix, that of step min(top + 1, W), serves every step
+    from the first multiple of BLOCK past top.  Every pass before it reads
+    its scalars as one slice of mf's step table (`_scalars`), past row W
+    where the pass runs past the window or the run's end.  The inputs are
+    slices of U or V times lambdas, rows before the pass (P <= top), and
+    the lag slots hold lambda X[0] until a pass reaches past top; a step is
+    one stacked matmul on views made once, and the stores and the blow-up
+    guard (`_store`) run once per pass.
     """
     E, n_steps, J, top = U.shape[0], U.shape[1] - 1, lam.size, mf._top
     src = U if mf.framework == "history" else V
     P, on = min(top, 4 * BLOCK), (top // BLOCK + 1) * BLOCK
     coef = _step_map(mf, lam, ops.g).reshape(16, -1)
     # all 16 monomials: a one-row product's bits can depend on its length
-    steady = (_monomials(_scalars(mf, np.array([top + 1])), np.arange(16))
+    steady = (_monomials(_scalars(mf, min(top + 1, mf.w_nodes), 1), np.arange(16))
               @ coef).reshape(J, 9, 4)
     live = np.flatnonzero(coef.any(axis=1))
     coef = coef[live]
-    # scalar rows (1, a[n], b[n], a[n+1], b[n+1], 0) of a pass inside the
-    # window, from the rows (x[n], x[n+1]) of views of the tables of a and b
-    s, inside = np.zeros((P, 6)), min(top, mf.w_nodes, n_steps)
-    s[:, 0] = 1.0
-    a_pairs = sliding_window_view(mf._gain, 2) if mf.framework == "history" \
-        else np.broadcast_to(0.5 * mf.dt * mf.k_dt[0], (mf.w_nodes, 2))
-    b_pairs = sliding_window_view(mf._edge, 2)
     mono = np.empty((P, live.size))
     M = np.empty((P, J, 9, 4))                 # the step matrices of a pass
     z = np.zeros((P + 1, E, J, 1, 9))          # the rows of `_step_map`, per step
@@ -522,12 +522,8 @@ def _integrate_blocks(mf, ops, lam, U, V):
     steps = [(z[l], M[l], z[l + 1, ..., :4]) for l in range(P)]
     for n0 in range(0, n_steps, P):
         if n0 < on:
-            if 0 < n0 and n0 + P <= inside:
-                s[:, 1:4:2], s[:, 2:5:2] = a_pairs[n0:n0 + P], b_pairs[n0:n0 + P]
-                rows = s
-            else:
-                rows = _scalars(mf, n0 + np.arange(P))
-            np.matmul(_monomials(rows, live, mono), coef, out=M.reshape(P, -1))
+            np.matmul(_monomials(_scalars(mf, n0, P), live, mono), coef,
+                      out=M.reshape(P, -1))
             if on < n0 + P:
                 M[on - n0:] = steady
         elif n0 < on + P:

@@ -249,9 +249,9 @@ def make_exponential_kernel(delta, *, ds=DEFAULT_DS, s_max=None):
     The domination certificate is (theta, delta) = (1, delta), with equality.
     One geometric piece on [0, inf), so delta is the kernel's decay rate.
     """
-    if delta <= 0:
-        raise KernelError("delta must be positive")
     d = float(delta)
+    if not (d > 0 and d * d < math.inf):
+        raise KernelError("delta must be positive, with a finite square (at most 1.34e154)")
     return MemoryKernel([0.0], d * d, d, 0.0, normalize=False, theta=1.0, delta_decay=d,
                         s_max=s_max, ds=ds, kernel_id="exponential(delta=%g)" % d)
 
@@ -279,12 +279,12 @@ def make_jump_exponential_kernel(delta, jump_spec, *, ds=DEFAULT_DS, s_max=None)
     requirement.  The certificate theta = 1 / prod(1 - drop_n) covers the
     worst jump crossing.
     """
-    if delta <= 0:
-        raise KernelError("delta must be positive")
+    d = float(delta)
+    if not (d > 0 and d * d < math.inf):
+        raise KernelError("delta must be positive, with a finite square (at most 1.34e154)")
     spec = sorted((float(s), float(r)) for s, r in jump_spec)
     if any(not 0.0 < r < 1.0 for _, r in spec) or any(s <= 0 for s, _ in spec):
         raise KernelError("jump drops must be in (0,1) at positive locations")
-    d = float(delta)
     s_n, drop = np.array(spec).reshape(-1, 2).T
     a = np.append(0.0, s_n)
     level = np.cumprod(np.append(1.0, 1.0 - drop))

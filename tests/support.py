@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from memoryflow.attractors import PointCloud, hausdorff_semidist
 from memoryflow.evolution import integrate_ensemble, sample_times
 from memoryflow.kernels import MemoryKernel
-from memoryflow.spaces import GRID_EQ_TOL, ExtendedVector, HistoryField, ModalVector, norm_H
+from memoryflow.spaces import (
+    GRID_EQ_TOL,
+    ExtendedVector,
+    HistoryField,
+    ModalVector,
+    StateField,
+    norm_H,
+)
 from memoryflow.viscoelastic import energy_sigma, phi_functional
 
 
@@ -53,6 +60,34 @@ def direct_state_force(mf, n, a):
         wt = 0.5 * k[i] if i in (0, m) else k[i]
         conv += dt * wt * a[:, n - i]
     return conv if m > 0 else np.zeros_like(a[:, 0])
+
+
+def direct_xi(traj, t, kernel):
+    # xi0(tau + t) plus the trapezoid sum of mu(tau + k dt) a(t - k dt),
+    # one term per snapshot, in a field with the same tail clamp
+    idx, dt = traj.index_of(t), traj.dt
+    xi0, tau = traj.initial_memory, kernel.grid
+    out = np.empty((tau.size, traj.lambdas.size))
+    for j in range(traj.lambdas.size):
+        out[:, j] = np.interp(tau + t, xi0.nodes, xi0.values[:, j],
+                              left=xi0.values[0, j], right=0.0)
+    for k in range(idx + 1 if idx > 0 else 0):
+        wt = 0.5 * dt if k in (0, idx) else dt
+        a = traj.lambdas * traj.v_snaps[idx - k]
+        out += wt * np.asarray(kernel.mu(tau + k * dt))[:, None] * a
+    return StateField(tau, out, kernel.nu(tau) * kernel.ds, traj.lambdas, kernel.ds)
+
+
+def direct_bridge(eta, kernel, tau):
+    """(L eta)(tau) summed over the field's nodes one at a time, plus jumps."""
+    out = np.zeros((tau.size, eta.lambdas.size))
+    for s_j, row in zip(eta.nodes, eta.values):
+        out -= np.asarray(kernel.mu_prime(tau + s_j))[:, None] * row * eta.ds
+    for s_n, mu_n in kernel.jumps:
+        for j in range(eta.lambdas.size):
+            out[:, j] += mu_n * np.where(tau < s_n, np.interp(
+                s_n - tau, eta.nodes, eta.values[:, j], left=0.0, right=0.0), 0.0)
+    return out
 
 
 def record_kernel_calls(kernel, monkeypatch):

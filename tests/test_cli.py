@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -83,6 +84,22 @@ def test_kernel_check_refuses_a_certificate_whose_exponential_overflows(workdir,
     assert main(["kernel", "check", str(write_broken_line_kernel(workdir, 1e6))]) == 1
     assert "decay certificate (theta=1, delta=1e+06) fails: worst ratio inf" \
         in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("jumps", [None, [[0.5, 0.3]]])
+def test_kernel_check_refuses_a_delta_whose_square_is_not_finite(workdir, jumps, capsys):
+    # it warned twice of an invalid value in multiply (overflow in the jump
+    # family), then failed with a misleading message about the kernel's grid
+    spec = {"family": "exponential", "delta": 1e155}
+    if jumps:
+        spec["jumps"] = jumps
+    (workdir / "big.kernel.json").write_text(json.dumps(spec))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["kernel", "check", str(workdir / "big.kernel.json")])
+    assert rc == 1 and not caught
+    err = capsys.readouterr().err
+    assert "kernel check failed: delta must be positive" in err and "1.34e154" in err
 
 
 def test_run_command_names_the_certificate_of_a_kernel_with_a_large_delta(workdir, capsys):

@@ -36,6 +36,7 @@ from memoryflow.viscoelastic import assemble, draw_random_state, f_modal, make_m
 from support import (
     direct_history_force,
     direct_state_force,
+    direct_xi,
     history_from_profile,
     holder_growth_probe,
     record_kernel_calls,
@@ -673,7 +674,7 @@ def test_block_path_matches_stepwise_at_the_pass_length(monkeypatch):
 
 @pytest.mark.parametrize("delta,t_end", [(8.0, 1.0), (20.0, 2.0)])
 def test_block_path_matches_stepwise_on_stiff_kernels(monkeypatch, delta, t_end):
-    # windows of 2880 and 1152 steps at dt = 1e-3: the gain and edge scalars
+    # windows of 2880 and 1152 steps at dt = 1e-3: the step table's a and b
     # span many decades, so step matrices taken from differences of the step
     # at probe values of the scalars would lose digits to cancellation
     kernel = make_exponential_kernel(delta)
@@ -747,8 +748,11 @@ def test_block_path_where_the_lag_slots_refill(monkeypatch, top):
     # P = 128: the lag slots hold lambda X[0] until a pass reaches past top,
     # to step top + 1, which is the last step of the pass from 128 (top =
     # 254), the first of the pass from 256 (255), or one or two steps into
-    # it (256, 257); the pass from 128 reads its scalars as table slices
-    # unless it reaches top (254, 255)
+    # it (256, 257); every pass before the steady matrix reads one slice of
+    # the step table, and the copies of its row W = top + 1 are read by the
+    # pass from 128 at top = 254 and by the pass from 256 at top = 256 and
+    # 257 (and, in the runs of top - 1 steps, where W = top - 1, by the pass
+    # from 128 at top = 254, 255 and 256)
     kernel = exp1_cut((top + 1) * WIN_DT)
     assert pass_length(kernel) == (top, 128)
     ops, runs = window_runs(kernel, "zero")
@@ -767,9 +771,9 @@ def test_block_path_where_the_lag_slots_refill(monkeypatch, top):
 @pytest.mark.parametrize("n_steps", [255, 256, 257, 383, 384, 385])
 def test_block_path_at_run_ends_inside_the_window(exp1, monkeypatch, n_steps):
     # k P - 1, k P and k P + 1 steps for P = 128, inside exp1's window of
-    # 11515 nodes: a pass reads its scalars as table slices only when it
-    # ends by n_steps, so the last full pass does at k P and k P + 1 and
-    # does not at k P - 1; runs twice as long extend them bitwise
+    # 11515 nodes, so W = n_steps: the last pass reads the step table's
+    # copies of row W at k P - 1 and k P + 1, and ends on row W at k P;
+    # runs twice as long extend them bitwise
     ops, runs = window_runs(exp1, "zero")
     for framework, z0s in runs:
         short = assert_block_runs(monkeypatch, z0s, ops, exp1, framework, n_steps)
@@ -806,6 +810,25 @@ def test_block_path_runs_where_it_applies(exp1, monkeypatch):
     assert not took_blocks("zero", triangle(WIN))
     assert not took_blocks("cubic", exp1)
     assert not took_blocks("zero", exp1, rows=3)
+
+
+@pytest.mark.parametrize("framework", ["history", "state"])
+def test_stepwise_run_calls_the_traced_force_names_twice_per_step(exp1, monkeypatch,
+                                                                   framework):
+    # the benchmark's tracer counts memory-force calls through class-level
+    # wrappers of these two names, so a stepwise loop that stopped calling
+    # them would read 0 calls there and still pass every other test
+    calls = []
+    for name in ("history_force", "state_force"):
+        force = getattr(evolution.MemoryForce, name)
+        monkeypatch.setattr(evolution.MemoryForce, name,
+                            lambda *args, force=force, name=name:
+                            calls.append(name) or force(*args))
+    model = make_model(3, f="cubic")
+    z0 = draw_random_state(model, exp1, 1.0, "H1", np.random.default_rng(4),
+                           framework=framework)
+    integrate(z0, assemble(model, exp1), exp1, framework, 0.01, 1.0)
+    assert calls == [framework + "_force"] * 200
 
 
 @pytest.mark.parametrize("lam2,u0,t_blow", [
@@ -1110,22 +1133,6 @@ def test_xi_integral_swap_oracle(exp1):
     w[0] = w[-1] = 0.5 * dt
     rhs = float(np.sum(w * ks * a[::-1]))
     assert lhs == pytest.approx(rhs, rel=1e-3, abs=1e-6)
-
-
-def direct_xi(traj, t, kernel):
-    # xi0(tau + t) plus the trapezoid sum of mu(tau + k dt) a(t - k dt),
-    # one term per snapshot, in a field with the same tail clamp
-    idx, dt = traj.index_of(t), traj.dt
-    xi0, tau = traj.initial_memory, kernel.grid
-    out = np.empty((tau.size, traj.lambdas.size))
-    for j in range(traj.lambdas.size):
-        out[:, j] = np.interp(tau + t, xi0.nodes, xi0.values[:, j],
-                              left=xi0.values[0, j], right=0.0)
-    for k in range(idx + 1 if idx > 0 else 0):
-        wt = 0.5 * dt if k in (0, idx) else dt
-        a = traj.lambdas * traj.v_snaps[idx - k]
-        out += wt * np.asarray(kernel.mu(tau + k * dt))[:, None] * a
-    return StateField(tau, out, kernel.nu(tau) * kernel.ds, traj.lambdas, kernel.ds)
 
 
 def test_reconstruct_xi_matches_direct_sum(exp1):

@@ -75,6 +75,19 @@ def test_rejects_bad_delta():
         make_exponential_kernel(-1.0)
 
 
+@pytest.mark.parametrize("jumps", [None, [(0.5, 0.3)]])
+@pytest.mark.parametrize("delta", [1e155, 1.35e154, math.inf, math.nan])
+def test_exponential_families_refuse_a_delta_whose_square_is_not_finite(delta, jumps):
+    # c = delta^2 overflowed to inf, and the kernel's own arithmetic then
+    # warned (invalid value, or overflow in the jump family) and failed
+    # with a message about its grid
+    with pytest.raises(KernelError, match=r"delta must be positive.*1\.34e154"):
+        if jumps is None:
+            make_exponential_kernel(delta)
+        else:
+            make_jump_exponential_kernel(delta, jumps)
+
+
 def test_k_from_mu_tail_is_zero(exp1, flat):
     for ker in (exp1, flat):
         assert ker.k(ker.s_max) == 0.0

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from support import (
+    direct_bridge,
     direct_history_force,
     direct_state_force,
+    direct_xi,
     dissipation_integral_probe,
     holder_growth_probe,
     invariance_residual,
@@ -27,8 +29,10 @@ from memoryflow.attractors import (
 from memoryflow.evolution import (
     BLOCK,
     MemoryForce,
+    Trajectory,
     integrate,
     integrate_ensemble,
+    reconstruct_xi,
     sample_times,
 )
 from memoryflow.kernels import (
@@ -422,3 +426,33 @@ def test_memory_force_on_piece_tables_matches_direct_sum(kernel, dt, seed):
     mf.set_initial_memory([HistoryField.zeros(kernel, lam)] * 2)
     F = np.array([mf.history_force(n, P) for n in range(n_max + 1)])
     assert np.all(F == 0.0)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(kernel=piece_tables(), dt=st.sampled_from([0.02, 0.03]), seed=st.integers(0, 2 ** 16))
+@example(kernel=LINE_THEN_TAIL, dt=0.03, seed=5)
+@example(kernel=make_exponential_kernel(2.0), dt=0.03, seed=6)
+def test_readback_and_bridge_map_on_piece_tables_match_direct_sums(kernel, dt, seed):
+    # the state read-back of 40 random snapshots over a nonzero xi0, and the
+    # bridge map of a random smooth history on the grid and off it, against
+    # sums of one term per snapshot or node; a table states a rate only as
+    # one geometric piece to infinity, so most draws take the dense paths,
+    # and e^(-2s) takes the rank-one ones
+    lam = np.array([1.0, 4.0, 9.0])
+    rng = np.random.default_rng(seed)
+    xi0 = StateField.zeros(kernel, lam)
+    xi0.values[:] = np.outer(kernel.mu_grid * np.cos(xi0.nodes), [1.0, -0.5, 0.2])
+    n = 40
+    traj = Trajectory(times=np.arange(n + 1) * dt, u_snaps=np.zeros((n + 1, lam.size)),
+                      v_snaps=rng.normal(size=(n + 1, lam.size)), initial_memory=xi0,
+                      window=kernel.s_max, framework="state", dt=dt,
+                      kernel_id=kernel.kernel_id, lambdas=lam)
+    for idx in (0, 1, n):
+        got, want = (f(traj, idx * dt, kernel) for f in (reconstruct_xi, direct_xi))
+        np.testing.assert_allclose(got.values, want.values, rtol=1e-12,
+                                   atol=1e-15 * np.abs(want.values).max())
+    eta = random_smooth_history(kernel, lam, rng)
+    tau = np.concatenate([kernel.grid[::4], kernel.grid[2::9] + 0.3 * kernel.ds])
+    want = direct_bridge(eta, kernel, tau)
+    np.testing.assert_allclose(lambda_map_pointwise(eta, kernel, tau), want, rtol=1e-12,
+                               atol=1e-13 * np.abs(want).max())

@@ -24,6 +24,7 @@ from memoryflow.spaces import (
 )
 
 from support import (
+    direct_bridge,
     h_functional,
     history_from_profile,
     record_kernel_calls,
@@ -232,18 +233,6 @@ def test_lambda_map_jump_term():
                          * eta.values[:, 0]) * eta.ds
         jump = mu_n * np.interp(s_n - tau, eta.nodes, eta.values[:, 0])
         assert got[row, 0] == pytest.approx(smooth + jump, rel=1e-12)
-
-
-def direct_bridge(eta, kernel, tau):
-    """(L eta)(tau) summed over the field's nodes one at a time, plus jumps."""
-    out = np.zeros((tau.size, eta.lambdas.size))
-    for s_j, row in zip(eta.nodes, eta.values):
-        out -= np.asarray(kernel.mu_prime(tau + s_j))[:, None] * row * eta.ds
-    for s_n, mu_n in kernel.jumps:
-        for j in range(eta.lambdas.size):
-            out[:, j] += mu_n * np.where(tau < s_n, np.interp(
-                s_n - tau, eta.nodes, eta.values[:, j], left=0.0, right=0.0), 0.0)
-    return out
 
 
 def test_bridge_map_matches_direct_sum(exp1):
